@@ -11,11 +11,17 @@ import subprocess
 import sys
 
 HERE = os.path.dirname(os.path.abspath(__file__))
+SRC = os.path.join(os.path.dirname(HERE), "src")
+# The CLI runs from this checkout's source, installed or not.
+INFMIX = [sys.executable, "-m", "infmix.cli"]
 
 
 def run(cmd):
     print("+", " ".join(cmd))
-    subprocess.run(cmd, check=True)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (SRC, env.get("PYTHONPATH")) if p)
+    subprocess.run(cmd, check=True, env=env)
 
 
 def main():
@@ -44,20 +50,20 @@ def main():
                 "detect_full_test = false\n")
 
     common = ["--config", cfg_path, "--data-dir", data_dir, "--out-dir", out_dir]
-    run(["infmix", *common, "gradcheck"])
+    run([*INFMIX, *common, "gradcheck"])
     for model in ("ml", "vi"):
         # One model kind per invocation; the config's model field defaults to
         # ml, so write the override into a per-model config line instead.
         model_cfg = cfg_path + f".{model}"
         with open(model_cfg, "w") as f:
             f.write(open(cfg_path).read() + f"model = {model}\n")
-        run(["infmix", "--config", model_cfg, "--data-dir", data_dir,
+        run([*INFMIX, "--config", model_cfg, "--data-dir", data_dir,
              "--out-dir", out_dir, "train"])
-        run(["infmix", "--config", model_cfg, "--data-dir", data_dir,
+        run([*INFMIX, "--config", model_cfg, "--data-dir", data_dir,
              "--out-dir", out_dir, "attack"])
-        run(["infmix", "--config", model_cfg, "--data-dir", data_dir,
+        run([*INFMIX, "--config", model_cfg, "--data-dir", data_dir,
              "--out-dir", out_dir, "ood"])
-    run(["infmix", *common, "report"])
+    run([*INFMIX, *common, "report"])
     print(f"\ndemo artifacts under {out_dir} (report in {out_dir}/report)")
 
 

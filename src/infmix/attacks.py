@@ -13,7 +13,7 @@ from __future__ import annotations
 import csv
 import io
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -128,10 +128,7 @@ def robustness_curve(model, images: Array, labels, eps_grid=DEFAULT_EPS_GRID,
         raise ValueError("eps_grid must be sorted ascending")
     curve = []
     for epsilon in eps_grid:
-        point_cfg = AttackConfig(
-            epsilon=epsilon, n_iter=base.n_iter, step=base.step,
-            n_grad_samples=base.n_grad_samples, random_init=base.random_init,
-            seed=base.seed, n_eval_samples=base.n_eval_samples)
+        point_cfg = replace(base, epsilon=epsilon)
         curve.append((epsilon, pgd_attack(model, images, labels, point_cfg)))
     return curve
 

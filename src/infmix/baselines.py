@@ -7,13 +7,13 @@ stochastic model, so evaluation and attack code is model-agnostic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .data import BatchIterator, Dataset
-from .network import (PredictiveSummary, backward, forward,
-                      mixture_loss_input_grad, mixture_predict)
+from .network import (DRAW_BLOCK, WEIGHT_GRADS, PredictiveSummary, backward,
+                      forward, mixture_loss_input_grad, mixture_predict)
 from .tensor import AdamState, Array, Rng, adam_step
 
 DEFAULT_WEIGHT_DECAY = 1.0 / 60_000.0
@@ -83,22 +83,20 @@ class DropoutMlp:
         if not 0.0 <= self.p_drop < 1.0:
             raise ValueError(f"p_drop must be in [0, 1), got {self.p_drop}")
 
-    def _hidden_sizes(self):
-        return [w.shape[1] for w in self.weights[:-1]]
-
     def sample_masks(self, rng: Rng, per_example: int | None = None):
         """One mask per hidden layer; shape (1, n) shared or (B, n) per example."""
-        keep = 1.0 - self.p_drop
-        rows = 1 if per_example is None else per_example
-        return [
-            (rng.uniform(0.0, 1.0, (rows, n)) < keep).astype(np.float64) / keep
-            for n in self._hidden_sizes()
-        ]
+        return _dropout_masks(rng, self.weights, self.p_drop,
+                              1 if per_example is None else per_example)
 
     def _components(self, n_samples: int, rng: Rng):
-        for _ in range(n_samples):
-            masks = None if self.p_drop == 0.0 else self.sample_masks(rng)
-            yield self.weights, masks
+        if self.p_drop == 0.0:
+            yield from [(self.weights, None)] * n_samples
+            return
+        # Blocks of mask draws, stacked per layer: (S, 1, n).
+        for start in range(0, n_samples, DRAW_BLOCK):
+            masks = [self.sample_masks(rng)
+                     for _ in range(min(DRAW_BLOCK, n_samples - start))]
+            yield self.weights, [np.stack(layer) for layer in zip(*masks)]
 
     def predict(self, x: Array, n_samples: int, rng: Rng) -> PredictiveSummary:
         if n_samples < 1:
@@ -121,8 +119,10 @@ class DeepEnsemble:
         return len(self.members)
 
     def _components(self):
-        for member in self.members:
-            yield member.weights, None
+        # Blocks of members, stacked per layer: (S, n_in + 1, n_out).
+        for start in range(0, self.k, DRAW_BLOCK):
+            block = self.members[start:start + DRAW_BLOCK]
+            yield [np.stack(layer) for layer in zip(*(m.weights for m in block))], None
 
     def predict(self, x: Array, n_samples: int = 0, rng: Rng | None = None
                 ) -> PredictiveSummary:
@@ -133,6 +133,13 @@ class DeepEnsemble:
     def loss_input_grad(self, x: Array, labels, n_samples: int = 0,
                         rng: Rng | None = None):
         return mixture_loss_input_grad(self._components(), self.k, x, labels)
+
+
+def _dropout_masks(rng: Rng, weights, p_drop: float, rows: int):
+    """Inverted-dropout masks (rows, n) for each hidden layer of ``weights``."""
+    keep = 1.0 - p_drop
+    return [(rng.uniform(0.0, 1.0, (rows, w.shape[1])) < keep).astype(np.float64) / keep
+            for w in weights[:-1]]
 
 
 def _decay_gradient(weights, weight_decay: float):
@@ -158,23 +165,17 @@ def _train_point_estimate(data: Dataset, weight_decay: float, cfg: FitConfig,
                                   beta1=cfg.adam_beta1, beta2=cfg.adam_beta2,
                                   eps=cfg.adam_eps)
               for w in weights]
-    keep = 1.0 - p_drop
-    hidden_sizes = [w.shape[1] for w in weights[:-1]]
     for it in range(cfg.iterations):
         images, labels = batches.next_batch()
         b = images.shape[0]
-        masks = None
-        if p_drop > 0.0:
-            masks = [
-                (mask_rng.uniform(0.0, 1.0, (b, n)) < keep).astype(np.float64) / keep
-                for n in hidden_sizes
-            ]
+        masks = _dropout_masks(mask_rng, weights, p_drop, b) if p_drop > 0.0 else None
         log_probs, trace = forward(weights, images, hidden_masks=masks)
         nll = -float(log_probs[np.arange(b), labels].mean())
         if not np.isfinite(nll):
             raise RuntimeError(f"training diverged (non-finite loss) at iteration {it}")
         grad_log_probs = np.zeros_like(log_probs)
         grad_log_probs[np.arange(b), labels] = -1.0 / b
+        trace.needs = WEIGHT_GRADS
         grad_w, _ = backward(trace, grad_log_probs)
         for g, dg in zip(grad_w, _decay_gradient(weights, weight_decay)):
             g += dg
@@ -215,13 +216,7 @@ def train_ensemble(data: Dataset, k: int = 5,
         raise ValueError(f"ensemble size must be >= 1, got {k}")
     members = []
     for i in range(k):
-        member_cfg = FitConfig(batch_size=cfg.batch_size,
-                               learning_rate=cfg.learning_rate,
-                               iterations=cfg.iterations,
-                               seed=cfg.seed + i * _MEMBER_SEED_STRIDE,
-                               adam_beta1=cfg.adam_beta1,
-                               adam_beta2=cfg.adam_beta2,
-                               adam_eps=cfg.adam_eps)
+        member_cfg = replace(cfg, seed=cfg.seed + i * _MEMBER_SEED_STRIDE)
         members.append(train_deterministic(data, weight_decay, member_cfg,
                                            topology=topology, progress=progress))
     return DeepEnsemble(members=members)

@@ -1,8 +1,9 @@
 """Finite-difference verification of every analytic gradient path.
 
-All checks run on tiny nets with frozen reparameterization noise, so each
-loss is a smooth deterministic function of the parameters and central
-differences are a valid oracle.  The ``perturb`` hook injects an error into
+All checks run on tiny nets with frozen reparameterization noise (a fixed
+``Rng`` key, replayed for every evaluation of the loss), so each loss is a
+smooth deterministic function of the parameters and central differences
+are a valid oracle.  The ``perturb`` hook injects an error into
 one analytic gradient, as a negative control that the checker can fail.
 """
 
@@ -15,7 +16,7 @@ import numpy as np
 from .baselines import _decay_gradient
 from .network import StochasticMlp, backward, forward
 from .objectives import (ObjectiveKind, TrainConfig, ml_loss, objective_gradients,
-                         objective_loss, vi_loss)
+                         objective_loss, per_example_loglik, vi_loss)
 from .posterior import PriorSpec, kl_backward, kl_to_prior, sample_backward, \
     sample_with_noise
 from .tensor import Rng
@@ -73,6 +74,13 @@ def flatten_grads(grads) -> np.ndarray:
     return np.concatenate(parts)
 
 
+def _unflatten(flat: np.ndarray, shapes) -> list:
+    """Consecutive pieces of ``flat`` reshaped to ``shapes``."""
+    ends = np.cumsum([int(np.prod(shape)) for shape in shapes])
+    return [part.reshape(shape)
+            for part, shape in zip(np.split(flat, ends[:-1]), shapes)]
+
+
 def central_differences(fn, x0: np.ndarray, h: float = 1e-6) -> np.ndarray:
     grad = np.empty_like(x0)
     for i in range(x0.size):
@@ -104,32 +112,21 @@ def _tiny_batch(seed: int, n: int = 7, n_in: int = 5, n_classes: int = 2):
     return images, np.asarray(labels)
 
 
-def _frozen_noise(net: StochasticMlp, n_samples: int, seed: int):
-    rng = Rng(seed).derive(11)
-    return [[rng.standard_normal(layer.n_rows, layer.n_cols)
-             for layer in net.layers] for _ in range(n_samples)]
+def _frozen_rng(seed: int) -> Rng:
+    """The frozen noise: a fresh stream with the same key each call."""
+    return Rng(seed).derive(11)
 
 
-def frozen_loglik(net: StochasticMlp, images, labels, noise_sets):
-    """(ll, traces, sampled) with externally fixed noise per draw."""
-    labels = np.asarray(labels)
-    rows = np.arange(images.shape[0])
-    ll = np.empty((images.shape[0], len(noise_sets)))
-    traces, sampled = [], []
-    for s, noises in enumerate(noise_sets):
-        sw = [sample_with_noise(layer, e) for layer, e in zip(net.layers, noises)]
-        log_probs, trace = forward([w.weights for w in sw], images)
-        ll[:, s] = log_probs[rows, labels]
-        traces.append(trace)
-        sampled.append(sw)
-    return ll, traces, sampled
+def frozen_loglik(net: StochasticMlp, images, labels, n_samples: int, seed: int):
+    """(ll, trace, draws) of ``per_example_loglik`` with frozen noise."""
+    return per_example_loglik(net, images, labels, n_samples, _frozen_rng(seed))
 
 
-def frozen_objective_value(net, images, labels, noise_sets, kind, kl_weight,
+def frozen_objective_value(net, images, labels, n_samples, seed, kind, kl_weight,
                            prior) -> float:
     """Batch objective -(1/B) sum_n loss_n + kl_weight * KL / B, treating the
     batch as the whole dataset (the quantity the gradient check targets)."""
-    ll, _, _ = frozen_loglik(net, images, labels, noise_sets)
+    ll, _, _ = frozen_loglik(net, images, labels, n_samples, seed)
     per_example, _ = objective_loss(kind, ll)
     kl = sum(kl_to_prior(layer, prior) for layer in net.layers)
     return -float(per_example.mean()) + kl_weight * kl / images.shape[0]
@@ -142,13 +139,11 @@ def check_objective_gradient(kind: ObjectiveKind, seed: int = 0,
     on a 5-3-3-2 net with S=3 frozen draws and a nonzero KL weight."""
     net = _tiny_net(seed)
     images, labels = _tiny_batch(seed)
-    noise_sets = _frozen_noise(net, n_samples=3, seed=seed)
     cfg = TrainConfig(objective=kind, kl_weight=0.3, prior=PriorSpec(1.2),
                       n_train_samples=3, seed=seed)
 
     _, _, grads = objective_gradients(
-        net, images, labels, cfg, n_total=images.shape[0], rng=None,
-        traces_and_samples=frozen_loglik(net, images, labels, noise_sets))
+        net, images, labels, cfg, n_total=images.shape[0], rng=_frozen_rng(seed))
     analytic = flatten_grads(grads)
     if perturb:
         analytic = analytic.copy()
@@ -159,8 +154,8 @@ def check_objective_gradient(kind: ObjectiveKind, seed: int = 0,
 
     def loss_at(flat):
         set_flat_params(probe, flat)
-        return frozen_objective_value(probe, images, labels, noise_sets,
-                                      kind, cfg.kl_weight, cfg.prior)
+        return frozen_objective_value(probe, images, labels, cfg.n_train_samples,
+                                      seed, kind, cfg.kl_weight, cfg.prior)
 
     numeric = central_differences(loss_at, x0)
     err = rel_err(analytic, numeric)
@@ -186,7 +181,7 @@ def check_kl_gradient(seed: int = 0, tolerance: float = 1e-6) -> CheckResult:
 def check_sampling_gradient(seed: int = 0, tolerance: float = 1e-5) -> CheckResult:
     """d/d(M, a, b) of sum(G * W) with frozen noise, G random and fixed."""
     net = _tiny_net(seed)
-    noises = _frozen_noise(net, 1, seed)[0]
+    noises = [sw.noise for sw in net.sample_weights(_frozen_rng(seed))]
     g_rng = Rng(seed).derive(12)
     gs = [g_rng.standard_normal(layer.n_rows, layer.n_cols)
           for layer in net.layers]
@@ -209,24 +204,17 @@ def check_network_gradient(seed: int = 0, tolerance: float = 1e-5) -> CheckResul
     """Weight and input gradients of sum(G * log_probs) on fixed weights."""
     net = _tiny_net(seed)
     images, labels = _tiny_batch(seed)
-    noises = _frozen_noise(net, 1, seed)[0]
-    weights = [sample_with_noise(layer, e).weights
-               for layer, e in zip(net.layers, noises)]
+    weights = [sw.weights for sw in net.sample_weights(_frozen_rng(seed))]
     g = Rng(seed).derive(13).standard_normal(images.shape[0], net.layers[-1].n_cols)
 
     log_probs, trace = forward(weights, images)
     grad_w, grad_x = backward(trace, g)
     analytic = np.concatenate([gw.ravel() for gw in grad_w] + [grad_x.ravel()])
 
-    shapes = [w.shape for w in weights]
-    sizes = [w.size for w in weights]
+    shapes = [w.shape for w in weights] + [images.shape]
 
     def loss_at(flat):
-        ws, pos = [], 0
-        for shape, size in zip(shapes, sizes):
-            ws.append(flat[pos:pos + size].reshape(shape))
-            pos += size
-        x = flat[pos:].reshape(images.shape)
+        *ws, x = _unflatten(flat, shapes)
         lp, _ = forward(ws, x)
         return float(np.sum(g * lp))
 
@@ -242,16 +230,9 @@ def check_weight_decay_gradient(seed: int = 0, tolerance: float = 1e-6) -> Check
     wd = 0.125
     analytic = np.concatenate([g.ravel() for g in _decay_gradient(weights, wd)])
 
-    shapes = [w.shape for w in weights]
-    sizes = [w.size for w in weights]
-
     def penalty_at(flat):
-        total, pos = 0.0, 0
-        for shape, size in zip(shapes, sizes):
-            w = flat[pos:pos + size].reshape(shape)
-            total += 0.5 * wd * float(np.sum(w[:-1] ** 2))
-            pos += size
-        return total
+        return sum(0.5 * wd * float(np.sum(w[:-1] ** 2))
+                   for w in _unflatten(flat, [w.shape for w in weights]))
 
     numeric = central_differences(penalty_at, np.concatenate(
         [w.ravel() for w in weights]))
@@ -264,8 +245,7 @@ def check_single_sample_equivalence(seed: int = 0) -> CheckResult:
     mixture weights, hence bit-identical gradients."""
     net = _tiny_net(seed)
     images, labels = _tiny_batch(seed)
-    noise_sets = _frozen_noise(net, 1, seed)
-    ll, traces, sampled = frozen_loglik(net, images, labels, noise_sets)
+    ll, _, _ = frozen_loglik(net, images, labels, 1, seed)
     ml_val, ml_w = ml_loss(ll)
     vi_val, vi_w = vi_loss(ll)
     grads = {}
@@ -273,8 +253,8 @@ def check_single_sample_equivalence(seed: int = 0) -> CheckResult:
         cfg = TrainConfig(objective=kind, kl_weight=0.4, prior=PriorSpec(1.0),
                           n_train_samples=1, seed=seed)
         _, _, g = objective_gradients(
-            net, images, labels, cfg, n_total=images.shape[0], rng=None,
-            traces_and_samples=(ll, traces, sampled))
+            net, images, labels, cfg, n_total=images.shape[0],
+            rng=_frozen_rng(seed))
         grads[kind] = flatten_grads(g)
     exact = (np.array_equal(ml_val, vi_val) and np.array_equal(ml_w, vi_w)
              and np.array_equal(grads[ObjectiveKind.ML], grads[ObjectiveKind.VI]))
@@ -282,6 +262,26 @@ def check_single_sample_equivalence(seed: int = 0) -> CheckResult:
         float(np.max(np.abs(ml_val - vi_val))),
         float(np.max(np.abs(grads[ObjectiveKind.ML] - grads[ObjectiveKind.VI]))))
     return CheckResult("ml_vi_single_sample", err, 0.0, exact)
+
+
+def check_mixture_input_gradient(seed: int = 0, tolerance: float = 1e-5,
+                                 n_samples: int = 3) -> CheckResult:
+    """Input gradient of -sum_n log p_bar(y_n|x_n) over S frozen draws (the
+    quantity PGD ascends), from ``loss_input_grad``, vs central FD of the
+    mixture probabilities ``predict`` reports."""
+    net = _tiny_net(seed)
+    images, labels = _tiny_batch(seed)
+    analytic, _ = net.loss_input_grad(images, labels, n_samples, _frozen_rng(seed))
+    rows = np.arange(images.shape[0])
+
+    def loss_at(flat):
+        summary = net.predict(flat.reshape(images.shape), n_samples,
+                              _frozen_rng(seed))
+        return -float(np.sum(np.log(summary.mean_probs[rows, labels])))
+
+    numeric = central_differences(loss_at, images.ravel())
+    err = rel_err(analytic, numeric)
+    return CheckResult("mixture_input_grad", err, tolerance, err < tolerance)
 
 
 def run_all_checks(seed: int = 0, perturb: float = 0.0):
@@ -294,4 +294,5 @@ def run_all_checks(seed: int = 0, perturb: float = 0.0):
         check_network_gradient(seed),
         check_weight_decay_gradient(seed),
         check_single_sample_equivalence(seed),
+        check_mixture_input_gradient(seed),
     ]

@@ -131,39 +131,12 @@ class ExperimentConfig:
         return dataclasses.replace(self, **kwargs)
 
 
-_FIELD_PARSERS = {
-    "schema_version": int,
-    "model": str,
-    "dataset": str,
-    "kl_weight": float,
-    "prior_variance": float,
-    "n_train_samples": int,
-    "n_eval_samples": int,
-    "batch_size": int,
-    "learning_rate": float,
-    "iterations": int,
-    "n_trials": int,
-    "base_seed": int,
-    "sweep": str,
-    "kl_weight_grid": _parse_float_list,
-    "prior_grid": _parse_float_list,
-    "weight_decay": float,
-    "dropout_p": float,
-    "ensemble_size": int,
-    "eps_grid": _parse_float_list,
-    "attack_iterations": int,
-    "attack_step": _parse_optional_float,
-    "n_attack_samples": int,
-    "attack_random_init": _parse_bool,
-    "attack_epsilon": float,
-    "attack_prefix": int,
-    "detect_full_test": _parse_bool,
-    "ood_prefix": int,
-    "loss_record_every": int,
-    "data_dir": str,
-    "out_dir": str,
-    "threads": int,
-}
+# The text parser of each field, from its annotation: the config is declared
+# once, by ``ExperimentConfig``.
+_PARSER_BY_TYPE = {"int": int, "float": float, "str": str, "bool": _parse_bool,
+                   "tuple": _parse_float_list, "float | None": _parse_optional_float}
+_FIELD_PARSERS = {f.name: _PARSER_BY_TYPE[f.type]
+                  for f in dataclasses.fields(ExperimentConfig)}
 
 
 def parse_config_text(text: str) -> ExperimentConfig:

@@ -5,7 +5,10 @@ entropy).
 The forward pass is weight-list based, so the same code serves the
 stochastic model (weights drawn per call), the deterministic baseline
 (fixed weights), and dropout (optional per-hidden-layer masks).  Biases are
-the last row of each weight matrix; inputs are augmented with a constant 1.
+the last row of each weight matrix.  It is the one S-draw kernel: a weight
+may be a stack (S, n_in+1, n_out) of draws that all see the same batch, so
+layer 0 runs as the single GEMM x @ [W_1|...|W_S]; ``backward`` produces
+only the gradients its trace ``needs``.
 """
 
 from __future__ import annotations
@@ -14,97 +17,130 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .posterior import MvnLayerPosterior, sample
+from .posterior import MvnLayerPosterior, sample, sample_with_noise
 from .tensor import Array, Rng
 
 DEFAULT_TOPOLOGY = (784, 128, 128, 10)
 N_CLASSES = 10
 MAX_ENTROPY = float(np.log(N_CLASSES))
 
+# What ``backward`` produces; narrow ``ForwardTrace.needs`` to skip the rest.
+WEIGHT_GRADS, INPUT_GRAD = frozenset({"weights"}), frozenset({"input"})
 
-def augment(x: Array) -> Array:
-    """Append a constant-1 column so the bias row of W acts as the bias."""
-    return np.concatenate([x, np.ones((x.shape[0], 1))], axis=1)
+# Draws per stacked forward pass in prediction and attacks: at B=2000 a block
+# of two holds less memory than one draw did with an augmented-input copy.
+DRAW_BLOCK = 2
 
 
 @dataclass
 class ForwardTrace:
     """Everything needed to replay the forward pass exactly in reverse."""
 
-    inputs: Array                   # (B, n_in) raw batch
-    augmented: list                 # per-layer augmented layer input
-    pre_activations: list           # per-layer pre-activation z
-    weights: list                   # per-layer weight matrix used
+    inputs: Array                   # (B, n_in) raw batch, shared by all draws
+    hidden: list                    # input of layers 1.., after ReLU and mask
+    weights: list                   # per-layer weight matrix or stack used
     hidden_masks: list | None       # dropout masks on hidden activations, or None
-    log_probs: Array                # (B, K) log-softmax output
+    log_probs: Array                # (B, K), or (S, B, K) for stacked draws
+    needs: frozenset = WEIGHT_GRADS | INPUT_GRAD  # what ``backward`` produces
 
 
 def log_softmax(z: Array) -> Array:
-    shifted = z - z.max(axis=1, keepdims=True)
-    return shifted - np.log(np.sum(np.exp(shifted), axis=1, keepdims=True))
+    shifted = z - z.max(axis=-1, keepdims=True)
+    return shifted - np.log(np.sum(np.exp(shifted), axis=-1, keepdims=True))
+
+
+def _wide(a: Array) -> Array:
+    """Stack (S, r, n) as the (r, S*n) matrix [a_1|...|a_S], a free view in
+    the draw-major layout ``sample_draws`` gives layer 0; a matrix as is."""
+    return a if a.ndim == 2 else a.transpose(1, 0, 2).reshape(a.shape[1], -1)
 
 
 def forward(weights: list, x: Array, hidden_masks=None):
     """Run the MLP on a batch: ReLU hidden layers, log-softmax output.
 
-    ``weights[l]`` has shape (n_in_l + 1, n_out_l).  ``hidden_masks``, if
-    given, multiplies each hidden activation (inverted-dropout convention).
+    ``weights[l]`` has shape (n_in_l + 1, n_out_l), or (S, n_in_l + 1,
+    n_out_l) for S draws.  ``hidden_masks``, if given, multiplies each hidden
+    activation (inverted-dropout convention); a mask is (rows, n) or
+    (S, rows, n).  With any stack the outputs gain a leading draw axis.
     Returns (log_probs, ForwardTrace).
     """
-    if x.ndim != 2 or x.shape[1] != weights[0].shape[0] - 1:
+    if x.ndim != 2 or x.shape[1] != weights[0].shape[-2] - 1:
         raise ValueError(
             f"input shape {x.shape} incompatible with first layer "
             f"{weights[0].shape}")
-    n_layers = len(weights)
-    augmented, pre_activations = [], []
+    hidden = []
     h = x
     for l, w in enumerate(weights):
-        h_aug = augment(h)
-        if h_aug.shape[1] != w.shape[0]:
+        if h.shape[-1] != w.shape[-2] - 1:
             raise ValueError(
-                f"layer {l}: activation width {h_aug.shape[1]} != weight rows "
-                f"{w.shape[0]}")
-        z = h_aug @ w
+                f"layer {l}: activation width {h.shape[-1] + 1} != weight rows "
+                f"{w.shape[-2]}")
+        if l == 0 and w.ndim == 3:
+            wide = _wide(w)
+            z = x @ wide[:-1]
+            z += wide[-1]
+            z = z.reshape(x.shape[0], *w.shape[::2]).transpose(1, 0, 2)
+        else:
+            z = h @ w[..., :-1, :]
+            z += w[..., -1:, :]
         if not np.all(np.isfinite(z)):
             raise FloatingPointError(f"non-finite activation in layer {l}")
-        augmented.append(h_aug)
-        pre_activations.append(z)
-        if l < n_layers - 1:
-            h = np.maximum(z, 0.0)
+        if l < len(weights) - 1:
+            # In place: backward reads the ReLU's slope off h > 0, which
+            # also holds after a mask, whose entries are 0 or positive.
+            h = np.maximum(z, 0.0, out=z)
             if hidden_masks is not None:
                 h = h * hidden_masks[l]
-    log_probs = log_softmax(pre_activations[-1])
-    trace = ForwardTrace(inputs=x, augmented=augmented,
-                         pre_activations=pre_activations,
-                         weights=list(weights), hidden_masks=hidden_masks,
-                         log_probs=log_probs)
+            hidden.append(h)
+    log_probs = log_softmax(z)
+    trace = ForwardTrace(inputs=x, hidden=hidden, weights=list(weights),
+                         hidden_masks=hidden_masks, log_probs=log_probs)
     return log_probs, trace
 
 
 def backward(trace: ForwardTrace, grad_log_probs: Array):
     """Exact reverse pass of ``forward``.
 
-    Returns (per-layer weight gradients, gradient wrt the raw input batch).
-    The input gradient is what L-inf attacks consume.
+    Returns (per-layer weight gradients, gradient wrt the raw input batch),
+    with None in place of whatever ``trace.needs`` leaves out.  A weight
+    gradient has its weight's shape; a matrix shared by stacked draws gets
+    the sum over draws, and so does the input.  The input gradient is what
+    L-inf attacks consume.
     """
     if grad_log_probs.shape != trace.log_probs.shape:
         raise ValueError(
             f"upstream grad shape {grad_log_probs.shape} does not match trace "
             f"output {trace.log_probs.shape}")
+    want_weights = "weights" in trace.needs
     probs = np.exp(trace.log_probs)
     # d/dz of sum(g * log_softmax(z)) = g - softmax(z) * sum(g)
-    grad_z = grad_log_probs - probs * grad_log_probs.sum(axis=1, keepdims=True)
+    grad_z = grad_log_probs - probs * grad_log_probs.sum(axis=-1, keepdims=True)
     grad_weights = [None] * len(trace.weights)
-    for l in range(len(trace.weights) - 1, -1, -1):
-        grad_weights[l] = trace.augmented[l].T @ grad_z
-        grad_aug = grad_z @ trace.weights[l].T
-        grad_h = grad_aug[:, :-1]
-        if l == 0:
-            return grad_weights, grad_h
+    for l in range(len(trace.weights) - 1, 0, -1):
+        w = trace.weights[l]
+        if want_weights:
+            h = trace.hidden[l - 1]
+            g = np.concatenate([np.swapaxes(h, -1, -2) @ grad_z,
+                                grad_z.sum(axis=-2, keepdims=True)], axis=-2)
+            grad_weights[l] = g if g.ndim == w.ndim else g.sum(axis=0)
+        grad_h = grad_z @ np.swapaxes(w[..., :-1, :], -1, -2)
         if trace.hidden_masks is not None:
             grad_h = grad_h * trace.hidden_masks[l - 1]
-        grad_z = grad_h * (trace.pre_activations[l - 1] > 0.0)
-    raise AssertionError("unreachable")
+        grad_z = grad_h * (trace.hidden[l - 1] > 0.0)
+
+    # Layer 0: one GEMM over all draws, [gz_1|...|gz_S], for each gradient.
+    w = trace.weights[0]
+    if w.ndim == 2 and grad_z.ndim == 3:
+        grad_z = grad_z.sum(axis=0)
+    grad_z, wide = _wide(grad_z), _wide(w)
+    if want_weights:
+        g = np.empty(wide.shape)
+        np.matmul(trace.inputs.T, grad_z, out=g[:-1])
+        g[-1] = grad_z.sum(axis=0)
+        grad_weights[0] = g if w.ndim == 2 else \
+            g.reshape(w.shape[1], w.shape[0], -1).transpose(1, 0, 2)
+    grad_x = grad_z @ wide[:-1].T if "input" in trace.needs else None
+    return grad_weights, grad_x
 
 
 @dataclass
@@ -181,15 +217,15 @@ def summarize_prob_stream(draws, n_samples: int) -> PredictiveSummary:
 def mixture_predict(components, n_components: int, x: Array) -> PredictiveSummary:
     """Predictive summary of a mixture given an iterable of components.
 
-    Each component is a (weights, hidden_masks) pair evaluated on the whole
-    batch; this is the shared evaluation path for weight draws, dropout mask
-    draws, and ensemble members alike.
+    Each component is a (weights, hidden_masks) pair, one draw or a block of
+    stacked draws, evaluated on the whole batch: the shared evaluation path
+    for weight draws, dropout mask draws, and ensemble members alike.
     """
 
     def draws():
         for weights, masks in components:
             log_probs, _ = forward(weights, x, hidden_masks=masks)
-            yield np.exp(log_probs)
+            yield from np.exp(log_probs.reshape(-1, *log_probs.shape[-2:]))
 
     return summarize_prob_stream(draws(), n_components)
 
@@ -199,8 +235,8 @@ def mixture_loss_input_grad(components, n_components: int, x: Array, labels):
     probabilities (the mixture output itself, not the average of logs).
 
     The per-example 1/p_bar factor is applied after summing per-component
-    gradients of p_s, so no trace outlives its component.  Returns
-    (grad_x, mean label probability).
+    gradients of p_s, so no trace outlives its block of components.
+    Returns (grad_x, mean label probability).
     """
     labels = np.asarray(labels)
     b = x.shape[0]
@@ -210,13 +246,14 @@ def mixture_loss_input_grad(components, n_components: int, x: Array, labels):
     count = 0
     for weights, masks in components:
         log_probs, trace = forward(weights, x, hidden_masks=masks)
-        p_label = np.exp(log_probs[rows, labels])
-        label_prob_sum += p_label
         grad_log_probs = np.zeros_like(log_probs)
-        grad_log_probs[rows, labels] = p_label  # d p / d log p = p
+        p_label = np.exp(log_probs[..., rows, labels])
+        grad_log_probs[..., rows, labels] = p_label  # d p / d log p = p
+        label_prob_sum += p_label.reshape(-1, b).sum(axis=0)
+        trace.needs = INPUT_GRAD
         _, gx = backward(trace, grad_log_probs)
         grad_accum += gx
-        count += 1
+        count += p_label.size // b
     if count != n_components:
         raise ValueError(f"expected {n_components} components, got {count}")
     mean_label_prob = np.maximum(label_prob_sum / n_components, 1e-300)
@@ -253,12 +290,25 @@ class StochasticMlp:
         """One draw per layer; each draw is shared by the whole batch."""
         return [sample(layer, rng) for layer in self.layers]
 
-    def forward_sampled(self, x: Array, sampled: list):
-        return forward([sw.weights for sw in sampled], x)
+    def sample_draws(self, n_samples: int, rng: Rng) -> list:
+        """``n_samples`` draws as one stack (S, n_in+1, n_out) per layer, from
+        one normal call in the (draw, layer) order of ``sample_weights``
+        calls; layer 0 is written draw-major, for ``forward``'s wide GEMM."""
+        sizes = [layer.mean.size for layer in self.layers]
+        normals = rng.standard_normal(n_samples * sum(sizes)).reshape(n_samples, -1)
+        parts = np.split(normals, np.cumsum(sizes)[:-1], axis=1)
+        draws = []
+        for layer, noise in zip(self.layers, parts):
+            out = None if draws else np.empty(
+                (layer.n_rows, n_samples, layer.n_cols)).transpose(1, 0, 2)
+            draws.append(sample_with_noise(
+                layer, noise.reshape(n_samples, *layer.mean.shape), out=out))
+        return draws
 
     def _components(self, n_samples: int, rng: Rng):
-        for _ in range(n_samples):
-            yield [sample(layer, rng).weights for layer in self.layers], None
+        for start in range(0, n_samples, DRAW_BLOCK):
+            draws = self.sample_draws(min(DRAW_BLOCK, n_samples - start), rng)
+            yield [sw.weights for sw in draws], None
 
     def predict(self, x: Array, n_samples: int, rng: Rng) -> PredictiveSummary:
         """Mixture prediction from ``n_samples`` fresh weight draws."""

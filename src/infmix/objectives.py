@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data import BatchIterator, Dataset
-from .network import StochasticMlp, backward
+from .network import WEIGHT_GRADS, StochasticMlp, backward, forward
 from .posterior import PriorSpec, kl_backward, kl_to_prior, sample_backward
 from .tensor import AdamState, Array, Rng, adam_step
 
@@ -61,22 +61,16 @@ def per_example_loglik(net: StochasticMlp, images: Array, labels, n_samples: int
                        rng: Rng):
     """log p(y_n | x_n, theta_s) for S independent weight draws.
 
-    Returns (ll, traces, sampled) where ll is (B, S); each draw s is one
-    mixture component evaluated on the full batch, with its trace and
-    sampled weights kept for the backward pass.
+    Returns (ll, trace, draws) where ll is (B, S); each draw s is one
+    mixture component evaluated on the full batch.  All S run as one stacked
+    forward pass, whose trace and per-layer sampled stacks the backward pass
+    reuses.
     """
     labels = np.asarray(labels)
-    b = images.shape[0]
-    rows = np.arange(b)
-    ll = np.empty((b, n_samples))
-    traces, sampled = [], []
-    for s in range(n_samples):
-        sw = net.sample_weights(rng)
-        log_probs, trace = net.forward_sampled(images, sw)
-        ll[:, s] = log_probs[rows, labels]
-        traces.append(trace)
-        sampled.append(sw)
-    return ll, traces, sampled
+    draws = net.sample_draws(n_samples, rng)
+    log_probs, trace = forward([sw.weights for sw in draws], images)
+    ll = log_probs[:, np.arange(images.shape[0]), labels].T
+    return ll, trace, draws
 
 
 def logmeanexp(a: Array, axis: int = -1) -> Array:
@@ -156,40 +150,28 @@ class _ParamOptimizer:
 
 
 def objective_gradients(net: StochasticMlp, images: Array, labels,
-                        cfg: TrainConfig, n_total: int, rng: Rng,
-                        traces_and_samples=None):
+                        cfg: TrainConfig, n_total: int, rng: Rng):
     """Loss terms and parameter gradients for one batch.
 
     Batch loss = -(1/B) sum_n loss_n + kl_weight * KL_total / n_total.
-    Returns (nll_term, kl_term, grads) with grads[l] = (gM, ga, gb).
+    Returns (nll_term, kl_term, grads) with grads[l] = [gM, ga, gb].
     """
     labels = np.asarray(labels)
     b = images.shape[0]
-    if traces_and_samples is None:
-        ll, traces, sampled = per_example_loglik(
-            net, images, labels, cfg.n_train_samples, rng)
-    else:
-        ll, traces, sampled = traces_and_samples
+    ll, trace, draws = per_example_loglik(
+        net, images, labels, cfg.n_train_samples, rng)
     per_example, weights = objective_loss(cfg.objective, ll)
     nll_term = -float(per_example.mean())
     kl_total = sum(kl_to_prior(layer, cfg.prior) for layer in net.layers)
     kl_scale = cfg.kl_weight / n_total
     kl_term = kl_scale * kl_total
 
-    grads = [[np.zeros_like(layer.mean),
-              np.zeros_like(layer.row_scale_raw),
-              np.zeros_like(layer.col_scale_raw)] for layer in net.layers]
-    rows = np.arange(b)
-    n_classes = net.layers[-1].n_cols
-    for s, (trace, sw) in enumerate(zip(traces, sampled)):
-        grad_log_probs = np.zeros((b, n_classes))
-        grad_log_probs[rows, labels] = -weights[:, s] / b
-        grad_w_layers, _ = backward(trace, grad_log_probs)
-        for l, layer in enumerate(net.layers):
-            gm, ga, gb = sample_backward(layer, sw[l], grad_w_layers[l])
-            grads[l][0] += gm
-            grads[l][1] += ga
-            grads[l][2] += gb
+    grad_log_probs = np.zeros_like(trace.log_probs)
+    grad_log_probs[:, np.arange(b), labels] = -weights.T / b
+    trace.needs = WEIGHT_GRADS
+    grad_w_layers, _ = backward(trace, grad_log_probs)
+    grads = [list(sample_backward(layer, sw, gw))
+             for layer, sw, gw in zip(net.layers, draws, grad_w_layers)]
     if cfg.kl_weight != 0.0:
         for l, layer in enumerate(net.layers):
             gm, ga, gb = kl_backward(layer, cfg.prior)

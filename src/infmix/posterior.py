@@ -97,23 +97,32 @@ def per_weight_variance(layer: MvnLayerPosterior) -> Array:
 
 def sample(layer: MvnLayerPosterior, rng: Rng) -> SampledWeights:
     """Draw one weight matrix via the reparameterization trick."""
-    noise = rng.standard_normal(layer.n_rows, layer.n_cols)
-    weights = layer.mean + (layer.row_std[:, None] * noise) * layer.col_std[None, :]
-    return SampledWeights(weights=weights, noise=noise)
+    return sample_with_noise(layer, rng.standard_normal(layer.n_rows, layer.n_cols))
 
 
-def sample_with_noise(layer: MvnLayerPosterior, noise: Array) -> SampledWeights:
-    """Deterministic draw from externally supplied noise (frozen-noise checks)."""
-    if noise.shape != layer.mean.shape:
+def sample_with_noise(layer: MvnLayerPosterior, noise: Array,
+                      out: Array | None = None) -> SampledWeights:
+    """Deterministic draw W = M + diag(r) E diag(c) from supplied noise: one
+    matrix, or a stack (S, n_rows, n_cols) of draws, written into ``out``
+    when given (any layout)."""
+    if noise.shape[-2:] != layer.mean.shape:
         raise ValueError(f"noise shape {noise.shape} != mean shape {layer.mean.shape}")
-    weights = layer.mean + (layer.row_std[:, None] * noise) * layer.col_std[None, :]
+    weights = np.empty(noise.shape) if out is None else out
+    r, c = layer.row_std[:, None], layer.col_std
+    # One draw at a time, so that each pass stays in cache.
+    for e, w in zip(noise.reshape(-1, *layer.mean.shape),
+                    weights if weights.ndim == 3 else weights[None]):
+        np.multiply(r, e, out=w)
+        w *= c
+        w += layer.mean
     return SampledWeights(weights=weights, noise=noise)
 
 
 def sample_backward(layer: MvnLayerPosterior, sw: SampledWeights,
                     grad_weights: Array):
     """Gradients of a scalar loss wrt (mean, row_scale_raw, col_scale_raw)
-    given its gradient wrt the sampled W and the cached noise E.
+    given its gradient wrt the sampled W and the cached noise E; for a stack
+    of draws, summed over the draws.
 
     dL/dM = dL/dW;  dL/dr_i = sum_j dL/dW_ij E_ij c_j;
     dL/dc_j = sum_i dL/dW_ij E_ij r_i;  chained through softplus'(x) = sigmoid(x).
@@ -121,12 +130,16 @@ def sample_backward(layer: MvnLayerPosterior, sw: SampledWeights,
     if grad_weights.shape != sw.weights.shape:
         raise ValueError(
             f"grad shape {grad_weights.shape} != weight shape {sw.weights.shape}")
-    ge = grad_weights * sw.noise
+    if grad_weights.ndim == 3:
+        ge = np.einsum("sij,sij->ij", grad_weights, sw.noise)
+        grad_weights = grad_weights.sum(axis=0)
+    else:
+        ge = grad_weights * sw.noise
     grad_r = ge @ layer.col_std
     grad_c = ge.T @ layer.row_std
     grad_a = grad_r * sigmoid(layer.row_scale_raw)
     grad_b = grad_c * sigmoid(layer.col_scale_raw)
-    return grad_weights.copy(), grad_a, grad_b
+    return grad_weights, grad_a, grad_b
 
 
 def kl_to_prior(layer: MvnLayerPosterior, prior: PriorSpec) -> float:

@@ -14,18 +14,6 @@ import numpy as np
 Array = np.ndarray
 
 
-def as_matrix(data, rows=None, cols=None) -> Array:
-    """Coerce to a C-contiguous float64 2-D array, optionally checking shape."""
-    m = np.ascontiguousarray(data, dtype=np.float64)
-    if m.ndim != 2:
-        raise ValueError(f"expected a 2-D matrix, got ndim={m.ndim}")
-    if rows is not None and m.shape[0] != rows:
-        raise ValueError(f"expected {rows} rows, got {m.shape[0]}")
-    if cols is not None and m.shape[1] != cols:
-        raise ValueError(f"expected {cols} cols, got {m.shape[1]}")
-    return m
-
-
 def matmul(a: Array, b: Array) -> Array:
     """Matrix product with an explicit shape check.
 

@@ -7,7 +7,7 @@ from infmix.baselines import (DeepEnsemble, DeterministicMlp, DropoutMlp,
                               FitConfig, train_deterministic, train_dropout,
                               train_ensemble)
 from infmix.gradcheck import check_weight_decay_gradient
-from infmix.network import forward, summarize_probs
+from infmix.network import forward, mixture_loss_input_grad, summarize_probs
 from infmix.tensor import Rng
 
 from test_objectives import toy_dataset
@@ -72,6 +72,23 @@ class TestDropout:
             topology=SMALL_TOPOLOGY)
         summary = model.predict(toy.images[:30], n_samples=20, rng=Rng(0))
         assert summary.max_variance.max() > 0.0
+
+    def test_blocked_mask_draws_match_one_mask_per_component(self, toy):
+        model = DropoutMlp(weights=train_deterministic(
+            toy, cfg=FitConfig(batch_size=100, iterations=40, seed=0),
+            topology=SMALL_TOPOLOGY).weights, p_drop=0.5)
+        x, y = toy.images[:10], toy.labels[:10]
+        rng = Rng(5)
+        masks = [model.sample_masks(rng) for _ in range(5)]
+        stacked = np.stack([np.exp(forward(model.weights, x, hidden_masks=m)[0])
+                            for m in masks])
+        summary = model.predict(x, n_samples=5, rng=Rng(5))
+        np.testing.assert_allclose(summary.mean_probs, stacked.mean(axis=0),
+                                   rtol=1e-12, atol=1e-15)
+        grad, _ = model.loss_input_grad(x, y, 5, Rng(5))
+        expected, _ = mixture_loss_input_grad(
+            [(model.weights, m) for m in masks], 5, x, y)
+        np.testing.assert_allclose(grad, expected, rtol=1e-10, atol=1e-15)
 
     def test_inverted_dropout_scaling(self):
         # With p = 0.5 kept units are doubled: a surviving-mask forward of a

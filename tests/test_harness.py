@@ -8,9 +8,11 @@ import pytest
 
 from infmix.cli import main
 from infmix.harness import (ConfigError, ExperimentConfig, config_text,
-                            load_config, parse_config_text, run_attack,
-                            run_detect, run_ood, run_report, run_sweep,
-                            run_train)
+                            load_config, parse_config_text, predict_dataset,
+                            run_attack, run_detect, run_ood, run_report,
+                            run_sweep, run_train)
+from infmix.network import StochasticMlp
+from infmix.tensor import Rng
 
 FAST = dict(n_train_samples=2, n_eval_samples=4, batch_size=100,
             iterations=40, n_trials=2, loss_record_every=5,
@@ -123,6 +125,21 @@ class TestRunTrain:
                           n_trials=1, iterations=25, ensemble_size=2)
         results = run_train(cfg)
         assert results[0]["model"] == model
+
+
+class TestPredictDataset:
+    def test_chunks_keyed_by_start_index(self):
+        # Each chunk draws from rng.derive(start): its draws depend on where
+        # the chunk starts, not on how many draws run per forward pass.
+        net = StochasticMlp.create(Rng(0), topology=(6, 4, 4, 3))
+        x = Rng(1).uniform(0, 1, (7, 6))
+        whole = predict_dataset(net, x, 5, Rng(2), chunk=3)
+        for start in (0, 3, 6):
+            part = net.predict(x[start:start + 3], 5, Rng(2).derive(start))
+            assert np.array_equal(whole.mean_probs[start:start + 3],
+                                  part.mean_probs)
+            assert np.array_equal(whole.class_variance[start:start + 3],
+                                  part.class_variance)
 
 
 class TestRunSweep:
@@ -285,7 +302,7 @@ class TestCli:
         assert main(["gradcheck"]) == 0
         out = capsys.readouterr().out
         assert "all checks passed" in out
-        assert out.count("PASS") == 7
+        assert out.count("PASS") == 8
 
     def test_bad_config_file_exits_one(self, tmp_path):
         path = tmp_path / "bad.cfg"

@@ -5,9 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from infmix.gradcheck import check_network_gradient
-from infmix.network import (MAX_ENTROPY, StochasticMlp, backward, entropy_of,
-                            forward, summarize_prob_stream, summarize_probs)
+from infmix.gradcheck import check_mixture_input_gradient, check_network_gradient
+from infmix.network import (INPUT_GRAD, MAX_ENTROPY, WEIGHT_GRADS, StochasticMlp,
+                            backward, entropy_of, forward, summarize_prob_stream,
+                            summarize_probs)
 from infmix.posterior import MvnLayerPosterior, softplus_inv
 from infmix.tensor import Rng
 
@@ -91,6 +92,109 @@ class TestBackward:
         _, trace = forward(weights, np.ones((2, 4)))
         with pytest.raises(ValueError):
             backward(trace, np.zeros((3, 2)))
+
+
+TINY = (6, 4, 4, 3)
+
+
+def stacked_masks(seed, s, rows, sizes=(4, 4), keep=0.5):
+    rng = Rng(seed)
+    return [(rng.uniform(0, 1, (s, rows, n)) < keep) / keep for n in sizes]
+
+
+def per_draw(stack, s):
+    """Draw ``s`` of a list of per-layer arrays; 2-D ones are shared."""
+    if stack is None:
+        return None
+    return [a[s] if a.ndim == 3 else a for a in stack]
+
+
+def kernel_cases():
+    """(weights, masks, S): stacked draws with and without per-draw and
+    per-example masks, one shared matrix under stacked masks (the dropout
+    mixture), and an ensemble stack in the plain (S, n_in + 1, n_out) layout."""
+    net = StochasticMlp.create(Rng(3), topology=TINY)
+    cases = []
+    for s in (1, 3):
+        weights = [sw.weights for sw in net.sample_draws(s, Rng(5))]
+        cases += [(weights, None, s),
+                  (weights, stacked_masks(6, s, 1), s),
+                  (weights, stacked_masks(7, s, 5), s)]
+    shared = [sw.weights for sw in net.sample_weights(Rng(8))]
+    cases.append((shared, stacked_masks(9, 3, 1), 3))
+    members = [[sw.weights for sw in net.sample_weights(Rng(10 + k))]
+               for k in range(3)]
+    cases.append(([np.stack(layer) for layer in zip(*members)], None, 3))
+    return cases
+
+
+class TestStackedKernel:
+    """The S-draw forward/backward against the same draws one at a time."""
+
+    @pytest.mark.parametrize("case", range(len(kernel_cases())))
+    def test_stack_equals_per_draw_path(self, case):
+        weights, masks, s = kernel_cases()[case]
+        x = Rng(1).uniform(0, 1, (5, 6))
+        g = Rng(2).standard_normal(s, 5, 3)
+        log_probs, trace = forward(weights, x, hidden_masks=masks)
+        grad_w, grad_x = backward(trace, g)
+        assert log_probs.shape == (s, 5, 3)
+        draw_grads, draw_gx = [], np.zeros_like(x)
+        for d in range(s):
+            lp, tr = forward(per_draw(weights, d), x,
+                             hidden_masks=per_draw(masks, d))
+            np.testing.assert_allclose(log_probs[d], lp, rtol=1e-12, atol=1e-15)
+            gw, gx = backward(tr, g[d])
+            draw_grads.append(gw)
+            draw_gx += gx
+        np.testing.assert_allclose(grad_x, draw_gx, rtol=1e-12, atol=1e-15)
+        for l, w in enumerate(weights):
+            assert grad_w[l].shape == w.shape
+            per = np.stack([gw[l] for gw in draw_grads])
+            expected = per if w.ndim == 3 else per.sum(axis=0)
+            np.testing.assert_allclose(grad_w[l], expected, rtol=1e-12, atol=1e-15)
+
+    def test_unrequested_gradients_are_none(self):
+        weights, _, s = kernel_cases()[3]
+        x = Rng(1).uniform(0, 1, (5, 6))
+        _, trace = forward(weights, x)
+        g = Rng(2).standard_normal(s, 5, 3)
+        trace.needs = WEIGHT_GRADS
+        grad_w, grad_x = backward(trace, g)
+        assert grad_x is None and all(gw is not None for gw in grad_w)
+        trace.needs = INPUT_GRAD
+        grad_w, grad_x = backward(trace, g)
+        assert grad_x is not None and grad_w == [None] * len(weights)
+
+    @pytest.mark.parametrize("case", [0, 3, 4, 6, 7])
+    def test_requested_gradient_bitwise_equals_full_request(self, case):
+        weights, masks, s = kernel_cases()[case]
+        x = Rng(1).uniform(0, 1, (5, 6))
+        g = Rng(2).standard_normal(s, 5, 3)
+        _, trace = forward(weights, x, hidden_masks=masks)
+        full_w, full_x = backward(trace, g)
+        trace.needs = WEIGHT_GRADS
+        only_w, _ = backward(trace, g)
+        trace.needs = INPUT_GRAD
+        _, only_x = backward(trace, g)
+        assert np.array_equal(only_x, full_x)
+        assert all(np.array_equal(a, b) for a, b in zip(only_w, full_w))
+
+    def test_draws_follow_per_layer_sampling_stream(self):
+        # One normal call for S draws gives the stream of S x L calls in
+        # (draw, layer) order, so draws do not depend on how they are batched.
+        net = StochasticMlp.create(Rng(0), topology=TINY)
+        draws = net.sample_draws(3, Rng(4))
+        rng = Rng(4)
+        for s in range(3):
+            for l, sw in enumerate(net.sample_weights(rng)):
+                assert np.array_equal(draws[l].weights[s], sw.weights)
+                assert np.array_equal(draws[l].noise[s], sw.noise)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_mixture_input_gradient_oracle(self, seed):
+        result = check_mixture_input_gradient(seed=seed)
+        assert result.passed, result.line()
 
 
 class TestSummaries:
