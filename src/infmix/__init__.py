@@ -7,21 +7,21 @@ from .baselines import (DeepEnsemble, DeterministicMlp, DropoutMlp, FitConfig,
                         train_deterministic, train_dropout, train_ensemble)
 from .checkpoint import load_model, save_model
 from .data import BatchIterator, Dataset, load_idx, save_idx, take_prefix
-from .metrics import (ScoredSample, TrialAggregate, aggregate, auroc,
-                      auroc_balanced, auroc_scores, uncertainty_histograms)
+from .metrics import (TrialAggregate, aggregate, auroc_balanced, auroc_scores,
+                      mean_std, uncertainty_histograms)
 from .network import PredictiveSummary, StochasticMlp, summarize_probs
 from .objectives import (ObjectiveKind, TrainConfig, ml_loss, train, vi_loss)
 from .posterior import (MvnLayerPosterior, PriorSpec, kl_to_prior,
                         per_weight_variance)
-from .tensor import AdamState, Rng, adam_step, matmul
+from .tensor import AdamState, Rng, adam_step
 
 __all__ = [
     "AdamState", "AttackConfig", "AttackResult", "BatchIterator", "Dataset",
     "DeepEnsemble", "DeterministicMlp", "DropoutMlp", "FitConfig",
     "MvnLayerPosterior", "ObjectiveKind", "PredictiveSummary", "PriorSpec",
-    "Rng", "ScoredSample", "StochasticMlp", "TrainConfig", "TrialAggregate",
-    "adam_step", "aggregate", "auroc", "auroc_balanced", "auroc_scores",
-    "kl_to_prior", "load_idx", "load_model", "matmul", "ml_loss",
+    "Rng", "StochasticMlp", "TrainConfig", "TrialAggregate", "adam_step",
+    "aggregate", "auroc_balanced", "auroc_scores", "kl_to_prior", "load_idx",
+    "load_model", "mean_std", "ml_loss",
     "per_weight_variance", "pgd_attack", "robustness_curve", "save_idx",
     "save_model", "summarize_probs", "take_prefix", "train",
     "train_deterministic", "train_dropout", "train_ensemble",

@@ -57,7 +57,6 @@ class AttackResult:
     adversarial: Array
     epsilon: float
     true_labels: np.ndarray
-    pred_before: np.ndarray
     pred_after: np.ndarray
     success: np.ndarray          # prediction != true label after the attack
     robust_accuracy: float
@@ -72,7 +71,8 @@ def project(x: Array, x_clean: Array, epsilon: float) -> Array:
 def pgd_attack(model, images: Array, labels, cfg: AttackConfig,
                step_callback=None) -> AttackResult:
     """Untargeted L-inf PGD; evaluation of the result always uses
-    ``cfg.n_eval_samples`` draws.
+    ``cfg.n_eval_samples`` draws.  The clean images are not predicted: a
+    caller that needs their classes has them from its own evaluation.
 
     ``step_callback(iteration, x_adv)``, when given, observes every iterate
     (used by the projection-invariant tests).
@@ -98,17 +98,14 @@ def pgd_attack(model, images: Array, labels, cfg: AttackConfig,
             if step_callback is not None:
                 step_callback(it, x)
 
-    eval_rng = rng.derive(_EVAL_STREAM)
-    pred_before = model.predict(x_clean, cfg.n_eval_samples,
-                                eval_rng.derive(0)).predicted_class
-    summary_after = model.predict(x, cfg.n_eval_samples, eval_rng.derive(1))
+    summary_after = model.predict(x, cfg.n_eval_samples,
+                                  rng.derive(_EVAL_STREAM, 1))
     pred_after = summary_after.predicted_class
     success = pred_after != labels
     return AttackResult(
         adversarial=x,
         epsilon=cfg.epsilon,
         true_labels=labels,
-        pred_before=pred_before,
         pred_after=pred_after,
         success=success,
         robust_accuracy=float(np.mean(~success)),
@@ -133,20 +130,24 @@ def robustness_curve(model, images: Array, labels, eps_grid=DEFAULT_EPS_GRID,
     return curve
 
 
-def attack_csv(result: AttackResult) -> str:
-    """Per-example outcome table: index, labels, predictions, success flag."""
+def attack_csv(result: AttackResult, pred_before) -> str:
+    """Per-example outcome table: index, labels, predictions, success flag.
+
+    ``pred_before`` holds the classes predicted for the clean images.
+    """
     buf = io.StringIO()
     writer = csv.writer(buf)
     writer.writerow(["example_index", "true_label", "pred_before",
                      "pred_after", "success"])
     for i in range(len(result.true_labels)):
         writer.writerow([i, int(result.true_labels[i]),
-                         int(result.pred_before[i]), int(result.pred_after[i]),
+                         int(pred_before[i]), int(result.pred_after[i]),
                          int(result.success[i])])
     return buf.getvalue()
 
 
-def write_attack_artifacts(result: AttackResult, out_dir, stem: str) -> dict:
+def write_attack_artifacts(result: AttackResult, pred_before, out_dir,
+                           stem: str) -> dict:
     """Persist adversarial images as float64 IDX (exact pixels) plus the
     per-example CSV; returns the paths written."""
     os.makedirs(out_dir, exist_ok=True)
@@ -158,6 +159,6 @@ def write_attack_artifacts(result: AttackResult, out_dir, stem: str) -> dict:
     save_idx(adv, images_path, labels_path, type_code=IDX_FLOAT64)
     tmp = csv_path + ".tmp"
     with open(tmp, "w") as f:
-        f.write(attack_csv(result))
+        f.write(attack_csv(result, pred_before))
     os.replace(tmp, csv_path)
     return {"images": images_path, "labels": labels_path, "csv": csv_path}

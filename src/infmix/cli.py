@@ -118,11 +118,12 @@ def main(argv=None) -> int:
             return EXIT_OK
         if args.command == "detect":
             payload = harness.run_detect(cfg, checkpoint=args.checkpoint)
+            balanced = payload["mean_auroc_entropy_balanced"]
             print(f"detection {payload['run_id']} eps={payload['epsilon']}: "
                   f"variance {payload['mean_auroc_variance']:.4f}, "
                   f"entropy {payload['mean_auroc_entropy']:.4f}, "
                   f"balanced entropy "
-                  f"{payload['mean_auroc_entropy_balanced']:.4f}")
+                  + (f"{balanced:.4f}" if balanced is not None else "undefined"))
             return EXIT_OK
         raise ConfigError(f"unknown command {args.command!r}")
     except (ConfigError, OSError, IdxFormatError, DataConsistencyError,

@@ -12,6 +12,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import os
+import re
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
@@ -20,7 +21,7 @@ import numpy as np
 from . import attacks, baselines, metrics
 from .checkpoint import load_model, save_model
 from .data import Dataset, load_split, take_prefix
-from .metrics import ScoredSample, aggregate, auroc_balanced, auroc_scores
+from .metrics import aggregate, auroc_balanced, auroc_scores, mean_std
 from .network import PredictiveSummary, StochasticMlp
 from .objectives import (ObjectiveKind, TrainConfig, loss_history_csv, train)
 from .posterior import PriorSpec, kl_to_prior, per_weight_variance
@@ -107,8 +108,28 @@ class ExperimentConfig:
             raise ConfigError(f"model must be one of {MODEL_KINDS}, got {self.model!r}")
         if self.sweep not in SWEEP_AXES:
             raise ConfigError(f"sweep must be one of {SWEEP_AXES}, got {self.sweep!r}")
-        if self.n_trials < 1:
-            raise ConfigError(f"n_trials must be >= 1, got {self.n_trials}")
+        # The dataset name is part of every result file name.
+        if not re.fullmatch(r"[A-Za-z0-9][A-Za-z0-9_.-]*", self.dataset):
+            raise ConfigError(f"dataset must be a plain file-name token "
+                              f"(letters, digits, '_', '.', '-'), got {self.dataset!r}")
+        for name in ("n_trials", "threads", "n_train_samples", "n_eval_samples",
+                     "batch_size", "ensemble_size", "n_attack_samples",
+                     "attack_iterations"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
+        # Written as `not >=` so that NaN is rejected too.
+        for name in ("iterations", "loss_record_every", "attack_prefix",
+                     "ood_prefix", "attack_epsilon"):
+            if not getattr(self, name) >= 0:
+                raise ConfigError(f"{name} must be >= 0, got {getattr(self, name)}")
+        if self.attack_step is not None and not self.attack_step > 0:
+            raise ConfigError(f"attack_step must be > 0 or auto, got {self.attack_step}")
+        if not 0.0 <= self.dropout_p < 1.0:
+            raise ConfigError(f"dropout_p must be in [0, 1), got {self.dropout_p}")
+        if not (all(e >= 0 for e in self.eps_grid)
+                and list(self.eps_grid) == sorted(self.eps_grid)):
+            raise ConfigError(f"eps_grid must be ascending and >= 0, "
+                              f"got {list(self.eps_grid)}")
 
     def trial_seeds(self):
         """Audit-friendly seed schedule: base_seed + trial index."""
@@ -181,7 +202,7 @@ def config_text(cfg: ExperimentConfig) -> str:
     for f_ in dataclasses.fields(cfg):
         v = getattr(cfg, f_.name)
         if isinstance(v, tuple):
-            v = ",".join(f"{x:g}" for x in v)
+            v = ",".join(str(float(x)) for x in v)
         elif isinstance(v, bool):
             v = "true" if v else "false"
         elif v is None:
@@ -386,16 +407,10 @@ def run_sweep(cfg: ExperimentConfig) -> dict:
             point = cfg.replace(prior_variance=value)
         results = run_train(point)
         accs = [r["clean_accuracy"] for r in results]
-        row = {"sweep": cfg.sweep, "value": value, "run_id": point.run_id(),
-               "accuracies": accs}
-        if len(accs) >= 2:
-            agg = aggregate(accs)
-            row["mean_accuracy"] = agg.mean
-            row["std_accuracy"] = agg.std
-        else:
-            row["mean_accuracy"] = float(np.mean(accs))
-            row["std_accuracy"] = 0.0
-        rows.append(row)
+        mean, std = mean_std(accs)
+        rows.append({"sweep": cfg.sweep, "value": value,
+                     "run_id": point.run_id(), "accuracies": accs,
+                     "mean_accuracy": mean, "std_accuracy": std})
 
     payload = {"schema_version": SCHEMA_VERSION, "kind": "sweep",
                "config": cfg.to_dict(), "rows": rows}
@@ -467,19 +482,18 @@ def run_ood(cfg: ExperimentConfig, checkpoint=None) -> dict:
                "dataset": cfg.dataset, "config": cfg.to_dict(),
                "trials": trials}
     for score in ("auroc_variance", "auroc_entropy"):
-        vals = [t[score] for t in trials]
-        payload[f"mean_{score}"] = float(np.mean(vals))
-        payload[f"std_{score}"] = float(np.std(vals, ddof=1)) if len(vals) > 1 else 0.0
+        payload[f"mean_{score}"], payload[f"std_{score}"] = mean_std(
+            [t[score] for t in trials])
     os.makedirs(cfg.out_dir, exist_ok=True)
     write_json_atomic(os.path.join(cfg.out_dir, f"ood_{cfg.run_id()}.json"),
                       payload)
     return payload
 
 
-def _attack_config(cfg: ExperimentConfig, epsilon: float, seed: int
-                   ) -> attacks.AttackConfig:
+def _attack_config(cfg: ExperimentConfig, seed: int) -> attacks.AttackConfig:
     return attacks.AttackConfig(
-        epsilon=epsilon, n_iter=cfg.attack_iterations, step=cfg.attack_step,
+        epsilon=cfg.attack_epsilon, n_iter=cfg.attack_iterations,
+        step=cfg.attack_step,
         n_grad_samples=cfg.n_attack_samples,
         random_init=cfg.attack_random_init, seed=seed,
         n_eval_samples=cfg.n_eval_samples)
@@ -492,24 +506,19 @@ def run_attack(cfg: ExperimentConfig, checkpoint=None) -> dict:
 
     trials = []
     for seed, model in _trial_checkpoints(cfg, checkpoint):
-        curve = []
-        for epsilon in cfg.eps_grid:
-            result = attacks.pgd_attack(model, prefix.images, prefix.labels,
-                                        _attack_config(cfg, epsilon, seed))
-            curve.append({"epsilon": epsilon,
-                          "robust_accuracy": result.robust_accuracy})
-        trials.append({"seed": seed, "curve": curve})
+        curve = attacks.robustness_curve(model, prefix.images, prefix.labels,
+                                         cfg.eps_grid, _attack_config(cfg, seed))
+        trials.append({"seed": seed, "curve": [
+            {"epsilon": epsilon, "robust_accuracy": result.robust_accuracy}
+            for epsilon, result in curve]})
 
     payload = {"schema_version": SCHEMA_VERSION, "kind": "attack_curve",
                "run_id": cfg.run_id(), "model": cfg.model,
                "dataset": cfg.dataset, "config": cfg.to_dict(),
                "n_attack_samples": cfg.n_attack_samples,
                "n_attacked": prefix.n, "trials": trials}
-    curve_matrix = np.array([[pt["robust_accuracy"] for pt in t["curve"]]
-                             for t in trials])
-    payload["mean_curve"] = curve_matrix.mean(axis=0).tolist()
-    payload["std_curve"] = (curve_matrix.std(axis=0, ddof=1).tolist()
-                            if len(trials) > 1 else [0.0] * curve_matrix.shape[1])
+    payload["mean_curve"], payload["std_curve"] = mean_std(
+        [[pt["robust_accuracy"] for pt in t["curve"]] for t in trials], axis=0)
     os.makedirs(cfg.out_dir, exist_ok=True)
     stem = f"attack_{cfg.run_id()}_s{cfg.n_attack_samples}"
     write_json_atomic(os.path.join(cfg.out_dir, stem + ".json"), payload)
@@ -536,7 +545,7 @@ def run_detect(cfg: ExperimentConfig, checkpoint=None) -> dict:
     trials = []
     for seed, model in _trial_checkpoints(cfg, checkpoint):
         result = attacks.pgd_attack(model, test_data.images, test_data.labels,
-                                    _attack_config(cfg, cfg.attack_epsilon, seed))
+                                    _attack_config(cfg, seed))
         clean_summary = predict_dataset(model, test_data.images,
                                         cfg.n_eval_samples,
                                         Rng(seed).derive(_EVAL_STREAM, 2))
@@ -544,7 +553,7 @@ def run_detect(cfg: ExperimentConfig, checkpoint=None) -> dict:
         correct = clean_summary.correct_mask(test_data.labels)
 
         artifacts = attacks.write_attack_artifacts(
-            result, cfg.out_dir,
+            result, clean_summary.predicted_class, cfg.out_dir,
             f"adv_{cfg.run_id()}_eps{cfg.attack_epsilon:g}_seed{seed}")
 
         trial = {"seed": seed, "epsilon": cfg.attack_epsilon,
@@ -559,15 +568,9 @@ def run_detect(cfg: ExperimentConfig, checkpoint=None) -> dict:
                 ("variance", clean_summary.max_variance, adv_summary.max_variance),
                 ("entropy", clean_summary.entropy, adv_summary.entropy)):
             trial[f"auroc_{metric_name}"] = auroc_scores(adv_vals, clean_vals)
-            scored = (
-                [ScoredSample(score=float(v), positive=False,
-                              correctly_classified=bool(c))
-                 for v, c in zip(clean_vals, correct)]
-                + [ScoredSample(score=float(v), positive=True,
-                                attack_success=bool(s))
-                   for v, s in zip(adv_vals, result.success)])
             try:
-                balanced = auroc_balanced(scored, seed=seed)
+                balanced = auroc_balanced(adv_vals[result.success],
+                                          clean_vals[correct], seed=seed)
             except ValueError:
                 # No successful attacks (or no correct cleans): balanced
                 # variant undefined for this trial; counts still recorded.
@@ -585,8 +588,8 @@ def run_detect(cfg: ExperimentConfig, checkpoint=None) -> dict:
     for score in ("auroc_variance", "auroc_entropy",
                   "auroc_variance_balanced", "auroc_entropy_balanced"):
         vals = [t[score] for t in trials if t[score] is not None]
-        payload[f"mean_{score}"] = float(np.mean(vals)) if vals else None
-        payload[f"std_{score}"] = float(np.std(vals, ddof=1)) if len(vals) > 1 else 0.0
+        payload[f"mean_{score}"], payload[f"std_{score}"] = (
+            mean_std(vals) if vals else (None, 0.0))
     os.makedirs(cfg.out_dir, exist_ok=True)
     write_json_atomic(
         os.path.join(cfg.out_dir,
@@ -599,7 +602,9 @@ def run_detect(cfg: ExperimentConfig, checkpoint=None) -> dict:
 # report
 # ----------------------------------------------------------------------
 
-def _load_results(results_dir):
+def _load_results(results_dir, warnings: list):
+    """Result payloads grouped by kind; each unreadable JSON file is named
+    in ``warnings`` and skipped."""
     groups = {"trial": [], "sweep": [], "ood": [], "attack_curve": [],
               "detection": []}
     for name in sorted(os.listdir(results_dir)):
@@ -608,9 +613,10 @@ def _load_results(results_dir):
         try:
             with open(os.path.join(results_dir, name)) as f:
                 payload = json.load(f)
-        except (OSError, json.JSONDecodeError):
+        except (OSError, ValueError) as exc:
+            warnings.append(f"skipped unreadable result file {name}: {exc}")
             continue
-        kind = payload.get("kind")
+        kind = payload.get("kind") if isinstance(payload, dict) else None
         if kind in groups:
             payload["_file"] = name
             groups[kind].append(payload)
@@ -629,11 +635,10 @@ def _accuracy_table(trials, axis_key: str) -> list:
         cells.setdefault(key, []).append(t["clean_accuracy"])
     rows = []
     for (dataset, model, value), accs in sorted(cells.items()):
-        rows.append({
-            "dataset": dataset, "model": model, axis_key: value,
-            "n_trials": len(accs), "mean_accuracy": float(np.mean(accs)),
-            "std_accuracy": float(np.std(accs, ddof=1)) if len(accs) > 1 else 0.0,
-        })
+        mean, std = mean_std(accs)
+        rows.append({"dataset": dataset, "model": model, axis_key: value,
+                     "n_trials": len(accs), "mean_accuracy": mean,
+                     "std_accuracy": std})
     return rows
 
 
@@ -708,9 +713,9 @@ def run_report(results_dir, report_dir=None) -> dict:
     """
     report_dir = report_dir or os.path.join(results_dir, "report")
     os.makedirs(report_dir, exist_ok=True)
-    groups = _load_results(results_dir)
-    written = []
     warnings = []
+    groups = _load_results(results_dir, warnings)
+    written = []
 
     stochastic_trials = [t for t in groups["trial"] if t["model"] in ("ml", "vi")]
     baseline_trials = [t for t in groups["trial"] if t["model"] not in ("ml", "vi")]
@@ -732,10 +737,11 @@ def run_report(results_dir, report_dir=None) -> dict:
         for t in baseline_trials:
             cells.setdefault((t["dataset"], t["model"]), []).append(
                 t["clean_accuracy"])
-        rows = [{"dataset": d, "model": m, "n_trials": len(a),
-                 "mean_accuracy": float(np.mean(a)),
-                 "std_accuracy": float(np.std(a, ddof=1)) if len(a) > 1 else 0.0}
-                for (d, m), a in sorted(cells.items())]
+        rows = []
+        for (d, m), accs in sorted(cells.items()):
+            mean, std = mean_std(accs)
+            rows.append({"dataset": d, "model": m, "n_trials": len(accs),
+                         "mean_accuracy": mean, "std_accuracy": std})
         write_text_atomic(os.path.join(report_dir, "table_baseline_accuracy.csv"),
                           _csv_from_rows(rows, ["dataset", "model", "n_trials",
                                                 "mean_accuracy", "std_accuracy"]))
@@ -790,16 +796,11 @@ def run_report(results_dir, report_dir=None) -> dict:
             edges = ts[0]["histograms"][metric]["bin_edges"]
             lines = [f"x,y_correct,err_correct,y_wrong,err_wrong  # bin left edge,"
                      f" mean count, 3*std over {len(ts)} trials"]
-            stacks = {g: np.array([t["histograms"][metric]["counts"][g]
-                                   for t in ts], dtype=float)
-                      for g in ("correct", "wrong")}
+            stats = [mean_std([t["histograms"][metric]["counts"][g] for t in ts],
+                              axis=0) for g in ("correct", "wrong")]
             for j in range(len(edges) - 1):
-                cells = []
-                for g in ("correct", "wrong"):
-                    col = stacks[g][:, j]
-                    std = float(col.std(ddof=1)) if len(ts) > 1 else 0.0
-                    cells += [f"{col.mean():.3f}", f"{3.0 * std:.3f}"]
-                lines.append(f"{edges[j]:.6g}," + ",".join(cells))
+                lines.append(f"{edges[j]:.6g}," + ",".join(
+                    f"{mean[j]:.3f},{3.0 * std[j]:.3f}" for mean, std in stats))
             fname = f"fig_{metric}_hist_{run_id}.csv"
             write_text_atomic(os.path.join(report_dir, fname),
                               "\n".join(lines) + "\n")
@@ -808,13 +809,13 @@ def run_report(results_dir, report_dir=None) -> dict:
             n_layers = len(ts[0]["mixing_variance"])
             for layer in range(n_layers):
                 edges = ts[0]["mixing_variance"][layer]["histogram"]["bin_edges"]
-                stack = np.array([t["mixing_variance"][layer]["histogram"]["counts"]
-                                  for t in ts], dtype=float)
+                mean, std = mean_std(
+                    [t["mixing_variance"][layer]["histogram"]["counts"]
+                     for t in ts], axis=0)
                 lines = ["x,y,err  # bin left edge, mean count, 3*std"]
                 for j in range(len(edges) - 1):
-                    std = float(stack[:, j].std(ddof=1)) if len(ts) > 1 else 0.0
-                    lines.append(f"{edges[j]:.6g},{stack[:, j].mean():.3f},"
-                                 f"{3.0 * std:.3f}")
+                    lines.append(f"{edges[j]:.6g},{mean[j]:.3f},"
+                                 f"{3.0 * std[j]:.3f}")
                 fname = f"fig_mixing_variance_layer{layer}_{run_id}.csv"
                 write_text_atomic(os.path.join(report_dir, fname),
                                   "\n".join(lines) + "\n")

@@ -24,16 +24,6 @@ _EDGES_BY_METRIC = {"max_variance": VARIANCE_BIN_EDGES,
                     "entropy": ENTROPY_BIN_EDGES}
 
 
-@dataclass
-class ScoredSample:
-    """One uncertainty score with its detection label and provenance flags."""
-
-    score: float
-    positive: bool                      # anomalous (OOD / adversarial) side
-    correctly_classified: bool = False  # clean-side classification outcome
-    attack_success: bool = False        # adversarial-side attack outcome
-
-
 def auroc_scores(pos_scores, neg_scores) -> float:
     """P(random positive outranks random negative), midrank tie handling.
 
@@ -52,13 +42,6 @@ def auroc_scores(pos_scores, neg_scores) -> float:
     return float(u / (pos.size * neg.size))
 
 
-def auroc(scores) -> float:
-    """AUROC over a list of ScoredSample (positives vs negatives)."""
-    pos = [s.score for s in scores if s.positive]
-    neg = [s.score for s in scores if not s.positive]
-    return auroc_scores(pos, neg)
-
-
 @dataclass
 class BalancedAuroc:
     value: float
@@ -67,31 +50,29 @@ class BalancedAuroc:
     n_negatives_available: int
 
 
-def auroc_balanced(scores, seed: int = 0) -> BalancedAuroc:
-    """AUROC restricted to correct-vs-successful-attack samples with the
-    larger class subsampled (seeded, uniform) to the size of the smaller.
+def auroc_balanced(pos_scores, neg_scores, seed: int = 0) -> BalancedAuroc:
+    """AUROC with the larger class subsampled (seeded, uniform, without
+    replacement) to the size of the smaller.
 
-    Positives: anomalous samples whose attack succeeded.  Negatives: clean
-    samples that were correctly classified.
+    Detection passes the scores of successful attacks as positives and of
+    correctly classified clean samples as negatives, each in index order.
     """
-    pos = np.array([s.score for s in scores if s.positive and s.attack_success])
-    neg = np.array([s.score for s in scores
-                    if not s.positive and s.correctly_classified])
-    if pos.size == 0 or neg.size == 0:
+    pos = np.asarray(pos_scores, dtype=np.float64)
+    neg = np.asarray(neg_scores, dtype=np.float64)
+    n_pos, n_neg = pos.size, neg.size
+    if n_pos == 0 or n_neg == 0:
         raise ValueError(
-            f"balanced AUROC needs both classes after filtering, got "
-            f"{pos.size} successful attacks and {neg.size} correct samples")
-    m = min(pos.size, neg.size)
+            f"balanced AUROC needs both classes, got {n_pos} successful "
+            f"attacks and {n_neg} correct samples")
+    m = min(n_pos, n_neg)
     rng = Rng(seed).derive(_BALANCE_STREAM)
-    if pos.size > m:
-        pos = pos[rng.choice(pos.size, m, replace=False)]
-    if neg.size > m:
-        neg = neg[rng.choice(neg.size, m, replace=False)]
+    if n_pos > m:
+        pos = pos[rng.choice(n_pos, m, replace=False)]
+    if n_neg > m:
+        neg = neg[rng.choice(n_neg, m, replace=False)]
     return BalancedAuroc(value=auroc_scores(pos, neg), n_per_class=m,
-                         n_positives_available=int(len([s for s in scores
-                                                        if s.positive and s.attack_success])),
-                         n_negatives_available=int(len([s for s in scores
-                                                        if not s.positive and s.correctly_classified])))
+                         n_positives_available=n_pos,
+                         n_negatives_available=n_neg)
 
 
 def uncertainty_histograms(groups: dict) -> dict:
@@ -138,12 +119,25 @@ class TrialAggregate:
         return 3.0 * self.std
 
 
+def mean_std(values, axis=None):
+    """Mean and sample (n-1) standard deviation of trial values along
+    ``axis`` (over all values by default); the std of one trial is 0.
+
+    Returns Python floats, or lists of them over the remaining axes, ready
+    for a result JSON.
+    """
+    v = np.asarray(values, dtype=np.float64)
+    n = v.size if axis is None else v.shape[axis]
+    std = v.std(axis=axis, ddof=1 if n > 1 else 0)
+    return v.mean(axis=axis).tolist(), std.tolist()
+
+
 def aggregate(values) -> TrialAggregate:
     v = np.asarray(list(values), dtype=np.float64)
     if v.size < 2:
         raise ValueError(f"aggregation needs >= 2 trials, got {v.size}")
-    return TrialAggregate(values=v, mean=float(v.mean()),
-                          std=float(v.std(ddof=1)))
+    mean, std = mean_std(v)
+    return TrialAggregate(values=v, mean=mean, std=std)
 
 
 def histograms_csv(hists: dict) -> str:

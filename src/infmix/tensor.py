@@ -1,6 +1,6 @@
-"""Dense float64 linear algebra, a deterministic counter-based RNG, and ADAM.
+"""The float64 array type, a deterministic counter-based RNG, and ADAM.
 
-Everything downstream (sampling, training, attacks) sits on these three
+Everything downstream (sampling, training, attacks) sits on these
 primitives.  All arrays are 64-bit floats in C (row-major) order; the RNG is
 Philox, so a seed pins the whole bit stream independent of platform.
 """
@@ -12,18 +12,6 @@ from dataclasses import dataclass
 import numpy as np
 
 Array = np.ndarray
-
-
-def matmul(a: Array, b: Array) -> Array:
-    """Matrix product with an explicit shape check.
-
-    Raises ValueError naming both shapes on an inner-dimension mismatch.
-    """
-    if a.ndim != 2 or b.ndim != 2:
-        raise ValueError(f"matmul needs 2-D operands, got {a.shape} and {b.shape}")
-    if a.shape[1] != b.shape[0]:
-        raise ValueError(f"matmul dimension mismatch: {a.shape} x {b.shape}")
-    return a @ b
 
 
 class Rng:
@@ -61,13 +49,6 @@ class Rng:
 
     def __repr__(self):
         return f"Rng(seed={self.seed}, spawn_key={self.spawn_key})"
-
-
-def standard_normal_matrix(rng: Rng, rows: int, cols: int) -> Array:
-    """rows x cols matrix of i.i.d. N(0,1) draws, advancing ``rng``."""
-    if rows < 1 or cols < 1:
-        raise ValueError(f"matrix shape must be positive, got ({rows}, {cols})")
-    return rng.standard_normal(rows, cols)
 
 
 @dataclass

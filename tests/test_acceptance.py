@@ -25,7 +25,7 @@ from infmix.checkpoint import load_model, save_model
 from infmix.data import load_split, take_prefix
 from infmix.gradcheck import (check_objective_gradient,
                               check_single_sample_equivalence)
-from infmix.metrics import ScoredSample, auroc_scores
+from infmix.metrics import auroc_scores
 from infmix.network import MAX_ENTROPY, StochasticMlp, summarize_probs
 from infmix.objectives import ObjectiveKind, TrainConfig, ml_loss, train, vi_loss
 from infmix.posterior import (MvnLayerPosterior, PriorSpec, kl_to_prior,

@@ -114,6 +114,25 @@ class TestPgd:
                                                   seed=0))
         assert curve[1][1].robust_accuracy < curve[0][1].robust_accuracy
 
+    def test_predicts_only_the_adversarial_images(self, toy, toy_model):
+        # Clean predictions are the caller's: PGD's one evaluation is of its
+        # own result.
+        predicted = []
+
+        class Recorder:
+            loss_input_grad = staticmethod(toy_model.loss_input_grad)
+
+            def predict(self, x, *args):
+                predicted.append(x)
+                return toy_model.predict(x, *args)
+
+        images, labels = toy.images[:20], toy.labels[:20]
+        result = pgd_attack(Recorder(), images, labels,
+                            AttackConfig(epsilon=0.2, n_iter=3,
+                                         n_eval_samples=1))
+        assert len(predicted) == 1
+        assert predicted[0] is result.adversarial
+
     def test_default_step_rule(self):
         cfg = AttackConfig(epsilon=0.2, n_iter=40)
         assert cfg.resolved_step() == pytest.approx(2.5 * 0.2 / 40)
@@ -136,7 +155,8 @@ class TestArtifacts:
         result = pgd_attack(toy_model, images, labels,
                             AttackConfig(epsilon=0.25, n_iter=5,
                                          n_eval_samples=1, seed=0))
-        paths = write_attack_artifacts(result, tmp_path, "adv_test")
+        pred_before = toy_model.predict(images).predicted_class
+        paths = write_attack_artifacts(result, pred_before, tmp_path, "adv_test")
         reloaded = load_idx(paths["images"], paths["labels"])
         assert np.array_equal(reloaded.images, result.adversarial)
         assert np.array_equal(reloaded.labels, labels)
@@ -148,8 +168,11 @@ class TestArtifacts:
         images, labels = toy.images[:3], toy.labels[:3]
         result = pgd_attack(toy_model, images, labels,
                             AttackConfig(epsilon=0.0, n_eval_samples=1))
-        rows = attack_csv(result).strip().split("\n")[1:]
+        pred_before = np.array([7, 8, 9])
+        rows = attack_csv(result, pred_before).strip().split("\n")[1:]
         for i, row in enumerate(rows):
             fields = row.split(",")
             assert fields[0] == str(i)
             assert fields[1] == str(int(labels[i]))
+            assert fields[2] == str(pred_before[i])
+            assert fields[3] == str(int(result.pred_after[i]))

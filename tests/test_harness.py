@@ -1,16 +1,25 @@
 """Config contract, end-to-end orchestration on synthetic data, and the CLI."""
 
+import csv
+import dataclasses
 import json
 import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from infmix.baselines import DeterministicMlp
+from infmix.checkpoint import load_model, save_model
 from infmix.cli import main
-from infmix.harness import (ConfigError, ExperimentConfig, config_text,
-                            load_config, parse_config_text, predict_dataset,
-                            run_attack, run_detect, run_ood, run_report,
-                            run_sweep, run_train)
+from infmix.data import load_idx, load_split, take_prefix
+from infmix.harness import (MODEL_KINDS, SWEEP_AXES, ConfigError,
+                            ExperimentConfig, config_text, load_config,
+                            parse_config_text, predict_dataset, run_attack,
+                            run_detect, run_ood, run_report, run_sweep,
+                            run_train)
+from infmix.metrics import auroc_balanced
 from infmix.network import StochasticMlp
 from infmix.tensor import Rng
 
@@ -23,6 +32,80 @@ FAST = dict(n_train_samples=2, n_eval_samples=4, batch_size=100,
 def fast_config(data_dir, out_dir, **overrides):
     return ExperimentConfig(data_dir=data_dir, out_dir=str(out_dir),
                             **{**FAST, **overrides})
+
+
+# Values that parse but are out of range; each must end in a ConfigError.
+BAD_VALUES = [
+    ("attack_prefix", "-1"), ("ood_prefix", "-1"), ("threads", "0"),
+    ("n_eval_samples", "0"), ("batch_size", "0"), ("ensemble_size", "0"),
+    ("n_attack_samples", "0"), ("attack_iterations", "-3"),
+    ("n_train_samples", "0"), ("iterations", "-1"),
+    ("dropout_p", "1"), ("dropout_p", "-0.1"), ("dropout_p", "nan"),
+    ("dataset", "../mnist"), ("dataset", "a/b"), ("dataset", ".hidden"),
+    ("eps_grid", "0.3,0.1"), ("eps_grid", "-0.1,0.2"), ("eps_grid", "0,nan"),
+    ("attack_epsilon", "-0.25"), ("attack_epsilon", "nan"),
+    ("attack_step", "0"),
+]
+
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+_COUNT = st.integers(1, 10**6)
+_EPS = st.floats(0.0, 1.0)
+# A path is free text, less what the line format cannot carry: '#' starts a
+# comment, a line break ends the value and surrounding spaces are stripped.
+_PATH = st.text(st.characters(blacklist_categories=("Cs", "Cc", "Zl", "Zp"),
+                              blacklist_characters="#"),
+                min_size=1, max_size=12).map(str.strip).filter(bool)
+
+VALID = {
+    "schema_version": st.just(1),
+    "model": st.sampled_from(MODEL_KINDS),
+    "dataset": st.from_regex(r"[A-Za-z0-9][A-Za-z0-9_.-]{0,10}", fullmatch=True),
+    "kl_weight": _FINITE, "prior_variance": _FINITE,
+    "n_train_samples": _COUNT, "n_eval_samples": _COUNT,
+    "batch_size": _COUNT, "learning_rate": _FINITE,
+    "iterations": st.integers(0, 10**6),
+    "n_trials": _COUNT, "base_seed": st.integers(0, 2**32),
+    "sweep": st.sampled_from(SWEEP_AXES),
+    "kl_weight_grid": st.lists(_FINITE, max_size=4).map(tuple),
+    "prior_grid": st.lists(_FINITE, max_size=4).map(tuple),
+    "weight_decay": _FINITE, "dropout_p": st.floats(0.0, 1.0, exclude_max=True),
+    "ensemble_size": _COUNT,
+    "eps_grid": st.lists(_EPS, max_size=5).map(lambda v: tuple(sorted(v))),
+    "attack_iterations": _COUNT,
+    "attack_step": st.none() | st.floats(0.0, 1.0, exclude_min=True),
+    "n_attack_samples": _COUNT, "attack_random_init": st.booleans(),
+    "attack_epsilon": _EPS, "attack_prefix": st.integers(0, 10**6),
+    "detect_full_test": st.booleans(), "ood_prefix": st.integers(0, 10**6),
+    "loss_record_every": st.integers(0, 10**6), "data_dir": _PATH,
+    "out_dir": _PATH,
+    "threads": st.integers(1, 64),
+}
+
+# Per key, text that is no valid value.  data_dir and out_dir take any text.
+_NOT_A_NUMBER = st.sampled_from(["", "x", "1..2", "0x1g"])
+_BAD_COUNT = _NOT_A_NUMBER | st.sampled_from(["1.5", "1e3"]) | st.integers(
+    -10**6, 0).map(str)
+_BAD_SIZE = _NOT_A_NUMBER | st.sampled_from(["1.5", "-1"])
+_BAD_TEXT = {name: _NOT_A_NUMBER for name in (
+    "kl_weight", "prior_variance", "learning_rate", "weight_decay")}
+_BAD_TEXT.update({name: _BAD_COUNT for name in (
+    "n_train_samples", "n_eval_samples", "batch_size", "n_trials",
+    "ensemble_size", "attack_iterations", "n_attack_samples", "threads")})
+_BAD_TEXT.update({name: _BAD_SIZE for name in (
+    "iterations", "loss_record_every", "attack_prefix", "ood_prefix")})
+_BAD_TEXT.update({
+    "schema_version": st.sampled_from(["0", "2", "one"]),
+    "model": st.sampled_from(["transformer", "ML", ""]),
+    "sweep": st.sampled_from(["grid", "kl"]),
+    "dataset": st.sampled_from(["", "a b", "../x", "x/y", "-x"]),
+    "base_seed": _NOT_A_NUMBER, "kl_weight_grid": st.just("1,x"),
+    "prior_grid": st.just("a,b"), "dropout_p": st.sampled_from(["1", "-1", "x"]),
+    "eps_grid": st.sampled_from(["0.2,0.1", "-1", "0,x"]),
+    "attack_step": st.sampled_from(["0", "-0.1", "x"]),
+    "attack_random_init": st.sampled_from(["maybe", "2"]),
+    "detect_full_test": st.sampled_from(["maybe", "-1"]),
+    "attack_epsilon": st.sampled_from(["-0.1", "nan", "x"]),
+})
 
 
 class TestConfigParsing:
@@ -67,6 +150,69 @@ class TestConfigParsing:
     def test_trial_seeds_are_base_plus_index(self):
         cfg = ExperimentConfig(base_seed=7, n_trials=3)
         assert cfg.trial_seeds() == [7, 8, 9]
+
+    @pytest.mark.parametrize("key,value", BAD_VALUES)
+    def test_out_of_range_value_rejected(self, key, value, tmp_path, capsys):
+        with pytest.raises(ConfigError, match=key):
+            parse_config_text(f"{key} = {value}\n")
+        path = tmp_path / "bad.cfg"
+        path.write_text(f"{key} = {value}\n")
+        assert main(["--config", str(path), "train"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and err.count("\n") == 1
+
+    def test_zero_threads_flag_rejected(self, capsys):
+        assert main(["--threads", "0", "train"]) == 1
+        assert "threads must be >= 1" in capsys.readouterr().err
+
+
+class TestConfigProperties:
+    def test_strategies_cover_every_key(self):
+        keys = {f.name for f in dataclasses.fields(ExperimentConfig)}
+        assert set(VALID) == keys
+        assert set(_BAD_TEXT) == keys - {"data_dir", "out_dir"}
+
+    @given(st.fixed_dictionaries(VALID))
+    @settings(max_examples=100, deadline=None)
+    def test_text_round_trip(self, values):
+        cfg = ExperimentConfig(**values)
+        assert parse_config_text(config_text(cfg)) == cfg
+
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_bad_value_is_config_error(self, data):
+        key = data.draw(st.sampled_from(sorted(_BAD_TEXT)))
+        value = data.draw(_BAD_TEXT[key])
+        with pytest.raises(ConfigError):
+            parse_config_text(f"{key} = {value}\n")
+
+    @given(st.sampled_from(sorted(VALID)), st.text(max_size=20))
+    @settings(max_examples=200, deadline=None)
+    def test_any_text_parses_or_is_config_error(self, key, value):
+        try:
+            parse_config_text(f"{key} = {value}\n")
+        except ConfigError:
+            pass
+
+
+def read_csv(path) -> list:
+    """Rows of an attack CSV, with integer fields."""
+    with open(path) as f:
+        return [{k: int(v) for k, v in row.items()} for row in csv.DictReader(f)]
+
+
+def perfect_checkpoint(out_dir) -> str:
+    """A template-matching classifier, perfect on the synthetic patch data."""
+    w = np.zeros((785, 10))
+    for c in range(10):
+        row, col = divmod(c, 5)
+        r0, c0 = 3 + row * 12, 2 + col * 5
+        patch = np.zeros((28, 28))
+        patch[r0:r0 + 6, c0:c0 + 4] = 1.0
+        w[:784, c] = patch.ravel()
+    path = os.path.join(out_dir, "perfect.ckpt")
+    save_model(DeterministicMlp(weights=[w]), path)
+    return path
 
 
 @pytest.fixture(scope="module")
@@ -226,6 +372,55 @@ class TestRunAttackDetect:
         for name in trial["artifacts"].values():
             assert os.path.exists(os.path.join(cfg.out_dir, name))
 
+    def test_detect_csv_has_the_clean_predictions_the_json_counts(
+            self, trained_run, tmp_path):
+        # One draw per prediction: an independent second clean prediction
+        # would disagree with the first on some samples.
+        cfg, _ = trained_run
+        ckpt = os.path.join(cfg.out_dir, f"{cfg.run_id()}_seed0.ckpt")
+        trial = run_detect(cfg.replace(out_dir=str(tmp_path), n_eval_samples=1,
+                                       detect_full_test=False),
+                           checkpoint=ckpt)["trials"][0]
+        rows = read_csv(os.path.join(tmp_path, trial["artifacts"]["csv"]))
+        assert sum(r["pred_before"] == r["true_label"] for r in rows) == (
+            trial["n_correct_clean"])
+        assert sum(r["success"] for r in rows) == trial["n_successful_attacks"]
+
+    def test_detect_balances_successful_attacks_against_correct_cleans(
+            self, synthetic_data_dir, tmp_path):
+        # A barely trained deterministic model misclassifies some clean
+        # samples, and a small budget leaves some attacks failing, so both
+        # filters drop samples.  Its prediction is a pure function of the
+        # input, so the scores can be recomputed from the saved images.
+        cfg = fast_config(synthetic_data_dir, tmp_path, model="deterministic",
+                          n_trials=1, iterations=3, attack_epsilon=0.02,
+                          detect_full_test=False)
+        run_train(cfg)
+        trial = run_detect(cfg)["trials"][0]
+        model = load_model(os.path.join(cfg.out_dir,
+                                        f"{cfg.run_id()}_seed0.ckpt"))
+        prefix = take_prefix(load_split(cfg.data_dir, "test"), 60)
+        artifacts = {k: os.path.join(cfg.out_dir, v)
+                     for k, v in trial["artifacts"].items()}
+        clean = model.predict(prefix.images)
+        adv = model.predict(load_idx(artifacts["images"],
+                                     artifacts["labels"]).images)
+        correct = clean.predicted_class == prefix.labels
+        success = adv.predicted_class != prefix.labels
+        assert 0 < correct.sum() < 60 and 0 < success.sum() < 60
+        assert trial["n_correct_clean"] == correct.sum()
+        assert trial["n_successful_attacks"] == success.sum()
+        rows = read_csv(artifacts["csv"])
+        assert [r["pred_before"] for r in rows] == clean.predicted_class.tolist()
+        for name, scores in (("variance", "max_variance"),
+                             ("entropy", "entropy")):
+            expected = auroc_balanced(getattr(adv, scores)[success],
+                                      getattr(clean, scores)[correct], seed=0)
+            assert trial[f"auroc_{name}_balanced"] == expected.value
+            assert trial[f"balanced_n_per_class_{name}"] == expected.n_per_class
+        unfiltered = auroc_balanced(adv.entropy, clean.entropy, seed=0)
+        assert unfiltered.value != trial["auroc_entropy_balanced"]
+
     def test_missing_checkpoints_is_config_error(self, synthetic_data_dir,
                                                  tmp_path):
         cfg = fast_config(synthetic_data_dir, tmp_path, model="vi")
@@ -234,27 +429,13 @@ class TestRunAttackDetect:
 
     def test_detect_with_no_successful_attacks(self, synthetic_data_dir,
                                                tmp_path):
-        # A template-matching classifier is perfect on the patch data, so at
-        # epsilon = 0 no attack succeeds and the balanced AUROC is undefined
-        # (recorded as null), while the plain AUROC still exists.
-        import numpy as np
-        from infmix.baselines import DeterministicMlp
-        from infmix.checkpoint import save_model
-
-        w = np.zeros((785, 10))
-        for c in range(10):
-            row, col = divmod(c, 5)
-            r0, c0 = 3 + row * 12, 2 + col * 5
-            patch = np.zeros((28, 28))
-            patch[r0:r0 + 6, c0:c0 + 4] = 1.0
-            w[:784, c] = patch.ravel()
-        ckpt = tmp_path / "perfect.ckpt"
-        save_model(DeterministicMlp(weights=[w]), str(ckpt))
-
+        # At epsilon = 0 no attack on the perfect classifier succeeds, so the
+        # balanced AUROC is undefined (recorded as null), while the plain
+        # AUROC still exists.
         cfg = fast_config(synthetic_data_dir, tmp_path, model="deterministic",
                           attack_epsilon=0.0, detect_full_test=False,
                           attack_prefix=50, n_trials=1)
-        payload = run_detect(cfg, checkpoint=str(ckpt))
+        payload = run_detect(cfg, checkpoint=perfect_checkpoint(tmp_path))
         trial = payload["trials"][0]
         assert trial["clean_accuracy"] == 1.0
         assert trial["n_successful_attacks"] == 0
@@ -272,6 +453,17 @@ class TestRunReport:
         outcome = run_report(str(tmp_path))
         assert outcome["warnings"]
         assert os.path.exists(os.path.join(outcome["report_dir"], "summary.txt"))
+
+    def test_unreadable_json_is_named_in_warnings(self, tmp_path, capsys):
+        (tmp_path / "ml_mnist_seed0.json").write_text('{"kind": "trial", "se')
+        (tmp_path / "list.json").write_text("[]")
+        outcome = run_report(str(tmp_path))
+        skipped = [w for w in outcome["warnings"] if "ml_mnist_seed0.json" in w]
+        assert len(skipped) == 1
+        summary = open(os.path.join(outcome["report_dir"], "summary.txt")).read()
+        assert skipped[0] in summary
+        assert main(["--out-dir", str(tmp_path), "report"]) == 0
+        assert "ml_mnist_seed0.json" in capsys.readouterr().err
 
     def test_full_report(self, trained_run):
         cfg, _ = trained_run
@@ -327,6 +519,22 @@ class TestCli:
         assert code == 0
         assert "accuracy=" in capsys.readouterr().out
         assert main(["--out-dir", str(tmp_path / "out"), "report"]) == 0
+
+    def test_detect_with_undefined_balanced_auroc(self, synthetic_data_dir,
+                                                  tmp_path, capsys):
+        cfg_path = tmp_path / "run.cfg"
+        cfg_path.write_text(
+            "model = deterministic\n"
+            "attack_epsilon = 0\n"
+            "detect_full_test = false\n"
+            "attack_prefix = 50\n"
+            "attack_iterations = 2\n"
+            "n_eval_samples = 1\n")
+        code = main(["--config", str(cfg_path), "--data-dir", synthetic_data_dir,
+                     "--out-dir", str(tmp_path / "out"), "detect",
+                     "--checkpoint", perfect_checkpoint(tmp_path)])
+        assert code == 0
+        assert "balanced entropy undefined" in capsys.readouterr().out
 
     def test_cli_overrides_take_effect(self):
         from infmix.cli import build_parser, resolve_config

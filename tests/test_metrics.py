@@ -5,10 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from infmix.metrics import (ENTROPY_BIN_EDGES, ScoredSample, TrialAggregate,
-                            VARIANCE_BIN_EDGES, aggregate, aggregates_csv,
-                            auroc, auroc_balanced, auroc_scores,
-                            histograms_csv, uncertainty_histograms)
+from infmix.metrics import (ENTROPY_BIN_EDGES, VARIANCE_BIN_EDGES, aggregate,
+                            aggregates_csv, auroc_balanced, auroc_scores,
+                            histograms_csv, mean_std, uncertainty_histograms)
 from infmix.tensor import Rng
 
 
@@ -64,52 +63,34 @@ class TestAuroc:
         with pytest.raises(ValueError):
             auroc_scores([1.0], [])
 
-    def test_scored_sample_interface(self):
-        scores = [ScoredSample(2.0, True), ScoredSample(3.0, True),
-                  ScoredSample(1.0, False)]
-        assert auroc(scores) == 1.0
-
 
 class TestBalancedAuroc:
     def make_scores(self, n_pos, n_neg, seed=0):
         rng = Rng(seed)
-        scores = [ScoredSample(float(v), True, attack_success=True)
-                  for v in rng.uniform(0.5, 1.0, n_pos)]
-        scores += [ScoredSample(float(v), False, correctly_classified=True)
-                   for v in rng.uniform(0.0, 0.6, n_neg)]
-        return scores
+        return rng.uniform(0.5, 1.0, n_pos), rng.uniform(0.0, 0.6, n_neg)
 
     def test_equal_classes_identical_to_plain(self):
-        scores = self.make_scores(40, 40)
-        balanced = auroc_balanced(scores, seed=0)
-        assert balanced.value == auroc(scores)
+        pos, neg = self.make_scores(40, 40)
+        balanced = auroc_balanced(pos, neg, seed=0)
+        assert balanced.value == auroc_scores(pos, neg)
         assert balanced.n_per_class == 40
 
     def test_subsamples_larger_class(self):
-        scores = self.make_scores(100, 30)
-        balanced = auroc_balanced(scores, seed=1)
+        pos, neg = self.make_scores(100, 30)
+        balanced = auroc_balanced(pos, neg, seed=1)
         assert balanced.n_per_class == 30
         assert balanced.n_positives_available == 100
-
-    def test_filters_by_meta(self):
-        scores = self.make_scores(20, 20)
-        # Failed attacks and misclassified clean samples are excluded.
-        scores.append(ScoredSample(99.0, True, attack_success=False))
-        scores.append(ScoredSample(-99.0, False, correctly_classified=False))
-        balanced = auroc_balanced(scores, seed=0)
-        assert balanced.n_per_class == 20
+        assert balanced.n_negatives_available == 30
 
     def test_seeded_subsampling_reproducible(self):
-        scores = self.make_scores(80, 30, seed=3)
-        a = auroc_balanced(scores, seed=5)
-        b = auroc_balanced(scores, seed=5)
+        pos, neg = self.make_scores(80, 30, seed=3)
+        a = auroc_balanced(pos, neg, seed=5)
+        b = auroc_balanced(pos, neg, seed=5)
         assert a.value == b.value
 
     def test_empty_class_rejected(self):
-        scores = [ScoredSample(1.0, True, attack_success=False),
-                  ScoredSample(0.0, False, correctly_classified=True)]
         with pytest.raises(ValueError, match="successful attacks"):
-            auroc_balanced(scores)
+            auroc_balanced([], [0.0])
 
 
 class TestHistograms:
@@ -178,6 +159,24 @@ class TestCsvInterfaces:
         assert fields[0] == "clean_accuracy"
         assert float(fields[1]) == pytest.approx(1.0)
         assert int(fields[3]) == 2
+
+
+class TestMeanStd:
+    def test_single_trial_has_zero_std(self):
+        assert mean_std([0.7]) == (0.7, 0.0)
+
+    def test_matches_sample_std(self):
+        values = [0.9, 1.1, 1.3]
+        assert mean_std(values) == (float(np.mean(values)),
+                                    float(np.std(values, ddof=1)))
+
+    def test_axis_gives_per_column_lists(self):
+        rows = [[1.0, 2.0, 3.0], [3.0, 2.0, 0.0]]
+        mean, std = mean_std(rows, axis=0)
+        assert mean == [2.0, 2.0, 1.5]
+        np.testing.assert_allclose(std, np.std(rows, axis=0, ddof=1),
+                                   rtol=0.0, atol=0.0)
+        assert mean_std([[1.0, 2.0]], axis=0) == ([1.0, 2.0], [0.0, 0.0])
 
 
 class TestAggregate:

@@ -1,70 +1,15 @@
-"""Substrate contracts: matmul, the deterministic RNG, and ADAM."""
+"""Substrate contracts: the deterministic RNG and ADAM."""
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from infmix.tensor import AdamState, Rng, adam_step, matmul, standard_normal_matrix
-
-
-def naive_matmul(a, b):
-    """Triple-loop oracle, independent of the BLAS path."""
-    out = np.zeros((a.shape[0], b.shape[1]))
-    for i in range(a.shape[0]):
-        for j in range(b.shape[1]):
-            acc = 0.0
-            for k in range(a.shape[1]):
-                acc += a[i, k] * b[k, j]
-            out[i, j] = acc
-    return out
-
-
-class TestMatmul:
-    def test_identity(self):
-        m = np.array([[1.0, 2.0], [3.0, 4.0]])
-        assert np.array_equal(matmul(np.eye(2), m), m)
-
-    def test_hand_computed(self):
-        out = matmul(np.array([[1.0, 2.0]]), np.array([[3.0], [4.0]]))
-        assert out.shape == (1, 1)
-        assert out[0, 0] == 11.0
-
-    def test_matches_naive_oracle(self):
-        rng = Rng(7)
-        a = rng.standard_normal(5, 4)
-        b = rng.standard_normal(4, 3)
-        np.testing.assert_allclose(matmul(a, b), naive_matmul(a, b),
-                                   rtol=0.0, atol=1e-12)
-
-    def test_dimension_mismatch_names_both_shapes(self):
-        a = np.zeros((2, 3))
-        b = np.zeros((4, 2))
-        with pytest.raises(ValueError, match=r"\(2, 3\).*\(4, 2\)"):
-            matmul(a, b)
-
-    @given(st.integers(0, 10_000))
-    @settings(max_examples=25, deadline=None)
-    def test_associativity(self, seed):
-        rng = Rng(seed)
-        a = rng.standard_normal(4, 6)
-        b = rng.standard_normal(6, 5)
-        c = rng.standard_normal(5, 3)
-        left = matmul(matmul(a, b), c)
-        right = matmul(a, matmul(b, c))
-        np.testing.assert_allclose(left, right, rtol=1e-9)
-
-    def test_deterministic_across_calls(self):
-        rng = Rng(3)
-        a = rng.standard_normal(32, 48)
-        b = rng.standard_normal(48, 16)
-        assert np.array_equal(matmul(a, b), matmul(a, b))
+from infmix.tensor import AdamState, Rng, adam_step
 
 
 class TestRng:
     def test_same_seed_identical_stream(self):
-        m1 = standard_normal_matrix(Rng(42), 2, 2)
-        m2 = standard_normal_matrix(Rng(42), 2, 2)
+        m1 = Rng(42).standard_normal(2, 2)
+        m2 = Rng(42).standard_normal(2, 2)
         assert np.array_equal(m1, m2)
 
     def test_different_seeds_differ(self):
@@ -83,10 +28,6 @@ class TestRng:
         draws = Rng(123).standard_normal(1_000_000)
         assert -0.01 < draws.mean() < 0.01
         assert 0.98 < draws.var() < 1.02
-
-    def test_invalid_shape(self):
-        with pytest.raises(ValueError):
-            standard_normal_matrix(Rng(0), 0, 3)
 
 
 class TestAdam:
