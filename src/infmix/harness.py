@@ -117,11 +117,21 @@ class ExperimentConfig:
                      "attack_iterations"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
-        # Written as `not >=` so that NaN is rejected too.
+        # Written as `not >=` and `not >` so that NaN is rejected too.
         for name in ("iterations", "loss_record_every", "attack_prefix",
-                     "ood_prefix", "attack_epsilon"):
+                     "ood_prefix", "attack_epsilon", "kl_weight",
+                     "weight_decay", "base_seed"):
             if not getattr(self, name) >= 0:
                 raise ConfigError(f"{name} must be >= 0, got {getattr(self, name)}")
+        for name in ("prior_variance", "learning_rate"):
+            if not getattr(self, name) > 0:
+                raise ConfigError(f"{name} must be > 0, got {getattr(self, name)}")
+        if not all(v >= 0 for v in self.kl_weight_grid):
+            raise ConfigError(f"kl_weight_grid entries must be >= 0, "
+                              f"got {list(self.kl_weight_grid)}")
+        if not all(v > 0 for v in self.prior_grid):
+            raise ConfigError(f"prior_grid entries must be > 0, "
+                              f"got {list(self.prior_grid)}")
         if self.attack_step is not None and not self.attack_step > 0:
             raise ConfigError(f"attack_step must be > 0 or auto, got {self.attack_step}")
         if not 0.0 <= self.dropout_p < 1.0:
@@ -298,8 +308,33 @@ def mixing_variance_report(net: StochasticMlp) -> list:
     return out
 
 
-def _json_histograms(groups: dict) -> dict:
-    hists = metrics.uncertainty_histograms(groups)
+def _payload(cfg: ExperimentConfig, kind: str, **fields) -> dict:
+    """A result file's common header, then ``fields``."""
+    return {"schema_version": SCHEMA_VERSION, "kind": kind,
+            "run_id": cfg.run_id(), "model": cfg.model,
+            "dataset": cfg.dataset, "config": cfg.to_dict(), **fields}
+
+
+def _add_mean_std(payload: dict, trials, scores) -> None:
+    """``mean_<score>`` and ``std_<score>`` over the trials, skipping
+    ``None`` values; the mean is ``None`` when no trial has the score."""
+    for score in scores:
+        vals = [t[score] for t in trials if t[score] is not None]
+        payload[f"mean_{score}"], payload[f"std_{score}"] = (
+            mean_std(vals) if vals else (None, 0.0))
+
+
+def _band_csv(header: str, xs, series, x_fmt: str = "", digits: int = 6) -> str:
+    """An x column, then ``mean,3·std`` for each (mean, std) series."""
+    lines = [header]
+    for j, x in enumerate(xs):
+        lines.append(f"{x:{x_fmt}}," + ",".join(
+            f"{mean[j]:.{digits}f},{3.0 * std[j]:.{digits}f}"
+            for mean, std in series))
+    return "\n".join(lines) + "\n"
+
+
+def _json_histograms(hists: dict) -> dict:
     return {
         metric: {
             "bin_edges": data["bin_edges"].tolist(),
@@ -321,36 +356,24 @@ def run_trial(cfg: ExperimentConfig, train_data: Dataset, test_data: Dataset,
     eval_rng = Rng(seed).derive(_EVAL_STREAM)
     summary = predict_dataset(model, test_data.images, cfg.n_eval_samples,
                               eval_rng)
-    correct = summary.correct_mask(test_data.labels)
+    groups = metrics.summary_groups(summary, test_data.labels)
+    hists = metrics.uncertainty_histograms(groups)
 
     os.makedirs(cfg.out_dir, exist_ok=True)
     stem = f"{cfg.run_id()}_seed{seed}"
     ckpt_path = os.path.join(cfg.out_dir, stem + ".ckpt")
     save_model(model, ckpt_path)
 
-    result = {
-        "schema_version": SCHEMA_VERSION,
-        "kind": "trial",
-        "run_id": cfg.run_id(),
-        "model": cfg.model,
-        "dataset": cfg.dataset,
-        "seed": seed,
-        "config": cfg.to_dict(),
-        "clean_accuracy": summary.accuracy(test_data.labels),
-        "mean_max_variance": float(summary.max_variance.mean()),
-        "mean_entropy": float(summary.entropy.mean()),
-        "mean_max_variance_correct": float(summary.max_variance[correct].mean())
-            if correct.any() else None,
-        "mean_max_variance_wrong": float(summary.max_variance[~correct].mean())
-            if (~correct).any() else None,
-        "mean_entropy_correct": float(summary.entropy[correct].mean())
-            if correct.any() else None,
-        "mean_entropy_wrong": float(summary.entropy[~correct].mean())
-            if (~correct).any() else None,
-        "histograms": _json_histograms(
-            metrics.summary_groups(summary, test_data.labels)),
-        "checkpoint": os.path.basename(ckpt_path),
-    }
+    result = _payload(cfg, "trial", seed=seed,
+                      clean_accuracy=summary.accuracy(test_data.labels),
+                      mean_max_variance=float(summary.max_variance.mean()),
+                      mean_entropy=float(summary.entropy.mean()),
+                      histograms=_json_histograms(hists),
+                      checkpoint=os.path.basename(ckpt_path))
+    for group, scores in groups.items():
+        for score, values in scores.items():
+            result[f"mean_{score}_{group}"] = (float(values.mean())
+                                               if values.size else None)
     if isinstance(model, StochasticMlp):
         result["mixing_variance"] = mixing_variance_report(model)
         result["final_kl"] = float(sum(
@@ -362,9 +385,7 @@ def run_trial(cfg: ExperimentConfig, train_data: Dataset, test_data: Dataset,
         result["loss_csv"] = os.path.basename(loss_path)
         result["final_loss"] = records[-1].loss
     hist_path = os.path.join(cfg.out_dir, stem + "_hist.csv")
-    write_text_atomic(hist_path, metrics.histograms_csv(
-        metrics.uncertainty_histograms(
-            metrics.summary_groups(summary, test_data.labels))))
+    write_text_atomic(hist_path, metrics.histograms_csv(hists))
     result["histogram_csv"] = os.path.basename(hist_path)
     write_json_atomic(os.path.join(cfg.out_dir, stem + ".json"), result)
     return result
@@ -477,13 +498,8 @@ def run_ood(cfg: ExperimentConfig, checkpoint=None) -> dict:
             "n_ood": ood_data.n,
         })
 
-    payload = {"schema_version": SCHEMA_VERSION, "kind": "ood",
-               "run_id": cfg.run_id(), "model": cfg.model,
-               "dataset": cfg.dataset, "config": cfg.to_dict(),
-               "trials": trials}
-    for score in ("auroc_variance", "auroc_entropy"):
-        payload[f"mean_{score}"], payload[f"std_{score}"] = mean_std(
-            [t[score] for t in trials])
+    payload = _payload(cfg, "ood", trials=trials)
+    _add_mean_std(payload, trials, ("auroc_variance", "auroc_entropy"))
     os.makedirs(cfg.out_dir, exist_ok=True)
     write_json_atomic(os.path.join(cfg.out_dir, f"ood_{cfg.run_id()}.json"),
                       payload)
@@ -512,22 +528,17 @@ def run_attack(cfg: ExperimentConfig, checkpoint=None) -> dict:
             {"epsilon": epsilon, "robust_accuracy": result.robust_accuracy}
             for epsilon, result in curve]})
 
-    payload = {"schema_version": SCHEMA_VERSION, "kind": "attack_curve",
-               "run_id": cfg.run_id(), "model": cfg.model,
-               "dataset": cfg.dataset, "config": cfg.to_dict(),
-               "n_attack_samples": cfg.n_attack_samples,
-               "n_attacked": prefix.n, "trials": trials}
-    payload["mean_curve"], payload["std_curve"] = mean_std(
+    mean, std = mean_std(
         [[pt["robust_accuracy"] for pt in t["curve"]] for t in trials], axis=0)
+    payload = _payload(cfg, "attack_curve",
+                       n_attack_samples=cfg.n_attack_samples,
+                       n_attacked=prefix.n, trials=trials,
+                       mean_curve=mean, std_curve=std)
     os.makedirs(cfg.out_dir, exist_ok=True)
     stem = f"attack_{cfg.run_id()}_s{cfg.n_attack_samples}"
     write_json_atomic(os.path.join(cfg.out_dir, stem + ".json"), payload)
-    lines = ["epsilon,mean_robust_accuracy,std3"]
-    for j, epsilon in enumerate(cfg.eps_grid):
-        lines.append(f"{epsilon},{payload['mean_curve'][j]:.6f},"
-                     f"{3.0 * payload['std_curve'][j]:.6f}")
-    write_text_atomic(os.path.join(cfg.out_dir, stem + ".csv"),
-                      "\n".join(lines) + "\n")
+    write_text_atomic(os.path.join(cfg.out_dir, stem + ".csv"), _band_csv(
+        "epsilon,mean_robust_accuracy,std3", cfg.eps_grid, [(mean, std)]))
     return payload
 
 
@@ -581,15 +592,11 @@ def run_detect(cfg: ExperimentConfig, checkpoint=None) -> dict:
                 trial[f"balanced_n_per_class_{metric_name}"] = balanced.n_per_class
         trials.append(trial)
 
-    payload = {"schema_version": SCHEMA_VERSION, "kind": "detection",
-               "run_id": cfg.run_id(), "model": cfg.model,
-               "dataset": cfg.dataset, "config": cfg.to_dict(),
-               "epsilon": cfg.attack_epsilon, "trials": trials}
-    for score in ("auroc_variance", "auroc_entropy",
-                  "auroc_variance_balanced", "auroc_entropy_balanced"):
-        vals = [t[score] for t in trials if t[score] is not None]
-        payload[f"mean_{score}"], payload[f"std_{score}"] = (
-            mean_std(vals) if vals else (None, 0.0))
+    payload = _payload(cfg, "detection", epsilon=cfg.attack_epsilon,
+                       trials=trials)
+    _add_mean_std(payload, trials, ("auroc_variance", "auroc_entropy",
+                                    "auroc_variance_balanced",
+                                    "auroc_entropy_balanced"))
     os.makedirs(cfg.out_dir, exist_ok=True)
     write_json_atomic(
         os.path.join(cfg.out_dir,
@@ -623,31 +630,29 @@ def _load_results(results_dir, warnings: list):
     return groups
 
 
-def _fmt(value, digits=4):
-    return f"{value:.{digits}f}" if value is not None else ""
-
-
-def _accuracy_table(trials, axis_key: str) -> list:
-    """Rows (dataset, model, axis value) -> mean/std accuracy."""
+def _accuracy_table(trials, axes=()) -> str:
+    """CSV of mean/std accuracy per (dataset, model, *config axis values)."""
+    keys = ("dataset", "model", *axes)
     cells = {}
     for t in trials:
-        key = (t["dataset"], t["model"], t["config"][axis_key])
+        key = (t["dataset"], t["model"], *(t["config"][a] for a in axes))
         cells.setdefault(key, []).append(t["clean_accuracy"])
     rows = []
-    for (dataset, model, value), accs in sorted(cells.items()):
+    for key, accs in sorted(cells.items()):
         mean, std = mean_std(accs)
-        rows.append({"dataset": dataset, "model": model, axis_key: value,
-                     "n_trials": len(accs), "mean_accuracy": mean,
-                     "std_accuracy": std})
-    return rows
+        rows.append({**dict(zip(keys, key)), "n_trials": len(accs),
+                     "mean_accuracy": mean, "std_accuracy": std})
+    return _csv_from_rows(
+        rows, [*keys, "n_trials", "mean_accuracy", "std_accuracy"])
 
 
 def _csv_from_rows(rows, columns) -> str:
+    """Floats with 4 decimals; a missing or null value is an empty cell."""
     lines = [",".join(columns)]
     for row in rows:
         lines.append(",".join(
-            _fmt(v) if isinstance(v := row.get(c), float) else str(v if v is not None else "")
-            for c in columns))
+            f"{v:.4f}" if isinstance(v := row.get(c), float)
+            else "" if v is None else str(v) for c in columns))
     return "\n".join(lines) + "\n"
 
 
@@ -717,72 +722,40 @@ def run_report(results_dir, report_dir=None) -> dict:
     groups = _load_results(results_dir, warnings)
     written = []
 
+    def write(fname, text):
+        write_text_atomic(os.path.join(report_dir, fname), text)
+        written.append(fname)
+
     stochastic_trials = [t for t in groups["trial"] if t["model"] in ("ml", "vi")]
     baseline_trials = [t for t in groups["trial"] if t["model"] not in ("ml", "vi")]
 
     if stochastic_trials:
         for axis, fname in (("prior_variance", "table_accuracy_by_prior.csv"),
                             ("kl_weight", "table_accuracy_by_kl_weight.csv")):
-            rows = _accuracy_table(stochastic_trials, axis)
-            path = os.path.join(report_dir, fname)
-            write_text_atomic(path, _csv_from_rows(
-                rows, ["dataset", "model", axis, "n_trials", "mean_accuracy",
-                       "std_accuracy"]))
-            written.append(fname)
+            write(fname, _accuracy_table(stochastic_trials, (axis,)))
     else:
         warnings.append("no stochastic-model trials found")
-
     if baseline_trials:
-        cells = {}
-        for t in baseline_trials:
-            cells.setdefault((t["dataset"], t["model"]), []).append(
-                t["clean_accuracy"])
-        rows = []
-        for (d, m), accs in sorted(cells.items()):
-            mean, std = mean_std(accs)
-            rows.append({"dataset": d, "model": m, "n_trials": len(accs),
-                         "mean_accuracy": mean, "std_accuracy": std})
-        write_text_atomic(os.path.join(report_dir, "table_baseline_accuracy.csv"),
-                          _csv_from_rows(rows, ["dataset", "model", "n_trials",
-                                                "mean_accuracy", "std_accuracy"]))
-        written.append("table_baseline_accuracy.csv")
+        write("table_baseline_accuracy.csv", _accuracy_table(baseline_trials))
 
-    if groups["ood"]:
-        rows = [{"dataset": o["dataset"], "model": o["model"],
-                 "run_id": o["run_id"],
-                 "mean_auroc_variance": o["mean_auroc_variance"],
-                 "std_auroc_variance": o["std_auroc_variance"],
-                 "mean_auroc_entropy": o["mean_auroc_entropy"],
-                 "std_auroc_entropy": o["std_auroc_entropy"]}
-                for o in groups["ood"]]
-        write_text_atomic(os.path.join(report_dir, "table_ood_auroc.csv"),
-                          _csv_from_rows(rows, list(rows[0].keys())))
-        written.append("table_ood_auroc.csv")
-    else:
-        warnings.append("no ood results found")
-
-    if groups["detection"]:
-        rows = [{"dataset": d["dataset"], "model": d["model"],
-                 "epsilon": d["epsilon"],
-                 "mean_auroc_variance": d["mean_auroc_variance"],
-                 "mean_auroc_entropy": d["mean_auroc_entropy"],
-                 "mean_auroc_variance_balanced": d["mean_auroc_variance_balanced"],
-                 "mean_auroc_entropy_balanced": d["mean_auroc_entropy_balanced"]}
-                for d in groups["detection"]]
-        write_text_atomic(os.path.join(report_dir, "table_adv_detection_auroc.csv"),
-                          _csv_from_rows(rows, list(rows[0].keys())))
-        written.append("table_adv_detection_auroc.csv")
-    else:
-        warnings.append("no detection results found")
+    for kind, fname, columns in (
+            ("ood", "table_ood_auroc.csv",
+             ["dataset", "model", "run_id", "mean_auroc_variance",
+              "std_auroc_variance", "mean_auroc_entropy", "std_auroc_entropy"]),
+            ("detection", "table_adv_detection_auroc.csv",
+             ["dataset", "model", "epsilon", "mean_auroc_variance",
+              "mean_auroc_entropy", "mean_auroc_variance_balanced",
+              "mean_auroc_entropy_balanced"])):
+        if groups[kind]:
+            write(fname, _csv_from_rows(groups[kind], columns))
+        else:
+            warnings.append(f"no {kind} results found")
 
     for curve in groups["attack_curve"]:
-        fname = f"fig_robustness_{curve['run_id']}_s{curve['n_attack_samples']}.csv"
-        lines = ["x,y,err  # epsilon, mean robust accuracy, 3*std"]
-        for j, epsilon in enumerate(curve["config"]["eps_grid"]):
-            lines.append(f"{epsilon},{curve['mean_curve'][j]:.6f},"
-                         f"{3.0 * curve['std_curve'][j]:.6f}")
-        write_text_atomic(os.path.join(report_dir, fname), "\n".join(lines) + "\n")
-        written.append(fname)
+        write(f"fig_robustness_{curve['run_id']}_s{curve['n_attack_samples']}.csv",
+              _band_csv("x,y,err  # epsilon, mean robust accuracy, 3*std",
+                        curve["config"]["eps_grid"],
+                        [(curve["mean_curve"], curve["std_curve"])]))
     if not groups["attack_curve"]:
         warnings.append("no attack curves found")
 
@@ -793,33 +766,20 @@ def run_report(results_dir, report_dir=None) -> dict:
         by_run.setdefault(t["run_id"], []).append(t)
     for run_id, ts in sorted(by_run.items()):
         for metric in ("max_variance", "entropy"):
-            edges = ts[0]["histograms"][metric]["bin_edges"]
-            lines = [f"x,y_correct,err_correct,y_wrong,err_wrong  # bin left edge,"
-                     f" mean count, 3*std over {len(ts)} trials"]
-            stats = [mean_std([t["histograms"][metric]["counts"][g] for t in ts],
-                              axis=0) for g in ("correct", "wrong")]
-            for j in range(len(edges) - 1):
-                lines.append(f"{edges[j]:.6g}," + ",".join(
-                    f"{mean[j]:.3f},{3.0 * std[j]:.3f}" for mean, std in stats))
-            fname = f"fig_{metric}_hist_{run_id}.csv"
-            write_text_atomic(os.path.join(report_dir, fname),
-                              "\n".join(lines) + "\n")
-            written.append(fname)
-        if ts[0].get("mixing_variance"):
-            n_layers = len(ts[0]["mixing_variance"])
-            for layer in range(n_layers):
-                edges = ts[0]["mixing_variance"][layer]["histogram"]["bin_edges"]
-                mean, std = mean_std(
-                    [t["mixing_variance"][layer]["histogram"]["counts"]
-                     for t in ts], axis=0)
-                lines = ["x,y,err  # bin left edge, mean count, 3*std"]
-                for j in range(len(edges) - 1):
-                    lines.append(f"{edges[j]:.6g},{mean[j]:.3f},"
-                                 f"{3.0 * std[j]:.3f}")
-                fname = f"fig_mixing_variance_layer{layer}_{run_id}.csv"
-                write_text_atomic(os.path.join(report_dir, fname),
-                                  "\n".join(lines) + "\n")
-                written.append(fname)
+            write(f"fig_{metric}_hist_{run_id}.csv", _band_csv(
+                f"x,y_correct,err_correct,y_wrong,err_wrong  # bin left edge,"
+                f" mean count, 3*std over {len(ts)} trials",
+                ts[0]["histograms"][metric]["bin_edges"][:-1],
+                [mean_std([t["histograms"][metric]["counts"][g] for t in ts],
+                          axis=0) for g in ("correct", "wrong")],
+                x_fmt=".6g", digits=3))
+        for layer in range(len(ts[0].get("mixing_variance") or ())):
+            hists = [t["mixing_variance"][layer]["histogram"] for t in ts]
+            write(f"fig_mixing_variance_layer{layer}_{run_id}.csv", _band_csv(
+                "x,y,err  # bin left edge, mean count, 3*std",
+                hists[0]["bin_edges"][:-1],
+                [mean_std([h["counts"] for h in hists], axis=0)],
+                x_fmt=".6g", digits=3))
 
     # Per-run aggregate metrics in the metric,mean,std,n_trials format.
     for run_id, ts in sorted(by_run.items()):
@@ -831,16 +791,11 @@ def run_report(results_dir, report_dir=None) -> dict:
             if len(vals) >= 2:
                 named[field_name] = aggregate(vals)
         if named:
-            fname = f"aggregate_{run_id}.csv"
-            write_text_atomic(os.path.join(report_dir, fname),
-                              metrics.aggregates_csv(named))
-            written.append(fname)
+            write(f"aggregate_{run_id}.csv", metrics.aggregates_csv(named))
 
     summary_lines = ["result files consolidated from: " + str(results_dir), ""]
     if warnings:
         summary_lines += [f"warning: {w}" for w in warnings] + [""]
     summary_lines += _ordering_summary(groups)
-    write_text_atomic(os.path.join(report_dir, "summary.txt"),
-                      "\n".join(summary_lines) + "\n")
-    written.append("summary.txt")
+    write("summary.txt", "\n".join(summary_lines) + "\n")
     return {"report_dir": report_dir, "written": written, "warnings": warnings}

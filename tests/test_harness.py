@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from infmix import harness
 from infmix.baselines import DeterministicMlp
 from infmix.checkpoint import load_model, save_model
 from infmix.cli import main
@@ -45,9 +46,15 @@ BAD_VALUES = [
     ("eps_grid", "0.3,0.1"), ("eps_grid", "-0.1,0.2"), ("eps_grid", "0,nan"),
     ("attack_epsilon", "-0.25"), ("attack_epsilon", "nan"),
     ("attack_step", "0"),
+    ("kl_weight", "-1"), ("kl_weight", "nan"), ("prior_variance", "0"),
+    ("prior_variance", "nan"), ("learning_rate", "nan"),
+    ("learning_rate", "-0.5"), ("learning_rate", "0"), ("weight_decay", "-1"),
+    ("weight_decay", "nan"), ("base_seed", "-1"), ("kl_weight_grid", "1,-0.1"),
+    ("kl_weight_grid", "1,nan"), ("prior_grid", "1,0"), ("prior_grid", "nan"),
 ]
 
-_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+_NONNEGATIVE = st.floats(0.0, allow_infinity=False)
+_POSITIVE = st.floats(0.0, allow_infinity=False, exclude_min=True)
 _COUNT = st.integers(1, 10**6)
 _EPS = st.floats(0.0, 1.0)
 # A path is free text, less what the line format cannot carry: '#' starts a
@@ -60,15 +67,16 @@ VALID = {
     "schema_version": st.just(1),
     "model": st.sampled_from(MODEL_KINDS),
     "dataset": st.from_regex(r"[A-Za-z0-9][A-Za-z0-9_.-]{0,10}", fullmatch=True),
-    "kl_weight": _FINITE, "prior_variance": _FINITE,
+    "kl_weight": _NONNEGATIVE, "prior_variance": _POSITIVE,
     "n_train_samples": _COUNT, "n_eval_samples": _COUNT,
-    "batch_size": _COUNT, "learning_rate": _FINITE,
+    "batch_size": _COUNT, "learning_rate": _POSITIVE,
     "iterations": st.integers(0, 10**6),
     "n_trials": _COUNT, "base_seed": st.integers(0, 2**32),
     "sweep": st.sampled_from(SWEEP_AXES),
-    "kl_weight_grid": st.lists(_FINITE, max_size=4).map(tuple),
-    "prior_grid": st.lists(_FINITE, max_size=4).map(tuple),
-    "weight_decay": _FINITE, "dropout_p": st.floats(0.0, 1.0, exclude_max=True),
+    "kl_weight_grid": st.lists(_NONNEGATIVE, max_size=4).map(tuple),
+    "prior_grid": st.lists(_POSITIVE, max_size=4).map(tuple),
+    "weight_decay": _NONNEGATIVE,
+    "dropout_p": st.floats(0.0, 1.0, exclude_max=True),
     "ensemble_size": _COUNT,
     "eps_grid": st.lists(_EPS, max_size=5).map(lambda v: tuple(sorted(v))),
     "attack_iterations": _COUNT,
@@ -86,8 +94,11 @@ _NOT_A_NUMBER = st.sampled_from(["", "x", "1..2", "0x1g"])
 _BAD_COUNT = _NOT_A_NUMBER | st.sampled_from(["1.5", "1e3"]) | st.integers(
     -10**6, 0).map(str)
 _BAD_SIZE = _NOT_A_NUMBER | st.sampled_from(["1.5", "-1"])
-_BAD_TEXT = {name: _NOT_A_NUMBER for name in (
-    "kl_weight", "prior_variance", "learning_rate", "weight_decay")}
+_BAD_NONNEGATIVE = _NOT_A_NUMBER | st.sampled_from(["-1", "-1e-9", "nan"])
+_BAD_POSITIVE = _BAD_NONNEGATIVE | st.sampled_from(["0", "-0.0"])
+_BAD_TEXT = {name: _BAD_NONNEGATIVE for name in ("kl_weight", "weight_decay")}
+_BAD_TEXT.update({name: _BAD_POSITIVE for name in (
+    "prior_variance", "learning_rate")})
 _BAD_TEXT.update({name: _BAD_COUNT for name in (
     "n_train_samples", "n_eval_samples", "batch_size", "n_trials",
     "ensemble_size", "attack_iterations", "n_attack_samples", "threads")})
@@ -98,8 +109,10 @@ _BAD_TEXT.update({
     "model": st.sampled_from(["transformer", "ML", ""]),
     "sweep": st.sampled_from(["grid", "kl"]),
     "dataset": st.sampled_from(["", "a b", "../x", "x/y", "-x"]),
-    "base_seed": _NOT_A_NUMBER, "kl_weight_grid": st.just("1,x"),
-    "prior_grid": st.just("a,b"), "dropout_p": st.sampled_from(["1", "-1", "x"]),
+    "base_seed": _NOT_A_NUMBER | st.integers(-10**6, -1).map(str),
+    "kl_weight_grid": st.sampled_from(["1,x", "1,-0.5", "0.1,nan"]),
+    "prior_grid": st.sampled_from(["a,b", "1,0", "-1", "0.5,nan"]),
+    "dropout_p": st.sampled_from(["1", "-1", "x"]),
     "eps_grid": st.sampled_from(["0.2,0.1", "-1", "0,x"]),
     "attack_step": st.sampled_from(["0", "-0.1", "x"]),
     "attack_random_init": st.sampled_from(["maybe", "2"]),
@@ -164,6 +177,11 @@ class TestConfigParsing:
     def test_zero_threads_flag_rejected(self, capsys):
         assert main(["--threads", "0", "train"]) == 1
         assert "threads must be >= 1" in capsys.readouterr().err
+
+    def test_negative_seed_flag_rejected(self, capsys):
+        assert main(["--seed", "-1", "train"]) == 1
+        err = capsys.readouterr().err
+        assert err == "config error: base_seed must be >= 0, got -1\n"
 
 
 class TestConfigProperties:
@@ -446,6 +464,70 @@ class TestRunAttackDetect:
         outcome = run_report(str(tmp_path))
         summary = open(os.path.join(outcome["report_dir"], "summary.txt")).read()
         assert "balanced_entropy=undefined" in summary
+
+
+_HEADER = {"schema_version", "kind", "run_id", "model", "dataset", "config"}
+_TRIAL_KEYS = _HEADER | {
+    "seed", "clean_accuracy", "mean_max_variance", "mean_entropy",
+    "mean_max_variance_correct", "mean_max_variance_wrong",
+    "mean_entropy_correct", "mean_entropy_wrong", "histograms", "checkpoint",
+    "histogram_csv"}
+
+
+def _written_keys(out_dir, name) -> set:
+    with open(os.path.join(out_dir, name)) as f:
+        return set(json.load(f))
+
+
+class TestPayloadKeys:
+    """The key set of every result kind, as written to disk."""
+
+    def test_trial_keys(self, trained_run, synthetic_data_dir, tmp_path):
+        cfg, _ = trained_run
+        assert _written_keys(cfg.out_dir, f"{cfg.run_id()}_seed0.json") == (
+            _TRIAL_KEYS | {"mixing_variance", "final_kl", "loss_csv",
+                           "final_loss"})
+        base = fast_config(synthetic_data_dir, tmp_path, model="deterministic",
+                           n_trials=1, iterations=3)
+        run_train(base)
+        assert _written_keys(tmp_path, f"{base.run_id()}_seed0.json") == (
+            _TRIAL_KEYS)
+
+    def test_trial_without_wrong_predictions(self, synthetic_data_dir,
+                                             tmp_path, monkeypatch):
+        # The wrong-group means of a perfect classifier are null.
+        perfect = load_model(perfect_checkpoint(tmp_path))
+        monkeypatch.setattr(harness, "train_model_for_trial",
+                            lambda cfg, data, seed: (perfect, []))
+        cfg = fast_config(synthetic_data_dir, tmp_path, model="deterministic")
+        result = harness.run_trial(cfg, None, load_split(synthetic_data_dir,
+                                                         "test"), seed=0)
+        assert result["clean_accuracy"] == 1.0
+        assert result["mean_max_variance_wrong"] is None
+        assert result["mean_entropy_wrong"] is None
+        assert result["mean_entropy_correct"] == result["mean_entropy"]
+        assert result["mean_max_variance_correct"] == (
+            result["mean_max_variance"])
+
+    def test_evaluation_keys(self, trained_run, tmp_path):
+        cfg, _ = trained_run
+        ckpt = os.path.join(cfg.out_dir, f"{cfg.run_id()}_seed0.ckpt")
+        cfg = cfg.replace(out_dir=str(tmp_path), detect_full_test=False)
+        run_ood(cfg, checkpoint=ckpt)
+        assert _written_keys(tmp_path, f"ood_{cfg.run_id()}.json") == (
+            _HEADER | {"trials", "mean_auroc_variance", "std_auroc_variance",
+                       "mean_auroc_entropy", "std_auroc_entropy"})
+        run_attack(cfg, checkpoint=ckpt)
+        assert _written_keys(tmp_path, f"attack_{cfg.run_id()}_s1.json") == (
+            _HEADER | {"n_attack_samples", "n_attacked", "trials",
+                       "mean_curve", "std_curve"})
+        run_detect(cfg, checkpoint=ckpt)
+        assert _written_keys(
+            tmp_path, f"detect_{cfg.run_id()}_eps0.25.json") == (
+            _HEADER | {"epsilon", "trials"}
+            | {f"{stat}_auroc_{score}" for stat in ("mean", "std")
+               for score in ("variance", "entropy", "variance_balanced",
+                             "entropy_balanced")})
 
 
 class TestRunReport:

@@ -1,0 +1,167 @@
+"""The bytes of every ``run_report`` output, from hand-made result payloads.
+
+The payloads are written by hand, not by training, so the pinned digests do
+not depend on the platform's BLAS or on the training code: they change only
+when the report's tables, figure data or summary change.
+"""
+
+import hashlib
+import json
+import os
+
+from infmix.harness import run_report
+
+VARIANCE_EDGES = [0.0, 0.08333333333333333, 0.16666666666666666, 0.25]
+ENTROPY_EDGES = [0.0, 0.7675283643313486, 1.5350567286626973,
+                 2.302585092994046]
+MIXING_EDGES = [1e-08, 3.1622776601683795e-05, 1.0]
+
+
+def trial(model, seed, accuracy, kl_weight=1.0, prior_variance=1.0):
+    stochastic = model in ("ml", "vi")
+    run_id = (f"{model}_synthetic_kl{kl_weight:g}_pv{prior_variance:g}"
+              if stochastic else f"{model}_synthetic")
+    payload = {
+        "schema_version": 1, "kind": "trial", "run_id": run_id,
+        "model": model, "dataset": "synthetic", "seed": seed,
+        "config": {"model": model, "kl_weight": kl_weight,
+                   "prior_variance": prior_variance},
+        "clean_accuracy": accuracy,
+        "mean_max_variance": 0.01 + 0.002 * seed,
+        "mean_entropy": 0.3 + 0.05 * seed,
+        "mean_max_variance_correct": 0.008 + 0.001 * seed,
+        # A trial with no wrong predictions has no wrong-group means.
+        "mean_max_variance_wrong": 0.04 + 0.003 * seed if seed else None,
+        "mean_entropy_correct": 0.25 + 0.01 * seed,
+        "mean_entropy_wrong": 1.1 + 0.1 * seed if seed else None,
+        "histograms": {
+            "max_variance": {"bin_edges": VARIANCE_EDGES, "counts": {
+                "correct": [seed + 3, 2 * seed, 5], "wrong": [1, seed, 0]}},
+            "entropy": {"bin_edges": ENTROPY_EDGES, "counts": {
+                "correct": [7 - seed, seed, 1], "wrong": [0, 1, seed]}},
+        },
+    }
+    if stochastic:
+        payload["mixing_variance"] = [
+            {"layer": layer, "histogram": {"bin_edges": MIXING_EDGES,
+                                           "counts": [seed + layer, 9 - seed]}}
+            for layer in range(2)]
+    return payload
+
+
+# Files load in name order; the "a_" names put cells out of table order.
+PAYLOADS = {
+    "ml_kl1_seed0.json": trial("ml", 0, 0.9375),
+    "ml_kl1_seed1.json": trial("ml", 1, 0.875),
+    "ml_kl1_seed2.json": trial("ml", 2, 0.90625),
+    "ml_kl0.1_seed0.json": trial("ml", 0, 0.8125, kl_weight=0.1),
+    "a_ml_pv3_seed0.json": trial("ml", 0, 0.84375, prior_variance=3.0),
+    "vi_kl1_seed0.json": trial("vi", 0, 0.9),
+    "vi_kl1_seed1.json": trial("vi", 1, 0.8),
+    "deterministic_seed0.json": trial("deterministic", 0, 0.95),
+    "deterministic_seed1.json": trial("deterministic", 1, 0.9),
+    "a_dropout_seed0.json": trial("dropout", 0, 0.925),
+    "sweep_kl_weight_ml_synthetic.json": {
+        "schema_version": 1, "kind": "sweep", "config": {"sweep": "kl_weight"},
+        "rows": [{"sweep": "kl_weight", "value": 1.0, "mean_accuracy": 0.9}]},
+    "ood_ml.json": {
+        "schema_version": 1, "kind": "ood", "run_id": "ml_synthetic_kl1_pv1",
+        "model": "ml", "dataset": "synthetic", "config": {},
+        "mean_auroc_variance": 0.71875, "std_auroc_variance": 0.03125,
+        "mean_auroc_entropy": 0.8125, "std_auroc_entropy": 0.0},
+    "ood_vi.json": {
+        "schema_version": 1, "kind": "ood", "run_id": "vi_synthetic_kl1_pv1",
+        "model": "vi", "dataset": "synthetic", "config": {},
+        "mean_auroc_variance": 0.6, "std_auroc_variance": 0.1,
+        "mean_auroc_entropy": 2 / 3, "std_auroc_entropy": 0.05},
+    "attack_ml_s1.json": {
+        "schema_version": 1, "kind": "attack_curve",
+        "run_id": "ml_synthetic_kl1_pv1", "model": "ml",
+        "dataset": "synthetic", "config": {"eps_grid": [0.0, 0.1, 0.3]},
+        "n_attack_samples": 1, "n_attacked": 200,
+        "mean_curve": [0.9, 0.5, 0.125], "std_curve": [0.0, 0.02, 1 / 3]},
+    "detect_ml.json": {
+        "schema_version": 1, "kind": "detection",
+        "run_id": "ml_synthetic_kl1_pv1", "model": "ml",
+        "dataset": "synthetic", "config": {}, "epsilon": 0.25,
+        "mean_auroc_variance": 0.75, "std_auroc_variance": 0.0,
+        "mean_auroc_entropy": 0.78125, "std_auroc_entropy": 0.0,
+        "mean_auroc_variance_balanced": 0.7, "std_auroc_variance_balanced": 0.0,
+        "mean_auroc_entropy_balanced": None, "std_auroc_entropy_balanced": 0.0},
+}
+
+# First 16 hex digits of each output file's SHA-256, in the order written.
+REPORT_DIGESTS = {
+    "table_accuracy_by_prior.csv": "210ea3b73f79f56b",
+    "table_accuracy_by_kl_weight.csv": "66648f93ccf3f0d5",
+    "table_baseline_accuracy.csv": "9e46ee662a974024",
+    "table_ood_auroc.csv": "634d15eae286d5e8",
+    "table_adv_detection_auroc.csv": "e9f80e6db31029b9",
+    "fig_robustness_ml_synthetic_kl1_pv1_s1.csv": "874df13e87831906",
+    "fig_max_variance_hist_deterministic_synthetic.csv": "ddd400568e34401b",
+    "fig_entropy_hist_deterministic_synthetic.csv": "4f087fd1998548bf",
+    "fig_max_variance_hist_dropout_synthetic.csv": "c4a25559c096f8fd",
+    "fig_entropy_hist_dropout_synthetic.csv": "f9b22978d89a14bf",
+    "fig_max_variance_hist_ml_synthetic_kl0.1_pv1.csv": "c4a25559c096f8fd",
+    "fig_entropy_hist_ml_synthetic_kl0.1_pv1.csv": "f9b22978d89a14bf",
+    "fig_mixing_variance_layer0_ml_synthetic_kl0.1_pv1.csv":
+        "8dd154fc730a0e05",
+    "fig_mixing_variance_layer1_ml_synthetic_kl0.1_pv1.csv":
+        "1e434c6e7e20d550",
+    "fig_max_variance_hist_ml_synthetic_kl1_pv1.csv": "6d0f56de79b3ab78",
+    "fig_entropy_hist_ml_synthetic_kl1_pv1.csv": "1a71b209083676e5",
+    "fig_mixing_variance_layer0_ml_synthetic_kl1_pv1.csv": "d400100ba1504870",
+    "fig_mixing_variance_layer1_ml_synthetic_kl1_pv1.csv": "6a42308ff4e45576",
+    "fig_max_variance_hist_ml_synthetic_kl1_pv3.csv": "c4a25559c096f8fd",
+    "fig_entropy_hist_ml_synthetic_kl1_pv3.csv": "f9b22978d89a14bf",
+    "fig_mixing_variance_layer0_ml_synthetic_kl1_pv3.csv": "8dd154fc730a0e05",
+    "fig_mixing_variance_layer1_ml_synthetic_kl1_pv3.csv": "1e434c6e7e20d550",
+    "fig_max_variance_hist_vi_synthetic_kl1_pv1.csv": "ddd400568e34401b",
+    "fig_entropy_hist_vi_synthetic_kl1_pv1.csv": "4f087fd1998548bf",
+    "fig_mixing_variance_layer0_vi_synthetic_kl1_pv1.csv": "7dbfdbe01659ed85",
+    "fig_mixing_variance_layer1_vi_synthetic_kl1_pv1.csv": "87fcf7ec75f6c065",
+    "aggregate_deterministic_synthetic.csv": "231733cc9e5fee2e",
+    "aggregate_ml_synthetic_kl1_pv1.csv": "33c087b730d4f028",
+    "aggregate_vi_synthetic_kl1_pv1.csv": "98c75fd343bc65a1",
+    "summary.txt": "ae23d7341abf8db3",
+}
+
+
+def test_report_bytes_are_pinned(tmp_path, monkeypatch):
+    # A relative results directory keeps the summary's first line fixed.
+    monkeypatch.chdir(tmp_path)
+    os.mkdir("results")
+    for name, payload in PAYLOADS.items():
+        with open(os.path.join("results", name), "w") as f:
+            json.dump(payload, f)
+    outcome = run_report("results")
+    assert outcome["report_dir"] == os.path.join("results", "report")
+    assert outcome["warnings"] == []
+    digests = {}
+    for name in outcome["written"]:
+        with open(os.path.join(outcome["report_dir"], name), "rb") as f:
+            digests[name] = hashlib.sha256(f.read()).hexdigest()[:16]
+    assert list(digests.items()) == list(REPORT_DIGESTS.items())
+    assert sorted(os.listdir(outcome["report_dir"])) == sorted(REPORT_DIGESTS)
+
+
+def test_partial_report_names_what_is_missing(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    os.mkdir("results")
+    for name in ("deterministic_seed0.json", "a_dropout_seed0.json"):
+        with open(os.path.join("results", name), "w") as f:
+            json.dump(PAYLOADS[name], f)
+    outcome = run_report("results")
+    assert outcome["written"] == [
+        "table_baseline_accuracy.csv",
+        "fig_max_variance_hist_deterministic_synthetic.csv",
+        "fig_entropy_hist_deterministic_synthetic.csv",
+        "fig_max_variance_hist_dropout_synthetic.csv",
+        "fig_entropy_hist_dropout_synthetic.csv", "summary.txt"]
+    with open(os.path.join("results", "report", "summary.txt")) as f:
+        assert f.read() == (
+            "result files consolidated from: results\n\n"
+            "warning: no stochastic-model trials found\n"
+            "warning: no ood results found\n"
+            "warning: no detection results found\n"
+            "warning: no attack curves found\n\n")
