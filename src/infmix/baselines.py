@@ -11,28 +11,17 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .data import BatchIterator, Dataset
-from .network import (DRAW_BLOCK, WEIGHT_GRADS, PredictiveSummary, backward,
-                      forward, mixture_loss_input_grad, mixture_predict)
-from .tensor import AdamState, Array, Rng, adam_step
+from .data import Dataset
+from .network import (DEFAULT_TOPOLOGY, DRAW_BLOCK, WEIGHT_GRADS,
+                      PredictiveSummary, backward, forward,
+                      mixture_loss_input_grad, mixture_predict)
+from .objectives import FitConfig, fit
+from .tensor import Array, Rng
 
 DEFAULT_WEIGHT_DECAY = 1.0 / 60_000.0
 
 _MASK_STREAM = 3
 _MEMBER_SEED_STRIDE = 100_003  # keeps member seeds disjoint from trial seeds
-
-
-@dataclass
-class FitConfig:
-    """Optimization settings shared by all point-estimate baselines."""
-
-    batch_size: int = 200
-    learning_rate: float = 1e-3
-    iterations: int = 30_000
-    seed: int = 0
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.999
-    adam_eps: float = 1e-8
 
 
 def glorot_weights(topology, rng: Rng):
@@ -152,63 +141,46 @@ def _decay_gradient(weights, weight_decay: float):
     return grads
 
 
-def _train_point_estimate(data: Dataset, weight_decay: float, cfg: FitConfig,
-                          p_drop: float = 0.0, topology=(784, 128, 128, 10),
-                          progress=None):
-    """Cross-entropy + L2 training; optional per-example dropout masks."""
+def train_deterministic(data: Dataset, weight_decay: float = DEFAULT_WEIGHT_DECAY,
+                        cfg: FitConfig | None = None, topology=DEFAULT_TOPOLOGY,
+                        progress=None) -> DeterministicMlp:
+    model = train_dropout(data, 0.0, weight_decay, cfg, topology, progress)
+    return DeterministicMlp(weights=model.weights)
+
+
+def train_dropout(data: Dataset, p_drop: float = 0.5,
+                  weight_decay: float = DEFAULT_WEIGHT_DECAY,
+                  cfg: FitConfig | None = None, topology=DEFAULT_TOPOLOGY,
+                  progress=None) -> DropoutMlp:
+    """Cross-entropy + L2 training by ``fit``; per-example masks if p_drop > 0."""
+    cfg = cfg or FitConfig()
     if weight_decay < 0:
         raise ValueError(f"weight_decay must be >= 0, got {weight_decay}")
-    weights = glorot_weights(topology, Rng(cfg.seed).derive(0))
+    model = DropoutMlp(weights=glorot_weights(topology, Rng(cfg.seed).derive(0)),
+                       p_drop=p_drop)
+    weights = model.weights
     mask_rng = Rng(cfg.seed).derive(_MASK_STREAM)
-    batches = BatchIterator(data, cfg.batch_size, seed=cfg.seed)
-    states = [AdamState.for_shape(w.shape, learning_rate=cfg.learning_rate,
-                                  beta1=cfg.adam_beta1, beta2=cfg.adam_beta2,
-                                  eps=cfg.adam_eps)
-              for w in weights]
-    for it in range(cfg.iterations):
-        images, labels = batches.next_batch()
+
+    def step(images, labels):
         b = images.shape[0]
         masks = _dropout_masks(mask_rng, weights, p_drop, b) if p_drop > 0.0 else None
         log_probs, trace = forward(weights, images, hidden_masks=masks)
-        nll = -float(log_probs[np.arange(b), labels].mean())
-        if not np.isfinite(nll):
-            raise RuntimeError(f"training diverged (non-finite loss) at iteration {it}")
         grad_log_probs = np.zeros_like(log_probs)
         grad_log_probs[np.arange(b), labels] = -1.0 / b
         trace.needs = WEIGHT_GRADS
         grad_w, _ = backward(trace, grad_log_probs)
         for g, dg in zip(grad_w, _decay_gradient(weights, weight_decay)):
             g += dg
-        for l in range(len(weights)):
-            weights[l] = adam_step(states[l], weights[l], grad_w[l],
-                                   name=f"layer{l}.weights")
-        if progress is not None:
-            progress(it, nll)
-    return weights
+        return -float(log_probs[np.arange(b), labels].mean()), 0.0, grad_w
 
-
-def train_deterministic(data: Dataset, weight_decay: float = DEFAULT_WEIGHT_DECAY,
-                        cfg: FitConfig | None = None, topology=(784, 128, 128, 10),
-                        progress=None) -> DeterministicMlp:
-    cfg = cfg or FitConfig()
-    weights = _train_point_estimate(data, weight_decay, cfg, p_drop=0.0,
-                                    topology=topology, progress=progress)
-    return DeterministicMlp(weights=weights)
-
-
-def train_dropout(data: Dataset, p_drop: float = 0.5,
-                  weight_decay: float = DEFAULT_WEIGHT_DECAY,
-                  cfg: FitConfig | None = None, topology=(784, 128, 128, 10),
-                  progress=None) -> DropoutMlp:
-    cfg = cfg or FitConfig()
-    weights = _train_point_estimate(data, weight_decay, cfg, p_drop=p_drop,
-                                    topology=topology, progress=progress)
-    return DropoutMlp(weights=weights, p_drop=p_drop)
+    fit(weights, [f"layer{l}.weights" for l in range(len(weights))], step,
+        data, cfg, progress=progress)
+    return model
 
 
 def train_ensemble(data: Dataset, k: int = 5,
                    weight_decay: float = DEFAULT_WEIGHT_DECAY,
-                   cfg: FitConfig | None = None, topology=(784, 128, 128, 10),
+                   cfg: FitConfig | None = None, topology=DEFAULT_TOPOLOGY,
                    progress=None) -> DeepEnsemble:
     """k members trained independently from distinct derived seeds."""
     cfg = cfg or FitConfig()

@@ -1,7 +1,8 @@
 """Command-line interface.
 
 Subcommands: train, sweep, ood, attack, detect, gradcheck, report.
-Exit codes: 0 success, 1 config/usage error, 2 verification failure.
+Exit codes: 0 success, 1 config/usage error or a diverged run,
+2 verification failure.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ from . import harness
 from .checkpoint import CheckpointError
 from .data import DataConsistencyError, IdxFormatError
 from .harness import ConfigError, ExperimentConfig, load_config
+from .objectives import TrainingDiverged
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -129,6 +131,9 @@ def main(argv=None) -> int:
     except (ConfigError, OSError, IdxFormatError, DataConsistencyError,
             CheckpointError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except (TrainingDiverged, FloatingPointError) as exc:
+        print(f"numerical error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import os
 import re
 from concurrent.futures import ThreadPoolExecutor
@@ -112,6 +113,11 @@ class ExperimentConfig:
         if not re.fullmatch(r"[A-Za-z0-9][A-Za-z0-9_.-]*", self.dataset):
             raise ConfigError(f"dataset must be a plain file-name token "
                               f"(letters, digits, '_', '.', '-'), got {self.dataset!r}")
+        for f in dataclasses.fields(self):
+            value = getattr(self, f.name)
+            entries = value if isinstance(value, tuple) else (value,)
+            if math.inf in entries or -math.inf in entries:
+                raise ConfigError(f"{f.name} must be finite, got {value}")
         for name in ("n_trials", "threads", "n_train_samples", "n_eval_samples",
                      "batch_size", "ensemble_size", "n_attack_samples",
                      "attack_iterations"):
@@ -242,21 +248,17 @@ def write_text_atomic(path, text: str) -> None:
 
 def train_model_for_trial(cfg: ExperimentConfig, train_data: Dataset, seed: int):
     """Train one model of the configured kind; returns (model, loss records)."""
+    fit = baselines.FitConfig(batch_size=cfg.batch_size, seed=seed,
+                              learning_rate=cfg.learning_rate,
+                              iterations=cfg.iterations)
     if cfg.model in ("ml", "vi"):
         net = StochasticMlp.create(Rng(seed).derive(0))
         tc = TrainConfig(objective=ObjectiveKind(cfg.model),
                          kl_weight=cfg.kl_weight,
                          prior=PriorSpec(cfg.prior_variance),
                          n_train_samples=cfg.n_train_samples,
-                         batch_size=cfg.batch_size,
-                         learning_rate=cfg.learning_rate,
-                         iterations=cfg.iterations,
-                         seed=seed)
-        records = train(net, train_data, tc, record_every=cfg.loss_record_every)
-        return net, records
-    fit = baselines.FitConfig(batch_size=cfg.batch_size,
-                              learning_rate=cfg.learning_rate,
-                              iterations=cfg.iterations, seed=seed)
+                         **dataclasses.asdict(fit))
+        return net, train(net, train_data, tc, record_every=cfg.loss_record_every)
     if cfg.model == "deterministic":
         return baselines.train_deterministic(train_data, cfg.weight_decay, fit), []
     if cfg.model == "dropout":

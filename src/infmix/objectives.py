@@ -10,6 +10,9 @@ Both are regularized by a KL term to the weight prior, weighted by
 of the full-dataset objective divided by N.  By Jensen, ml >= vi always,
 with equality at S = 1; the backward pass differs only in the per-(n, s)
 mixture weights (softmax of l over s for ml, uniform 1/S for vi).
+
+``fit`` is the one minibatch-ADAM loop; every model kind, these two and the
+baselines, trains through it with its own step closure.
 """
 
 from __future__ import annotations
@@ -36,25 +39,32 @@ _WEIGHT_SAMPLE_STREAM = 2
 
 
 @dataclass
-class TrainConfig:
-    objective: ObjectiveKind = ObjectiveKind.ML
-    kl_weight: float = 1.0
-    prior: PriorSpec = field(default_factory=PriorSpec)
-    n_train_samples: int = 5
+class FitConfig:
+    """Minibatch-ADAM settings shared by every model kind."""
+
     batch_size: int = 200
     learning_rate: float = 1e-3
     iterations: int = 30_000
     seed: int = 0
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.999
-    adam_eps: float = 1e-8
+
+
+@dataclass
+class TrainConfig(FitConfig):
+    objective: ObjectiveKind = ObjectiveKind.ML
+    kl_weight: float = 1.0
+    prior: PriorSpec = field(default_factory=PriorSpec)
+    n_train_samples: int = 5
 
     def __post_init__(self):
         if self.n_train_samples < 1:
             raise ValueError(f"n_train_samples must be >= 1, got {self.n_train_samples}")
-        if self.kl_weight < 0:
+        if not self.kl_weight >= 0:
             raise ValueError(f"kl_weight must be >= 0, got {self.kl_weight}")
         self.objective = ObjectiveKind(self.objective)
+
+
+class TrainingDiverged(RuntimeError):
+    """A non-finite loss; the message names the iteration."""
 
 
 def per_example_loglik(net: StochasticMlp, images: Array, labels, n_samples: int,
@@ -127,28 +137,6 @@ def loss_history_csv(records) -> str:
     return "\n".join(lines) + "\n"
 
 
-class _ParamOptimizer:
-    """One ADAM state per (layer, block) so errors can name their block."""
-
-    BLOCKS = ("mean", "row_scale_raw", "col_scale_raw")
-
-    def __init__(self, net: StochasticMlp, cfg: TrainConfig):
-        self.states = {}
-        for l, layer in enumerate(net.layers):
-            for block in self.BLOCKS:
-                arr = getattr(layer, block)
-                self.states[(l, block)] = AdamState.for_shape(
-                    arr.shape, learning_rate=cfg.learning_rate,
-                    beta1=cfg.adam_beta1, beta2=cfg.adam_beta2, eps=cfg.adam_eps)
-
-    def step(self, net: StochasticMlp, grads):
-        for l, layer in enumerate(net.layers):
-            for block, grad in zip(self.BLOCKS, grads[l]):
-                new = adam_step(self.states[(l, block)], getattr(layer, block),
-                                grad, name=f"layer{l}.{block}")
-                setattr(layer, block, new)
-
-
 def objective_gradients(net: StochasticMlp, images: Array, labels,
                         cfg: TrainConfig, n_total: int, rng: Rng):
     """Loss terms and parameter gradients for one batch.
@@ -181,28 +169,51 @@ def objective_gradients(net: StochasticMlp, images: Array, labels,
     return nll_term, kl_term, grads
 
 
-def train(net: StochasticMlp, data: Dataset, cfg: TrainConfig,
-          record_every: int = 1, progress=None):
-    """Minibatch-ADAM training loop; mutates ``net`` and returns loss records.
+def fit(params, names, step, data: Dataset, cfg: FitConfig,
+        record_every: int = 0, progress=None):
+    """The one minibatch-ADAM loop; updates ``params`` in place.
 
-    Deterministic per (net initialization, cfg.seed): batch order and weight
-    draws come from streams derived from cfg.seed.  Aborts on a non-finite
-    loss, naming the iteration.
+    ``step(images, labels)`` returns (nll_term, penalty_term, grads) with
+    one gradient per array of ``params``; ``names`` label the arrays in
+    errors.  Aborts on a non-finite loss, naming the iteration.  The loss,
+    the activations and the gradients are checked for non-finite values, so
+    numpy's own overflow warnings on the way there are silenced.
     """
     batches = BatchIterator(data, cfg.batch_size, seed=cfg.seed)
-    sample_rng = Rng(cfg.seed).derive(_WEIGHT_SAMPLE_STREAM)
-    optimizer = _ParamOptimizer(net, cfg)
+    states = [AdamState.for_shape(p.shape, learning_rate=cfg.learning_rate)
+              for p in params]
     records = []
     for it in range(cfg.iterations):
-        images, labels = batches.next_batch()
-        nll_term, kl_term, grads = objective_gradients(
-            net, images, labels, cfg, n_total=data.n, rng=sample_rng)
-        loss = nll_term + kl_term
+        with np.errstate(all="ignore"):
+            nll_term, penalty_term, grads = step(*batches.next_batch())
+        loss = nll_term + penalty_term
         if not np.isfinite(loss):
-            raise RuntimeError(f"training diverged (non-finite loss) at iteration {it}")
-        optimizer.step(net, grads)
+            raise TrainingDiverged(
+                f"training diverged (non-finite loss) at iteration {it}")
+        for p, g, state, name in zip(params, grads, states, names):
+            p[...] = adam_step(state, p, g, name=name)
         if record_every and (it % record_every == 0 or it == cfg.iterations - 1):
-            records.append(LossRecord(it, loss, nll_term, kl_term))
+            records.append(LossRecord(it, loss, nll_term, penalty_term))
         if progress is not None:
             progress(it, loss)
     return records
+
+
+def train(net: StochasticMlp, data: Dataset, cfg: TrainConfig,
+          record_every: int = 1, progress=None):
+    """Trains ``net`` in place with ``fit``; returns the loss records.
+
+    Deterministic per (net initialization, cfg.seed): batch order and weight
+    draws come from streams derived from cfg.seed.
+    """
+    sample_rng = Rng(cfg.seed).derive(_WEIGHT_SAMPLE_STREAM)
+
+    def step(images, labels):
+        nll_term, kl_term, grads = objective_gradients(
+            net, images, labels, cfg, n_total=data.n, rng=sample_rng)
+        return nll_term, kl_term, [g for layer in grads for g in layer]
+
+    blocks = ("mean", "row_scale_raw", "col_scale_raw")
+    params = [getattr(layer, b) for layer in net.layers for b in blocks]
+    names = [f"layer{l}.{b}" for l in range(len(net.layers)) for b in blocks]
+    return fit(params, names, step, data, cfg, record_every, progress)

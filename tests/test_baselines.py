@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import infmix.baselines as baselines_mod
 from infmix.baselines import (DeepEnsemble, DeterministicMlp, DropoutMlp,
                               FitConfig, train_deterministic, train_dropout,
                               train_ensemble)
@@ -47,6 +48,23 @@ class TestDeterministic:
         with pytest.raises(ValueError):
             train_deterministic(toy, weight_decay=-1.0,
                                 cfg=FitConfig(iterations=1))
+
+
+    def test_divergence_aborts_with_iteration(self, toy, monkeypatch):
+        calls = {"n": 0}
+        real = baselines_mod.forward
+
+        def poisoned(*args, **kwargs):
+            calls["n"] += 1
+            log_probs, trace = real(*args, **kwargs)
+            if calls["n"] == 3:
+                log_probs = np.full_like(log_probs, np.nan)
+            return log_probs, trace
+
+        monkeypatch.setattr(baselines_mod, "forward", poisoned)
+        with pytest.raises(RuntimeError, match="iteration 2"):
+            train_deterministic(toy, cfg=FitConfig(batch_size=100, iterations=10),
+                                topology=SMALL_TOPOLOGY)
 
 
 class TestDropout:

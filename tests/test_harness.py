@@ -4,6 +4,7 @@ import csv
 import dataclasses
 import json
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -51,6 +52,9 @@ BAD_VALUES = [
     ("learning_rate", "-0.5"), ("learning_rate", "0"), ("weight_decay", "-1"),
     ("weight_decay", "nan"), ("base_seed", "-1"), ("kl_weight_grid", "1,-0.1"),
     ("kl_weight_grid", "1,nan"), ("prior_grid", "1,0"), ("prior_grid", "nan"),
+    ("learning_rate", "inf"), ("kl_weight", "inf"), ("prior_variance", "inf"),
+    ("weight_decay", "inf"), ("attack_epsilon", "inf"), ("attack_step", "inf"),
+    ("eps_grid", "0,inf"), ("kl_weight_grid", "1,inf"), ("prior_grid", "1,inf"),
 ]
 
 _NONNEGATIVE = st.floats(0.0, allow_infinity=False)
@@ -94,7 +98,7 @@ _NOT_A_NUMBER = st.sampled_from(["", "x", "1..2", "0x1g"])
 _BAD_COUNT = _NOT_A_NUMBER | st.sampled_from(["1.5", "1e3"]) | st.integers(
     -10**6, 0).map(str)
 _BAD_SIZE = _NOT_A_NUMBER | st.sampled_from(["1.5", "-1"])
-_BAD_NONNEGATIVE = _NOT_A_NUMBER | st.sampled_from(["-1", "-1e-9", "nan"])
+_BAD_NONNEGATIVE = _NOT_A_NUMBER | st.sampled_from(["-1", "-1e-9", "nan", "inf"])
 _BAD_POSITIVE = _BAD_NONNEGATIVE | st.sampled_from(["0", "-0.0"])
 _BAD_TEXT = {name: _BAD_NONNEGATIVE for name in ("kl_weight", "weight_decay")}
 _BAD_TEXT.update({name: _BAD_POSITIVE for name in (
@@ -110,14 +114,14 @@ _BAD_TEXT.update({
     "sweep": st.sampled_from(["grid", "kl"]),
     "dataset": st.sampled_from(["", "a b", "../x", "x/y", "-x"]),
     "base_seed": _NOT_A_NUMBER | st.integers(-10**6, -1).map(str),
-    "kl_weight_grid": st.sampled_from(["1,x", "1,-0.5", "0.1,nan"]),
-    "prior_grid": st.sampled_from(["a,b", "1,0", "-1", "0.5,nan"]),
+    "kl_weight_grid": st.sampled_from(["1,x", "1,-0.5", "0.1,nan", "1,inf"]),
+    "prior_grid": st.sampled_from(["a,b", "1,0", "-1", "0.5,nan", "inf"]),
     "dropout_p": st.sampled_from(["1", "-1", "x"]),
-    "eps_grid": st.sampled_from(["0.2,0.1", "-1", "0,x"]),
-    "attack_step": st.sampled_from(["0", "-0.1", "x"]),
+    "eps_grid": st.sampled_from(["0.2,0.1", "-1", "0,x", "0,inf"]),
+    "attack_step": st.sampled_from(["0", "-0.1", "x", "inf"]),
     "attack_random_init": st.sampled_from(["maybe", "2"]),
     "detect_full_test": st.sampled_from(["maybe", "-1"]),
-    "attack_epsilon": st.sampled_from(["-0.1", "nan", "x"]),
+    "attack_epsilon": st.sampled_from(["-0.1", "nan", "x", "inf"]),
 })
 
 
@@ -617,6 +621,26 @@ class TestCli:
                      "--checkpoint", perfect_checkpoint(tmp_path)])
         assert code == 0
         assert "balanced entropy undefined" in capsys.readouterr().out
+
+    def test_diverged_training_exits_one_without_traceback(
+            self, synthetic_data_dir, tmp_path, capsys):
+        # A finite but huge step size overflows the loss at iteration 3.  A
+        # numpy warning on the way would be a second stderr line.
+        cfg_path = tmp_path / "run.cfg"
+        cfg_path.write_text("model = ml\n"
+                            "learning_rate = 1e12\n"
+                            "iterations = 5\n"
+                            "batch_size = 100\n"
+                            "n_trials = 1\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["--config", str(cfg_path), "--data-dir",
+                         synthetic_data_dir, "--out-dir", str(tmp_path / "out"),
+                         "train"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err == ("numerical error: training diverged (non-finite loss) "
+                       "at iteration 3\n")
 
     def test_cli_overrides_take_effect(self):
         from infmix.cli import build_parser, resolve_config

@@ -6,14 +6,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import infmix.objectives as objectives_mod
-from infmix.data import Dataset
+from infmix import baselines
+from infmix.data import BatchIterator, Dataset
 from infmix.gradcheck import check_objective_gradient
-from infmix.network import StochasticMlp
-from infmix.objectives import (LossRecord, ObjectiveKind, TrainConfig,
-                               logmeanexp, loss_history_csv, ml_loss,
+from infmix.network import WEIGHT_GRADS, StochasticMlp, backward, forward
+from infmix.objectives import (FitConfig, LossRecord, ObjectiveKind,
+                               TrainConfig, logmeanexp, loss_history_csv,
+                               ml_loss, objective_gradients,
                                per_example_loglik, train, vi_loss)
 from infmix.posterior import PriorSpec, kl_to_prior, sample
-from infmix.tensor import Rng
+from infmix.tensor import AdamState, Rng, adam_step
 
 from conftest import synthetic_arrays
 
@@ -265,6 +267,8 @@ class TestTrain:
             TrainConfig(n_train_samples=0)
         with pytest.raises(ValueError):
             TrainConfig(kl_weight=-0.5)
+        with pytest.raises(ValueError):
+            TrainConfig(kl_weight=float("nan"))
 
     @pytest.mark.slow
     def test_plain_mlp_limit_on_real_data(self):
@@ -282,6 +286,79 @@ class TestTrain:
         train(net, subset, cfg, record_every=0)
         summary = net.predict(subset.images, n_samples=1, rng=Rng(1))
         assert summary.accuracy(subset.labels) >= 0.95
+
+
+class TestFit:
+    """The one minibatch-ADAM loop, through both kinds of step closure."""
+
+    TOPOLOGY = (784, 8, 8, 10)
+    BLOCKS = ("mean", "row_scale_raw", "col_scale_raw")
+
+    def test_ml_iteration_is_one_hand_assembled_step(self):
+        data = toy_dataset(n=200)
+        cfg = TrainConfig(objective=ObjectiveKind.ML, kl_weight=0.5,
+                          n_train_samples=3, batch_size=50,
+                          learning_rate=0.05, iterations=1, seed=4)
+        net = StochasticMlp.create(Rng(1), topology=self.TOPOLOGY)
+        initial = [getattr(layer, b).copy() for layer in net.layers
+                   for b in self.BLOCKS]
+        images, labels = BatchIterator(data, cfg.batch_size,
+                                       seed=cfg.seed).next_batch()
+        _, _, grads = objective_gradients(
+            net, images, labels, cfg, n_total=data.n,
+            rng=Rng(cfg.seed).derive(objectives_mod._WEIGHT_SAMPLE_STREAM))
+        flat = [g for layer in grads for g in layer]
+        expected = [adam_step(AdamState.for_shape(p.shape, learning_rate=0.05),
+                              p, g) for p, g in zip(initial, flat)]
+        train(net, data, cfg, record_every=0)
+        trained = [getattr(layer, b) for layer in net.layers for b in self.BLOCKS]
+        assert len(trained) == len(expected) == 9
+        for p0, want, got in zip(initial, expected, trained):
+            assert not np.array_equal(want, p0)
+            assert np.array_equal(got, want)
+
+    def test_dropout_iteration_is_one_hand_assembled_step(self):
+        data = toy_dataset(n=200)
+        cfg = FitConfig(batch_size=50, learning_rate=0.05, iterations=1, seed=4)
+        p_drop, weight_decay = 0.5, 1e-3
+        initial = baselines.glorot_weights(self.TOPOLOGY, Rng(cfg.seed).derive(0))
+        images, labels = BatchIterator(data, cfg.batch_size,
+                                       seed=cfg.seed).next_batch()
+        masks = baselines._dropout_masks(
+            Rng(cfg.seed).derive(baselines._MASK_STREAM), initial, p_drop,
+            cfg.batch_size)
+        log_probs, trace = forward(initial, images, hidden_masks=masks)
+        grad_log_probs = np.zeros_like(log_probs)
+        grad_log_probs[np.arange(cfg.batch_size), labels] = -1.0 / cfg.batch_size
+        trace.needs = WEIGHT_GRADS
+        grad_w, _ = backward(trace, grad_log_probs)
+        decay = baselines._decay_gradient(initial, weight_decay)
+        expected = [adam_step(AdamState.for_shape(w.shape, learning_rate=0.05),
+                              w, g + dg)
+                    for w, g, dg in zip(initial, grad_w, decay)]
+        model = baselines.train_dropout(data, p_drop, weight_decay, cfg,
+                                        topology=self.TOPOLOGY)
+        assert len(model.weights) == len(expected) == 3
+        for w0, want, got in zip(initial, expected, model.weights):
+            assert not np.array_equal(want, w0)
+            assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("kind", ["ml", "dropout"])
+    def test_progress_sees_every_iteration(self, kind):
+        data = toy_dataset(n=200)
+        seen = []
+        progress = lambda it, loss: seen.append((it, loss))  # noqa: E731
+        if kind == "ml":
+            net = StochasticMlp.create(Rng(0), topology=self.TOPOLOGY)
+            cfg = TrainConfig(n_train_samples=2, batch_size=50, iterations=6)
+            records = train(net, data, cfg, record_every=1, progress=progress)
+            assert [r.loss for r in records] == [loss for _, loss in seen]
+        else:
+            baselines.train_dropout(
+                data, cfg=FitConfig(batch_size=50, iterations=6),
+                topology=self.TOPOLOGY, progress=progress)
+        assert [it for it, _ in seen] == list(range(6))
+        assert all(np.isfinite(loss) for _, loss in seen)
 
 
 class TestLossHistory:
