@@ -41,6 +41,10 @@ class DeterministicMlp:
 
     weights: list
 
+    def named_params(self) -> list:
+        """[(name, array)] of the model's own weights, as ``StochasticMlp``."""
+        return [(f"layer{l}.weights", w) for l, w in enumerate(self.weights)]
+
     def log_probs(self, x: Array) -> Array:
         lp, _ = forward(self.weights, x)
         return lp
@@ -71,6 +75,9 @@ class DropoutMlp:
     def __post_init__(self):
         if not 0.0 <= self.p_drop < 1.0:
             raise ValueError(f"p_drop must be in [0, 1), got {self.p_drop}")
+
+    def named_params(self) -> list:
+        return [(f"layer{l}.weights", w) for l, w in enumerate(self.weights)]
 
     def sample_masks(self, rng: Rng, per_example: int | None = None):
         """One mask per hidden layer; shape (1, n) shared or (B, n) per example."""
@@ -106,6 +113,10 @@ class DeepEnsemble:
     @property
     def k(self) -> int:
         return len(self.members)
+
+    def named_params(self) -> list:
+        return [(f"member{k}.{name}", w) for k, m in enumerate(self.members)
+                for name, w in m.named_params()]
 
     def _components(self):
         # Blocks of members, stacked per layer: (S, n_in + 1, n_out).
@@ -173,8 +184,7 @@ def train_dropout(data: Dataset, p_drop: float = 0.5,
             g += dg
         return -float(log_probs[np.arange(b), labels].mean()), 0.0, grad_w
 
-    fit(weights, [f"layer{l}.weights" for l in range(len(weights))], step,
-        data, cfg, progress=progress)
+    fit(model.named_params(), step, data, cfg, progress=progress)
     return model
 
 

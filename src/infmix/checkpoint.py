@@ -2,17 +2,18 @@
 
 Layout (all integers u32 little-endian, all floats f64 little-endian):
 
-  magic "IMIX" | version | kind | kind-specific body
+  magic "IMIX" | version | kind | kind header | one body per net
 
-  kind 0 stochastic net : n_layers, per-layer (n_rows, n_cols),
-                          then per layer mean (row-major), row_scale_raw,
-                          col_scale_raw
-  kind 1 deterministic  : n_layers, per-layer dims, per-layer weights
-  kind 2 dropout        : p_drop, then a kind-1 body
-  kind 3 ensemble       : n_members, then n_members kind-1 bodies
+  kind header : nothing for kind 0 (stochastic net) and kind 1
+                (deterministic), p_drop for kind 2 (dropout), n_members
+                for kind 3 (ensemble), whose bodies are its members'
+  net body    : n_layers, per-layer (n_rows, n_cols), then the net's
+                arrays in its ``named_params`` order, each row-major
 
 Round trips are bit-exact; writes go through a temp file + rename so a
-concurrent reader never sees a torn checkpoint.
+concurrent reader never sees a torn checkpoint.  The reader checks each
+net's layer dims, and their size against the bytes left in the file before
+it allocates, so a malformed file raises ``CheckpointError``.
 """
 
 from __future__ import annotations
@@ -39,8 +40,8 @@ class CheckpointError(ValueError):
     """Malformed or mismatched checkpoint contents."""
 
 
-def _write_u32(f, value: int):
-    f.write(struct.pack("<I", value))
+def _write_u32(f, *values: int):
+    f.write(struct.pack(f"<{len(values)}I", *values))
 
 
 def _read_u32(f) -> int:
@@ -54,59 +55,73 @@ def _write_f64s(f, arr: np.ndarray):
     f.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
 
 
+def _bytes_left(f) -> int:
+    return os.fstat(f.fileno()).st_size - f.tell()
+
+
 def _read_f64s(f, shape) -> np.ndarray:
     n = int(np.prod(shape))
     raw = f.read(8 * n)
     if len(raw) < 8 * n:
         raise CheckpointError("truncated checkpoint (payload)")
-    return np.frombuffer(raw, dtype="<f8").reshape(shape).astype(np.float64)
-
-
-def _write_weight_stack(f, weights):
-    _write_u32(f, len(weights))
-    for w in weights:
-        _write_u32(f, w.shape[0])
-        _write_u32(f, w.shape[1])
-    for w in weights:
-        _write_f64s(f, w)
-
-
-def _read_weight_stack(f):
-    n_layers = _read_u32(f)
-    dims = [(_read_u32(f), _read_u32(f)) for _ in range(n_layers)]
-    return [_read_f64s(f, dims[l]) for l in range(n_layers)]
+    return np.frombuffer(raw, dtype="<f8").reshape(shape)
 
 
 def save_model(model, path) -> None:
+    kind = {StochasticMlp: KIND_STOCHASTIC, DeterministicMlp: KIND_DETERMINISTIC,
+            DropoutMlp: KIND_DROPOUT, DeepEnsemble: KIND_ENSEMBLE}.get(type(model))
+    if kind is None:
+        raise CheckpointError(f"cannot checkpoint {type(model).__name__}")
     tmp = str(path) + ".tmp"
     with open(tmp, "wb") as f:
         f.write(MAGIC)
-        _write_u32(f, VERSION)
-        if isinstance(model, StochasticMlp):
-            _write_u32(f, KIND_STOCHASTIC)
-            _write_u32(f, len(model.layers))
-            for layer in model.layers:
-                _write_u32(f, layer.n_rows)
-                _write_u32(f, layer.n_cols)
-            for layer in model.layers:
-                _write_f64s(f, layer.mean)
-                _write_f64s(f, layer.row_scale_raw)
-                _write_f64s(f, layer.col_scale_raw)
-        elif isinstance(model, DropoutMlp):
-            _write_u32(f, KIND_DROPOUT)
+        _write_u32(f, VERSION, kind)
+        if kind == KIND_DROPOUT:
             _write_f64s(f, np.array([model.p_drop]))
-            _write_weight_stack(f, model.weights)
-        elif isinstance(model, DeterministicMlp):
-            _write_u32(f, KIND_DETERMINISTIC)
-            _write_weight_stack(f, model.weights)
-        elif isinstance(model, DeepEnsemble):
-            _write_u32(f, KIND_ENSEMBLE)
+        if kind == KIND_ENSEMBLE:
             _write_u32(f, model.k)
-            for member in model.members:
-                _write_weight_stack(f, member.weights)
-        else:
-            raise CheckpointError(f"cannot checkpoint {type(model).__name__}")
+        for net in model.members if kind == KIND_ENSEMBLE else [model]:
+            arrays = [a for _, a in net.named_params()]
+            shapes = [a.shape for a in arrays if a.ndim == 2]
+            _write_u32(f, len(shapes))
+            for shape in shapes:
+                _write_u32(f, *shape)
+            for a in arrays:
+                _write_f64s(f, a)
     os.replace(tmp, path)
+
+
+def _read_net(f, make):
+    """One net body: the layer dims, checked, then the arrays of
+    ``make(dims)`` filled in its ``named_params`` order."""
+    dims = [(_read_u32(f), _read_u32(f)) for _ in range(_read_u32(f))]
+    if not dims:
+        raise CheckpointError("checkpoint net has no layers")
+    for l, (n_rows, n_cols) in enumerate(dims):
+        if n_rows < 2 or n_cols < 1:
+            raise CheckpointError(f"layer {l} has shape {n_rows}x{n_cols}")
+        if l and n_rows != dims[l - 1][1] + 1:
+            raise CheckpointError(
+                f"layer {l} has {n_rows} rows after a layer of {dims[l - 1][1]} "
+                f"outputs (expected {dims[l - 1][1] + 1})")
+    # Every other array is one row or column of a matrix, so this bounds
+    # what ``make`` allocates by the file's size.
+    if 8 * sum(r * c for r, c in dims) > _bytes_left(f):
+        raise CheckpointError("truncated checkpoint (payload)")
+    net = make(dims)
+    for _, a in net.named_params():
+        a[...] = _read_f64s(f, a.shape)
+    return net
+
+
+def _point_net(dims) -> DeterministicMlp:
+    return DeterministicMlp(weights=[np.empty(d) for d in dims])
+
+
+def _stochastic_net(dims) -> StochasticMlp:
+    return StochasticMlp(layers=[
+        MvnLayerPosterior(mean=np.empty(d), row_scale_raw=np.empty(d[0]),
+                          col_scale_raw=np.empty(d[1])) for d in dims])
 
 
 def load_model(path):
@@ -119,24 +134,25 @@ def load_model(path):
             raise CheckpointError(f"unsupported checkpoint version {version}")
         kind = _read_u32(f)
         if kind == KIND_STOCHASTIC:
-            n_layers = _read_u32(f)
-            dims = [(_read_u32(f), _read_u32(f)) for _ in range(n_layers)]
-            layers = []
-            for n_rows, n_cols in dims:
-                mean = _read_f64s(f, (n_rows, n_cols))
-                a = _read_f64s(f, (n_rows,))
-                b = _read_f64s(f, (n_cols,))
-                layers.append(MvnLayerPosterior(mean=mean, row_scale_raw=a,
-                                                col_scale_raw=b))
-            return StochasticMlp(layers=layers)
-        if kind == KIND_DROPOUT:
+            model = _read_net(f, _stochastic_net)
+        elif kind == KIND_DETERMINISTIC:
+            model = _read_net(f, _point_net)
+        elif kind == KIND_DROPOUT:
             p_drop = float(_read_f64s(f, (1,))[0])
-            return DropoutMlp(weights=_read_weight_stack(f), p_drop=p_drop)
-        if kind == KIND_DETERMINISTIC:
-            return DeterministicMlp(weights=_read_weight_stack(f))
-        if kind == KIND_ENSEMBLE:
+            if not 0.0 <= p_drop < 1.0:
+                raise CheckpointError(f"stored p_drop {p_drop} is outside [0, 1)")
+            model = DropoutMlp(weights=_read_net(f, _point_net).weights,
+                               p_drop=p_drop)
+        elif kind == KIND_ENSEMBLE:
             n_members = _read_u32(f)
-            members = [DeterministicMlp(weights=_read_weight_stack(f))
-                       for _ in range(n_members)]
-            return DeepEnsemble(members=members)
-        raise CheckpointError(f"unknown model kind {kind} in {path}")
+            if n_members == 0:
+                raise CheckpointError("ensemble checkpoint has no members")
+            model = DeepEnsemble(members=[_read_net(f, _point_net)
+                                          for _ in range(n_members)])
+            if len({tuple(w.shape for w in m.weights) for m in model.members}) > 1:
+                raise CheckpointError("ensemble members differ in shape")
+        else:
+            raise CheckpointError(f"unknown model kind {kind} in {path}")
+        if f.read(1):
+            raise CheckpointError(f"trailing bytes after the checkpoint body in {path}")
+    return model

@@ -44,41 +44,15 @@ def rel_err(analytic, numeric, floor: float = 1e-6) -> float:
     return float(np.max(np.abs(a - f) / denom))
 
 
-def get_flat_params(net: StochasticMlp) -> np.ndarray:
-    parts = []
-    for layer in net.layers:
-        parts += [layer.mean.ravel(), layer.row_scale_raw, layer.col_scale_raw]
-    return np.concatenate(parts)
+def flatten(arrays) -> np.ndarray:
+    return np.concatenate([np.ravel(a) for a in arrays])
 
 
-def set_flat_params(net: StochasticMlp, flat: np.ndarray) -> None:
-    pos = 0
-    for layer in net.layers:
-        n = layer.mean.size
-        layer.mean = flat[pos:pos + n].reshape(layer.mean.shape).copy()
-        pos += n
-        n = layer.row_scale_raw.size
-        layer.row_scale_raw = flat[pos:pos + n].copy()
-        pos += n
-        n = layer.col_scale_raw.size
-        layer.col_scale_raw = flat[pos:pos + n].copy()
-        pos += n
-    if pos != flat.size:
-        raise ValueError(f"flat vector length {flat.size}, expected {pos}")
-
-
-def flatten_grads(grads) -> np.ndarray:
-    parts = []
-    for gm, ga, gb in grads:
-        parts += [gm.ravel(), ga, gb]
-    return np.concatenate(parts)
-
-
-def _unflatten(flat: np.ndarray, shapes) -> list:
-    """Consecutive pieces of ``flat`` reshaped to ``shapes``."""
-    ends = np.cumsum([int(np.prod(shape)) for shape in shapes])
-    return [part.reshape(shape)
-            for part, shape in zip(np.split(flat, ends[:-1]), shapes)]
+def unflatten_into(flat: np.ndarray, arrays) -> None:
+    """Writes consecutive pieces of ``flat`` into ``arrays`` in place."""
+    ends = np.cumsum([a.size for a in arrays])
+    for a, part in zip(arrays, np.split(flat, ends[:-1])):
+        a[...] = part.reshape(a.shape)
 
 
 def central_differences(fn, x0: np.ndarray, h: float = 1e-6) -> np.ndarray:
@@ -144,16 +118,16 @@ def check_objective_gradient(kind: ObjectiveKind, seed: int = 0,
 
     _, _, grads = objective_gradients(
         net, images, labels, cfg, n_total=images.shape[0], rng=_frozen_rng(seed))
-    analytic = flatten_grads(grads)
+    analytic = flatten([g for layer in grads for g in layer])
     if perturb:
-        analytic = analytic.copy()
         analytic[0] += perturb
 
-    x0 = get_flat_params(net)
     probe = net.copy()
+    params = [p for _, p in probe.named_params()]
+    x0 = flatten(params)
 
     def loss_at(flat):
-        set_flat_params(probe, flat)
+        unflatten_into(flat, params)
         return frozen_objective_value(probe, images, labels, cfg.n_train_samples,
                                       seed, kind, cfg.kl_weight, cfg.prior)
 
@@ -166,14 +140,16 @@ def check_objective_gradient(kind: ObjectiveKind, seed: int = 0,
 def check_kl_gradient(seed: int = 0, tolerance: float = 1e-6) -> CheckResult:
     net = _tiny_net(seed)
     prior = PriorSpec(0.7)
-    analytic = flatten_grads([kl_backward(layer, prior) for layer in net.layers])
+    analytic = flatten([g for layer in net.layers
+                        for g in kl_backward(layer, prior)])
     probe = net.copy()
+    params = [p for _, p in probe.named_params()]
 
     def kl_at(flat):
-        set_flat_params(probe, flat)
+        unflatten_into(flat, params)
         return sum(kl_to_prior(layer, prior) for layer in probe.layers)
 
-    numeric = central_differences(kl_at, get_flat_params(net))
+    numeric = central_differences(kl_at, flatten(params))
     err = rel_err(analytic, numeric)
     return CheckResult("kl_to_prior", err, tolerance, err < tolerance)
 
@@ -185,17 +161,18 @@ def check_sampling_gradient(seed: int = 0, tolerance: float = 1e-5) -> CheckResu
     g_rng = Rng(seed).derive(12)
     gs = [g_rng.standard_normal(layer.n_rows, layer.n_cols)
           for layer in net.layers]
-    analytic = flatten_grads([
-        sample_backward(layer, sample_with_noise(layer, e), g)
-        for layer, e, g in zip(net.layers, noises, gs)])
+    analytic = flatten([
+        g_part for layer, e, g in zip(net.layers, noises, gs)
+        for g_part in sample_backward(layer, sample_with_noise(layer, e), g)])
     probe = net.copy()
+    params = [p for _, p in probe.named_params()]
 
     def loss_at(flat):
-        set_flat_params(probe, flat)
+        unflatten_into(flat, params)
         return sum(float(np.sum(g * sample_with_noise(layer, e).weights))
                    for layer, e, g in zip(probe.layers, noises, gs))
 
-    numeric = central_differences(loss_at, get_flat_params(net))
+    numeric = central_differences(loss_at, flatten(params))
     err = rel_err(analytic, numeric)
     return CheckResult("sampling", err, tolerance, err < tolerance)
 
@@ -209,17 +186,15 @@ def check_network_gradient(seed: int = 0, tolerance: float = 1e-5) -> CheckResul
 
     log_probs, trace = forward(weights, images)
     grad_w, grad_x = backward(trace, g)
-    analytic = np.concatenate([gw.ravel() for gw in grad_w] + [grad_x.ravel()])
-
-    shapes = [w.shape for w in weights] + [images.shape]
+    analytic = flatten(grad_w + [grad_x])
+    inputs = weights + [images]
 
     def loss_at(flat):
-        *ws, x = _unflatten(flat, shapes)
-        lp, _ = forward(ws, x)
+        unflatten_into(flat, inputs)
+        lp, _ = forward(inputs[:-1], inputs[-1])
         return float(np.sum(g * lp))
 
-    x0 = np.concatenate([w.ravel() for w in weights] + [images.ravel()])
-    numeric = central_differences(loss_at, x0)
+    numeric = central_differences(loss_at, flatten(inputs))
     err = rel_err(analytic, numeric)
     return CheckResult("network_backward", err, tolerance, err < tolerance)
 
@@ -228,14 +203,14 @@ def check_weight_decay_gradient(seed: int = 0, tolerance: float = 1e-6) -> Check
     rng = Rng(seed).derive(14)
     weights = [rng.standard_normal(4, 3), rng.standard_normal(4, 2)]
     wd = 0.125
-    analytic = np.concatenate([g.ravel() for g in _decay_gradient(weights, wd)])
+    analytic = flatten(_decay_gradient(weights, wd))
+    x0 = flatten(weights)
 
     def penalty_at(flat):
-        return sum(0.5 * wd * float(np.sum(w[:-1] ** 2))
-                   for w in _unflatten(flat, [w.shape for w in weights]))
+        unflatten_into(flat, weights)
+        return sum(0.5 * wd * float(np.sum(w[:-1] ** 2)) for w in weights)
 
-    numeric = central_differences(penalty_at, np.concatenate(
-        [w.ravel() for w in weights]))
+    numeric = central_differences(penalty_at, x0)
     err = rel_err(analytic, numeric)
     return CheckResult("weight_decay", err, tolerance, err < tolerance)
 
@@ -255,7 +230,7 @@ def check_single_sample_equivalence(seed: int = 0) -> CheckResult:
         _, _, g = objective_gradients(
             net, images, labels, cfg, n_total=images.shape[0],
             rng=_frozen_rng(seed))
-        grads[kind] = flatten_grads(g)
+        grads[kind] = flatten([part for layer in g for part in layer])
     exact = (np.array_equal(ml_val, vi_val) and np.array_equal(ml_w, vi_w)
              and np.array_equal(grads[ObjectiveKind.ML], grads[ObjectiveKind.VI]))
     err = 0.0 if exact else max(

@@ -283,6 +283,13 @@ class StochasticMlp:
         dims += [layer.n_cols for layer in self.layers]
         return tuple(dims)
 
+    def named_params(self) -> list:
+        """[(name, array)] of the trained arrays, the model's own, in the one
+        order that training, gradcheck and checkpoints all follow."""
+        return [(f"layer{l}.{b}", getattr(layer, b))
+                for l, layer in enumerate(self.layers)
+                for b in ("mean", "row_scale_raw", "col_scale_raw")]
+
     def copy(self) -> "StochasticMlp":
         return StochasticMlp([layer.copy() for layer in self.layers])
 

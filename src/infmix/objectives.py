@@ -169,19 +169,20 @@ def objective_gradients(net: StochasticMlp, images: Array, labels,
     return nll_term, kl_term, grads
 
 
-def fit(params, names, step, data: Dataset, cfg: FitConfig,
+def fit(named_params, step, data: Dataset, cfg: FitConfig,
         record_every: int = 0, progress=None):
-    """The one minibatch-ADAM loop; updates ``params`` in place.
+    """The one minibatch-ADAM loop; updates the arrays in place.
 
-    ``step(images, labels)`` returns (nll_term, penalty_term, grads) with
-    one gradient per array of ``params``; ``names`` label the arrays in
-    errors.  Aborts on a non-finite loss, naming the iteration.  The loss,
-    the activations and the gradients are checked for non-finite values, so
-    numpy's own overflow warnings on the way there are silenced.
+    ``named_params`` is a model's ``named_params()``.  ``step(images,
+    labels)`` returns (nll_term, penalty_term, grads) with one gradient per
+    array, in that order; the names label the arrays in errors.  Aborts on
+    a non-finite loss, naming the iteration.  The loss, the activations and
+    the gradients are checked for non-finite values, so numpy's own
+    overflow warnings on the way there are silenced.
     """
     batches = BatchIterator(data, cfg.batch_size, seed=cfg.seed)
     states = [AdamState.for_shape(p.shape, learning_rate=cfg.learning_rate)
-              for p in params]
+              for _, p in named_params]
     records = []
     for it in range(cfg.iterations):
         with np.errstate(all="ignore"):
@@ -190,7 +191,7 @@ def fit(params, names, step, data: Dataset, cfg: FitConfig,
         if not np.isfinite(loss):
             raise TrainingDiverged(
                 f"training diverged (non-finite loss) at iteration {it}")
-        for p, g, state, name in zip(params, grads, states, names):
+        for (name, p), g, state in zip(named_params, grads, states):
             p[...] = adam_step(state, p, g, name=name)
         if record_every and (it % record_every == 0 or it == cfg.iterations - 1):
             records.append(LossRecord(it, loss, nll_term, penalty_term))
@@ -213,7 +214,4 @@ def train(net: StochasticMlp, data: Dataset, cfg: TrainConfig,
             net, images, labels, cfg, n_total=data.n, rng=sample_rng)
         return nll_term, kl_term, [g for layer in grads for g in layer]
 
-    blocks = ("mean", "row_scale_raw", "col_scale_raw")
-    params = [getattr(layer, b) for layer in net.layers for b in blocks]
-    names = [f"layer{l}.{b}" for l in range(len(net.layers)) for b in blocks]
-    return fit(params, names, step, data, cfg, record_every, progress)
+    return fit(net.named_params(), step, data, cfg, record_every, progress)
