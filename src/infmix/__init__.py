@@ -7,8 +7,8 @@ from .baselines import (DeepEnsemble, DeterministicMlp, DropoutMlp, FitConfig,
                         train_deterministic, train_dropout, train_ensemble)
 from .checkpoint import load_model, save_model
 from .data import BatchIterator, Dataset, load_idx, save_idx, take_prefix
-from .metrics import (TrialAggregate, aggregate, auroc_balanced, auroc_scores,
-                      mean_std, uncertainty_histograms)
+from .metrics import (auroc_balanced, auroc_scores, mean_std,
+                      uncertainty_histograms)
 from .network import PredictiveSummary, StochasticMlp, summarize_probs
 from .objectives import (ObjectiveKind, TrainConfig, ml_loss, train, vi_loss)
 from .posterior import (MvnLayerPosterior, PriorSpec, kl_to_prior,
@@ -19,8 +19,8 @@ __all__ = [
     "AdamState", "AttackConfig", "AttackResult", "BatchIterator", "Dataset",
     "DeepEnsemble", "DeterministicMlp", "DropoutMlp", "FitConfig",
     "MvnLayerPosterior", "ObjectiveKind", "PredictiveSummary", "PriorSpec",
-    "Rng", "StochasticMlp", "TrainConfig", "TrialAggregate", "adam_step",
-    "aggregate", "auroc_balanced", "auroc_scores", "kl_to_prior", "load_idx",
+    "Rng", "StochasticMlp", "TrainConfig", "adam_step",
+    "auroc_balanced", "auroc_scores", "kl_to_prior", "load_idx",
     "load_model", "mean_std", "ml_loss",
     "per_weight_variance", "pgd_attack", "robustness_curve", "save_idx",
     "save_model", "summarize_probs", "take_prefix", "train",

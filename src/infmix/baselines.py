@@ -1,8 +1,9 @@
 """Finite-mixture and point-estimate baselines sharing the MLP substrate:
 a deterministic network with weight decay, MC dropout, and a deep ensemble.
 
-All three expose the same ``predict`` / ``loss_input_grad`` surface as the
-stochastic model, so evaluation and attack code is model-agnostic.
+Each is a ``network.MixtureModel`` that lists its components, so it has
+the stochastic model's ``predict`` / ``loss_input_grad`` and evaluation and
+attack code is model-agnostic.
 """
 
 from __future__ import annotations
@@ -12,11 +13,10 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .data import Dataset
-from .network import (DEFAULT_TOPOLOGY, DRAW_BLOCK, WEIGHT_GRADS,
-                      PredictiveSummary, backward, forward,
-                      mixture_loss_input_grad, mixture_predict)
+from .network import (DEFAULT_TOPOLOGY, WEIGHT_GRADS, MixtureModel, backward,
+                      forward, in_blocks)
 from .objectives import FitConfig, fit
-from .tensor import Array, Rng
+from .tensor import Rng
 
 DEFAULT_WEIGHT_DECAY = 1.0 / 60_000.0
 
@@ -36,7 +36,7 @@ def glorot_weights(topology, rng: Rng):
 
 
 @dataclass
-class DeterministicMlp:
+class DeterministicMlp(MixtureModel):
     """Point-estimate MLP; prediction is a pure function of the input."""
 
     weights: list
@@ -45,22 +45,13 @@ class DeterministicMlp:
         """[(name, array)] of the model's own weights, as ``StochasticMlp``."""
         return [(f"layer{l}.weights", w) for l, w in enumerate(self.weights)]
 
-    def log_probs(self, x: Array) -> Array:
-        lp, _ = forward(self.weights, x)
-        return lp
-
-    def predict(self, x: Array, n_samples: int = 1, rng: Rng | None = None
-                ) -> PredictiveSummary:
+    def _components(self, n_samples: int, rng: Rng | None):
         # Single component: class variance is identically zero.
-        return mixture_predict([(self.weights, None)], 1, x)
-
-    def loss_input_grad(self, x: Array, labels, n_samples: int = 1,
-                        rng: Rng | None = None):
-        return mixture_loss_input_grad([(self.weights, None)], 1, x, labels)
+        return 1, [(self.weights, None)]
 
 
 @dataclass
-class DropoutMlp:
+class DropoutMlp(MixtureModel):
     """Deterministic weights plus Bernoulli masks on hidden activations.
 
     Inverted dropout: kept units are scaled by 1/(1-p) whenever masks are
@@ -79,33 +70,23 @@ class DropoutMlp:
     def named_params(self) -> list:
         return [(f"layer{l}.weights", w) for l, w in enumerate(self.weights)]
 
-    def sample_masks(self, rng: Rng, per_example: int | None = None):
-        """One mask per hidden layer; shape (1, n) shared or (B, n) per example."""
-        return _dropout_masks(rng, self.weights, self.p_drop,
-                              1 if per_example is None else per_example)
+    def sample_masks(self, rng: Rng):
+        """One mask (1, n) per hidden layer, shared by the whole batch."""
+        return _dropout_masks(rng, self.weights, self.p_drop, 1)
 
     def _components(self, n_samples: int, rng: Rng):
         if self.p_drop == 0.0:
-            yield from [(self.weights, None)] * n_samples
-            return
-        # Blocks of mask draws, stacked per layer: (S, 1, n).
-        for start in range(0, n_samples, DRAW_BLOCK):
-            masks = [self.sample_masks(rng)
-                     for _ in range(min(DRAW_BLOCK, n_samples - start))]
-            yield self.weights, [np.stack(layer) for layer in zip(*masks)]
+            return n_samples, [(self.weights, None)] * n_samples
 
-    def predict(self, x: Array, n_samples: int, rng: Rng) -> PredictiveSummary:
-        if n_samples < 1:
-            raise ValueError(f"n_samples must be >= 1, got {n_samples}")
-        return mixture_predict(self._components(n_samples, rng), n_samples, x)
+        def block(start, stop):  # mask draws stacked per layer: (S, 1, n)
+            masks = [self.sample_masks(rng) for _ in range(start, stop)]
+            return self.weights, [np.stack(layer) for layer in zip(*masks)]
 
-    def loss_input_grad(self, x: Array, labels, n_samples: int, rng: Rng):
-        return mixture_loss_input_grad(
-            self._components(n_samples, rng), n_samples, x, labels)
+        return in_blocks(n_samples, block)
 
 
 @dataclass
-class DeepEnsemble:
+class DeepEnsemble(MixtureModel):
     """Uniform mixture of independently trained point-estimate networks."""
 
     members: list
@@ -118,21 +99,14 @@ class DeepEnsemble:
         return [(f"member{k}.{name}", w) for k, m in enumerate(self.members)
                 for name, w in m.named_params()]
 
-    def _components(self):
-        # Blocks of members, stacked per layer: (S, n_in + 1, n_out).
-        for start in range(0, self.k, DRAW_BLOCK):
-            block = self.members[start:start + DRAW_BLOCK]
-            yield [np.stack(layer) for layer in zip(*(m.weights for m in block))], None
+    def _components(self, n_samples: int, rng: Rng | None):
+        # Finite mixture: always all k members, stacked per layer in blocks
+        # (S, n_in + 1, n_out), with uniform weights.
+        def block(start, stop):
+            layers = zip(*(m.weights for m in self.members[start:stop]))
+            return [np.stack(layer) for layer in layers], None
 
-    def predict(self, x: Array, n_samples: int = 0, rng: Rng | None = None
-                ) -> PredictiveSummary:
-        # Finite mixture: always all k members, uniform weights; n_samples
-        # is accepted (and ignored) for interface parity.
-        return mixture_predict(self._components(), self.k, x)
-
-    def loss_input_grad(self, x: Array, labels, n_samples: int = 0,
-                        rng: Rng | None = None):
-        return mixture_loss_input_grad(self._components(), self.k, x, labels)
+        return in_blocks(self.k, block)
 
 
 def _dropout_masks(rng: Rng, weights, p_drop: float, rows: int):

@@ -29,10 +29,8 @@ class DataConsistencyError(ValueError):
     """Image/label files disagree, or labels out of range."""
 
 
-def _open_maybe_gzip(path, mode="rb"):
-    if str(path).endswith(".gz"):
-        return gzip.open(path, mode)
-    return open(path, mode)
+def _open_maybe_gzip(path):
+    return gzip.open(path) if str(path).endswith(".gz") else open(path, "rb")
 
 
 def read_idx(path) -> np.ndarray:
@@ -59,15 +57,26 @@ def read_idx(path) -> np.ndarray:
 
 
 def write_idx(path, array: np.ndarray, type_code: int = IDX_UBYTE) -> None:
-    """Write an ndarray as an IDX file (big-endian, matching ``read_idx``)."""
+    """Write an ndarray as an IDX file (big-endian, matching ``read_idx``),
+    atomically: a temp file is renamed onto ``path`` once complete, so a
+    failed write leaves any earlier file at ``path`` as it was."""
     if type_code not in _DTYPE_BY_CODE:
         raise IdxFormatError(f"unsupported IDX type code 0x{type_code:02x}")
     dtype = _DTYPE_BY_CODE[type_code]
-    with _open_maybe_gzip(path, "wb") as f:
-        f.write(bytes([0, 0, type_code, array.ndim]))
-        for d in array.shape:
-            f.write(int(d).to_bytes(4, "big"))
-        f.write(np.ascontiguousarray(array, dtype=dtype).tobytes())
+    tmp = f"{path}.tmp"
+    try:
+        # Compression follows the final name, not the temp file's.
+        with open(tmp, "wb") as raw, (
+                gzip.GzipFile(str(path), "wb", fileobj=raw)
+                if str(path).endswith(".gz") else raw) as f:
+            f.write(bytes([0, 0, type_code, array.ndim]))
+            for d in array.shape:
+                f.write(int(d).to_bytes(4, "big"))
+            f.write(np.ascontiguousarray(array, dtype=dtype).tobytes())
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
 
 
 @dataclass

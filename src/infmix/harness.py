@@ -22,8 +22,8 @@ import numpy as np
 from . import attacks, baselines, metrics
 from .checkpoint import load_model, save_model
 from .data import Dataset, load_split, take_prefix
-from .metrics import aggregate, auroc_balanced, auroc_scores, mean_std
-from .network import PredictiveSummary, StochasticMlp
+from .metrics import auroc_balanced, auroc_scores, mean_std
+from .network import N_CLASSES, PredictiveSummary, StochasticMlp
 from .objectives import (ObjectiveKind, TrainConfig, loss_history_csv, train)
 from .posterior import PriorSpec, kl_to_prior, per_weight_variance
 from .tensor import Rng
@@ -453,17 +453,31 @@ def run_sweep(cfg: ExperimentConfig) -> dict:
 # ood / attack / detect
 # ----------------------------------------------------------------------
 
-def _trial_checkpoints(cfg: ExperimentConfig, checkpoint=None):
+def _load_fitting(path, n_pixels: int):
+    """The checkpoint at ``path``, if its model maps ``n_pixels`` inputs to
+    N_CLASSES classes."""
+    model = load_model(path)
+    shapes = [a.shape for _, a in model.named_params() if a.ndim == 2]
+    widths = (shapes[0][0] - 1, shapes[-1][1])
+    if widths != (n_pixels, N_CLASSES):
+        raise ConfigError(
+            f"checkpoint {path} maps {widths[0]} inputs to {widths[1]} classes, "
+            f"but the test split has {n_pixels} pixels and {N_CLASSES} classes")
+    return model
+
+
+def _trial_checkpoints(cfg: ExperimentConfig, n_pixels: int, checkpoint=None):
     """(seed, model) pairs for the configured run, from explicit checkpoint
-    or from the out_dir files written by run_train."""
+    or from the out_dir files written by run_train; each model must fit
+    images of ``n_pixels`` pixels."""
     if checkpoint is not None:
-        return [(cfg.base_seed, load_model(checkpoint))]
+        return [(cfg.base_seed, _load_fitting(checkpoint, n_pixels))]
     pairs = []
     missing = []
     for seed in cfg.trial_seeds():
         path = os.path.join(cfg.out_dir, f"{cfg.run_id()}_seed{seed}.ckpt")
         if os.path.exists(path):
-            pairs.append((seed, load_model(path)))
+            pairs.append((seed, _load_fitting(path, n_pixels)))
         else:
             missing.append(path)
     if not pairs:
@@ -484,7 +498,8 @@ def run_ood(cfg: ExperimentConfig, checkpoint=None) -> dict:
     ood_data = take_prefix(ood_data, min(cfg.ood_prefix, ood_data.n))
 
     trials = []
-    for seed, model in _trial_checkpoints(cfg, checkpoint):
+    for seed, model in _trial_checkpoints(cfg, test_data.images.shape[1],
+                                          checkpoint):
         rng = Rng(seed).derive(_EVAL_STREAM)
         test_summary = predict_dataset(model, test_data.images,
                                        cfg.n_eval_samples, rng.derive(0))
@@ -523,7 +538,8 @@ def run_attack(cfg: ExperimentConfig, checkpoint=None) -> dict:
     prefix = take_prefix(test_data, min(cfg.attack_prefix, test_data.n))
 
     trials = []
-    for seed, model in _trial_checkpoints(cfg, checkpoint):
+    for seed, model in _trial_checkpoints(cfg, prefix.images.shape[1],
+                                          checkpoint):
         curve = attacks.robustness_curve(model, prefix.images, prefix.labels,
                                          cfg.eps_grid, _attack_config(cfg, seed))
         trials.append({"seed": seed, "curve": [
@@ -556,7 +572,8 @@ def run_detect(cfg: ExperimentConfig, checkpoint=None) -> dict:
         test_data = take_prefix(test_data, min(cfg.attack_prefix, test_data.n))
 
     trials = []
-    for seed, model in _trial_checkpoints(cfg, checkpoint):
+    for seed, model in _trial_checkpoints(cfg, test_data.images.shape[1],
+                                          checkpoint):
         result = attacks.pgd_attack(model, test_data.images, test_data.labels,
                                     _attack_config(cfg, seed))
         clean_summary = predict_dataset(model, test_data.images,
@@ -783,17 +800,17 @@ def run_report(results_dir, report_dir=None) -> dict:
                 [mean_std([h["counts"] for h in hists], axis=0)],
                 x_fmt=".6g", digits=3))
 
-    # Per-run aggregate metrics in the metric,mean,std,n_trials format.
+    # Per-run aggregate metrics in the metric,mean,std,n_trials format, for
+    # metrics with at least two trial values.
     for run_id, ts in sorted(by_run.items()):
-        if len(ts) < 2:
-            continue
-        named = {}
+        lines = ["metric,mean,std,n_trials"]
         for field_name in ("clean_accuracy", "mean_max_variance", "mean_entropy"):
             vals = [t[field_name] for t in ts if t.get(field_name) is not None]
             if len(vals) >= 2:
-                named[field_name] = aggregate(vals)
-        if named:
-            write(f"aggregate_{run_id}.csv", metrics.aggregates_csv(named))
+                mean, std = mean_std(vals)
+                lines.append(f"{field_name},{mean:.6g},{std:.6g},{len(vals)}")
+        if len(lines) > 1:
+            write(f"aggregate_{run_id}.csv", "\n".join(lines) + "\n")
 
     summary_lines = ["result files consolidated from: " + str(results_dir), ""]
     if warnings:

@@ -105,20 +105,6 @@ def summary_groups(summary, labels) -> dict:
     }
 
 
-@dataclass
-class TrialAggregate:
-    """Per-trial values with their mean and sample (n-1) standard deviation."""
-
-    values: np.ndarray
-    mean: float
-    std: float
-
-    @property
-    def std3(self) -> float:
-        """3-fold standard deviation, the error-bar convention for plots."""
-        return 3.0 * self.std
-
-
 def mean_std(values, axis=None):
     """Mean and sample (n-1) standard deviation of trial values along
     ``axis`` (over all values by default); the std of one trial is 0.
@@ -130,14 +116,6 @@ def mean_std(values, axis=None):
     n = v.size if axis is None else v.shape[axis]
     std = v.std(axis=axis, ddof=1 if n > 1 else 0)
     return v.mean(axis=axis).tolist(), std.tolist()
-
-
-def aggregate(values) -> TrialAggregate:
-    v = np.asarray(list(values), dtype=np.float64)
-    if v.size < 2:
-        raise ValueError(f"aggregation needs >= 2 trials, got {v.size}")
-    mean, std = mean_std(v)
-    return TrialAggregate(values=v, mean=mean, std=std)
 
 
 def histograms_csv(hists: dict) -> str:
@@ -152,10 +130,3 @@ def histograms_csv(hists: dict) -> str:
                              f"{edges[j + 1]:.6g},{int(count)}")
     return "\n".join(lines) + "\n"
 
-
-def aggregates_csv(named: dict) -> str:
-    """CSV of per-metric trial aggregates: metric,mean,std,n_trials."""
-    lines = ["metric,mean,std,n_trials"]
-    for metric, agg in named.items():
-        lines.append(f"{metric},{agg.mean:.6g},{agg.std:.6g},{agg.values.size}")
-    return "\n".join(lines) + "\n"

@@ -1,6 +1,6 @@
-"""Component MLP: forward/backward through sampled weights, and the
-multi-sample predictive summary (mean probabilities, per-class variance,
-entropy).
+"""Component MLP: forward/backward through sampled weights, the predictive
+summary over S draws (mean probabilities, per-class variance, entropy), and
+``MixtureModel``, the prediction and attack surface of every model kind.
 
 The forward pass is weight-list based, so the same code serves the
 stochastic model (weights drawn per call), the deterministic baseline
@@ -214,55 +214,74 @@ def summarize_prob_stream(draws, n_samples: int) -> PredictiveSummary:
     )
 
 
-def mixture_predict(components, n_components: int, x: Array) -> PredictiveSummary:
-    """Predictive summary of a mixture given an iterable of components.
-
-    Each component is a (weights, hidden_masks) pair, one draw or a block of
-    stacked draws, evaluated on the whole batch: the shared evaluation path
-    for weight draws, dropout mask draws, and ensemble members alike.
-    """
-
-    def draws():
-        for weights, masks in components:
-            log_probs, _ = forward(weights, x, hidden_masks=masks)
-            yield from np.exp(log_probs.reshape(-1, *log_probs.shape[-2:]))
-
-    return summarize_prob_stream(draws(), n_components)
+def in_blocks(n_components: int, make_block):
+    """``(n_components, blocks)`` with the blocks ``make_block(start, stop)``
+    over consecutive spans of at most DRAW_BLOCK components, made only as
+    the blocks are consumed, so draws come from the rng in component order."""
+    return n_components, (make_block(start, min(start + DRAW_BLOCK, n_components))
+                          for start in range(0, n_components, DRAW_BLOCK))
 
 
-def mixture_loss_input_grad(components, n_components: int, x: Array, labels):
-    """Gradient wrt x of -log p_bar(y|x) where p_bar averages component
-    probabilities (the mixture output itself, not the average of logs).
+class MixtureModel:
+    """A uniform mixture of MLP components: weight draws, dropout mask draws
+    or ensemble members.  Each model kind only lists its components, in
+    ``_components(n_samples, rng) -> (count, blocks)``; a block is a
+    (weights, hidden_masks) pair of one component or a stack of them, run on
+    the whole batch.  Kinds with a fixed count ignore ``n_samples``."""
 
-    The per-example 1/p_bar factor is applied after summing per-component
-    gradients of p_s, so no trace outlives its block of components.
-    Returns (grad_x, mean label probability).
-    """
-    labels = np.asarray(labels)
-    b = x.shape[0]
-    rows = np.arange(b)
-    label_prob_sum = np.zeros(b)
-    grad_accum = np.zeros_like(x)
-    count = 0
-    for weights, masks in components:
-        log_probs, trace = forward(weights, x, hidden_masks=masks)
-        grad_log_probs = np.zeros_like(log_probs)
-        p_label = np.exp(log_probs[..., rows, labels])
-        grad_log_probs[..., rows, labels] = p_label  # d p / d log p = p
-        label_prob_sum += p_label.reshape(-1, b).sum(axis=0)
-        trace.needs = INPUT_GRAD
-        _, gx = backward(trace, grad_log_probs)
-        grad_accum += gx
-        count += p_label.size // b
-    if count != n_components:
-        raise ValueError(f"expected {n_components} components, got {count}")
-    mean_label_prob = np.maximum(label_prob_sum / n_components, 1e-300)
-    grad_x = -grad_accum / (n_components * mean_label_prob)[:, None]
-    return grad_x, mean_label_prob
+    def _mixture(self, n_samples: int, rng: Rng | None):
+        count, blocks = self._components(n_samples, rng)
+        if count < 1:
+            raise ValueError(f"n_samples must be >= 1, got {count}")
+        return count, blocks
+
+    def predict(self, x: Array, n_samples: int = 1, rng: Rng | None = None
+                ) -> PredictiveSummary:
+        """Predictive summary of the mixture on the batch ``x``."""
+        n_components, blocks = self._mixture(n_samples, rng)
+
+        def draws():
+            for weights, masks in blocks:
+                log_probs, _ = forward(weights, x, hidden_masks=masks)
+                yield from np.exp(log_probs.reshape(-1, *log_probs.shape[-2:]))
+
+        return summarize_prob_stream(draws(), n_components)
+
+    def loss_input_grad(self, x: Array, labels, n_samples: int = 1,
+                        rng: Rng | None = None):
+        """Gradient wrt x of -log p_bar(y|x) where p_bar averages component
+        probabilities (the mixture output itself, not the average of logs).
+
+        The per-example 1/p_bar factor is applied after summing per-component
+        gradients of p_s, so no trace outlives its block of components.
+        Returns (grad_x, mean label probability).
+        """
+        n_components, blocks = self._mixture(n_samples, rng)
+        labels = np.asarray(labels)
+        b = x.shape[0]
+        rows = np.arange(b)
+        label_prob_sum = np.zeros(b)
+        grad_accum = np.zeros_like(x)
+        count = 0
+        for weights, masks in blocks:
+            log_probs, trace = forward(weights, x, hidden_masks=masks)
+            grad_log_probs = np.zeros_like(log_probs)
+            p_label = np.exp(log_probs[..., rows, labels])
+            grad_log_probs[..., rows, labels] = p_label  # d p / d log p = p
+            label_prob_sum += p_label.reshape(-1, b).sum(axis=0)
+            trace.needs = INPUT_GRAD
+            _, gx = backward(trace, grad_log_probs)
+            grad_accum += gx
+            count += p_label.size // b
+        if count != n_components:
+            raise ValueError(f"expected {n_components} components, got {count}")
+        mean_label_prob = np.maximum(label_prob_sum / n_components, 1e-300)
+        grad_x = -grad_accum / (n_components * mean_label_prob)[:, None]
+        return grad_x, mean_label_prob
 
 
 @dataclass
-class StochasticMlp:
+class StochasticMlp(MixtureModel):
     """Stack of matrix-variate normal layers with ReLU hidden activations."""
 
     layers: list
@@ -313,18 +332,5 @@ class StochasticMlp:
         return draws
 
     def _components(self, n_samples: int, rng: Rng):
-        for start in range(0, n_samples, DRAW_BLOCK):
-            draws = self.sample_draws(min(DRAW_BLOCK, n_samples - start), rng)
-            yield [sw.weights for sw in draws], None
-
-    def predict(self, x: Array, n_samples: int, rng: Rng) -> PredictiveSummary:
-        """Mixture prediction from ``n_samples`` fresh weight draws."""
-        if n_samples < 1:
-            raise ValueError(f"n_samples must be >= 1, got {n_samples}")
-        return mixture_predict(self._components(n_samples, rng), n_samples, x)
-
-    def loss_input_grad(self, x: Array, labels, n_samples: int, rng: Rng):
-        """Gradient wrt x of -log p_bar(y|x) over ``n_samples`` fresh draws
-        (the attacked quantity: log of the mixture probability)."""
-        return mixture_loss_input_grad(
-            self._components(n_samples, rng), n_samples, x, labels)
+        return in_blocks(n_samples, lambda start, stop: (
+            [sw.weights for sw in self.sample_draws(stop - start, rng)], None))

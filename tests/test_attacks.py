@@ -50,6 +50,13 @@ class TestProjection:
 
 
 class TestPgd:
+    def test_zero_gradient_samples_rejected(self):
+        net = StochasticMlp.create(Rng(0), topology=(6, 4, 4, 3))
+        cfg = AttackConfig(epsilon=0.1, n_iter=2, n_grad_samples=0,
+                           n_eval_samples=1)
+        with pytest.raises(ValueError, match="n_samples must be >= 1, got 0"):
+            pgd_attack(net, Rng(1).uniform(0.0, 1.0, (4, 6)), [0, 1, 2, 0], cfg)
+
     def test_epsilon_zero_returns_originals(self, toy, toy_model):
         images, labels = toy.images[:50], toy.labels[:50]
         result = pgd_attack(toy_model, images, labels,

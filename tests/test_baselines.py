@@ -8,7 +8,7 @@ from infmix.baselines import (DeepEnsemble, DeterministicMlp, DropoutMlp,
                               FitConfig, train_deterministic, train_dropout,
                               train_ensemble)
 from infmix.gradcheck import check_weight_decay_gradient
-from infmix.network import forward, mixture_loss_input_grad, summarize_probs
+from infmix.network import forward, summarize_probs
 from infmix.tensor import Rng
 
 from test_objectives import toy_dataset
@@ -104,8 +104,12 @@ class TestDropout:
         np.testing.assert_allclose(summary.mean_probs, stacked.mean(axis=0),
                                    rtol=1e-12, atol=1e-15)
         grad, _ = model.loss_input_grad(x, y, 5, Rng(5))
-        expected, _ = mixture_loss_input_grad(
-            [(model.weights, m) for m in masks], 5, x, y)
+
+        class OneMaskPerComponent(DropoutMlp):
+            def _components(self, n_samples, rng):
+                return len(masks), [(self.weights, m) for m in masks]
+
+        expected, _ = OneMaskPerComponent(model.weights, 0.5).loss_input_grad(x, y)
         np.testing.assert_allclose(grad, expected, rtol=1e-10, atol=1e-15)
 
     def test_inverted_dropout_scaling(self):

@@ -60,6 +60,24 @@ class TestIdxIO:
         d = load_idx(img + ".gz", lab + ".gz")
         assert np.allclose(d.images, 128.0 / 255.0)
 
+    def test_gzip_chosen_from_the_final_path(self, tmp_path):
+        path = os.path.join(tmp_path, "g-images.gz")
+        labels = np.array([4, 2], dtype=np.uint8)
+        write_idx(path, labels)
+        with open(path, "rb") as f:
+            assert f.read(2) == b"\x1f\x8b"
+        assert np.array_equal(read_idx(path), labels)
+        assert os.listdir(tmp_path) == ["g-images.gz"]
+
+    def test_failed_payload_write_keeps_the_earlier_file(self, tmp_path):
+        img, _ = write_pair(tmp_path, np.zeros((2, 28, 28), dtype=np.uint8),
+                            np.array([1, 2], dtype=np.uint8))
+        before = open(img, "rb").read()
+        with pytest.raises(ValueError):
+            write_idx(img, np.array([["not a pixel"]], dtype=object))
+        assert open(img, "rb").read() == before
+        assert sorted(os.listdir(tmp_path)) == ["d-images", "d-labels"]
+
     def test_bad_magic_is_format_error(self, tmp_path):
         path = os.path.join(tmp_path, "bad")
         with open(path, "wb") as f:

@@ -622,6 +622,21 @@ class TestCli:
         assert code == 0
         assert "balanced entropy undefined" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("command", ["ood", "attack", "detect"])
+    @pytest.mark.parametrize("shapes,widths", [
+        (((7, 4), (5, 10)), "6 inputs to 10 classes"),
+        (((785, 4), (5, 3)), "784 inputs to 3 classes")])
+    def test_checkpoint_that_does_not_fit_the_data_exits_one(
+            self, synthetic_data_dir, tmp_path, capsys, command, shapes, widths):
+        path = str(tmp_path / "other.ckpt")
+        save_model(DeterministicMlp(weights=[np.zeros(s) for s in shapes]), path)
+        code = main(["--data-dir", synthetic_data_dir, "--out-dir",
+                     str(tmp_path / "out"), command, "--checkpoint", path])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: checkpoint {path} maps {widths}")
+        assert err.count("\n") == 1
+
     def test_diverged_training_exits_one_without_traceback(
             self, synthetic_data_dir, tmp_path, capsys):
         # A finite but huge step size overflows the loss at iteration 3.  A

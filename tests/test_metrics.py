@@ -5,9 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from infmix.metrics import (ENTROPY_BIN_EDGES, VARIANCE_BIN_EDGES, aggregate,
-                            aggregates_csv, auroc_balanced, auroc_scores,
-                            histograms_csv, mean_std, uncertainty_histograms)
+from infmix.metrics import (ENTROPY_BIN_EDGES, VARIANCE_BIN_EDGES,
+                            auroc_balanced, auroc_scores, histograms_csv,
+                            mean_std, uncertainty_histograms)
 from infmix.tensor import Rng
 
 
@@ -151,15 +151,6 @@ class TestCsvInterfaces:
                     if line.split(",")[0] == "entropy")
         assert total == 40
 
-    def test_aggregates_csv_shape(self):
-        text = aggregates_csv({"clean_accuracy": aggregate([0.9, 1.1])})
-        lines = text.strip().split("\n")
-        assert lines[0] == "metric,mean,std,n_trials"
-        fields = lines[1].split(",")
-        assert fields[0] == "clean_accuracy"
-        assert float(fields[1]) == pytest.approx(1.0)
-        assert int(fields[3]) == 2
-
 
 class TestMeanStd:
     def test_single_trial_has_zero_std(self):
@@ -177,20 +168,3 @@ class TestMeanStd:
         np.testing.assert_allclose(std, np.std(rows, axis=0, ddof=1),
                                    rtol=0.0, atol=0.0)
         assert mean_std([[1.0, 2.0]], axis=0) == ([1.0, 2.0], [0.0, 0.0])
-
-
-class TestAggregate:
-    def test_identical_trials_zero_std(self):
-        agg = aggregate([0.97, 0.97, 0.97])
-        assert agg.mean == pytest.approx(0.97, abs=1e-15)
-        assert agg.std == pytest.approx(0.0, abs=1e-15)
-
-    def test_two_trial_hand_formula(self):
-        agg = aggregate([0.9, 1.1])
-        assert agg.mean == pytest.approx(1.0)
-        assert agg.std == pytest.approx(np.sqrt(0.02), rel=1e-12)  # ~0.1414
-        assert agg.std3 == pytest.approx(3 * agg.std)
-
-    def test_requires_two_trials(self):
-        with pytest.raises(ValueError):
-            aggregate([1.0])

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from infmix.baselines import DeepEnsemble, DeterministicMlp, DropoutMlp
 from infmix.gradcheck import check_mixture_input_gradient, check_network_gradient
 from infmix.network import (INPUT_GRAD, MAX_ENTROPY, WEIGHT_GRADS, StochasticMlp,
                             backward, entropy_of, forward, summarize_prob_stream,
@@ -282,6 +283,47 @@ class TestPredict:
         net = StochasticMlp.create(Rng(0), topology=(6, 4, 4, 3))
         with pytest.raises(ValueError):
             net.predict(np.ones((1, 6)), 0, Rng(0))
+
+
+def mixture_model(kind):
+    """A small 6-4-4-3 model of one of the four model classes."""
+    weights = [Rng(l).uniform(-1.0, 1.0, shape)
+               for l, shape in enumerate([(7, 4), (5, 4), (5, 3)])]
+    if kind == "stochastic":
+        return StochasticMlp.create(Rng(0), topology=(6, 4, 4, 3))
+    if kind == "dropout":
+        return DropoutMlp(weights, p_drop=0.5)
+    if kind == "ensemble":
+        return DeepEnsemble([DeterministicMlp(weights),
+                             DeterministicMlp([0.5 * w for w in weights]),
+                             DeterministicMlp([-w for w in weights])])
+    return DeterministicMlp(weights)
+
+
+class TestMixtureContract:
+    x = Rng(1).uniform(0.0, 1.0, (5, 6))
+    y = np.array([0, 1, 2, 0, 1])
+
+    @pytest.mark.parametrize("kind", ["stochastic", "dropout"])
+    def test_zero_samples_rejected(self, kind):
+        model = mixture_model(kind)
+        with pytest.raises(ValueError, match="n_samples must be >= 1, got 0"):
+            model.predict(self.x, 0, Rng(0))
+        with pytest.raises(ValueError, match="n_samples must be >= 1, got 0"):
+            model.loss_input_grad(self.x, self.y, 0, Rng(0))
+
+    @pytest.mark.parametrize("kind", ["deterministic", "ensemble"])
+    def test_fixed_count_ignores_n_samples(self, kind):
+        model = mixture_model(kind)
+        a = model.predict(self.x, 1, Rng(0))
+        b = model.predict(self.x, 7, Rng(0))
+        assert a.n_samples == b.n_samples == (3 if kind == "ensemble" else 1)
+        assert np.array_equal(a.mean_probs, b.mean_probs)
+        assert np.array_equal(a.class_variance, b.class_variance)
+        grad_a, prob_a = model.loss_input_grad(self.x, self.y, 1, Rng(0))
+        grad_b, prob_b = model.loss_input_grad(self.x, self.y, 7, Rng(0))
+        assert np.array_equal(grad_a, grad_b)
+        assert np.array_equal(prob_a, prob_b)
 
 
 class TestTopology:

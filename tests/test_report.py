@@ -165,3 +165,15 @@ def test_partial_report_names_what_is_missing(tmp_path, monkeypatch):
             "warning: no ood results found\n"
             "warning: no detection results found\n"
             "warning: no attack curves found\n\n")
+
+
+def test_run_with_one_trial_writes_no_aggregate(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    os.mkdir("results")
+    for name in ("ml_kl0.1_seed0.json", "vi_kl1_seed0.json",
+                 "vi_kl1_seed1.json"):
+        with open(os.path.join("results", name), "w") as f:
+            json.dump(PAYLOADS[name], f)
+    written = run_report("results")["written"]
+    assert [n for n in written if n.startswith("aggregate_")] == [
+        "aggregate_vi_synthetic_kl1_pv1.csv"]
