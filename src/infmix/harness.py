@@ -120,13 +120,12 @@ class ExperimentConfig:
                 raise ConfigError(f"{f.name} must be finite, got {value}")
         for name in ("n_trials", "threads", "n_train_samples", "n_eval_samples",
                      "batch_size", "ensemble_size", "n_attack_samples",
-                     "attack_iterations"):
+                     "attack_iterations", "attack_prefix", "ood_prefix"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
         # Written as `not >=` and `not >` so that NaN is rejected too.
-        for name in ("iterations", "loss_record_every", "attack_prefix",
-                     "ood_prefix", "attack_epsilon", "kl_weight",
-                     "weight_decay", "base_seed"):
+        for name in ("iterations", "loss_record_every", "attack_epsilon",
+                     "kl_weight", "weight_decay", "base_seed"):
             if not getattr(self, name) >= 0:
                 raise ConfigError(f"{name} must be >= 0, got {getattr(self, name)}")
         for name in ("prior_variance", "learning_rate"):

@@ -319,9 +319,10 @@ class StochasticMlp(MixtureModel):
     def sample_draws(self, n_samples: int, rng: Rng) -> list:
         """``n_samples`` draws as one stack (S, n_in+1, n_out) per layer, from
         one normal call in the (draw, layer) order of ``sample_weights``
-        calls; layer 0 is written draw-major, for ``forward``'s wide GEMM."""
+        calls, one row per draw; layer 0 is written draw-major, for
+        ``forward``'s wide GEMM."""
         sizes = [layer.mean.size for layer in self.layers]
-        normals = rng.standard_normal(n_samples * sum(sizes)).reshape(n_samples, -1)
+        normals = rng.standard_normal(n_samples, sum(sizes))
         parts = np.split(normals, np.cumsum(sizes)[:-1], axis=1)
         draws = []
         for layer, noise in zip(self.layers, parts):

@@ -38,7 +38,8 @@ def fast_config(data_dir, out_dir, **overrides):
 
 # Values that parse but are out of range; each must end in a ConfigError.
 BAD_VALUES = [
-    ("attack_prefix", "-1"), ("ood_prefix", "-1"), ("threads", "0"),
+    ("attack_prefix", "-1"), ("ood_prefix", "-1"), ("attack_prefix", "0"),
+    ("ood_prefix", "0"), ("threads", "0"),
     ("n_eval_samples", "0"), ("batch_size", "0"), ("ensemble_size", "0"),
     ("n_attack_samples", "0"), ("attack_iterations", "-3"),
     ("n_train_samples", "0"), ("iterations", "-1"),
@@ -86,8 +87,8 @@ VALID = {
     "attack_iterations": _COUNT,
     "attack_step": st.none() | st.floats(0.0, 1.0, exclude_min=True),
     "n_attack_samples": _COUNT, "attack_random_init": st.booleans(),
-    "attack_epsilon": _EPS, "attack_prefix": st.integers(0, 10**6),
-    "detect_full_test": st.booleans(), "ood_prefix": st.integers(0, 10**6),
+    "attack_epsilon": _EPS, "attack_prefix": _COUNT,
+    "detect_full_test": st.booleans(), "ood_prefix": _COUNT,
     "loss_record_every": st.integers(0, 10**6), "data_dir": _PATH,
     "out_dir": _PATH,
     "threads": st.integers(1, 64),
@@ -105,9 +106,10 @@ _BAD_TEXT.update({name: _BAD_POSITIVE for name in (
     "prior_variance", "learning_rate")})
 _BAD_TEXT.update({name: _BAD_COUNT for name in (
     "n_train_samples", "n_eval_samples", "batch_size", "n_trials",
-    "ensemble_size", "attack_iterations", "n_attack_samples", "threads")})
+    "ensemble_size", "attack_iterations", "n_attack_samples", "threads",
+    "attack_prefix", "ood_prefix")})
 _BAD_TEXT.update({name: _BAD_SIZE for name in (
-    "iterations", "loss_record_every", "attack_prefix", "ood_prefix")})
+    "iterations", "loss_record_every")})
 _BAD_TEXT.update({
     "schema_version": st.sampled_from(["0", "2", "one"]),
     "model": st.sampled_from(["transformer", "ML", ""]),

@@ -1,9 +1,64 @@
 """Substrate contracts: the deterministic RNG and ADAM."""
 
+import os
+import sys
+import threading
+import time
+import types
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from infmix.tensor import AdamState, Rng, adam_step
+from infmix import tensor
+from infmix.network import StochasticMlp
+from infmix.tensor import READ_AHEAD_WIDTH, AdamState, Rng, adam_step
+
+W = READ_AHEAD_WIDTH
+JOIN_TIMEOUT_S = 60.0
+
+
+def reference(seed, *tags):
+    """A plain Philox generator keyed like ``Rng(seed).derive(*tags)``."""
+    ss = np.random.SeedSequence(seed, spawn_key=tags)
+    return np.random.Generator(np.random.Philox(ss))
+
+
+def apply(op, rng, ref):
+    """Make the call ``op`` on an ``Rng`` and on its reference generator;
+    returns both results."""
+    kind, arg = op
+    if kind == "normal":
+        return rng.standard_normal(*arg), ref.standard_normal(arg)
+    if kind == "uniform":
+        return rng.uniform(-1.0, 2.0, arg), ref.uniform(-1.0, 2.0, arg)
+    if kind == "integers":
+        return rng.integers(0, 100, size=arg), ref.integers(0, 100, size=arg)
+    if kind == "permutation":
+        return rng.permutation(arg), ref.permutation(arg)
+    if kind == "choice":
+        return (rng.choice(arg, 3, replace=False),
+                ref.choice(arg, size=3, replace=False))
+    assert kind == "derive"
+    child = rng.derive(arg)
+    return child.standard_normal(2, W), \
+        reference(rng.seed, *rng.spawn_key, arg).standard_normal((2, W))
+
+
+def check_stream(seed, ops):
+    rng, ref = Rng(seed), reference(seed)
+    for op in ops:
+        got, want = apply(op, rng, ref)
+        assert np.array_equal(got, want), op
+    # The stream goes on from where the reference is.
+    assert np.array_equal(rng.standard_normal(3, W), ref.standard_normal((3, W)))
+
+
+@pytest.fixture(params=[True, False], ids=["spare-cpu", "one-cpu"])
+def spare_cpu(request, monkeypatch):
+    monkeypatch.setattr(tensor, "_spare_cpu", lambda: request.param)
+    return request.param
 
 
 class TestRng:
@@ -28,6 +83,118 @@ class TestRng:
         draws = Rng(123).standard_normal(1_000_000)
         assert -0.01 < draws.mean() < 0.01
         assert 0.98 < draws.var() < 1.02
+
+
+class TestReadAhead:
+    """Wide rows of normals are drawn ahead from a copy of the Philox state;
+    every request still equals a plain generator making the same calls."""
+
+    def test_block_row_pattern(self, spare_cpu):
+        check_stream(0, [("normal", (n, W)) for n in (2, 2, 1) * 3])
+
+    def test_read_ahead_starts_only_for_wide_rows_on_a_spare_cpu(self, spare_cpu):
+        rng = Rng(1)
+        rng.standard_normal(3, 50)
+        rng.standard_normal(4 * W)
+        assert rng._ahead is None
+        rng.standard_normal(2, W)
+        assert (rng._ahead is not None) == spare_cpu
+
+    def test_zero_rows_and_flat_requests(self, spare_cpu):
+        check_stream(1, [("normal", (0, W)), ("normal", (2, W)),
+                         ("normal", (0, W)), ("normal", (2, W)),
+                         ("normal", (5,)), ("normal", (2, W)),
+                         ("normal", (2 * W,)), ("normal", (3, 4)),
+                         ("normal", ()), ("normal", (1, W))])
+
+    def test_width_changes(self, spare_cpu):
+        check_stream(2, [("normal", (2, W)), ("normal", (2, W + 5)),
+                         ("normal", (3, W + 5)), ("normal", (1, W)),
+                         ("normal", (2, 7)), ("normal", (4, W))])
+
+    def test_other_calls_in_between(self, spare_cpu):
+        check_stream(3, [("normal", (2, W)), ("uniform", (3, 2)),
+                         ("normal", (2, W)), ("integers", 5),
+                         ("normal", (2, W)), ("permutation", 9),
+                         ("normal", (2, W)), ("choice", 10),
+                         ("normal", (2, W)), ("derive", 4),
+                         ("normal", (2, W))])
+
+    @given(st.integers(0, 2**32 - 1), st.lists(st.one_of(
+        st.tuples(st.just("normal"), st.one_of(
+            st.tuples(st.integers(0, 3), st.sampled_from([W, W + 3, 40])),
+            st.tuples(st.integers(0, 2 * W)))),
+        st.tuples(st.sampled_from(["uniform", "integers", "permutation"]),
+                  st.integers(0, 6)),
+        st.tuples(st.sampled_from(["choice", "derive"]), st.integers(3, 6))),
+        max_size=8))
+    @settings(max_examples=40, deadline=None)
+    def test_any_call_sequence_matches_reference(self, seed, ops):
+        for on in (True, False):
+            original = tensor._spare_cpu
+            tensor._spare_cpu = lambda: on
+            try:
+                check_stream(seed, ops)
+            finally:
+                tensor._spare_cpu = original
+
+    def test_draw_blocks_equal_single_draws_at_protocol_shape(self, spare_cpu):
+        net = StochasticMlp.create(Rng(0).derive(0))
+        rng, single = Rng(7), Rng(7)
+        blocks = [net.sample_draws(n, rng) for n in (5, 2, 2, 1)]
+        for draws in blocks:
+            for s in range(len(draws[0].weights)):
+                for l, sw in enumerate(net.sample_weights(single)):
+                    assert np.array_equal(draws[l].weights[s], sw.weights)
+
+    def test_worker_exception_reraises_in_next_request(self, monkeypatch):
+        monkeypatch.setattr(tensor, "_spare_cpu", lambda: True)
+
+        class FailingFill:
+            bit_generator = types.SimpleNamespace(state=None)
+
+            def standard_normal(self, out):
+                raise RuntimeError("read-ahead fill failed")
+
+        rng, ref = Rng(4), reference(4)
+        rng._clone = FailingFill()
+        assert np.array_equal(rng.standard_normal(2, W), ref.standard_normal((2, W)))
+        worker = rng._ahead._thread
+        worker.join(timeout=JOIN_TIMEOUT_S)
+        assert not worker.is_alive()
+        with pytest.raises(RuntimeError, match="read-ahead fill failed"):
+            rng.standard_normal(2, W)
+        # Nothing was taken from the stream, which goes on unchanged.
+        rng._clone = None
+        assert np.array_equal(rng.standard_normal(2, W), ref.standard_normal((2, W)))
+
+    def test_more_streams_than_cpus_under_fast_switching(self, monkeypatch):
+        monkeypatch.setattr(tensor, "_spare_cpu", lambda: True)
+        n_threads = (os.cpu_count() or 1) + 3
+        ops = [("normal", (n, W)) for n in (2, 2, 1, 3)] + [
+            ("uniform", 4), ("normal", (2, W)), ("normal", (2, W + 1))]
+        failures = []
+
+        def run(seed):
+            try:
+                check_stream(seed, ops * 3)
+            except BaseException as exc:
+                failures.append((seed, exc))
+
+        workers = [threading.Thread(target=run, args=(seed,))
+                   for seed in range(n_threads)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            deadline = time.monotonic() + JOIN_TIMEOUT_S
+            for t in workers:
+                t.start()
+            for t in workers:
+                t.join(timeout=max(deadline - time.monotonic(), 0.0))
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in workers)
+        assert failures == []
 
 
 class TestAdam:
