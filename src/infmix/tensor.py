@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import os
 import threading
+import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,6 +20,22 @@ Array = np.ndarray
 # about 87 us and a Philox state copy about 4 us, while 2^14 normals take
 # about 0.35 ms, so narrower rows are not worth a worker.
 READ_AHEAD_WIDTH = 1 << 14
+# A read-ahead whose worker, or the thread it serves, gets less than this
+# share of a CPU (thread CPU time over wall time) takes turns on a CPU with
+# other busy threads, or on a VM shares a host CPU, and so takes the time it
+# saves from the thread it serves.  Workers with a CPU of their own measured
+# shares around 0.95-1.0, and those queued behind the thread they serve 0.5.
+MIN_CPU_SHARE = 0.75
+# Reading ahead stops when the last share and most of this many recent
+# ones fall short, and resumes after one that does not.
+PAYOFF_WINDOW = 3
+# While reading ahead does not pay, a wide request still reads ahead after
+# PROBE_EVERY others, so that a CPU that comes free again is noticed; each
+# probe that falls short doubles the wait, up to MAX_PROBE_EVERY.  Probes
+# cost a little: with a busy loop on the second of two CPUs, probing every
+# 16th or 32nd request made `train` 1-5% slower than never reading ahead.
+PROBE_EVERY = 16
+MAX_PROBE_EVERY = 128
 
 
 def _spare_cpu() -> bool:
@@ -28,32 +45,104 @@ def _spare_cpu() -> bool:
     return (os.cpu_count() or 1) > 1
 
 
+def _current_cpu():
+    """The CPU the calling thread runs on, or None where ``/proc`` does not
+    say (field 39 of ``/proc/thread-self/stat`` on Linux)."""
+    try:
+        with open("/proc/thread-self/stat", "rb") as f:
+            return int(f.read().rsplit(b")", 1)[1].split()[36])
+    except (OSError, ValueError, IndexError):
+        return None
+
+
+def _keep_off(cpu):
+    """Let the calling thread run anywhere it may except on ``cpu``.  A new
+    thread is otherwise often started on the CPU of the thread that started
+    it and waits there while another CPU idles."""
+    if cpu is None or not hasattr(os, "sched_setaffinity"):
+        return
+    others = os.sched_getaffinity(0) - {cpu}
+    if others:
+        os.sched_setaffinity(0, others)
+
+
+def _cpu_share(start) -> float:
+    """The calling thread's CPU time over the wall time since ``start``, a
+    ``(time.thread_time(), time.perf_counter())`` pair it took."""
+    cpu, wall = time.thread_time() - start[0], time.perf_counter() - start[1]
+    return cpu / wall if wall > 0 else 1.0
+
+
+class _Payoff:
+    """Whether reading ahead pays now, judged by the CPU shares (thread CPU
+    time over wall time) of recent read-aheads: each the lesser of the
+    worker's during its fill and the served thread's while the worker ran.
+    A CPU listed in the affinity mask may be busy with other threads of
+    this or another process (trial threads, BLAS threads) or, on a VM,
+    share its host CPU with another vCPU; the shares measure all of these.
+    Shared by every ``Rng`` of the process; a lost update from a racing
+    thread only shifts the timing."""
+
+    def __init__(self):
+        self.shares = ()
+        self.skipped = 0
+        self.probe_every = PROBE_EVERY
+
+    def record(self, share: float):
+        self.shares = (self.shares + (share,))[-PAYOFF_WINDOW:]
+
+    def pays(self) -> bool:
+        if not _spare_cpu():
+            return False
+        good = [share >= MIN_CPU_SHARE for share in self.shares]
+        if len(good) < PAYOFF_WINDOW or good[-1] or 2 * sum(good) > len(good):
+            self.probe_every = PROBE_EVERY
+            return True
+        self.skipped += 1
+        if self.skipped < self.probe_every:
+            return False
+        self.skipped = 0
+        self.probe_every = min(2 * self.probe_every, MAX_PROBE_EVERY)
+        return True
+
+
+_PAYOFF = _Payoff()
+
+
 class _ReadAhead:
     """The rows a Philox stream draws next, filled on a worker thread from a
-    copy of its state into ``rows``; ``states[i]`` is the state after row i.
-    ``join`` re-raises whatever the worker raised."""
+    copy of its state into ``rows``; ``state`` is the state after them.
+    ``join``, called by the thread that made it, re-raises whatever the
+    worker raised and otherwise records the read-ahead's CPU share."""
 
     def __init__(self, clone, state: dict, rows: Array):
         self.rows = rows
-        self.states = []
+        self.state = None
         self.error = None
-        self._thread = threading.Thread(target=self._fill, args=(clone, state),
+        self.share = None       # the worker's, during its fill
+        self._start = time.thread_time(), time.perf_counter()
+        self._thread = threading.Thread(target=self._fill,
+                                        args=(clone, state, _current_cpu()),
                                         name="infmix-rng-read-ahead")
         self._thread.start()
 
-    def _fill(self, clone, state):
+    def _fill(self, clone, state, consumer_cpu):
         try:
+            _keep_off(consumer_cpu)
             clone.bit_generator.state = state
-            for row in self.rows:
-                clone.standard_normal(out=row)
-                self.states.append(clone.bit_generator.state)
+            start = time.thread_time(), time.perf_counter()
+            clone.standard_normal(out=self.rows)
+            self.share = _cpu_share(start)
+            self.state = clone.bit_generator.state
         except BaseException as exc:  # re-raised by join, in the consumer
             self.error = exc
 
     def join(self):
+        served = _cpu_share(self._start)
         self._thread.join()
         if self.error is not None:
             raise self.error
+        _PAYOFF.record(min(self.share, served))
 
 
 class Rng:
@@ -64,12 +153,12 @@ class Rng:
     epochs, and evaluation draws get their own reproducible randomness.
 
     Philox is counter-based, so a copy of its state draws exactly what the
-    stream draws next.  After serving n rows of at least ``READ_AHEAD_WIDTH``
-    normals, when the process may run on more than one CPU, the stream draws
-    its next n rows from such a copy on a worker thread.  A later request of
-    the same row width takes them; any other call drops them, so no call
-    pattern changes a single bit.  An ``Rng`` is owned by one thread at a
-    time.
+    stream draws next.  After serving an (n, w) request with w at least
+    ``READ_AHEAD_WIDTH``, while reading ahead pays (``_Payoff``), the stream
+    draws the next (n, w) normals from such a copy on a worker thread.  A
+    later request of the same shape takes them; any other call drops them,
+    so no call pattern changes a single bit.  An ``Rng`` is owned by one
+    thread at a time.
     """
 
     def __init__(self, seed: int, _spawn_key: tuple[int, ...] = ()):
@@ -93,22 +182,16 @@ class Rng:
         return ahead
 
     def standard_normal(self, *shape: int) -> Array:
-        wide = len(shape) == 2 and shape[0] >= 0 and shape[1] >= READ_AHEAD_WIDTH
+        wide = len(shape) == 2 and shape[0] > 0 and shape[1] >= READ_AHEAD_WIDTH
         if self._ahead is None and not wide:
             return self._gen.standard_normal(shape, dtype=np.float64)
         ahead = self._drop_ahead()
-        if not wide:
-            return self._gen.standard_normal(shape, dtype=np.float64)
-        n, width = shape
-        out = np.empty((0, width))
-        if n and ahead is not None and ahead.rows.shape[1] == width:
-            out = ahead.rows[:n]
-            self._gen.bit_generator.state = ahead.states[len(out) - 1]
-        if len(out) < n:
-            taken, out = out, np.empty(shape)
-            out[:len(taken)] = taken
-            self._gen.standard_normal(out=out[len(taken):])
-        if n and _spare_cpu():
+        if ahead is not None and ahead.rows.shape == shape:
+            out = ahead.rows
+            self._gen.bit_generator.state = ahead.state
+        else:
+            out = self._gen.standard_normal(shape, dtype=np.float64)
+        if wide and _PAYOFF.pays():
             if self._clone is None:
                 self._clone = np.random.Generator(np.random.Philox())
             self._ahead = _ReadAhead(self._clone, self._gen.bit_generator.state,

@@ -13,7 +13,8 @@ from hypothesis import strategies as st
 
 from infmix import tensor
 from infmix.network import StochasticMlp
-from infmix.tensor import READ_AHEAD_WIDTH, AdamState, Rng, adam_step
+from infmix.tensor import (MAX_PROBE_EVERY, PAYOFF_WINDOW, PROBE_EVERY,
+                           READ_AHEAD_WIDTH, AdamState, Rng, adam_step)
 
 W = READ_AHEAD_WIDTH
 JOIN_TIMEOUT_S = 60.0
@@ -55,9 +56,9 @@ def check_stream(seed, ops):
     assert np.array_equal(rng.standard_normal(3, W), ref.standard_normal((3, W)))
 
 
-@pytest.fixture(params=[True, False], ids=["spare-cpu", "one-cpu"])
-def spare_cpu(request, monkeypatch):
-    monkeypatch.setattr(tensor, "_spare_cpu", lambda: request.param)
+@pytest.fixture(params=[True, False], ids=["read-ahead", "in-place"])
+def pays(request, monkeypatch):
+    monkeypatch.setattr(tensor._PAYOFF, "pays", lambda: request.param)
     return request.param
 
 
@@ -89,30 +90,31 @@ class TestReadAhead:
     """Wide rows of normals are drawn ahead from a copy of the Philox state;
     every request still equals a plain generator making the same calls."""
 
-    def test_block_row_pattern(self, spare_cpu):
+    def test_block_row_pattern(self, pays):
         check_stream(0, [("normal", (n, W)) for n in (2, 2, 1) * 3])
 
-    def test_read_ahead_starts_only_for_wide_rows_on_a_spare_cpu(self, spare_cpu):
+    def test_read_ahead_starts_only_for_wide_rows_while_it_pays(self, pays):
         rng = Rng(1)
         rng.standard_normal(3, 50)
         rng.standard_normal(4 * W)
+        rng.standard_normal(0, W)
         assert rng._ahead is None
         rng.standard_normal(2, W)
-        assert (rng._ahead is not None) == spare_cpu
+        assert (rng._ahead is not None) == pays
 
-    def test_zero_rows_and_flat_requests(self, spare_cpu):
+    def test_zero_rows_and_flat_requests(self, pays):
         check_stream(1, [("normal", (0, W)), ("normal", (2, W)),
                          ("normal", (0, W)), ("normal", (2, W)),
                          ("normal", (5,)), ("normal", (2, W)),
                          ("normal", (2 * W,)), ("normal", (3, 4)),
                          ("normal", ()), ("normal", (1, W))])
 
-    def test_width_changes(self, spare_cpu):
+    def test_width_changes(self, pays):
         check_stream(2, [("normal", (2, W)), ("normal", (2, W + 5)),
                          ("normal", (3, W + 5)), ("normal", (1, W)),
                          ("normal", (2, 7)), ("normal", (4, W))])
 
-    def test_other_calls_in_between(self, spare_cpu):
+    def test_other_calls_in_between(self, pays):
         check_stream(3, [("normal", (2, W)), ("uniform", (3, 2)),
                          ("normal", (2, W)), ("integers", 5),
                          ("normal", (2, W)), ("permutation", 9),
@@ -131,14 +133,13 @@ class TestReadAhead:
     @settings(max_examples=40, deadline=None)
     def test_any_call_sequence_matches_reference(self, seed, ops):
         for on in (True, False):
-            original = tensor._spare_cpu
-            tensor._spare_cpu = lambda: on
+            tensor._PAYOFF.pays = lambda: on
             try:
                 check_stream(seed, ops)
             finally:
-                tensor._spare_cpu = original
+                del tensor._PAYOFF.pays
 
-    def test_draw_blocks_equal_single_draws_at_protocol_shape(self, spare_cpu):
+    def test_draw_blocks_equal_single_draws_at_protocol_shape(self, pays):
         net = StochasticMlp.create(Rng(0).derive(0))
         rng, single = Rng(7), Rng(7)
         blocks = [net.sample_draws(n, rng) for n in (5, 2, 2, 1)]
@@ -148,7 +149,7 @@ class TestReadAhead:
                     assert np.array_equal(draws[l].weights[s], sw.weights)
 
     def test_worker_exception_reraises_in_next_request(self, monkeypatch):
-        monkeypatch.setattr(tensor, "_spare_cpu", lambda: True)
+        monkeypatch.setattr(tensor._PAYOFF, "pays", lambda: True)
 
         class FailingFill:
             bit_generator = types.SimpleNamespace(state=None)
@@ -169,7 +170,7 @@ class TestReadAhead:
         assert np.array_equal(rng.standard_normal(2, W), ref.standard_normal((2, W)))
 
     def test_more_streams_than_cpus_under_fast_switching(self, monkeypatch):
-        monkeypatch.setattr(tensor, "_spare_cpu", lambda: True)
+        monkeypatch.setattr(tensor._PAYOFF, "pays", lambda: True)
         n_threads = (os.cpu_count() or 1) + 3
         ops = [("normal", (n, W)) for n in (2, 2, 1, 3)] + [
             ("uniform", 4), ("normal", (2, W)), ("normal", (2, W + 1))]
@@ -195,6 +196,133 @@ class TestReadAhead:
             sys.setswitchinterval(interval)
         assert not any(t.is_alive() for t in workers)
         assert failures == []
+
+
+class TestPayoff:
+    """Reading ahead stops while read-aheads get less than ``MIN_CPU_SHARE``
+    of a CPU, still probes at doubling intervals from ``PROBE_EVERY`` up to
+    ``MAX_PROBE_EVERY`` requests, and resumes after one that got a CPU."""
+
+    @pytest.fixture(autouse=True)
+    def payoff(self, monkeypatch):
+        monkeypatch.setattr(tensor, "_spare_cpu", lambda: True)
+        payoff = tensor._Payoff()
+        monkeypatch.setattr(tensor, "_PAYOFF", payoff)
+        return payoff
+
+    def test_pays_until_measured(self, payoff):
+        assert payoff.pays()
+
+    def test_one_cpu_never_pays(self, payoff, monkeypatch):
+        monkeypatch.setattr(tensor, "_spare_cpu", lambda: False)
+        assert not payoff.pays()
+
+    def test_shared_cpu_stops_it_but_for_probes_at_doubling_intervals(self, payoff):
+        for _ in range(PAYOFF_WINDOW):
+            payoff.record(0.5)
+        gaps, waited = [], 0
+        for _ in range(6 * MAX_PROBE_EVERY):
+            waited += 1
+            if payoff.pays():
+                gaps.append(waited)
+                waited = 0
+        want = [PROBE_EVERY]
+        while len(want) < len(gaps):
+            want.append(min(2 * want[-1], MAX_PROBE_EVERY))
+        assert gaps == want and gaps[-1] == MAX_PROBE_EVERY
+
+    def test_one_good_probe_resumes_it_and_resets_the_interval(self, payoff):
+        for _ in range(PAYOFF_WINDOW):
+            payoff.record(0.5)
+        while not payoff.pays():
+            pass
+        payoff.record(0.95)
+        assert payoff.pays()
+        payoff.record(0.4)
+        payoff.record(0.4)
+        assert [payoff.pays() for _ in range(PROBE_EVERY)] == [False] * (
+            PROBE_EVERY - 1) + [True]
+
+    def test_one_slow_read_ahead_does_not_stop_it(self, payoff):
+        for share in (0.98, 0.97, 0.3):
+            payoff.record(share)
+        assert payoff.pays()
+
+    def test_workers_record_their_share(self, payoff):
+        rng, ref = Rng(5), reference(5)
+        for _ in range(2):
+            assert np.array_equal(rng.standard_normal(2, W), ref.standard_normal((2, W)))
+        assert np.array_equal(rng.uniform(0, 1, 3), ref.uniform(0, 1, 3))
+        assert len(payoff.shares) == 2 and all(s > 0 for s in payoff.shares)
+
+    @pytest.mark.parametrize("worker, served", [(0.9, 0.3), (0.3, 0.9)])
+    def test_records_the_lesser_of_worker_and_served_share(
+            self, payoff, monkeypatch, worker, served):
+        caller = threading.current_thread()
+        monkeypatch.setattr(tensor, "_cpu_share", lambda start: (
+            served if threading.current_thread() is caller else worker))
+        rng = Rng(7)
+        rng.standard_normal(2, W)
+        rng.uniform(0, 1, 1)
+        assert payoff.shares == (0.3,)
+
+    def test_no_worker_while_it_does_not_pay(self, payoff):
+        for _ in range(PAYOFF_WINDOW):
+            payoff.record(0.4)
+        rng = Rng(6)
+        rng.standard_normal(2, W)
+        assert rng._ahead is None
+
+
+def in_thread(fn):
+    """``fn()`` run on a new thread, so that affinity changes stay there."""
+    out = []
+    worker = threading.Thread(target=lambda: out.append(fn()))
+    worker.start()
+    worker.join(timeout=JOIN_TIMEOUT_S)
+    assert not worker.is_alive() and len(out) == 1
+    return out[0]
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"),
+                    reason="no per-thread CPU affinity on this platform")
+class TestKeepOff:
+    """A read-ahead worker keeps off the CPU of the thread it serves."""
+
+    def test_current_cpu_is_one_the_thread_may_use(self):
+        cpu = tensor._current_cpu()
+        if cpu is None:
+            pytest.skip("/proc does not give the current CPU here")
+        assert cpu in os.sched_getaffinity(0)
+
+    def test_worker_leaves_out_the_consumer_cpu_only(self):
+        allowed = os.sched_getaffinity(0)
+        if len(allowed) < 2:
+            pytest.skip("needs two CPUs")
+        cpu = min(allowed)
+
+        def keep_off():
+            tensor._keep_off(cpu)
+            return os.sched_getaffinity(0)
+
+        assert in_thread(keep_off) == allowed - {cpu}
+        assert os.sched_getaffinity(0) == allowed
+
+    def test_unknown_or_only_cpu_changes_nothing(self):
+        allowed = os.sched_getaffinity(0)
+        cpu = min(allowed)
+
+        def keep_off_only_cpu():
+            os.sched_setaffinity(0, {cpu})
+            tensor._keep_off(cpu)
+            return os.sched_getaffinity(0)
+
+        def keep_off_unknown():
+            tensor._keep_off(None)
+            return os.sched_getaffinity(0)
+
+        assert in_thread(keep_off_only_cpu) == {cpu}
+        assert in_thread(keep_off_unknown) == allowed
 
 
 class TestAdam:
