@@ -74,17 +74,19 @@ def resolve_config(args) -> ExperimentConfig:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
 
-    if args.command == "gradcheck":
-        results = gradcheck_mod.run_all_checks(seed=args.gradcheck_seed)
-        for res in results:
-            print(res.line())
-        if all(r.passed for r in results):
-            print("gradcheck: all checks passed")
-            return EXIT_OK
-        print("gradcheck: FAILED", file=sys.stderr)
-        return EXIT_VERIFICATION
-
     try:
+        if args.command == "gradcheck":
+            if args.gradcheck_seed < 0:
+                raise ConfigError(
+                    f"--gradcheck-seed must be >= 0, got {args.gradcheck_seed}")
+            results = gradcheck_mod.run_all_checks(seed=args.gradcheck_seed)
+            for res in results:
+                print(res.line())
+            if all(r.passed for r in results):
+                print("gradcheck: all checks passed")
+                return EXIT_OK
+            print("gradcheck: FAILED", file=sys.stderr)
+            return EXIT_VERIFICATION
         cfg = resolve_config(args)
         if args.command == "report":
             results_dir = args.results_dir or cfg.out_dir

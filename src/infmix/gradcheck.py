@@ -3,7 +3,9 @@
 All checks run on tiny nets with frozen reparameterization noise (a fixed
 ``Rng`` key, replayed for every evaluation of the loss), so each loss is a
 smooth deterministic function of the parameters and central differences
-are a valid oracle.  The ``perturb`` hook injects an error into
+are a valid oracle.  Weight draws come from ``StochasticMlp.sample_draws``,
+the sampler training runs, and every finite-difference check goes through
+``fd_check``.  The ``perturb`` hook injects an error into
 one analytic gradient, as a negative control that the checker can fail.
 """
 
@@ -17,8 +19,7 @@ from .baselines import _decay_gradient
 from .network import StochasticMlp, backward, forward
 from .objectives import (ObjectiveKind, TrainConfig, ml_loss, objective_gradients,
                          objective_loss, per_example_loglik, vi_loss)
-from .posterior import PriorSpec, kl_backward, kl_to_prior, sample_backward, \
-    sample_with_noise
+from .posterior import PriorSpec, kl_backward, kl_to_prior, sample, sample_backward
 from .tensor import Rng
 
 TINY_TOPOLOGY = (5, 3, 3, 2)
@@ -106,6 +107,22 @@ def frozen_objective_value(net, images, labels, n_samples, seed, kind, kl_weight
     return -float(per_example.mean()) + kl_weight * kl / images.shape[0]
 
 
+def fd_check(name: str, analytic, arrays, loss, tolerance: float) -> CheckResult:
+    """Analytic gradients, one per array in ``arrays``, against central
+    differences of ``loss()`` as each entry is perturbed in place; the
+    arrays are restored afterwards."""
+    x0 = flatten(arrays)
+
+    def loss_at(flat):
+        unflatten_into(flat, arrays)
+        return loss()
+
+    numeric = central_differences(loss_at, x0)
+    unflatten_into(x0, arrays)
+    err = rel_err(flatten(analytic), numeric)
+    return CheckResult(name, err, tolerance, err < tolerance)
+
+
 def check_objective_gradient(kind: ObjectiveKind, seed: int = 0,
                              tolerance: float = 1e-4,
                              perturb: float = 0.0) -> CheckResult:
@@ -118,101 +135,63 @@ def check_objective_gradient(kind: ObjectiveKind, seed: int = 0,
 
     _, _, grads = objective_gradients(
         net, images, labels, cfg, n_total=images.shape[0], rng=_frozen_rng(seed))
-    analytic = flatten([g for layer in grads for g in layer])
-    if perturb:
-        analytic[0] += perturb
-
-    probe = net.copy()
-    params = [p for _, p in probe.named_params()]
-    x0 = flatten(params)
-
-    def loss_at(flat):
-        unflatten_into(flat, params)
-        return frozen_objective_value(probe, images, labels, cfg.n_train_samples,
-                                      seed, kind, cfg.kl_weight, cfg.prior)
-
-    numeric = central_differences(loss_at, x0)
-    err = rel_err(analytic, numeric)
-    return CheckResult(f"objective_{ObjectiveKind(kind).value}", err, tolerance,
-                       err < tolerance)
+    analytic = [g for layer in grads for g in layer]
+    analytic[0].flat[0] += perturb
+    return fd_check(
+        f"objective_{ObjectiveKind(kind).value}", analytic,
+        [p for _, p in net.named_params()],
+        lambda: frozen_objective_value(net, images, labels, cfg.n_train_samples,
+                                       seed, kind, cfg.kl_weight, cfg.prior),
+        tolerance)
 
 
 def check_kl_gradient(seed: int = 0, tolerance: float = 1e-6) -> CheckResult:
     net = _tiny_net(seed)
     prior = PriorSpec(0.7)
-    analytic = flatten([g for layer in net.layers
-                        for g in kl_backward(layer, prior)])
-    probe = net.copy()
-    params = [p for _, p in probe.named_params()]
-
-    def kl_at(flat):
-        unflatten_into(flat, params)
-        return sum(kl_to_prior(layer, prior) for layer in probe.layers)
-
-    numeric = central_differences(kl_at, flatten(params))
-    err = rel_err(analytic, numeric)
-    return CheckResult("kl_to_prior", err, tolerance, err < tolerance)
+    analytic = [g for layer in net.layers for g in kl_backward(layer, prior)]
+    return fd_check("kl_to_prior", analytic, [p for _, p in net.named_params()],
+                    lambda: sum(kl_to_prior(layer, prior) for layer in net.layers),
+                    tolerance)
 
 
 def check_sampling_gradient(seed: int = 0, tolerance: float = 1e-5) -> CheckResult:
-    """d/d(M, a, b) of sum(G * W) with frozen noise, G random and fixed."""
+    """d/d(M, a, b) of sum(G * W) over one frozen draw, G random and fixed."""
     net = _tiny_net(seed)
-    noises = [sw.noise for sw in net.sample_weights(_frozen_rng(seed))]
+    noises = [sw.noise for sw in net.sample_draws(1, _frozen_rng(seed))]
     g_rng = Rng(seed).derive(12)
-    gs = [g_rng.standard_normal(layer.n_rows, layer.n_cols)
+    gs = [g_rng.standard_normal(1, layer.n_rows, layer.n_cols)
           for layer in net.layers]
-    analytic = flatten([
-        g_part for layer, e, g in zip(net.layers, noises, gs)
-        for g_part in sample_backward(layer, sample_with_noise(layer, e), g)])
-    probe = net.copy()
-    params = [p for _, p in probe.named_params()]
-
-    def loss_at(flat):
-        unflatten_into(flat, params)
-        return sum(float(np.sum(g * sample_with_noise(layer, e).weights))
-                   for layer, e, g in zip(probe.layers, noises, gs))
-
-    numeric = central_differences(loss_at, flatten(params))
-    err = rel_err(analytic, numeric)
-    return CheckResult("sampling", err, tolerance, err < tolerance)
+    analytic = [g_part for layer, e, g in zip(net.layers, noises, gs)
+                for g_part in sample_backward(layer, sample(layer, e), g)]
+    return fd_check("sampling", analytic, [p for _, p in net.named_params()],
+                    lambda: sum(float(np.sum(g * sample(layer, e).weights))
+                                for layer, e, g in zip(net.layers, noises, gs)),
+                    tolerance)
 
 
 def check_network_gradient(seed: int = 0, tolerance: float = 1e-5) -> CheckResult:
-    """Weight and input gradients of sum(G * log_probs) on fixed weights."""
+    """Weight and input gradients of sum(G * log_probs) on one fixed draw."""
     net = _tiny_net(seed)
     images, labels = _tiny_batch(seed)
-    weights = [sw.weights for sw in net.sample_weights(_frozen_rng(seed))]
-    g = Rng(seed).derive(13).standard_normal(images.shape[0], net.layers[-1].n_cols)
+    weights = [sw.weights for sw in net.sample_draws(1, _frozen_rng(seed))]
+    g = Rng(seed).derive(13).standard_normal(1, images.shape[0],
+                                             net.layers[-1].n_cols)
 
-    log_probs, trace = forward(weights, images)
+    _, trace = forward(weights, images)
     grad_w, grad_x = backward(trace, g)
-    analytic = flatten(grad_w + [grad_x])
-    inputs = weights + [images]
-
-    def loss_at(flat):
-        unflatten_into(flat, inputs)
-        lp, _ = forward(inputs[:-1], inputs[-1])
-        return float(np.sum(g * lp))
-
-    numeric = central_differences(loss_at, flatten(inputs))
-    err = rel_err(analytic, numeric)
-    return CheckResult("network_backward", err, tolerance, err < tolerance)
+    return fd_check("network_backward", grad_w + [grad_x], weights + [images],
+                    lambda: float(np.sum(g * forward(weights, images)[0])),
+                    tolerance)
 
 
 def check_weight_decay_gradient(seed: int = 0, tolerance: float = 1e-6) -> CheckResult:
     rng = Rng(seed).derive(14)
     weights = [rng.standard_normal(4, 3), rng.standard_normal(4, 2)]
     wd = 0.125
-    analytic = flatten(_decay_gradient(weights, wd))
-    x0 = flatten(weights)
-
-    def penalty_at(flat):
-        unflatten_into(flat, weights)
-        return sum(0.5 * wd * float(np.sum(w[:-1] ** 2)) for w in weights)
-
-    numeric = central_differences(penalty_at, x0)
-    err = rel_err(analytic, numeric)
-    return CheckResult("weight_decay", err, tolerance, err < tolerance)
+    return fd_check("weight_decay", _decay_gradient(weights, wd), weights,
+                    lambda: sum(0.5 * wd * float(np.sum(w[:-1] ** 2))
+                                for w in weights),
+                    tolerance)
 
 
 def check_single_sample_equivalence(seed: int = 0) -> CheckResult:
@@ -248,15 +227,11 @@ def check_mixture_input_gradient(seed: int = 0, tolerance: float = 1e-5,
     images, labels = _tiny_batch(seed)
     analytic, _ = net.loss_input_grad(images, labels, n_samples, _frozen_rng(seed))
     rows = np.arange(images.shape[0])
-
-    def loss_at(flat):
-        summary = net.predict(flat.reshape(images.shape), n_samples,
-                              _frozen_rng(seed))
-        return -float(np.sum(np.log(summary.mean_probs[rows, labels])))
-
-    numeric = central_differences(loss_at, images.ravel())
-    err = rel_err(analytic, numeric)
-    return CheckResult("mixture_input_grad", err, tolerance, err < tolerance)
+    return fd_check(
+        "mixture_input_grad", [analytic], [images],
+        lambda: -float(np.sum(np.log(net.predict(
+            images, n_samples, _frozen_rng(seed)).mean_probs[rows, labels]))),
+        tolerance)
 
 
 def run_all_checks(seed: int = 0, perturb: float = 0.0):

@@ -628,10 +628,17 @@ def run_detect(cfg: ExperimentConfig, checkpoint=None) -> dict:
 # ----------------------------------------------------------------------
 
 def _load_results(results_dir, warnings: list):
-    """Result payloads grouped by kind; each unreadable JSON file is named
-    in ``warnings`` and skipped."""
-    groups = {"trial": [], "sweep": [], "ood": [], "attack_curve": [],
-              "detection": []}
+    """The result payloads the report reads, grouped by kind.  A JSON file
+    that is unreadable, of another schema version, or lacks a top-level key
+    the report reads for its kind is named in ``warnings`` and skipped."""
+    needs = {"trial": ("run_id", "model", "dataset", "config",
+                       "clean_accuracy", "histograms"),
+             "ood": ("run_id", "mean_auroc_variance", "mean_auroc_entropy"),
+             "attack_curve": ("run_id", "config", "n_attack_samples",
+                              "mean_curve", "std_curve"),
+             "detection": ("run_id", "epsilon", "mean_auroc_variance",
+                           "mean_auroc_entropy")}
+    groups = {kind: [] for kind in needs}
     for name in sorted(os.listdir(results_dir)):
         if not name.endswith(".json"):
             continue
@@ -642,8 +649,16 @@ def _load_results(results_dir, warnings: list):
             warnings.append(f"skipped unreadable result file {name}: {exc}")
             continue
         kind = payload.get("kind") if isinstance(payload, dict) else None
-        if kind in groups:
-            payload["_file"] = name
+        if kind not in groups:
+            continue
+        if payload.get("schema_version") != SCHEMA_VERSION:
+            warnings.append(f"skipped result file {name}: schema_version "
+                            f"{payload.get('schema_version')!r} "
+                            f"(expected {SCHEMA_VERSION})")
+        elif missing := [k for k in needs[kind] if k not in payload]:
+            warnings.append(f"skipped result file {name}: {kind} result "
+                            f"lacks {', '.join(missing)}")
+        else:
             groups[kind].append(payload)
     return groups
 

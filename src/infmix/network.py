@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .posterior import MvnLayerPosterior, sample, sample_with_noise
+from .posterior import MvnLayerPosterior, sample
 from .tensor import Array, Rng
 
 DEFAULT_TOPOLOGY = (784, 128, 128, 10)
@@ -312,14 +312,10 @@ class StochasticMlp(MixtureModel):
     def copy(self) -> "StochasticMlp":
         return StochasticMlp([layer.copy() for layer in self.layers])
 
-    def sample_weights(self, rng: Rng) -> list:
-        """One draw per layer; each draw is shared by the whole batch."""
-        return [sample(layer, rng) for layer in self.layers]
-
     def sample_draws(self, n_samples: int, rng: Rng) -> list:
         """``n_samples`` draws as one stack (S, n_in+1, n_out) per layer, from
-        one normal call in the (draw, layer) order of ``sample_weights``
-        calls, one row per draw; layer 0 is written draw-major, for
+        one normal call, one row per draw: the stream of a (n_rows, n_cols)
+        call per layer, draw after draw.  Layer 0 is written draw-major, for
         ``forward``'s wide GEMM."""
         sizes = [layer.mean.size for layer in self.layers]
         normals = rng.standard_normal(n_samples, sum(sizes))
@@ -328,7 +324,7 @@ class StochasticMlp(MixtureModel):
         for layer, noise in zip(self.layers, parts):
             out = None if draws else np.empty(
                 (layer.n_rows, n_samples, layer.n_cols)).transpose(1, 0, 2)
-            draws.append(sample_with_noise(
+            draws.append(sample(
                 layer, noise.reshape(n_samples, *layer.mean.shape), out=out))
         return draws
 

@@ -41,7 +41,8 @@ class PriorSpec:
 
 @dataclass
 class SampledWeights:
-    """One reparameterized draw W = M + diag(r) E diag(c), with E cached."""
+    """A stack of reparameterized draws W = M + diag(r) E diag(c), with E
+    cached; both are (S, n_rows, n_cols)."""
 
     weights: Array
     noise: Array
@@ -95,23 +96,17 @@ def per_weight_variance(layer: MvnLayerPosterior) -> Array:
     return np.outer(r * r, c * c)
 
 
-def sample(layer: MvnLayerPosterior, rng: Rng) -> SampledWeights:
-    """Draw one weight matrix via the reparameterization trick."""
-    return sample_with_noise(layer, rng.standard_normal(layer.n_rows, layer.n_cols))
-
-
-def sample_with_noise(layer: MvnLayerPosterior, noise: Array,
-                      out: Array | None = None) -> SampledWeights:
-    """Deterministic draw W = M + diag(r) E diag(c) from supplied noise: one
-    matrix, or a stack (S, n_rows, n_cols) of draws, written into ``out``
-    when given (any layout)."""
-    if noise.shape[-2:] != layer.mean.shape:
-        raise ValueError(f"noise shape {noise.shape} != mean shape {layer.mean.shape}")
+def sample(layer: MvnLayerPosterior, noise: Array,
+           out: Array | None = None) -> SampledWeights:
+    """Draws W = M + diag(r) E diag(c) from a stack of noise (S, n_rows,
+    n_cols), written into ``out`` when given (any layout)."""
+    if noise.ndim != 3 or noise.shape[1:] != layer.mean.shape:
+        raise ValueError(f"noise shape {noise.shape} is not a stack "
+                         f"(S, {layer.n_rows}, {layer.n_cols})")
     weights = np.empty(noise.shape) if out is None else out
     r, c = layer.row_std[:, None], layer.col_std
     # One draw at a time, so that each pass stays in cache.
-    for e, w in zip(noise.reshape(-1, *layer.mean.shape),
-                    weights if weights.ndim == 3 else weights[None]):
+    for e, w in zip(noise, weights):
         np.multiply(r, e, out=w)
         w *= c
         w += layer.mean
@@ -121,8 +116,8 @@ def sample_with_noise(layer: MvnLayerPosterior, noise: Array,
 def sample_backward(layer: MvnLayerPosterior, sw: SampledWeights,
                     grad_weights: Array):
     """Gradients of a scalar loss wrt (mean, row_scale_raw, col_scale_raw)
-    given its gradient wrt the sampled W and the cached noise E; for a stack
-    of draws, summed over the draws.
+    given its gradient wrt the sampled stack W and the cached noise E,
+    summed over the draws.
 
     dL/dM = dL/dW;  dL/dr_i = sum_j dL/dW_ij E_ij c_j;
     dL/dc_j = sum_i dL/dW_ij E_ij r_i;  chained through softplus'(x) = sigmoid(x).
@@ -130,16 +125,12 @@ def sample_backward(layer: MvnLayerPosterior, sw: SampledWeights,
     if grad_weights.shape != sw.weights.shape:
         raise ValueError(
             f"grad shape {grad_weights.shape} != weight shape {sw.weights.shape}")
-    if grad_weights.ndim == 3:
-        ge = np.einsum("sij,sij->ij", grad_weights, sw.noise)
-        grad_weights = grad_weights.sum(axis=0)
-    else:
-        ge = grad_weights * sw.noise
+    ge = np.einsum("sij,sij->ij", grad_weights, sw.noise)
     grad_r = ge @ layer.col_std
     grad_c = ge.T @ layer.row_std
     grad_a = grad_r * sigmoid(layer.row_scale_raw)
     grad_b = grad_c * sigmoid(layer.col_scale_raw)
-    return grad_weights, grad_a, grad_b
+    return grad_weights.sum(axis=0), grad_a, grad_b
 
 
 def kl_to_prior(layer: MvnLayerPosterior, prior: PriorSpec) -> float:

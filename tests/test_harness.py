@@ -584,6 +584,13 @@ class TestCli:
         assert "all checks passed" in out
         assert out.count("PASS") == 8
 
+    def test_negative_gradcheck_seed_is_a_one_line_config_error(self, capsys):
+        assert main(["gradcheck", "--gradcheck-seed", "-1"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("config error: --gradcheck-seed must be >= 0, "
+                                "got -1\n")
+
     def test_bad_config_file_exits_one(self, tmp_path):
         path = tmp_path / "bad.cfg"
         path.write_text("unknown_knob = 3\n")

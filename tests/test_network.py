@@ -14,6 +14,11 @@ from infmix.posterior import MvnLayerPosterior, softplus_inv
 from infmix.tensor import Rng
 
 
+def one_draw(net, seed):
+    """One weight matrix per layer, the first draw of ``sample_draws``."""
+    return [sw.weights[0] for sw in net.sample_draws(1, Rng(seed))]
+
+
 def zero_weights(topology):
     return [np.zeros((n_in + 1, n_out))
             for n_in, n_out in zip(topology[:-1], topology[1:])]
@@ -45,7 +50,7 @@ class TestForward:
         # BLAS may pick different kernels per batch shape, so agreement is
         # to rounding noise rather than bitwise.
         net = StochasticMlp.create(Rng(3), topology=(6, 4, 4, 3))
-        weights = [sw.weights for sw in net.sample_weights(Rng(5))]
+        weights = one_draw(net, 5)
         x = Rng(1).uniform(0, 1, (3, 6))
         batch_lp, _ = forward(weights, x)
         for i in range(3):
@@ -55,7 +60,7 @@ class TestForward:
 
     def test_probabilities_sum_to_one(self):
         net = StochasticMlp.create(Rng(2), topology=(6, 4, 4, 3))
-        weights = [sw.weights for sw in net.sample_weights(Rng(0))]
+        weights = one_draw(net, 0)
         log_probs, _ = forward(weights, Rng(9).uniform(0, 1, (8, 6)))
         np.testing.assert_allclose(np.exp(log_probs).sum(axis=1), 1.0,
                                    atol=1e-12)
@@ -76,7 +81,7 @@ class TestForward:
 class TestBackward:
     def test_zero_upstream_gives_zero_grads(self):
         net = StochasticMlp.create(Rng(1), topology=(5, 3, 3, 2))
-        weights = [sw.weights for sw in net.sample_weights(Rng(2))]
+        weights = one_draw(net, 2)
         x = Rng(3).uniform(0, 1, (4, 5))
         log_probs, trace = forward(weights, x)
         grad_w, grad_x = backward(trace, np.zeros_like(log_probs))
@@ -121,10 +126,9 @@ def kernel_cases():
         cases += [(weights, None, s),
                   (weights, stacked_masks(6, s, 1), s),
                   (weights, stacked_masks(7, s, 5), s)]
-    shared = [sw.weights for sw in net.sample_weights(Rng(8))]
+    shared = one_draw(net, 8)
     cases.append((shared, stacked_masks(9, 3, 1), 3))
-    members = [[sw.weights for sw in net.sample_weights(Rng(10 + k))]
-               for k in range(3)]
+    members = [one_draw(net, 10 + k) for k in range(3)]
     cases.append(([np.stack(layer) for layer in zip(*members)], None, 3))
     return cases
 
@@ -188,9 +192,11 @@ class TestStackedKernel:
         draws = net.sample_draws(3, Rng(4))
         rng = Rng(4)
         for s in range(3):
-            for l, sw in enumerate(net.sample_weights(rng)):
-                assert np.array_equal(draws[l].weights[s], sw.weights)
-                assert np.array_equal(draws[l].noise[s], sw.noise)
+            for l, layer in enumerate(net.layers):
+                e = rng.standard_normal(layer.n_rows, layer.n_cols)
+                w = layer.row_std[:, None] * e * layer.col_std + layer.mean
+                assert np.array_equal(draws[l].noise[s], e)
+                assert np.array_equal(draws[l].weights[s], w)
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_mixture_input_gradient_oracle(self, seed):

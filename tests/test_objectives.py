@@ -14,7 +14,7 @@ from infmix.objectives import (FitConfig, LossRecord, ObjectiveKind,
                                TrainConfig, logmeanexp, loss_history_csv,
                                ml_loss, objective_gradients,
                                per_example_loglik, train, vi_loss)
-from infmix.posterior import PriorSpec, kl_to_prior, sample
+from infmix.posterior import PriorSpec, kl_to_prior
 from infmix.tensor import AdamState, Rng, adam_step
 
 from conftest import synthetic_arrays
@@ -41,12 +41,15 @@ def toy_dataset(n=600, seed=0, side=12):
 
 class TestPerExampleLoglik:
     def test_first_draw_is_the_per_layer_sampling_stream(self):
-        # The batched draws keep the stream of one sample() call per layer.
+        # The batched draws keep the stream of one normal call per layer.
         net = StochasticMlp.create(Rng(0), topology=(6, 4, 4, 3))
         x = Rng(1).uniform(0, 1, (5, 6))
         y = Rng(2).integers(0, 3, size=5)
         _, trace, draws = per_example_loglik(net, x, y, n_samples=3, rng=Rng(3))
-        expected = sample(net.layers[0], Rng(3)).weights
+        layer = net.layers[0]
+        e = Rng(3).standard_normal(layer.n_rows, layer.n_cols)
+        expected = layer.row_std[:, None] * e * layer.col_std + layer.mean
+        assert np.array_equal(draws[0].noise[0], e)
         assert np.array_equal(draws[0].weights[0], expected)
         assert np.array_equal(trace.weights[0][0], expected)
 

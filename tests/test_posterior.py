@@ -6,11 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import expit as sigmoid
 
-from infmix.gradcheck import check_kl_gradient, check_sampling_gradient
+from infmix.gradcheck import check_kl_gradient, check_sampling_gradient, fd_check
 from infmix.posterior import (MvnLayerPosterior, PriorSpec, kl_backward,
                               kl_to_prior, per_weight_variance, sample,
-                              sample_backward, sample_with_noise, softplus,
-                              softplus_inv)
+                              sample_backward, softplus, softplus_inv)
 from infmix.tensor import Rng
 
 
@@ -29,6 +28,10 @@ def random_layer(seed, n_rows=4, n_cols=3):
         col_scale_raw=rng.uniform(-2.0, 1.0, n_cols))
 
 
+def noise(seed, layer, n_samples=1):
+    return Rng(seed).standard_normal(n_samples, layer.n_rows, layer.n_cols)
+
+
 class TestSoftplus:
     def test_inverse_round_trip(self):
         y = np.array([1e-3, 0.05, 0.22360679, 1.0, 3.0, 20.0])
@@ -44,28 +47,31 @@ class TestSample:
         layer = MvnLayerPosterior(mean=np.array([[1.5, -2.0], [0.25, 3.0]]),
                                   row_scale_raw=np.full(2, -40.0),
                                   col_scale_raw=np.full(2, -40.0))
-        sw = sample(layer, Rng(0))
-        np.testing.assert_allclose(sw.weights, layer.mean, atol=1e-15)
+        sw = sample(layer, noise(0, layer))
+        np.testing.assert_allclose(sw.weights[0], layer.mean, atol=1e-15)
 
     def test_unit_scales_empirical_variance(self):
         # 100 draws of a 1000x1 layer pool 1e5 iid standard-normal weights.
         layer = layer_from_stds(np.zeros((1000, 1)), np.ones(1000), np.ones(1))
-        rng = Rng(7)
-        draws = np.concatenate([sample(layer, rng).weights.ravel()
-                                for _ in range(100)])
+        draws = sample(layer, noise(7, layer, 100)).weights.ravel()
         assert 0.97 < draws.var() < 1.03
         assert abs(draws.mean()) < 0.02
 
     def test_scalar_formula(self):
         layer = layer_from_stds([[2.0]], [3.0], [1.0])
-        sw = sample_with_noise(layer, np.array([[0.5]]))
-        np.testing.assert_allclose(sw.weights[0, 0], 3.5, rtol=1e-12)
+        sw = sample(layer, np.array([[[0.5]]]))
+        np.testing.assert_allclose(sw.weights[0, 0, 0], 3.5, rtol=1e-12)
 
     def test_noise_is_cached(self):
         layer = random_layer(1)
-        sw = sample(layer, Rng(3))
-        rebuilt = sample_with_noise(layer, sw.noise)
+        sw = sample(layer, noise(3, layer, 2))
+        rebuilt = sample(layer, sw.noise)
         assert np.array_equal(rebuilt.weights, sw.weights)
+
+    @pytest.mark.parametrize("shape", [(4, 3), (1, 3, 4)])
+    def test_noise_that_is_not_a_stack_is_rejected(self, shape):
+        with pytest.raises(ValueError, match="not a stack"):
+            sample(random_layer(1), np.zeros(shape))
 
     @given(st.integers(0, 500), st.floats(0.25, 4.0))
     @settings(max_examples=25, deadline=None)
@@ -76,9 +82,9 @@ class TestSample:
             mean=layer.mean.copy(),
             row_scale_raw=softplus_inv(t * layer.row_std),
             col_scale_raw=softplus_inv(layer.col_std / t))
-        noise = Rng(seed).derive(1).standard_normal(layer.n_rows, layer.n_cols)
-        w1 = sample_with_noise(layer, noise).weights
-        w2 = sample_with_noise(rescaled, noise).weights
+        e = Rng(seed).derive(1).standard_normal(1, layer.n_rows, layer.n_cols)
+        w1 = sample(layer, e).weights
+        w2 = sample(rescaled, e).weights
         np.testing.assert_allclose(w1, w2, rtol=0, atol=1e-12)
         np.testing.assert_allclose(per_weight_variance(layer),
                                    per_weight_variance(rescaled),
@@ -88,27 +94,48 @@ class TestSample:
 class TestSampleBackward:
     def test_zero_upstream(self):
         layer = random_layer(2)
-        sw = sample(layer, Rng(0))
+        sw = sample(layer, noise(0, layer))
         gm, ga, gb = sample_backward(layer, sw, np.zeros_like(sw.weights))
         assert not gm.any() and not ga.any() and not gb.any()
 
     def test_scalar_chain_rule(self):
         layer = layer_from_stds([[0.0]], [1.0], [1.0])
         a = layer.row_scale_raw[0]
-        sw = sample_with_noise(layer, np.array([[0.5]]))
-        _, ga, _ = sample_backward(layer, sw, np.array([[1.0]]))
+        sw = sample(layer, np.array([[[0.5]]]))
+        _, ga, _ = sample_backward(layer, sw, np.array([[[1.0]]]))
         np.testing.assert_allclose(ga[0], 0.5 * 1.0 * sigmoid(a), rtol=1e-12)
 
     def test_shape_mismatch_rejected(self):
         layer = random_layer(3)
-        sw = sample(layer, Rng(0))
+        sw = sample(layer, noise(0, layer))
         with pytest.raises(ValueError):
-            sample_backward(layer, sw, np.zeros((1, 1)))
+            sample_backward(layer, sw, np.zeros((1, 1, 1)))
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_finite_difference_oracle(self, seed):
         result = check_sampling_gradient(seed=seed, tolerance=1e-5)
         assert result.passed, result.line()
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_stack_of_three_against_central_differences(self, seed):
+        layer = random_layer(seed)
+        e, g = noise(seed, layer, 3), Rng(seed).derive(2).standard_normal(
+            3, layer.n_rows, layer.n_cols)
+        result = fd_check(
+            "sampling_s3", sample_backward(layer, sample(layer, e), g),
+            [layer.mean, layer.row_scale_raw, layer.col_scale_raw],
+            lambda: float(np.sum(g * sample(layer, e).weights)), 1e-5)
+        assert result.passed, result.line()
+
+    def test_stack_of_three_sums_its_single_draws(self):
+        layer = random_layer(4)
+        e, g = noise(4, layer, 3), Rng(4).derive(2).standard_normal(
+            3, layer.n_rows, layer.n_cols)
+        stacked = sample_backward(layer, sample(layer, e), g)
+        singles = [sample_backward(layer, sample(layer, e[s:s + 1]), g[s:s + 1])
+                   for s in range(3)]
+        for got, parts in zip(stacked, zip(*singles)):
+            np.testing.assert_allclose(got, sum(parts), rtol=1e-12, atol=1e-14)
 
 
 def univariate_gaussian_kl(m, s, prior_var=1.0):

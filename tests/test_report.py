@@ -177,3 +177,34 @@ def test_run_with_one_trial_writes_no_aggregate(tmp_path, monkeypatch):
     written = run_report("results")["written"]
     assert [n for n in written if n.startswith("aggregate_")] == [
         "aggregate_vi_synthetic_kl1_pv1.csv"]
+
+
+def test_payloads_the_report_cannot_read_are_skipped_and_named(
+        tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    os.mkdir("results")
+    bad = {"a_trial.json": {"kind": "trial"},
+           "a_ood.json": {"kind": "ood", "run_id": "x"},
+           "a_trial_v1.json": {"schema_version": 1, "kind": "trial"},
+           "a_ood_v1.json": {"schema_version": 1, "kind": "ood", "run_id": "x"},
+           "a_v2.json": {**PAYLOADS["ood_ml.json"], "schema_version": 2}}
+    for name, payload in {**PAYLOADS, **bad}.items():
+        with open(os.path.join("results", name), "w") as f:
+            json.dump(payload, f)
+    outcome = run_report("results")
+    assert outcome["warnings"] == [
+        "skipped result file a_ood.json: schema_version None (expected 1)",
+        "skipped result file a_ood_v1.json: ood result lacks "
+        "mean_auroc_variance, mean_auroc_entropy",
+        "skipped result file a_trial.json: schema_version None (expected 1)",
+        "skipped result file a_trial_v1.json: trial result lacks run_id, "
+        "model, dataset, config, clean_accuracy, histograms",
+        "skipped result file a_v2.json: schema_version 2 (expected 1)"]
+    with open(os.path.join("results", "report", "summary.txt")) as f:
+        summary = f.read()
+    assert all(f"warning: {w}" in summary for w in outcome["warnings"])
+    # Every other output is byte for byte the report of the good payloads.
+    for name, digest in REPORT_DIGESTS.items():
+        if name != "summary.txt":
+            with open(os.path.join("results", "report", name), "rb") as f:
+                assert hashlib.sha256(f.read()).hexdigest()[:16] == digest

@@ -141,12 +141,13 @@ class TestReadAhead:
 
     def test_draw_blocks_equal_single_draws_at_protocol_shape(self, pays):
         net = StochasticMlp.create(Rng(0).derive(0))
-        rng, single = Rng(7), Rng(7)
+        rng, ref = Rng(7), reference(7)
         blocks = [net.sample_draws(n, rng) for n in (5, 2, 2, 1)]
         for draws in blocks:
-            for s in range(len(draws[0].weights)):
-                for l, sw in enumerate(net.sample_weights(single)):
-                    assert np.array_equal(draws[l].weights[s], sw.weights)
+            for s in range(len(draws[0].noise)):
+                for l, layer in enumerate(net.layers):
+                    e = ref.standard_normal((layer.n_rows, layer.n_cols))
+                    assert np.array_equal(draws[l].noise[s], e)
 
     def test_worker_exception_reraises_in_next_request(self, monkeypatch):
         monkeypatch.setattr(tensor._PAYOFF, "pays", lambda: True)
