@@ -17,7 +17,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .data import Dataset, IDX_FLOAT64, save_idx
+from .data import Dataset, IDX_FLOAT64, atomic_open, save_idx
 from .network import PredictiveSummary
 from .tensor import Array, Rng
 
@@ -157,8 +157,6 @@ def write_attack_artifacts(result: AttackResult, pred_before, out_dir,
     adv = Dataset(images=result.adversarial,
                   labels=np.asarray(result.true_labels), name=stem)
     save_idx(adv, images_path, labels_path, type_code=IDX_FLOAT64)
-    tmp = csv_path + ".tmp"
-    with open(tmp, "w") as f:
+    with atomic_open(csv_path) as f:
         f.write(attack_csv(result, pred_before))
-    os.replace(tmp, csv_path)
     return {"images": images_path, "labels": labels_path, "csv": csv_path}

@@ -16,6 +16,7 @@ from .data import Dataset
 from .network import (DEFAULT_TOPOLOGY, WEIGHT_GRADS, MixtureModel, backward,
                       forward, in_blocks)
 from .objectives import FitConfig, fit
+from .posterior import glorot_uniform
 from .tensor import Rng
 
 DEFAULT_WEIGHT_DECAY = 1.0 / 60_000.0
@@ -26,13 +27,8 @@ _MEMBER_SEED_STRIDE = 100_003  # keeps member seeds disjoint from trial seeds
 
 def glorot_weights(topology, rng: Rng):
     """Glorot-uniform weight matrices with zeroed bias rows, one per layer."""
-    weights = []
-    for l, (n_in, n_out) in enumerate(zip(topology[:-1], topology[1:])):
-        limit = np.sqrt(6.0 / (n_in + n_out))
-        w = np.zeros((n_in + 1, n_out))
-        w[:n_in] = rng.derive(l).uniform(-limit, limit, (n_in, n_out))
-        weights.append(w)
-    return weights
+    return [glorot_uniform(n_in, n_out, rng.derive(l))
+            for l, (n_in, n_out) in enumerate(zip(topology[:-1], topology[1:]))]
 
 
 @dataclass

@@ -10,7 +10,7 @@ Layout (all integers u32 little-endian, all floats f64 little-endian):
   net body    : n_layers, per-layer (n_rows, n_cols), then the net's
                 arrays in its ``named_params`` order, each row-major
 
-Round trips are bit-exact; writes go through a temp file + rename so a
+Round trips are bit-exact; writes go through ``data.atomic_open`` so a
 concurrent reader never sees a torn checkpoint.  The reader checks each
 net's layer dims, and their size against the bytes left in the file before
 it allocates, so a malformed file raises ``CheckpointError``.
@@ -24,6 +24,7 @@ import struct
 import numpy as np
 
 from .baselines import DeepEnsemble, DeterministicMlp, DropoutMlp
+from .data import atomic_open
 from .network import StochasticMlp
 from .posterior import MvnLayerPosterior
 
@@ -72,8 +73,7 @@ def save_model(model, path) -> None:
             DropoutMlp: KIND_DROPOUT, DeepEnsemble: KIND_ENSEMBLE}.get(type(model))
     if kind is None:
         raise CheckpointError(f"cannot checkpoint {type(model).__name__}")
-    tmp = str(path) + ".tmp"
-    with open(tmp, "wb") as f:
+    with atomic_open(path, "wb") as f:
         f.write(MAGIC)
         _write_u32(f, VERSION, kind)
         if kind == KIND_DROPOUT:
@@ -88,7 +88,6 @@ def save_model(model, path) -> None:
                 _write_u32(f, *shape)
             for a in arrays:
                 _write_f64s(f, a)
-    os.replace(tmp, path)
 
 
 def _read_net(f, make):

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import gzip
 import os
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -56,27 +57,36 @@ def read_idx(path) -> np.ndarray:
         return np.frombuffer(payload, dtype=dtype).reshape(dims)
 
 
+@contextmanager
+def atomic_open(path, mode: str = "w"):
+    """A temp file beside ``path``, renamed onto it when the block exits
+    cleanly and removed when the block raises: readers never see a torn
+    file, and a failed write leaves an earlier file at ``path`` as it was."""
+    tmp = f"{path}.tmp"
+    f = open(tmp, mode)
+    try:
+        with f:
+            yield f
+        os.replace(tmp, path)
+    except BaseException:
+        os.remove(tmp)
+        raise
+
+
 def write_idx(path, array: np.ndarray, type_code: int = IDX_UBYTE) -> None:
     """Write an ndarray as an IDX file (big-endian, matching ``read_idx``),
-    atomically: a temp file is renamed onto ``path`` once complete, so a
-    failed write leaves any earlier file at ``path`` as it was."""
+    through ``atomic_open``."""
     if type_code not in _DTYPE_BY_CODE:
         raise IdxFormatError(f"unsupported IDX type code 0x{type_code:02x}")
     dtype = _DTYPE_BY_CODE[type_code]
-    tmp = f"{path}.tmp"
-    try:
-        # Compression follows the final name, not the temp file's.
-        with open(tmp, "wb") as raw, (
-                gzip.GzipFile(str(path), "wb", fileobj=raw)
-                if str(path).endswith(".gz") else raw) as f:
-            f.write(bytes([0, 0, type_code, array.ndim]))
-            for d in array.shape:
-                f.write(int(d).to_bytes(4, "big"))
-            f.write(np.ascontiguousarray(array, dtype=dtype).tobytes())
-        os.replace(tmp, path)
-    finally:
-        if os.path.exists(tmp):
-            os.remove(tmp)
+    # Compression follows the final name, not the temp file's.
+    with atomic_open(path, "wb") as raw, (
+            gzip.GzipFile(str(path), "wb", fileobj=raw)
+            if str(path).endswith(".gz") else raw) as f:
+        f.write(bytes([0, 0, type_code, array.ndim]))
+        for d in array.shape:
+            f.write(int(d).to_bytes(4, "big"))
+        f.write(np.ascontiguousarray(array, dtype=dtype).tobytes())
 
 
 @dataclass

@@ -3,8 +3,8 @@ hyperparameter sweeps, OOD / attack / detection evaluation, and report
 emission.
 
 Every result file embeds its fully-resolved config and seed, and is written
-atomically (temp file + rename), so concurrent trials never interleave and
-any result can be reproduced from its own metadata.
+through ``data.atomic_open``, so concurrent trials never interleave and any
+result can be reproduced from its own metadata.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ import numpy as np
 
 from . import attacks, baselines, metrics
 from .checkpoint import load_model, save_model
-from .data import Dataset, load_split, take_prefix
+from .data import Dataset, atomic_open, load_split, take_prefix
 from .metrics import auroc_balanced, auroc_scores, mean_std
 from .network import N_CLASSES, PredictiveSummary, StochasticMlp
 from .objectives import (ObjectiveKind, TrainConfig, loss_history_csv, train)
@@ -226,19 +226,15 @@ def config_text(cfg: ExperimentConfig) -> str:
     return "\n".join(lines) + "\n"
 
 
+def write_text_atomic(path, text: str) -> None:
+    with atomic_open(path) as f:
+        f.write(text)
+
+
 def write_json_atomic(path, payload: dict) -> None:
-    tmp = str(path) + ".tmp"
-    with open(tmp, "w") as f:
+    with atomic_open(path) as f:
         json.dump(payload, f, indent=1, sort_keys=True)
         f.write("\n")
-    os.replace(tmp, path)
-
-
-def write_text_atomic(path, text: str) -> None:
-    tmp = str(path) + ".tmp"
-    with open(tmp, "w") as f:
-        f.write(text)
-    os.replace(tmp, path)
 
 
 # ----------------------------------------------------------------------
@@ -309,20 +305,21 @@ def mixing_variance_report(net: StochasticMlp) -> list:
     return out
 
 
-def _payload(cfg: ExperimentConfig, kind: str, **fields) -> dict:
-    """A result file's common header, then ``fields``."""
-    return {"schema_version": SCHEMA_VERSION, "kind": kind,
-            "run_id": cfg.run_id(), "model": cfg.model,
-            "dataset": cfg.dataset, "config": cfg.to_dict(), **fields}
-
-
-def _add_mean_std(payload: dict, trials, scores) -> None:
-    """``mean_<score>`` and ``std_<score>`` over the trials, skipping
-    ``None`` values; the mean is ``None`` when no trial has the score."""
+def _write_result(cfg: ExperimentConfig, kind: str, name: str, scores=(),
+                  **fields) -> dict:
+    """Write and return the result file ``name`` in ``cfg.out_dir``: the
+    header, ``fields``, and ``mean_<score>``, ``std_<score>`` over the non-None
+    values in ``fields["trials"]`` (the mean is None if there are none)."""
+    payload = {"schema_version": SCHEMA_VERSION, "kind": kind,
+               "run_id": cfg.run_id(), "model": cfg.model,
+               "dataset": cfg.dataset, "config": cfg.to_dict(), **fields}
     for score in scores:
-        vals = [t[score] for t in trials if t[score] is not None]
+        vals = [t[score] for t in fields["trials"] if t[score] is not None]
         payload[f"mean_{score}"], payload[f"std_{score}"] = (
             mean_std(vals) if vals else (None, 0.0))
+    os.makedirs(cfg.out_dir, exist_ok=True)
+    write_json_atomic(os.path.join(cfg.out_dir, name), payload)
+    return payload
 
 
 def _band_csv(header: str, xs, series, x_fmt: str = "", digits: int = 6) -> str:
@@ -362,15 +359,13 @@ def run_trial(cfg: ExperimentConfig, train_data: Dataset, test_data: Dataset,
 
     os.makedirs(cfg.out_dir, exist_ok=True)
     stem = f"{cfg.run_id()}_seed{seed}"
-    ckpt_path = os.path.join(cfg.out_dir, stem + ".ckpt")
-    save_model(model, ckpt_path)
-
-    result = _payload(cfg, "trial", seed=seed,
-                      clean_accuracy=summary.accuracy(test_data.labels),
-                      mean_max_variance=float(summary.max_variance.mean()),
-                      mean_entropy=float(summary.entropy.mean()),
-                      histograms=_json_histograms(hists),
-                      checkpoint=os.path.basename(ckpt_path))
+    result = {"seed": seed,
+              "clean_accuracy": summary.accuracy(test_data.labels),
+              "mean_max_variance": float(summary.max_variance.mean()),
+              "mean_entropy": float(summary.entropy.mean()),
+              "histograms": _json_histograms(hists),
+              "checkpoint": stem + ".ckpt", "histogram_csv": stem + "_hist.csv"}
+    save_model(model, os.path.join(cfg.out_dir, result["checkpoint"]))
     for group, scores in groups.items():
         for score, values in scores.items():
             result[f"mean_{score}_{group}"] = (float(values.mean())
@@ -381,15 +376,13 @@ def run_trial(cfg: ExperimentConfig, train_data: Dataset, test_data: Dataset,
             kl_to_prior(layer, PriorSpec(cfg.prior_variance))
             for layer in model.layers))
     if records:
-        loss_path = os.path.join(cfg.out_dir, stem + "_loss.csv")
-        write_text_atomic(loss_path, loss_history_csv(records))
-        result["loss_csv"] = os.path.basename(loss_path)
+        result["loss_csv"] = stem + "_loss.csv"
         result["final_loss"] = records[-1].loss
-    hist_path = os.path.join(cfg.out_dir, stem + "_hist.csv")
-    write_text_atomic(hist_path, metrics.histograms_csv(hists))
-    result["histogram_csv"] = os.path.basename(hist_path)
-    write_json_atomic(os.path.join(cfg.out_dir, stem + ".json"), result)
-    return result
+        write_text_atomic(os.path.join(cfg.out_dir, result["loss_csv"]),
+                          loss_history_csv(records))
+    write_text_atomic(os.path.join(cfg.out_dir, result["histogram_csv"]),
+                      metrics.histograms_csv(hists))
+    return _write_result(cfg, "trial", stem + ".json", **result)
 
 
 def _map_trials(cfg: ExperimentConfig, fn, seeds):
@@ -437,14 +430,12 @@ def run_sweep(cfg: ExperimentConfig) -> dict:
     payload = {"schema_version": SCHEMA_VERSION, "kind": "sweep",
                "config": cfg.to_dict(), "rows": rows}
     os.makedirs(cfg.out_dir, exist_ok=True)
-    write_json_atomic(os.path.join(
-        cfg.out_dir, f"sweep_{cfg.sweep}_{cfg.model}_{cfg.dataset}.json"), payload)
+    stem = os.path.join(cfg.out_dir, f"sweep_{cfg.sweep}_{cfg.model}_{cfg.dataset}")
+    write_json_atomic(stem + ".json", payload)
     lines = [f"{cfg.sweep},mean_accuracy,std_accuracy"]
     lines += [f"{r['value']},{r['mean_accuracy']:.6f},{r['std_accuracy']:.6f}"
               for r in rows]
-    write_text_atomic(os.path.join(
-        cfg.out_dir, f"sweep_{cfg.sweep}_{cfg.model}_{cfg.dataset}.csv"),
-        "\n".join(lines) + "\n")
+    write_text_atomic(stem + ".csv", "\n".join(lines) + "\n")
     return payload
 
 
@@ -514,12 +505,8 @@ def run_ood(cfg: ExperimentConfig, checkpoint=None) -> dict:
             "n_ood": ood_data.n,
         })
 
-    payload = _payload(cfg, "ood", trials=trials)
-    _add_mean_std(payload, trials, ("auroc_variance", "auroc_entropy"))
-    os.makedirs(cfg.out_dir, exist_ok=True)
-    write_json_atomic(os.path.join(cfg.out_dir, f"ood_{cfg.run_id()}.json"),
-                      payload)
-    return payload
+    return _write_result(cfg, "ood", f"ood_{cfg.run_id()}.json",
+                         ("auroc_variance", "auroc_entropy"), trials=trials)
 
 
 def _attack_config(cfg: ExperimentConfig, seed: int) -> attacks.AttackConfig:
@@ -547,13 +534,11 @@ def run_attack(cfg: ExperimentConfig, checkpoint=None) -> dict:
 
     mean, std = mean_std(
         [[pt["robust_accuracy"] for pt in t["curve"]] for t in trials], axis=0)
-    payload = _payload(cfg, "attack_curve",
-                       n_attack_samples=cfg.n_attack_samples,
-                       n_attacked=prefix.n, trials=trials,
-                       mean_curve=mean, std_curve=std)
-    os.makedirs(cfg.out_dir, exist_ok=True)
     stem = f"attack_{cfg.run_id()}_s{cfg.n_attack_samples}"
-    write_json_atomic(os.path.join(cfg.out_dir, stem + ".json"), payload)
+    payload = _write_result(cfg, "attack_curve", stem + ".json",
+                            n_attack_samples=cfg.n_attack_samples,
+                            n_attacked=prefix.n, trials=trials,
+                            mean_curve=mean, std_curve=std)
     write_text_atomic(os.path.join(cfg.out_dir, stem + ".csv"), _band_csv(
         "epsilon,mean_robust_accuracy,std3", cfg.eps_grid, [(mean, std)]))
     return payload
@@ -610,31 +595,35 @@ def run_detect(cfg: ExperimentConfig, checkpoint=None) -> dict:
                 trial[f"balanced_n_per_class_{metric_name}"] = balanced.n_per_class
         trials.append(trial)
 
-    payload = _payload(cfg, "detection", epsilon=cfg.attack_epsilon,
-                       trials=trials)
-    _add_mean_std(payload, trials, ("auroc_variance", "auroc_entropy",
-                                    "auroc_variance_balanced",
-                                    "auroc_entropy_balanced"))
-    os.makedirs(cfg.out_dir, exist_ok=True)
-    write_json_atomic(
-        os.path.join(cfg.out_dir,
-                     f"detect_{cfg.run_id()}_eps{cfg.attack_epsilon:g}.json"),
-        payload)
-    return payload
+    return _write_result(
+        cfg, "detection", f"detect_{cfg.run_id()}_eps{cfg.attack_epsilon:g}.json",
+        ("auroc_variance", "auroc_entropy", "auroc_variance_balanced",
+         "auroc_entropy_balanced"), epsilon=cfg.attack_epsilon, trials=trials)
 
 
 # ----------------------------------------------------------------------
 # report
 # ----------------------------------------------------------------------
 
+def _field(payload, path: str):
+    """The value at the dotted ``path`` in ``payload``; None if missing."""
+    for key in path.split("."):
+        payload = payload.get(key) if isinstance(payload, dict) else None
+    return payload
+
+
 def _load_results(results_dir, warnings: list):
     """The result payloads the report reads, grouped by kind.  A JSON file
-    that is unreadable, of another schema version, or lacks a top-level key
-    the report reads for its kind is named in ``warnings`` and skipped."""
-    needs = {"trial": ("run_id", "model", "dataset", "config",
-                       "clean_accuracy", "histograms"),
+    that is unreadable, of another schema version, or missing a field of
+    ``needs`` for its kind or holding null there is named in ``warnings``
+    and skipped."""
+    # The fields the report reads, as dotted paths: it indexes them unchecked.
+    needs = {"trial": ("run_id", "model", "dataset", "config.kl_weight",
+                       "config.prior_variance", "clean_accuracy",
+                       "mean_max_variance", "mean_entropy",
+                       "histograms.max_variance", "histograms.entropy"),
              "ood": ("run_id", "mean_auroc_variance", "mean_auroc_entropy"),
-             "attack_curve": ("run_id", "config", "n_attack_samples",
+             "attack_curve": ("run_id", "config.eps_grid", "n_attack_samples",
                               "mean_curve", "std_curve"),
              "detection": ("run_id", "epsilon", "mean_auroc_variance",
                            "mean_auroc_entropy")}
@@ -655,7 +644,7 @@ def _load_results(results_dir, warnings: list):
             warnings.append(f"skipped result file {name}: schema_version "
                             f"{payload.get('schema_version')!r} "
                             f"(expected {SCHEMA_VERSION})")
-        elif missing := [k for k in needs[kind] if k not in payload]:
+        elif missing := [p for p in needs[kind] if _field(payload, p) is None]:
             warnings.append(f"skipped result file {name}: {kind} result "
                             f"lacks {', '.join(missing)}")
         else:
@@ -693,23 +682,21 @@ def _ordering_summary(groups) -> list:
     """Qualitative claims checked against whatever results are present."""
     lines = []
     trials = groups["trial"]
-
-    def mean_of(model, key, value, field_name):
-        vals = [t[field_name] for t in trials
-                if t["model"] == model and t["config"].get(key) == value
-                and t.get(field_name) is not None]
-        return float(np.mean(vals)) if vals else None
-
-    ml_var = mean_of("ml", "kl_weight", 1.0, "mean_max_variance")
-    vi_var = mean_of("vi", "kl_weight", 1.0, "mean_max_variance")
-    if ml_var is not None and vi_var is not None:
+    # The protocol's KL sweep runs at prior_variance=1, its prior sweep at
+    # kl_weight=1; ml and vi are compared where the two meet.
+    unit_prior = [t for t in trials if t["config"]["prior_variance"] == 1.0]
+    unit_vars = [[t["mean_max_variance"] for t in unit_prior
+                  if t["model"] == model and t["config"]["kl_weight"] == 1.0]
+                 for model in ("ml", "vi")]
+    if all(unit_vars):
+        ml_var, vi_var = (float(np.mean(v)) for v in unit_vars)
         lines.append(
             f"predictive variance (kl_weight=1): ml={ml_var:.5f} vi={vi_var:.5f} "
             f"ml_higher={ml_var > vi_var}")
 
     for model in ("ml", "vi"):
         by_kl = {}
-        for t in trials:
+        for t in unit_prior:
             if t["model"] == model:
                 by_kl.setdefault(t["config"]["kl_weight"], []).append(
                     t["clean_accuracy"])
@@ -763,9 +750,13 @@ def run_report(results_dir, report_dir=None) -> dict:
     baseline_trials = [t for t in groups["trial"] if t["model"] not in ("ml", "vi")]
 
     if stochastic_trials:
-        for axis, fname in (("prior_variance", "table_accuracy_by_prior.csv"),
-                            ("kl_weight", "table_accuracy_by_kl_weight.csv")):
-            write(fname, _accuracy_table(stochastic_trials, (axis,)))
+        # Each table holds the other axis at 1, as the protocol's sweeps do.
+        for axis, held, fname in (
+                ("prior_variance", "kl_weight", "table_accuracy_by_prior.csv"),
+                ("kl_weight", "prior_variance", "table_accuracy_by_kl_weight.csv")):
+            write(fname, _accuracy_table(
+                [t for t in stochastic_trials if t["config"][held] == 1.0],
+                (axis,)))
     else:
         warnings.append("no stochastic-model trials found")
     if baseline_trials:
@@ -806,8 +797,9 @@ def run_report(results_dir, report_dir=None) -> dict:
                 [mean_std([t["histograms"][metric]["counts"][g] for t in ts],
                           axis=0) for g in ("correct", "wrong")],
                 x_fmt=".6g", digits=3))
-        for layer in range(len(ts[0].get("mixing_variance") or ())):
-            hists = [t["mixing_variance"][layer]["histogram"] for t in ts]
+        mixes = [t["mixing_variance"] for t in ts if t.get("mixing_variance")]
+        for layer in range(len(mixes[0]) if mixes else 0):
+            hists = [mix[layer]["histogram"] for mix in mixes]
             write(f"fig_mixing_variance_layer{layer}_{run_id}.csv", _band_csv(
                 "x,y,err  # bin left edge, mean count, 3*std",
                 hists[0]["bin_edges"][:-1],
@@ -815,16 +807,15 @@ def run_report(results_dir, report_dir=None) -> dict:
                 x_fmt=".6g", digits=3))
 
     # Per-run aggregate metrics in the metric,mean,std,n_trials format, for
-    # metrics with at least two trial values.
+    # runs with at least two trials.
     for run_id, ts in sorted(by_run.items()):
+        if len(ts) < 2:
+            continue
         lines = ["metric,mean,std,n_trials"]
         for field_name in ("clean_accuracy", "mean_max_variance", "mean_entropy"):
-            vals = [t[field_name] for t in ts if t.get(field_name) is not None]
-            if len(vals) >= 2:
-                mean, std = mean_std(vals)
-                lines.append(f"{field_name},{mean:.6g},{std:.6g},{len(vals)}")
-        if len(lines) > 1:
-            write(f"aggregate_{run_id}.csv", "\n".join(lines) + "\n")
+            mean, std = mean_std([t[field_name] for t in ts])
+            lines.append(f"{field_name},{mean:.6g},{std:.6g},{len(ts)}")
+        write(f"aggregate_{run_id}.csv", "\n".join(lines) + "\n")
 
     summary_lines = ["result files consolidated from: " + str(results_dir), ""]
     if warnings:

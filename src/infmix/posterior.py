@@ -28,6 +28,14 @@ def softplus_inv(y):
     return y + np.log1p(-np.exp(-y))
 
 
+def glorot_uniform(n_in: int, n_out: int, rng: Rng) -> Array:
+    """Glorot-uniform (n_in + 1, n_out) weights with a zero bias row."""
+    limit = np.sqrt(6.0 / (n_in + n_out))
+    w = np.zeros((n_in + 1, n_out))
+    w[:n_in] = rng.uniform(-limit, limit, (n_in, n_out))
+    return w
+
+
 @dataclass
 class PriorSpec:
     """Isotropic Gaussian prior over all weights: vec-covariance variance * I."""
@@ -75,11 +83,8 @@ class MvnLayerPosterior:
                    init_weight_std: float = 0.05) -> "MvnLayerPosterior":
         """Glorot-uniform mean (zero bias row); scales set so that the
         initial per-weight standard deviation is ``init_weight_std``."""
-        limit = np.sqrt(6.0 / (n_in + n_out))
-        mean = np.zeros((n_in + 1, n_out))
-        mean[:n_in] = rng.uniform(-limit, limit, (n_in, n_out))
         raw = float(softplus_inv(np.sqrt(init_weight_std)))
-        return cls(mean=mean,
+        return cls(mean=glorot_uniform(n_in, n_out, rng),
                    row_scale_raw=np.full(n_in + 1, raw),
                    col_scale_raw=np.full(n_out, raw))
 

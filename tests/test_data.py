@@ -8,9 +8,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from infmix.attacks import AttackResult, write_attack_artifacts
+from infmix.checkpoint import save_model
 from infmix.data import (BatchIterator, DataConsistencyError, Dataset,
                          IDX_FLOAT64, IdxFormatError, load_idx, read_idx,
                          save_idx, take_prefix, write_idx)
+from infmix.harness import write_json_atomic
+from infmix.network import StochasticMlp
+from infmix.tensor import Rng
 
 
 def write_pair(tmp_path, images, labels, stem="d"):
@@ -107,6 +112,51 @@ class TestIdxIO:
         img, lab = write_pair(tmp_path, images, np.array([11], dtype=np.uint8))
         with pytest.raises(DataConsistencyError, match="0..9"):
             load_idx(img, lab)
+
+
+def small_net(bad_layer=None):
+    """A small stochastic net; ``bad_layer``'s mean cannot be written."""
+    net = StochasticMlp.create(Rng(0), topology=(6, 4, 4, 3))
+    if bad_layer is not None:
+        layer = net.layers[bad_layer]
+        layer.mean = np.full(layer.mean.shape, "x", dtype=object)
+    return net
+
+
+def attack_result(n=3):
+    return AttackResult(adversarial=np.full((n, 4), 0.5), epsilon=0.1,
+                        true_labels=np.arange(n), pred_after=np.zeros(n, int),
+                        success=np.ones(n, bool), robust_accuracy=0.0,
+                        summary_after=None)
+
+
+# (file name, a good write, a write that raises after its first bytes).
+FAILING_WRITES = {
+    "result_json": ("r.json", lambda p: write_json_atomic(p, {"a": 1}),
+                    lambda p: write_json_atomic(p, {"a": 2, "b": object()})),
+    "attack_csv": ("adv.csv",
+                   lambda p: write_attack_artifacts(
+                       attack_result(), [1, 2, 3], os.path.dirname(p), "adv"),
+                   # pred_before is one short: its last row raises.
+                   lambda p: write_attack_artifacts(
+                       attack_result(), [4, 5], os.path.dirname(p), "adv")),
+    "idx": ("x-labels.gz", lambda p: write_idx(p, np.array([1, 2], np.uint8)),
+            lambda p: write_idx(p, np.array([["x"]], dtype=object))),
+    "checkpoint": ("m.ckpt", lambda p: save_model(small_net(), p),
+                   lambda p: save_model(small_net(bad_layer=1), p)),
+}
+
+
+@pytest.mark.parametrize("writer", sorted(FAILING_WRITES))
+def test_failed_write_keeps_the_earlier_file_and_no_temp(tmp_path, writer):
+    name, write, fail = FAILING_WRITES[writer]
+    path = os.path.join(tmp_path, name)
+    write(path)
+    before = open(path, "rb").read()
+    with pytest.raises((TypeError, ValueError, IndexError)):
+        fail(path)
+    assert open(path, "rb").read() == before
+    assert not [n for n in os.listdir(tmp_path) if n.endswith(".tmp")]
 
 
 class TestTakePrefix:

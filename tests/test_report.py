@@ -8,6 +8,10 @@ when the report's tables, figure data or summary change.
 import hashlib
 import json
 import os
+import tempfile
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from infmix.harness import run_report
 
@@ -92,8 +96,8 @@ PAYLOADS = {
 
 # First 16 hex digits of each output file's SHA-256, in the order written.
 REPORT_DIGESTS = {
-    "table_accuracy_by_prior.csv": "210ea3b73f79f56b",
-    "table_accuracy_by_kl_weight.csv": "66648f93ccf3f0d5",
+    "table_accuracy_by_prior.csv": "223fb9caaccaefca",
+    "table_accuracy_by_kl_weight.csv": "b27a7fb6f3924e36",
     "table_baseline_accuracy.csv": "9e46ee662a974024",
     "table_ood_auroc.csv": "634d15eae286d5e8",
     "table_adv_detection_auroc.csv": "e9f80e6db31029b9",
@@ -123,7 +127,7 @@ REPORT_DIGESTS = {
     "aggregate_deterministic_synthetic.csv": "231733cc9e5fee2e",
     "aggregate_ml_synthetic_kl1_pv1.csv": "33c087b730d4f028",
     "aggregate_vi_synthetic_kl1_pv1.csv": "98c75fd343bc65a1",
-    "summary.txt": "ae23d7341abf8db3",
+    "summary.txt": "21248e55140c0992",
 }
 
 
@@ -183,11 +187,20 @@ def test_payloads_the_report_cannot_read_are_skipped_and_named(
         tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     os.mkdir("results")
+    trial_ml = PAYLOADS["ml_kl1_seed0.json"]
     bad = {"a_trial.json": {"kind": "trial"},
            "a_ood.json": {"kind": "ood", "run_id": "x"},
            "a_trial_v1.json": {"schema_version": 1, "kind": "trial"},
            "a_ood_v1.json": {"schema_version": 1, "kind": "ood", "run_id": "x"},
-           "a_v2.json": {**PAYLOADS["ood_ml.json"], "schema_version": 2}}
+           "a_v2.json": {**PAYLOADS["ood_ml.json"], "schema_version": 2},
+           # Nested and null fields the report reads.
+           "b_trial_no_config.json": {**trial_ml, "config": {}},
+           "b_ood_null.json": {**PAYLOADS["ood_ml.json"],
+                               "mean_auroc_variance": None},
+           "b_trial_no_entropy.json": {**trial_ml, "histograms": {
+               "max_variance": trial_ml["histograms"]["max_variance"]}},
+           "b_attack_no_eps_grid.json": {**PAYLOADS["attack_ml_s1.json"],
+                                         "config": {}}}
     for name, payload in {**PAYLOADS, **bad}.items():
         with open(os.path.join("results", name), "w") as f:
             json.dump(payload, f)
@@ -198,8 +211,18 @@ def test_payloads_the_report_cannot_read_are_skipped_and_named(
         "mean_auroc_variance, mean_auroc_entropy",
         "skipped result file a_trial.json: schema_version None (expected 1)",
         "skipped result file a_trial_v1.json: trial result lacks run_id, "
-        "model, dataset, config, clean_accuracy, histograms",
-        "skipped result file a_v2.json: schema_version 2 (expected 1)"]
+        "model, dataset, config.kl_weight, config.prior_variance, "
+        "clean_accuracy, mean_max_variance, mean_entropy, "
+        "histograms.max_variance, histograms.entropy",
+        "skipped result file a_v2.json: schema_version 2 (expected 1)",
+        "skipped result file b_attack_no_eps_grid.json: attack_curve result "
+        "lacks config.eps_grid",
+        "skipped result file b_ood_null.json: ood result lacks "
+        "mean_auroc_variance",
+        "skipped result file b_trial_no_config.json: trial result lacks "
+        "config.kl_weight, config.prior_variance",
+        "skipped result file b_trial_no_entropy.json: trial result lacks "
+        "histograms.entropy"]
     with open(os.path.join("results", "report", "summary.txt")) as f:
         summary = f.read()
     assert all(f"warning: {w}" in summary for w in outcome["warnings"])
@@ -208,3 +231,79 @@ def test_payloads_the_report_cannot_read_are_skipped_and_named(
         if name != "summary.txt":
             with open(os.path.join("results", "report", name), "rb") as f:
                 assert hashlib.sha256(f.read()).hexdigest()[:16] == digest
+
+
+def test_accuracy_tables_hold_the_other_axis_at_one(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    os.mkdir("results")
+    for name, payload in PAYLOADS.items():
+        with open(os.path.join("results", name), "w") as f:
+            json.dump(payload, f)
+    run_report("results")
+    # The ml cell at 1 counts the three kl_weight=1, prior_variance=1 trials:
+    # the trial at prior_variance 3 is in no KL cell, the one at kl_weight
+    # 0.1 in no prior cell.
+    for table, other in (("table_accuracy_by_prior.csv", "3.0000,1,0.8438"),
+                         ("table_accuracy_by_kl_weight.csv", "0.1000,1,0.8125")):
+        with open(os.path.join("results", "report", table)) as f:
+            rows = [r for r in f.read().splitlines() if ",ml," in r]
+        assert sorted(rows) == sorted([f"synthetic,ml,{other},0.0000",
+                                       "synthetic,ml,1.0000,3,0.9062,0.0312"])
+
+# The dotted paths the report reads of each kind, in the order its warnings
+# name them; schema_version is checked for every kind it reads.
+REPORT_READS = {
+    "trial": ("schema_version", "run_id", "model", "dataset",
+              "config.kl_weight", "config.prior_variance", "clean_accuracy",
+              "mean_max_variance", "mean_entropy", "histograms.max_variance",
+              "histograms.entropy"),
+    "ood": ("schema_version", "run_id", "mean_auroc_variance",
+            "mean_auroc_entropy"),
+    "attack_curve": ("schema_version", "run_id", "config.eps_grid",
+                     "n_attack_samples", "mean_curve", "std_curve"),
+    "detection": ("schema_version", "run_id", "epsilon",
+                  "mean_auroc_variance", "mean_auroc_entropy"),
+}
+
+# (file name, dotted key) for every top-level and config key of PAYLOADS.
+KEYS = [(name, key) for name, payload in PAYLOADS.items()
+        for key in [*payload,
+                    *(f"config.{k}" for k in payload.get("config", {}))]]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(KEYS), st.booleans(), st.sampled_from(["0_", "z_"]))
+def test_one_missing_or_null_key_never_raises(key_of, delete, prefix):
+    """A copy of one payload with one key deleted or nulled, added to the
+    rest: the copy is skipped and named exactly when the report reads that
+    key or a field under it, and then every other output is unchanged."""
+    source, key = key_of
+    mutant = json.loads(json.dumps(PAYLOADS[source]))
+    *parents, leaf = key.split(".")
+    holder = mutant[parents[0]] if parents else mutant
+    if delete:
+        del holder[leaf]
+    else:
+        holder[leaf] = None
+    mutant_name = prefix + source
+    with tempfile.TemporaryDirectory() as results:
+        for name, payload in {**PAYLOADS, mutant_name: mutant}.items():
+            with open(os.path.join(results, name), "w") as f:
+                json.dump(payload, f)
+        outcome = run_report(results)
+        kind = PAYLOADS[source]["kind"]
+        read = [p for p in REPORT_READS.get(kind, ())
+                if p == key or p.startswith(key + ".")]
+        if key == "kind" or not read:
+            # A file without a kind is not a result file.
+            assert outcome["warnings"] == []
+            return
+        why = ("schema_version None (expected 1)" if key == "schema_version"
+               else f"{kind} result lacks {', '.join(read)}")
+        assert outcome["warnings"] == [
+            f"skipped result file {mutant_name}: {why}"]
+        assert sorted(outcome["written"]) == sorted(REPORT_DIGESTS)
+        for name, digest in REPORT_DIGESTS.items():
+            if name != "summary.txt":
+                with open(os.path.join(outcome["report_dir"], name), "rb") as f:
+                    assert hashlib.sha256(f.read()).hexdigest()[:16] == digest
