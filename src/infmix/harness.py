@@ -14,7 +14,6 @@ import json
 import math
 import os
 import re
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -26,7 +25,7 @@ from .metrics import auroc_balanced, auroc_scores, mean_std
 from .network import N_CLASSES, PredictiveSummary, StochasticMlp
 from .objectives import (ObjectiveKind, TrainConfig, loss_history_csv, train)
 from .posterior import PriorSpec, kl_to_prior, per_weight_variance
-from .tensor import Rng
+from .tensor import Rng, allowed_cpus, map_in_order
 
 SCHEMA_VERSION = 1
 
@@ -39,6 +38,15 @@ SWEEP_AXES = ("none", "kl_weight", "prior")
 # Per-weight mixing-distribution variances span orders of magnitude, so the
 # exported histograms use fixed log-spaced bins.
 MIXING_VARIANCE_EDGES = np.logspace(-8.0, 1.0, 46)
+
+
+def default_threads() -> int:
+    """The allowed CPUs while BLAS runs on one thread, else 1: workers that
+    each run a multi-threaded BLAS would oversubscribe the CPUs.  OpenBLAS
+    reads ``OPENBLAS_NUM_THREADS`` first, then ``OMP_NUM_THREADS``."""
+    blas = (os.environ.get("OPENBLAS_NUM_THREADS")
+            or os.environ.get("OMP_NUM_THREADS"))
+    return allowed_cpus() if blas is not None and blas.strip() == "1" else 1
 
 
 class ConfigError(ValueError):
@@ -98,7 +106,7 @@ class ExperimentConfig:
     loss_record_every: int = 10
     data_dir: str = "data"
     out_dir: str = "results"
-    threads: int = 1
+    threads: int = field(default_factory=default_threads)
 
     def __post_init__(self):
         if self.schema_version != SCHEMA_VERSION:
@@ -385,20 +393,14 @@ def run_trial(cfg: ExperimentConfig, train_data: Dataset, test_data: Dataset,
     return _write_result(cfg, "trial", stem + ".json", **result)
 
 
-def _map_trials(cfg: ExperimentConfig, fn, seeds):
-    if cfg.threads > 1:
-        with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
-            return list(pool.map(fn, seeds))
-    return [fn(s) for s in seeds]
-
-
 def run_train(cfg: ExperimentConfig) -> list:
-    """All trials of one configuration; returns the per-trial result dicts."""
+    """All trials of one configuration, on ``cfg.threads`` workers; returns
+    the per-trial result dicts."""
     train_data = load_split(cfg.data_dir, "train", name=cfg.dataset)
     test_data = load_split(cfg.data_dir, "test", name=cfg.dataset)
-    return _map_trials(
-        cfg, lambda seed: run_trial(cfg, train_data, test_data, seed),
-        cfg.trial_seeds())
+    return map_in_order(
+        lambda seed: run_trial(cfg, train_data, test_data, seed),
+        cfg.trial_seeds(), cfg.threads)
 
 
 def run_sweep(cfg: ExperimentConfig) -> dict:
@@ -477,7 +479,8 @@ def _trial_checkpoints(cfg: ExperimentConfig, n_pixels: int, checkpoint=None):
 
 
 def run_ood(cfg: ExperimentConfig, checkpoint=None) -> dict:
-    """Test-vs-OOD AUROC for both uncertainty scores, per trial."""
+    """Test-vs-OOD AUROC for both uncertainty scores, per trial; each
+    (trial, split) pair is predicted on one of ``cfg.threads`` workers."""
     test_data = load_split(cfg.data_dir, "test", name=cfg.dataset)
     try:
         ood_data = load_split(cfg.data_dir, "ood", name="ood")
@@ -487,20 +490,26 @@ def run_ood(cfg: ExperimentConfig, checkpoint=None) -> dict:
             f"it in {cfg.data_dir}") from exc
     ood_data = take_prefix(ood_data, min(cfg.ood_prefix, ood_data.n))
 
+    splits = (test_data, ood_data)
+
+    def scores(item):
+        (seed, model), split = item
+        summary = predict_dataset(model, splits[split].images,
+                                  cfg.n_eval_samples,
+                                  Rng(seed).derive(_EVAL_STREAM, split))
+        return summary.max_variance, summary.entropy
+
+    pairs = _trial_checkpoints(cfg, test_data.images.shape[1], checkpoint)
+    by_split = map_in_order(
+        scores, [(pair, split) for pair in pairs for split in (0, 1)],
+        cfg.threads)
     trials = []
-    for seed, model in _trial_checkpoints(cfg, test_data.images.shape[1],
-                                          checkpoint):
-        rng = Rng(seed).derive(_EVAL_STREAM)
-        test_summary = predict_dataset(model, test_data.images,
-                                       cfg.n_eval_samples, rng.derive(0))
-        ood_summary = predict_dataset(model, ood_data.images,
-                                      cfg.n_eval_samples, rng.derive(1))
+    for (seed, _), (test_var, test_ent), (ood_var, ood_ent) in zip(
+            pairs, by_split[::2], by_split[1::2]):
         trials.append({
             "seed": seed,
-            "auroc_variance": auroc_scores(ood_summary.max_variance,
-                                           test_summary.max_variance),
-            "auroc_entropy": auroc_scores(ood_summary.entropy,
-                                          test_summary.entropy),
+            "auroc_variance": auroc_scores(ood_var, test_var),
+            "auroc_entropy": auroc_scores(ood_ent, test_ent),
             "n_test": test_data.n,
             "n_ood": ood_data.n,
         })
@@ -509,9 +518,10 @@ def run_ood(cfg: ExperimentConfig, checkpoint=None) -> dict:
                          ("auroc_variance", "auroc_entropy"), trials=trials)
 
 
-def _attack_config(cfg: ExperimentConfig, seed: int) -> attacks.AttackConfig:
+def _attack_config(cfg: ExperimentConfig, seed: int,
+                   epsilon: float) -> attacks.AttackConfig:
     return attacks.AttackConfig(
-        epsilon=cfg.attack_epsilon, n_iter=cfg.attack_iterations,
+        epsilon=epsilon, n_iter=cfg.attack_iterations,
         step=cfg.attack_step,
         n_grad_samples=cfg.n_attack_samples,
         random_init=cfg.attack_random_init, seed=seed,
@@ -519,18 +529,25 @@ def _attack_config(cfg: ExperimentConfig, seed: int) -> attacks.AttackConfig:
 
 
 def run_attack(cfg: ExperimentConfig, checkpoint=None) -> dict:
-    """Robustness curves on the first ``attack_prefix`` test samples."""
+    """Robustness curves on the first ``attack_prefix`` test samples; each
+    (trial, epsilon) attack runs on one of ``cfg.threads`` workers."""
     test_data = load_split(cfg.data_dir, "test", name=cfg.dataset)
     prefix = take_prefix(test_data, min(cfg.attack_prefix, test_data.n))
 
-    trials = []
-    for seed, model in _trial_checkpoints(cfg, prefix.images.shape[1],
-                                          checkpoint):
-        curve = attacks.robustness_curve(model, prefix.images, prefix.labels,
-                                         cfg.eps_grid, _attack_config(cfg, seed))
-        trials.append({"seed": seed, "curve": [
-            {"epsilon": epsilon, "robust_accuracy": result.robust_accuracy}
-            for epsilon, result in curve]})
+    def robust_accuracy(item):
+        (seed, model), epsilon = item
+        return attacks.pgd_attack(model, prefix.images, prefix.labels,
+                                  _attack_config(cfg, seed, epsilon)
+                                  ).robust_accuracy
+
+    pairs = _trial_checkpoints(cfg, prefix.images.shape[1], checkpoint)
+    accuracies = iter(map_in_order(
+        robust_accuracy,
+        [(pair, epsilon) for pair in pairs for epsilon in cfg.eps_grid],
+        cfg.threads))
+    trials = [{"seed": seed, "curve": [
+        {"epsilon": epsilon, "robust_accuracy": next(accuracies)}
+        for epsilon in cfg.eps_grid]} for seed, _ in pairs]
 
     mean, std = mean_std(
         [[pt["robust_accuracy"] for pt in t["curve"]] for t in trials], axis=0)
@@ -549,17 +566,18 @@ def run_detect(cfg: ExperimentConfig, checkpoint=None) -> dict:
 
     Clean side: the test set (full by default).  Adversarial side: PGD at
     ``attack_epsilon`` on the same samples.  Reports plain AUROC over all
-    samples and the class-balanced correct-vs-successful variant.
+    samples and the class-balanced correct-vs-successful variant.  Each
+    trial runs on one of ``cfg.threads`` workers.
     """
     test_data = load_split(cfg.data_dir, "test", name=cfg.dataset)
     if not cfg.detect_full_test:
         test_data = take_prefix(test_data, min(cfg.attack_prefix, test_data.n))
 
-    trials = []
-    for seed, model in _trial_checkpoints(cfg, test_data.images.shape[1],
-                                          checkpoint):
-        result = attacks.pgd_attack(model, test_data.images, test_data.labels,
-                                    _attack_config(cfg, seed))
+    def detect(pair):
+        seed, model = pair
+        result = attacks.pgd_attack(
+            model, test_data.images, test_data.labels,
+            _attack_config(cfg, seed, cfg.attack_epsilon))
         clean_summary = predict_dataset(model, test_data.images,
                                         cfg.n_eval_samples,
                                         Rng(seed).derive(_EVAL_STREAM, 2))
@@ -593,8 +611,11 @@ def run_detect(cfg: ExperimentConfig, checkpoint=None) -> dict:
             else:
                 trial[f"auroc_{metric_name}_balanced"] = balanced.value
                 trial[f"balanced_n_per_class_{metric_name}"] = balanced.n_per_class
-        trials.append(trial)
+        return trial
 
+    trials = map_in_order(
+        detect, _trial_checkpoints(cfg, test_data.images.shape[1], checkpoint),
+        cfg.threads)
     return _write_result(
         cfg, "detection", f"detect_{cfg.run_id()}_eps{cfg.attack_epsilon:g}.json",
         ("auroc_variance", "auroc_entropy", "auroc_variance_balanced",
@@ -612,22 +633,73 @@ def _field(payload, path: str):
     return payload
 
 
+def _is_number(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+def _are_numbers(v) -> bool:
+    return isinstance(v, list) and all(map(_is_number, v))
+
+
+def _is_histogram(v, groups=None) -> bool:
+    """Whether ``v`` holds numeric ``bin_edges`` and ``counts``, or with
+    ``groups`` a dict of numeric counts per group."""
+    if not isinstance(v, dict) or not _are_numbers(v.get("bin_edges")):
+        return False
+    counts = v.get("counts")
+    if groups is None:
+        return _are_numbers(counts)
+    return isinstance(counts, dict) and all(_are_numbers(counts.get(g))
+                                            for g in groups)
+
+
+# The types of the fields the report reads, as (description, check); an
+# optional field may also be missing or null.
+TEXT = ("a string", lambda v: isinstance(v, str))
+NUMBER = ("a number", _is_number)
+NUMBERS = ("a list of numbers", _are_numbers)
+GROUP_HISTOGRAM = ("a histogram of correct and wrong counts",
+                   lambda v: _is_histogram(v, ("correct", "wrong")))
+LAYER_HISTOGRAMS = ("a list of layer histograms", lambda v: isinstance(v, list)
+                    and all(isinstance(layer, dict)
+                            and _is_histogram(layer.get("histogram"))
+                            for layer in v))
+
+
+def _optional(kind):
+    description, check = kind
+    return description + " or null", lambda v: v is None or check(v)
+
+
+# The fields the report reads, as dotted paths with their types; it indexes
+# the payloads that pass these checks unchecked.
+REPORT_READS = {
+    "trial": {"run_id": TEXT, "model": TEXT, "dataset": TEXT,
+              "config.kl_weight": NUMBER, "config.prior_variance": NUMBER,
+              "clean_accuracy": NUMBER, "mean_max_variance": NUMBER,
+              "mean_entropy": NUMBER,
+              "histograms.max_variance": GROUP_HISTOGRAM,
+              "histograms.entropy": GROUP_HISTOGRAM,
+              "mean_max_variance_correct": _optional(NUMBER),
+              "mean_max_variance_wrong": _optional(NUMBER),
+              "mixing_variance": _optional(LAYER_HISTOGRAMS)},
+    "ood": {"run_id": TEXT, "mean_auroc_variance": NUMBER,
+            "mean_auroc_entropy": NUMBER},
+    "attack_curve": {"run_id": TEXT, "config.eps_grid": NUMBERS,
+                     "n_attack_samples": NUMBER, "mean_curve": NUMBERS,
+                     "std_curve": NUMBERS},
+    "detection": {"run_id": TEXT, "epsilon": NUMBER,
+                  "mean_auroc_variance": NUMBER, "mean_auroc_entropy": NUMBER,
+                  "mean_auroc_entropy_balanced": _optional(NUMBER)},
+}
+
+
 def _load_results(results_dir, warnings: list):
     """The result payloads the report reads, grouped by kind.  A JSON file
-    that is unreadable, of another schema version, or missing a field of
-    ``needs`` for its kind or holding null there is named in ``warnings``
-    and skipped."""
-    # The fields the report reads, as dotted paths: it indexes them unchecked.
-    needs = {"trial": ("run_id", "model", "dataset", "config.kl_weight",
-                       "config.prior_variance", "clean_accuracy",
-                       "mean_max_variance", "mean_entropy",
-                       "histograms.max_variance", "histograms.entropy"),
-             "ood": ("run_id", "mean_auroc_variance", "mean_auroc_entropy"),
-             "attack_curve": ("run_id", "config.eps_grid", "n_attack_samples",
-                              "mean_curve", "std_curve"),
-             "detection": ("run_id", "epsilon", "mean_auroc_variance",
-                           "mean_auroc_entropy")}
-    groups = {kind: [] for kind in needs}
+    that is unreadable, of another schema version, or lacking a field of
+    ``REPORT_READS`` for its kind or holding a value of another type there
+    is named in ``warnings`` and skipped."""
+    groups = {kind: [] for kind in REPORT_READS}
     for name in sorted(os.listdir(results_dir)):
         if not name.endswith(".json"):
             continue
@@ -638,15 +710,24 @@ def _load_results(results_dir, warnings: list):
             warnings.append(f"skipped unreadable result file {name}: {exc}")
             continue
         kind = payload.get("kind") if isinstance(payload, dict) else None
-        if kind not in groups:
+        if not isinstance(kind, str) or kind not in groups:
             continue
+        types = REPORT_READS[kind]
+        values = {path: _field(payload, path) for path in types}
         if payload.get("schema_version") != SCHEMA_VERSION:
             warnings.append(f"skipped result file {name}: schema_version "
                             f"{payload.get('schema_version')!r} "
                             f"(expected {SCHEMA_VERSION})")
-        elif missing := [p for p in needs[kind] if _field(payload, p) is None]:
+        elif missing := [path for path, (_, check) in types.items()
+                         if values[path] is None and not check(None)]:
             warnings.append(f"skipped result file {name}: {kind} result "
                             f"lacks {', '.join(missing)}")
+        elif wrong := [f"a {type(values[path]).__name__} at {path} "
+                       f"(expected {description})"
+                       for path, (description, check) in types.items()
+                       if not check(values[path])]:
+            warnings.append(f"skipped result file {name}: {kind} result "
+                            f"has {', '.join(wrong)}")
         else:
             groups[kind].append(payload)
     return groups
@@ -685,8 +766,8 @@ def _ordering_summary(groups) -> list:
     # The protocol's KL sweep runs at prior_variance=1, its prior sweep at
     # kl_weight=1; ml and vi are compared where the two meet.
     unit_prior = [t for t in trials if t["config"]["prior_variance"] == 1.0]
-    unit_vars = [[t["mean_max_variance"] for t in unit_prior
-                  if t["model"] == model and t["config"]["kl_weight"] == 1.0]
+    unit = [t for t in unit_prior if t["config"]["kl_weight"] == 1.0]
+    unit_vars = [[t["mean_max_variance"] for t in unit if t["model"] == model]
                  for model in ("ml", "vi")]
     if all(unit_vars):
         ml_var, vi_var = (float(np.mean(v)) for v in unit_vars)
@@ -705,7 +786,7 @@ def _ordering_summary(groups) -> list:
             lines.append(f"best kl_weight by accuracy for {model}: {best:g}")
 
     for model in ("ml", "vi"):
-        wrongs = [t for t in trials if t["model"] == model
+        wrongs = [t for t in unit if t["model"] == model
                   and t.get("mean_max_variance_wrong") is not None
                   and t.get("mean_max_variance_correct") is not None]
         if wrongs:

@@ -242,8 +242,11 @@ class MixtureModel:
 
         def draws():
             for weights, masks in blocks:
-                log_probs, _ = forward(weights, x, hidden_masks=masks)
-                yield from np.exp(log_probs.reshape(-1, *log_probs.shape[-2:]))
+                log_probs, trace = forward(weights, x, hidden_masks=masks)
+                probs = np.exp(log_probs.reshape(-1, *log_probs.shape[-2:]))
+                # Free this block before the next one is drawn.
+                del weights, masks, log_probs, trace
+                yield from probs
 
         return summarize_prob_stream(draws(), n_components)
 
@@ -273,6 +276,8 @@ class MixtureModel:
             _, gx = backward(trace, grad_log_probs)
             grad_accum += gx
             count += p_label.size // b
+            # Free this block before the next one is drawn.
+            del weights, masks, log_probs, trace, grad_log_probs, gx
         if count != n_components:
             raise ValueError(f"expected {n_components} components, got {count}")
         mean_label_prob = np.maximum(label_prob_sum / n_components, 1e-300)

@@ -1,4 +1,5 @@
-"""The float64 array type, a deterministic counter-based RNG, and ADAM.
+"""The float64 array type, a deterministic counter-based RNG, ADAM, and the
+worker pool.
 
 Everything downstream (sampling, training, attacks) sits on these
 primitives.  All arrays are 64-bit floats in C (row-major) order; the RNG is
@@ -10,6 +11,7 @@ from __future__ import annotations
 import os
 import threading
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,11 +40,11 @@ PROBE_EVERY = 16
 MAX_PROBE_EVERY = 128
 
 
-def _spare_cpu() -> bool:
-    """Whether this process may run on more than one CPU."""
+def allowed_cpus() -> int:
+    """How many CPUs this process may run on."""
     if hasattr(os, "sched_getaffinity"):  # not on macOS or Windows
-        return len(os.sched_getaffinity(0)) > 1
-    return (os.cpu_count() or 1) > 1
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def _current_cpu():
@@ -74,25 +76,40 @@ def _cpu_share(start) -> float:
 
 
 class _Payoff:
-    """Whether reading ahead pays now, judged by the CPU shares (thread CPU
-    time over wall time) of recent read-aheads: each the lesser of the
-    worker's during its fill and the served thread's while the worker ran.
-    A CPU listed in the affinity mask may be busy with other threads of
-    this or another process (trial threads, BLAS threads) or, on a VM,
-    share its host CPU with another vCPU; the shares measure all of these.
-    Shared by every ``Rng`` of the process; a lost update from a racing
-    thread only shifts the timing."""
+    """Whether reading ahead pays now.  It needs an allowed CPU that the
+    running ``map_in_order`` workers, or else the one served thread, leave
+    idle.  Then it is judged by the CPU shares (thread CPU time over wall
+    time) of recent read-aheads: each the lesser of the read-ahead thread's
+    during its fill and the served thread's while it ran.  A CPU listed in
+    the affinity mask may be busy with other threads of this or another
+    process (BLAS threads) or, on a VM, share its host CPU with another
+    vCPU; the shares measure all of these.  Shared by every ``Rng`` of the
+    process; the worker count is kept under a lock, and a lost update of the
+    shares from a racing thread only shifts the timing."""
 
     def __init__(self):
         self.shares = ()
         self.skipped = 0
         self.probe_every = PROBE_EVERY
+        self.workers = 0
+        self._lock = threading.Lock()
+
+    @contextmanager
+    def working(self):
+        """Count the calling thread as a running pool worker."""
+        with self._lock:
+            self.workers += 1
+        try:
+            yield
+        finally:
+            with self._lock:
+                self.workers -= 1
 
     def record(self, share: float):
         self.shares = (self.shares + (share,))[-PAYOFF_WINDOW:]
 
     def pays(self) -> bool:
-        if not _spare_cpu():
+        if max(self.workers, 1) >= allowed_cpus():
             return False
         good = [share >= MIN_CPU_SHARE for share in self.shares]
         if len(good) < PAYOFF_WINDOW or good[-1] or 2 * sum(good) > len(good):
@@ -216,6 +233,45 @@ class Rng:
 
     def __repr__(self):
         return f"Rng(seed={self.seed}, spawn_key={self.spawn_key})"
+
+
+def map_in_order(fn, items, workers: int) -> list:
+    """``[fn(item) for item in items]``, computed by up to ``workers``
+    threads, the calling thread among them, so that at most ``workers - 1``
+    are started.  Each takes the next item not yet taken.  After an item
+    raises, no item starts, and the first exception is re-raised once every
+    thread has stopped.  ``fn`` must not call this again: pools do not nest.
+    """
+    items = list(items)
+    results = [None] * len(items)
+    errors = []
+    taken = iter(range(len(items)))
+    lock = threading.Lock()
+
+    def work():
+        with _PAYOFF.working():
+            while not errors:
+                with lock:
+                    i = next(taken, None)
+                if i is None:
+                    return
+                try:
+                    results[i] = fn(items[i])
+                except BaseException as exc:  # re-raised in the caller
+                    errors.append(exc)
+
+    helpers = [threading.Thread(target=work, name="infmix-worker")
+               for _ in range(min(workers, len(items)) - 1)]
+    for thread in helpers:
+        thread.start()
+    try:
+        work()
+    finally:
+        for thread in helpers:
+            thread.join()
+    if errors:
+        raise errors[0]
+    return results
 
 
 @dataclass

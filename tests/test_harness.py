@@ -297,6 +297,47 @@ class TestRunTrain:
         assert results[0]["model"] == model
 
 
+class TestWorkers:
+    def test_commands_write_the_same_bytes_on_one_and_two_workers(
+            self, synthetic_data_dir, tmp_path):
+        trees = []
+        for threads in (1, 2):
+            cfg = fast_config(synthetic_data_dir, tmp_path / f"t{threads}",
+                              model="ml", threads=threads)
+            run_train(cfg)
+            run_ood(cfg)
+            run_attack(cfg)
+            run_detect(cfg)
+            tree = {}
+            for name in sorted(os.listdir(cfg.out_dir)):
+                with open(os.path.join(cfg.out_dir, name), "rb") as f:
+                    tree[name] = f.read()
+                if name.endswith(".json"):
+                    payload = json.loads(tree[name])
+                    assert payload["config"].pop("threads") == threads
+                    assert payload["config"].pop("out_dir") == cfg.out_dir
+                    tree[name] = payload
+            trees.append(tree)
+        assert trees[0] == trees[1]
+        # Checkpoints, JSON, CSV, and the adversarial images and labels (IDX).
+        assert {name.rsplit("-", 1)[-1].rsplit(".", 1)[-1] for name in trees[0]
+                } == {"ckpt", "json", "csv", "double", "ubyte"}
+
+    def test_threads_default_to_the_allowed_cpus_with_blas_on_one_thread(
+            self, monkeypatch):
+        monkeypatch.setattr(harness, "allowed_cpus", lambda: 3)
+        for openblas, omp, want in (("1", None, 3), (None, "1", 3),
+                                    ("1", "4", 3), ("4", "1", 1),
+                                    (None, None, 1), ("2", None, 1)):
+            for var, value in (("OPENBLAS_NUM_THREADS", openblas),
+                               ("OMP_NUM_THREADS", omp)):
+                if value is None:
+                    monkeypatch.delenv(var, raising=False)
+                else:
+                    monkeypatch.setenv(var, value)
+            assert ExperimentConfig().threads == want, (openblas, omp)
+
+
 class TestPredictDataset:
     def test_chunks_keyed_by_start_index(self):
         # Each chunk draws from rng.derive(start): its draws depend on where

@@ -1,5 +1,7 @@
 """Forward/backward exactness and the multi-sample predictive summary."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,9 +9,10 @@ from hypothesis import strategies as st
 
 from infmix.baselines import DeepEnsemble, DeterministicMlp, DropoutMlp
 from infmix.gradcheck import check_mixture_input_gradient, check_network_gradient
-from infmix.network import (INPUT_GRAD, MAX_ENTROPY, WEIGHT_GRADS, StochasticMlp,
-                            backward, entropy_of, forward, summarize_prob_stream,
-                            summarize_probs)
+from infmix import tensor
+from infmix.network import (DRAW_BLOCK, INPUT_GRAD, MAX_ENTROPY, WEIGHT_GRADS,
+                            StochasticMlp, backward, entropy_of, forward,
+                            summarize_prob_stream, summarize_probs)
 from infmix.posterior import MvnLayerPosterior, softplus_inv
 from infmix.tensor import Rng
 
@@ -289,6 +292,21 @@ class TestPredict:
         net = StochasticMlp.create(Rng(0), topology=(6, 4, 4, 3))
         with pytest.raises(ValueError):
             net.predict(np.ones((1, 6)), 0, Rng(0))
+
+    def test_each_block_is_freed_before_the_next_is_drawn(self, monkeypatch):
+        monkeypatch.setattr(tensor._PAYOFF, "pays", lambda: False)
+        net = StochasticMlp.create(Rng(0).derive(0))
+        x = Rng(1).uniform(0, 1, (2000, 784))
+        # A block's two hidden activations take 2 * block bytes and its
+        # weights half of one; two blocks alive at once take about 5.
+        block = x.shape[0] * DRAW_BLOCK * net.topology[1] * x.itemsize
+        tracemalloc.start()
+        try:
+            net.predict(x, 4 * DRAW_BLOCK, Rng(2))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3.5 * block
 
 
 def mixture_model(kind):

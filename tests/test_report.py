@@ -250,7 +250,65 @@ def test_accuracy_tables_hold_the_other_axis_at_one(tmp_path, monkeypatch):
         assert sorted(rows) == sorted([f"synthetic,ml,{other},0.0000",
                                        "synthetic,ml,1.0000,3,0.9062,0.0312"])
 
-# The dotted paths the report reads of each kind, in the order its warnings
+def test_wrong_types_are_skipped_and_named(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    os.mkdir("results")
+    trial_ml = PAYLOADS["ml_kl1_seed0.json"]
+    entropy = trial_ml["histograms"]["entropy"]
+    bad = {"b_ood_str.json": {**PAYLOADS["ood_ml.json"],
+                              "mean_auroc_variance": "0.7"},
+           "b_ood_bool.json": {**PAYLOADS["ood_ml.json"],
+                               "mean_auroc_entropy": True},
+           "b_attack_eps_str.json": {**PAYLOADS["attack_ml_s1.json"],
+                                     "config": {"eps_grid": ["0", 0.1, 0.3]}},
+           "b_trial_bad_hist.json": {**trial_ml, "histograms": {
+               "max_variance": trial_ml["histograms"]["max_variance"],
+               "entropy": {**entropy, "counts": {"correct": [1, 2, 3]}}}},
+           "b_detect_balanced_str.json": {**PAYLOADS["detect_ml.json"],
+                                          "mean_auroc_entropy_balanced": "x"},
+           "b_kind_list.json": {**PAYLOADS["ood_ml.json"], "kind": ["ood"]}}
+    for name, payload in {**PAYLOADS, **bad}.items():
+        with open(os.path.join("results", name), "w") as f:
+            json.dump(payload, f)
+    outcome = run_report("results")
+    assert outcome["warnings"] == [
+        "skipped result file b_attack_eps_str.json: attack_curve result has a "
+        "list at config.eps_grid (expected a list of numbers)",
+        "skipped result file b_detect_balanced_str.json: detection result has "
+        "a str at mean_auroc_entropy_balanced (expected a number or null)",
+        "skipped result file b_ood_bool.json: ood result has a bool at "
+        "mean_auroc_entropy (expected a number)",
+        "skipped result file b_ood_str.json: ood result has a str at "
+        "mean_auroc_variance (expected a number)",
+        "skipped result file b_trial_bad_hist.json: trial result has a dict "
+        "at histograms.entropy (expected a histogram of correct and wrong "
+        "counts)"]
+    for name, digest in REPORT_DIGESTS.items():
+        if name != "summary.txt":
+            with open(os.path.join("results", "report", name), "rb") as f:
+                assert hashlib.sha256(f.read()).hexdigest()[:16] == digest
+
+
+def test_variance_gap_holds_both_axes_at_one(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    os.mkdir("results")
+    payloads = {"ml_kl1_seed1.json": trial("ml", 1, 0.9),
+                "ml_kl1_seed1_again.json": trial("ml", 1, 0.9),
+                "ml_kl0.1_seed3.json": trial("ml", 3, 0.8, kl_weight=0.1),
+                "ml_pv3_seed3.json": trial("ml", 3, 0.8, prior_variance=3.0)}
+    for name, payload in payloads.items():
+        with open(os.path.join("results", name), "w") as f:
+            json.dump(payload, f)
+    run_report("results")
+    with open(os.path.join("results", "report", "summary.txt")) as f:
+        lines = f.read().splitlines()
+    # Each kl_weight=1, prior_variance=1 trial has the gap 0.043 - 0.009;
+    # the seed-3 trials (0.049 - 0.011) hold one axis elsewhere.
+    assert "variance gap wrong-correct for ml: 0.03400 " \
+           "(positive means wrong is higher)" in lines
+
+
+# The dotted paths the report needs of each kind, in the order its warnings
 # name them; schema_version is checked for every kind it reads.
 REPORT_READS = {
     "trial": ("schema_version", "run_id", "model", "dataset",
@@ -264,6 +322,15 @@ REPORT_READS = {
     "detection": ("schema_version", "run_id", "epsilon",
                   "mean_auroc_variance", "mean_auroc_entropy"),
 }
+# The fields the report reads where they are present and not null.
+REPORT_OPTIONAL = {
+    "trial": ("mean_max_variance_correct", "mean_max_variance_wrong",
+              "mixing_variance"),
+    "detection": ("mean_auroc_entropy_balanced",),
+}
+# The fields of those that hold strings; every other holds no string.
+REPORT_TEXT = ("run_id", "model", "dataset")
+DELETE = object()
 
 # (file name, dotted key) for every top-level and config key of PAYLOADS.
 KEYS = [(name, key) for name, payload in PAYLOADS.items()
@@ -272,19 +339,22 @@ KEYS = [(name, key) for name, payload in PAYLOADS.items()
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.sampled_from(KEYS), st.booleans(), st.sampled_from(["0_", "z_"]))
-def test_one_missing_or_null_key_never_raises(key_of, delete, prefix):
-    """A copy of one payload with one key deleted or nulled, added to the
-    rest: the copy is skipped and named exactly when the report reads that
-    key or a field under it, and then every other output is unchanged."""
+@given(st.sampled_from(KEYS),
+       st.sampled_from([DELETE, None, "0.7", ["0.7"], {"0.7": 0.7}]),
+       st.sampled_from(["0_", "z_"]))
+def test_one_missing_or_null_key_never_raises(key_of, value, prefix):
+    """A copy of one payload with one key deleted, nulled, or set to a
+    string, a list or a dict, added to the rest: the copy is skipped and
+    named exactly when the report reads that key or a field under it, and
+    then every other output is unchanged."""
     source, key = key_of
     mutant = json.loads(json.dumps(PAYLOADS[source]))
     *parents, leaf = key.split(".")
     holder = mutant[parents[0]] if parents else mutant
-    if delete:
+    if value is DELETE:
         del holder[leaf]
     else:
-        holder[leaf] = None
+        holder[leaf] = value
     mutant_name = prefix + source
     with tempfile.TemporaryDirectory() as results:
         for name, payload in {**PAYLOADS, mutant_name: mutant}.items():
@@ -294,14 +364,25 @@ def test_one_missing_or_null_key_never_raises(key_of, delete, prefix):
         kind = PAYLOADS[source]["kind"]
         read = [p for p in REPORT_READS.get(kind, ())
                 if p == key or p.startswith(key + ".")]
-        if key == "kind" or not read:
+        typed = value not in (DELETE, None) and (
+            key in read or key in REPORT_OPTIONAL.get(kind, ()))
+        if typed and isinstance(value, str) and key in REPORT_TEXT:
+            read, typed = [], False     # a string where one belongs
+        if key == "kind" or not (read or typed):
             # A file without a kind is not a result file.
             assert outcome["warnings"] == []
             return
-        why = ("schema_version None (expected 1)" if key == "schema_version"
-               else f"{kind} result lacks {', '.join(read)}")
-        assert outcome["warnings"] == [
-            f"skipped result file {mutant_name}: {why}"]
+        if key == "schema_version":
+            why = f"schema_version {None if value is DELETE else value!r} " \
+                  f"(expected 1)"
+        elif typed:
+            why = f"{kind} result has a {type(value).__name__} at {key} " \
+                  f"(expected "
+        else:
+            why = f"{kind} result lacks {', '.join(read)}"
+        [warning] = outcome["warnings"]
+        assert warning.startswith(f"skipped result file {mutant_name}: {why}")
+        assert typed or warning == f"skipped result file {mutant_name}: {why}"
         assert sorted(outcome["written"]) == sorted(REPORT_DIGESTS)
         for name, digest in REPORT_DIGESTS.items():
             if name != "summary.txt":

@@ -1,4 +1,4 @@
-"""Substrate contracts: the deterministic RNG and ADAM."""
+"""Substrate contracts: the deterministic RNG, the worker pool and ADAM."""
 
 import os
 import sys
@@ -14,7 +14,8 @@ from hypothesis import strategies as st
 from infmix import tensor
 from infmix.network import StochasticMlp
 from infmix.tensor import (MAX_PROBE_EVERY, PAYOFF_WINDOW, PROBE_EVERY,
-                           READ_AHEAD_WIDTH, AdamState, Rng, adam_step)
+                           READ_AHEAD_WIDTH, AdamState, Rng, adam_step,
+                           allowed_cpus, map_in_order)
 
 W = READ_AHEAD_WIDTH
 JOIN_TIMEOUT_S = 60.0
@@ -206,7 +207,7 @@ class TestPayoff:
 
     @pytest.fixture(autouse=True)
     def payoff(self, monkeypatch):
-        monkeypatch.setattr(tensor, "_spare_cpu", lambda: True)
+        monkeypatch.setattr(tensor, "allowed_cpus", lambda: 2)
         payoff = tensor._Payoff()
         monkeypatch.setattr(tensor, "_PAYOFF", payoff)
         return payoff
@@ -215,7 +216,7 @@ class TestPayoff:
         assert payoff.pays()
 
     def test_one_cpu_never_pays(self, payoff, monkeypatch):
-        monkeypatch.setattr(tensor, "_spare_cpu", lambda: False)
+        monkeypatch.setattr(tensor, "allowed_cpus", lambda: 1)
         assert not payoff.pays()
 
     def test_shared_cpu_stops_it_but_for_probes_at_doubling_intervals(self, payoff):
@@ -273,6 +274,97 @@ class TestPayoff:
         rng = Rng(6)
         rng.standard_normal(2, W)
         assert rng._ahead is None
+
+
+def pool_threads():
+    return [t for t in threading.enumerate() if t.name == "infmix-worker"]
+
+
+class TestMapInOrder:
+    """``map_in_order`` returns results in input order from the calling
+    thread plus ``workers - 1`` started threads, and counts its running
+    workers in ``_PAYOFF.workers``, which read-aheads leave a CPU to."""
+
+    def test_caller_is_one_of_the_workers(self):
+        barrier = threading.Barrier(3, timeout=JOIN_TIMEOUT_S)
+
+        def item(i):
+            barrier.wait()      # all three items run at once
+            started = len(pool_threads())
+            barrier.wait()      # and none has ended yet
+            return i, threading.get_ident(), started
+
+        out = map_in_order(item, range(3), 3)
+        assert [i for i, _, _ in out] == [0, 1, 2]
+        idents = {ident for _, ident, _ in out}
+        assert len(idents) == 3 and threading.get_ident() in idents
+        assert {started for _, _, started in out} == {2}
+        assert pool_threads() == []
+
+    def test_one_worker_starts_no_thread(self):
+        assert map_in_order(lambda i: (i, len(pool_threads())), range(4), 1) \
+            == [(i, 0) for i in range(4)]
+
+    @pytest.mark.parametrize("fail_at", [None, 37])
+    def test_worker_count_with_more_workers_than_cpus(self, fail_at):
+        n_workers = allowed_cpus() + 3
+        seen = []
+
+        def item(i):
+            seen.append(tensor._PAYOFF.workers)
+            np.linalg.norm(np.arange(200.0))    # drops and takes the GIL
+            if i == fail_at:
+                raise ValueError(f"item {i} failed")
+            return -i
+
+        outcome = []
+
+        def run():
+            try:
+                outcome.append(map_in_order(item, range(200), n_workers))
+            except ValueError as exc:
+                outcome.append(exc)
+
+        caller = threading.Thread(target=run)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            caller.start()
+            caller.join(timeout=JOIN_TIMEOUT_S)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not caller.is_alive() and len(outcome) == 1
+        assert 1 <= min(seen) and max(seen) <= n_workers
+        assert tensor._PAYOFF.workers == 0 and pool_threads() == []
+        if fail_at is None:
+            assert outcome == [[-i for i in range(200)]]
+        else:
+            assert str(outcome[0]) == f"item {fail_at} failed"
+            assert len(seen) < 200
+
+    def test_reads_ahead_only_while_a_cpu_is_idle(self, monkeypatch):
+        monkeypatch.setattr(tensor, "allowed_cpus", lambda: 2)
+        monkeypatch.setattr(tensor, "_PAYOFF", tensor._Payoff())
+
+        def read_aheads(n_workers):
+            barrier = threading.Barrier(n_workers, timeout=JOIN_TIMEOUT_S)
+
+            def item(seed):
+                barrier.wait()      # every worker is running
+                rng, ref = Rng(seed), reference(seed)
+                got = rng.standard_normal(2, W)
+                started = rng._ahead is not None
+                assert np.array_equal(rng.standard_normal(2, W),
+                                      ref.standard_normal((4, W))[2:])
+                assert np.array_equal(
+                    got, reference(seed).standard_normal((2, W)))
+                barrier.wait()      # no worker stops before all have looked
+                return started
+
+            return map_in_order(item, range(n_workers), n_workers)
+
+        assert read_aheads(2) == [False, False]
+        assert read_aheads(1) == [True]
 
 
 def in_thread(fn):
