@@ -63,9 +63,14 @@ class AttackResult:
     summary_after: PredictiveSummary
 
 
-def project(x: Array, x_clean: Array, epsilon: float) -> Array:
-    """Exact projection onto the eps-ball around x_clean and the [0,1] box."""
-    return np.clip(np.clip(x, x_clean - epsilon, x_clean + epsilon), 0.0, 1.0)
+def project(x: Array, x_clean: Array, epsilon: float, out=None) -> Array:
+    """Exact projection onto the eps-ball around x_clean and the [0,1] box,
+    into ``out`` if given (``x`` itself may be ``out``).  The ball's two
+    bounds take turns in one temporary: max then min is the clip."""
+    bound = np.subtract(x_clean, epsilon)
+    out = np.maximum(x, bound, out=out)
+    np.minimum(out, np.add(x_clean, epsilon, out=bound), out=out)
+    return np.clip(out, 0.0, 1.0, out=out)
 
 
 def pgd_attack(model, images: Array, labels, cfg: AttackConfig,
@@ -85,7 +90,7 @@ def pgd_attack(model, images: Array, labels, cfg: AttackConfig,
     if cfg.random_init and cfg.epsilon > 0:
         x = x_clean + rng.derive(_INIT_STREAM).uniform(
             -cfg.epsilon, cfg.epsilon, x_clean.shape)
-        x = project(x, x_clean, cfg.epsilon)
+        project(x, x_clean, cfg.epsilon, out=x)
     else:
         x = x_clean.copy()
 
@@ -94,7 +99,12 @@ def pgd_attack(model, images: Array, labels, cfg: AttackConfig,
         for it in range(cfg.n_iter):
             grad_x, _ = model.loss_input_grad(
                 x, labels, cfg.n_grad_samples, grad_rng)
-            x = project(x + step * np.sign(grad_x), x_clean, cfg.epsilon)
+            # A fresh iterate: the callback may keep the one before.
+            x_next = np.sign(grad_x)
+            x_next *= step
+            x = project(np.add(x, x_next, out=x_next), x_clean, cfg.epsilon,
+                        out=x_next)
+            del grad_x      # before the next gradient is computed
             if step_callback is not None:
                 step_callback(it, x)
 

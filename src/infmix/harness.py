@@ -25,7 +25,7 @@ from .metrics import auroc_balanced, auroc_scores, mean_std
 from .network import N_CLASSES, PredictiveSummary, StochasticMlp
 from .objectives import (ObjectiveKind, TrainConfig, loss_history_csv, train)
 from .posterior import PriorSpec, kl_to_prior, per_weight_variance
-from .tensor import Rng, allowed_cpus, map_in_order
+from .tensor import Rng, default_threads, map_in_order
 
 SCHEMA_VERSION = 1
 
@@ -38,15 +38,6 @@ SWEEP_AXES = ("none", "kl_weight", "prior")
 # Per-weight mixing-distribution variances span orders of magnitude, so the
 # exported histograms use fixed log-spaced bins.
 MIXING_VARIANCE_EDGES = np.logspace(-8.0, 1.0, 46)
-
-
-def default_threads() -> int:
-    """The allowed CPUs while BLAS runs on one thread, else 1: workers that
-    each run a multi-threaded BLAS would oversubscribe the CPUs.  OpenBLAS
-    reads ``OPENBLAS_NUM_THREADS`` first, then ``OMP_NUM_THREADS``."""
-    blas = (os.environ.get("OPENBLAS_NUM_THREADS")
-            or os.environ.get("OMP_NUM_THREADS"))
-    return allowed_cpus() if blas is not None and blas.strip() == "1" else 1
 
 
 class ConfigError(ValueError):
@@ -393,18 +384,28 @@ def run_trial(cfg: ExperimentConfig, train_data: Dataset, test_data: Dataset,
     return _write_result(cfg, "trial", stem + ".json", **result)
 
 
+def _run_points(cfg: ExperimentConfig, points) -> list:
+    """Every trial of each configuration in ``points``, as one map of
+    (point, seed) pairs on ``cfg.threads`` workers; returns the per-trial
+    result dicts of each point."""
+    train_data = load_split(cfg.data_dir, "train", name=cfg.dataset)
+    test_data = load_split(cfg.data_dir, "test", name=cfg.dataset)
+    results = iter(map_in_order(
+        lambda item: run_trial(item[0], train_data, test_data, item[1]),
+        [(point, seed) for point in points for seed in point.trial_seeds()],
+        cfg.threads))
+    return [[next(results) for _ in point.trial_seeds()] for point in points]
+
+
 def run_train(cfg: ExperimentConfig) -> list:
     """All trials of one configuration, on ``cfg.threads`` workers; returns
     the per-trial result dicts."""
-    train_data = load_split(cfg.data_dir, "train", name=cfg.dataset)
-    test_data = load_split(cfg.data_dir, "test", name=cfg.dataset)
-    return map_in_order(
-        lambda seed: run_trial(cfg, train_data, test_data, seed),
-        cfg.trial_seeds(), cfg.threads)
+    return _run_points(cfg, [cfg])[0]
 
 
 def run_sweep(cfg: ExperimentConfig) -> dict:
-    """Trials for every grid point of the configured sweep axis."""
+    """Trials for every grid point of the configured sweep axis, all on
+    ``cfg.threads`` workers."""
     if cfg.sweep == "none":
         grid = [None]
     elif cfg.sweep == "kl_weight":
@@ -414,15 +415,16 @@ def run_sweep(cfg: ExperimentConfig) -> dict:
     if not grid:
         raise ConfigError(f"empty grid for sweep axis {cfg.sweep!r}")
 
+    points = [cfg if value is None
+              else cfg.replace(kl_weight=value) if cfg.sweep == "kl_weight"
+              else cfg.replace(prior_variance=value) for value in grid]
+    # Points of one run id would write the same files, at the same time.
+    run_ids = [point.run_id() for point in points]
+    if len(set(run_ids)) < len(run_ids):
+        raise ConfigError(f"{cfg.sweep} grid {grid} gives one run id to two "
+                          f"points: {run_ids}")
     rows = []
-    for value in grid:
-        if value is None:
-            point = cfg
-        elif cfg.sweep == "kl_weight":
-            point = cfg.replace(kl_weight=value)
-        else:
-            point = cfg.replace(prior_variance=value)
-        results = run_train(point)
+    for value, point, results in zip(grid, points, _run_points(cfg, points)):
         accs = [r["clean_accuracy"] for r in results]
         mean, std = mean_std(accs)
         rows.append({"sweep": cfg.sweep, "value": value,
@@ -653,22 +655,48 @@ def _is_histogram(v, groups=None) -> bool:
                                             for g in groups)
 
 
-# The types of the fields the report reads, as (description, check); an
-# optional field may also be missing or null.
-TEXT = ("a string", lambda v: isinstance(v, str))
-NUMBER = ("a number", _is_number)
-NUMBERS = ("a list of numbers", _are_numbers)
+def _bin_counts(histogram, path: str, groups=None) -> list:
+    """(path, entries, entries expected, why) of each count list of a
+    histogram that passed ``_is_histogram``: one count per bin."""
+    bins = len(histogram["bin_edges"]) - 1
+    counts = histogram["counts"]
+    lists = ({f"{path}.counts.{g}": counts[g] for g in groups} if groups
+             else {f"{path}.counts": counts})
+    return [(at, len(c), bins, "one per bin") for at, c in lists.items()]
+
+
+# The types of the fields the report reads, as (description, check,
+# lengths): ``lengths(value, path, payload)`` lists the (path, entries,
+# entries expected, why) of the lists at or under ``path``, read once every
+# type has passed.  An optional field may also be missing or null.
+TEXT = ("a string", lambda v: isinstance(v, str), None)
+NUMBER = ("a number", _is_number, None)
+NUMBERS = ("a list of numbers", _are_numbers, None)
 GROUP_HISTOGRAM = ("a histogram of correct and wrong counts",
-                   lambda v: _is_histogram(v, ("correct", "wrong")))
+                   lambda v: _is_histogram(v, ("correct", "wrong")),
+                   lambda v, path, payload: _bin_counts(v, path,
+                                                        ("correct", "wrong")))
 LAYER_HISTOGRAMS = ("a list of layer histograms", lambda v: isinstance(v, list)
                     and all(isinstance(layer, dict)
                             and _is_histogram(layer.get("histogram"))
-                            for layer in v))
+                            for layer in v),
+                    lambda v, path, payload: [
+                        entry for l, layer in enumerate(v) for entry in
+                        _bin_counts(layer["histogram"], f"{path}.{l}.histogram")])
+
+
+def _one_per(kind, other: str):
+    """``kind``, a list with one entry per entry of the list at ``other``."""
+    description, check, _ = kind
+    return description, check, lambda v, path, payload: [
+        (path, len(v), len(_field(payload, other)), f"one per {other} entry")]
 
 
 def _optional(kind):
-    description, check = kind
-    return description + " or null", lambda v: v is None or check(v)
+    description, check, lengths = kind
+    return (description + " or null", lambda v: v is None or check(v),
+            lengths and (lambda v, path, payload:
+                         [] if v is None else lengths(v, path, payload)))
 
 
 # The fields the report reads, as dotted paths with their types; it indexes
@@ -686,8 +714,9 @@ REPORT_READS = {
     "ood": {"run_id": TEXT, "mean_auroc_variance": NUMBER,
             "mean_auroc_entropy": NUMBER},
     "attack_curve": {"run_id": TEXT, "config.eps_grid": NUMBERS,
-                     "n_attack_samples": NUMBER, "mean_curve": NUMBERS,
-                     "std_curve": NUMBERS},
+                     "n_attack_samples": NUMBER,
+                     "mean_curve": _one_per(NUMBERS, "config.eps_grid"),
+                     "std_curve": _one_per(NUMBERS, "config.eps_grid")},
     "detection": {"run_id": TEXT, "epsilon": NUMBER,
                   "mean_auroc_variance": NUMBER, "mean_auroc_entropy": NUMBER,
                   "mean_auroc_entropy_balanced": _optional(NUMBER)},
@@ -697,8 +726,8 @@ REPORT_READS = {
 def _load_results(results_dir, warnings: list):
     """The result payloads the report reads, grouped by kind.  A JSON file
     that is unreadable, of another schema version, or lacking a field of
-    ``REPORT_READS`` for its kind or holding a value of another type there
-    is named in ``warnings`` and skipped."""
+    ``REPORT_READS`` for its kind or holding a value of another type or a
+    list of another length there is named in ``warnings`` and skipped."""
     groups = {kind: [] for kind in REPORT_READS}
     for name in sorted(os.listdir(results_dir)):
         if not name.endswith(".json"):
@@ -718,14 +747,21 @@ def _load_results(results_dir, warnings: list):
             warnings.append(f"skipped result file {name}: schema_version "
                             f"{payload.get('schema_version')!r} "
                             f"(expected {SCHEMA_VERSION})")
-        elif missing := [path for path, (_, check) in types.items()
+        elif missing := [path for path, (_, check, _) in types.items()
                          if values[path] is None and not check(None)]:
             warnings.append(f"skipped result file {name}: {kind} result "
                             f"lacks {', '.join(missing)}")
         elif wrong := [f"a {type(values[path]).__name__} at {path} "
                        f"(expected {description})"
-                       for path, (description, check) in types.items()
+                       for path, (description, check, _) in types.items()
                        if not check(values[path])]:
+            warnings.append(f"skipped result file {name}: {kind} result "
+                            f"has {', '.join(wrong)}")
+        elif wrong := [f"{n} entries at {at} (expected {want}, {why})"
+                       for path, (_, _, lengths) in types.items() if lengths
+                       for at, n, want, why in lengths(values[path], path,
+                                                       payload)
+                       if n != want]:
             warnings.append(f"skipped result file {name}: {kind} result "
                             f"has {', '.join(wrong)}")
         else:
@@ -879,7 +915,7 @@ def run_report(results_dir, report_dir=None) -> dict:
                           axis=0) for g in ("correct", "wrong")],
                 x_fmt=".6g", digits=3))
         mixes = [t["mixing_variance"] for t in ts if t.get("mixing_variance")]
-        for layer in range(len(mixes[0]) if mixes else 0):
+        for layer in range(min(map(len, mixes), default=0)):
             hists = [mix[layer]["histogram"] for mix in mixes]
             write(f"fig_mixing_variance_layer{layer}_{run_id}.csv", _band_csv(
                 "x,y,err  # bin left edge, mean count, 3*std",

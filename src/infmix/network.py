@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .posterior import MvnLayerPosterior, sample
-from .tensor import Array, Rng
+from .tensor import Array, Rng, imap_in_order
 
 DEFAULT_TOPOLOGY = (784, 128, 128, 10)
 N_CLASSES = 10
@@ -123,10 +123,11 @@ def backward(trace: ForwardTrace, grad_log_probs: Array):
             g = np.concatenate([np.swapaxes(h, -1, -2) @ grad_z,
                                 grad_z.sum(axis=-2, keepdims=True)], axis=-2)
             grad_weights[l] = g if g.ndim == w.ndim else g.sum(axis=0)
-        grad_h = grad_z @ np.swapaxes(w[..., :-1, :], -1, -2)
+        # In place on the fresh output of the GEMM.
+        grad_z = grad_z @ np.swapaxes(w[..., :-1, :], -1, -2)
         if trace.hidden_masks is not None:
-            grad_h = grad_h * trace.hidden_masks[l - 1]
-        grad_z = grad_h * (trace.hidden[l - 1] > 0.0)
+            grad_z *= trace.hidden_masks[l - 1]
+        grad_z *= trace.hidden[l - 1] > 0.0
 
     # Layer 0: one GEMM over all draws, [gz_1|...|gz_S], for each gradient.
     w = trace.weights[0]
@@ -214,12 +215,27 @@ def summarize_prob_stream(draws, n_samples: int) -> PredictiveSummary:
     )
 
 
+class _Blocks:
+    """The blocks ``make(start, stop)`` over consecutive spans of at most
+    DRAW_BLOCK of ``n`` components, made only as they are iterated, so draws
+    come from the rng in component order; sized, so a pool starts no thread
+    that would find no block."""
+
+    def __init__(self, n: int, make):
+        self.n, self.make = n, make
+
+    def __len__(self):
+        return -(-self.n // DRAW_BLOCK)
+
+    def __iter__(self):
+        for start in range(0, self.n, DRAW_BLOCK):
+            yield self.make(start, min(start + DRAW_BLOCK, self.n))
+
+
 def in_blocks(n_components: int, make_block):
     """``(n_components, blocks)`` with the blocks ``make_block(start, stop)``
-    over consecutive spans of at most DRAW_BLOCK components, made only as
-    the blocks are consumed, so draws come from the rng in component order."""
-    return n_components, (make_block(start, min(start + DRAW_BLOCK, n_components))
-                          for start in range(0, n_components, DRAW_BLOCK))
+    of ``_Blocks``."""
+    return n_components, _Blocks(n_components, make_block)
 
 
 class MixtureModel:
@@ -227,7 +243,13 @@ class MixtureModel:
     or ensemble members.  Each model kind only lists its components, in
     ``_components(n_samples, rng) -> (count, blocks)``; a block is a
     (weights, hidden_masks) pair of one component or a stack of them, run on
-    the whole batch.  Kinds with a fixed count ignore ``n_samples``."""
+    the whole batch.  Kinds with a fixed count ignore ``n_samples``.
+
+    ``predict`` and ``loss_input_grad`` run the blocks through
+    ``imap_in_order`` on the CPUs the budget leaves free: each block is
+    drawn under the pool's lock in component order, any worker runs it, and
+    its small result is added into the running sums in block order, so the
+    sums hold the bits of a plain loop."""
 
     def _mixture(self, n_samples: int, rng: Rng | None):
         count, blocks = self._components(n_samples, rng)
@@ -240,15 +262,14 @@ class MixtureModel:
         """Predictive summary of the mixture on the batch ``x``."""
         n_components, blocks = self._mixture(n_samples, rng)
 
-        def draws():
-            for weights, masks in blocks:
-                log_probs, trace = forward(weights, x, hidden_masks=masks)
-                probs = np.exp(log_probs.reshape(-1, *log_probs.shape[-2:]))
-                # Free this block before the next one is drawn.
-                del weights, masks, log_probs, trace
-                yield from probs
+        def probs(block):
+            weights, masks = block
+            log_probs, _ = forward(weights, x, hidden_masks=masks)
+            return np.exp(log_probs.reshape(-1, *log_probs.shape[-2:]))
 
-        return summarize_prob_stream(draws(), n_components)
+        return summarize_prob_stream(
+            (p for block in imap_in_order(probs, blocks) for p in block),
+            n_components)
 
     def loss_input_grad(self, x: Array, labels, n_samples: int = 1,
                         rng: Rng | None = None):
@@ -263,25 +284,35 @@ class MixtureModel:
         labels = np.asarray(labels)
         b = x.shape[0]
         rows = np.arange(b)
-        label_prob_sum = np.zeros(b)
-        grad_accum = np.zeros_like(x)
-        count = 0
-        for weights, masks in blocks:
+
+        def grad(block):
+            weights, masks = block
             log_probs, trace = forward(weights, x, hidden_masks=masks)
             grad_log_probs = np.zeros_like(log_probs)
             p_label = np.exp(log_probs[..., rows, labels])
             grad_log_probs[..., rows, labels] = p_label  # d p / d log p = p
-            label_prob_sum += p_label.reshape(-1, b).sum(axis=0)
             trace.needs = INPUT_GRAD
             _, gx = backward(trace, grad_log_probs)
-            grad_accum += gx
-            count += p_label.size // b
-            # Free this block before the next one is drawn.
-            del weights, masks, log_probs, trace, grad_log_probs, gx
+            return gx, p_label.reshape(-1, b).sum(axis=0), p_label.size // b
+
+        label_prob_sum = np.zeros(b)
+        grad_x = None
+        count = 0
+        for gx, label_probs, n in imap_in_order(grad, blocks):
+            if grad_x is None:
+                # The first block's array holds the sum: 0.0 + gx, the bits
+                # that adding it to zeros gives (-0.0 becomes 0.0).
+                grad_x = gx
+                grad_x += 0.0
+            else:
+                grad_x += gx
+            label_prob_sum += label_probs
+            count += n
+            del gx      # before the next block's result is taken
         if count != n_components:
             raise ValueError(f"expected {n_components} components, got {count}")
         mean_label_prob = np.maximum(label_prob_sum / n_components, 1e-300)
-        grad_x = -grad_accum / (n_components * mean_label_prob)[:, None]
+        grad_x /= (-n_components * mean_label_prob)[:, None]
         return grad_x, mean_label_prob
 
 

@@ -8,6 +8,8 @@ Philox, so a seed pins the whole bit stream independent of platform.
 
 from __future__ import annotations
 
+import ctypes
+import functools
 import os
 import threading
 import time
@@ -47,6 +49,42 @@ def allowed_cpus() -> int:
     return os.cpu_count() or 1
 
 
+def default_threads() -> int:
+    """The allowed CPUs while BLAS runs on one thread, else 1: workers that
+    each run a multi-threaded BLAS would oversubscribe the CPUs.  OpenBLAS
+    reads ``OPENBLAS_NUM_THREADS`` first, then ``OMP_NUM_THREADS``."""
+    blas = (os.environ.get("OPENBLAS_NUM_THREADS")
+            or os.environ.get("OMP_NUM_THREADS"))
+    return allowed_cpus() if blas is not None and blas.strip() == "1" else 1
+
+
+# glibc's mallopt parameter for the most malloc arenas of the process.
+_M_ARENA_MAX = -8
+
+
+@functools.cache
+def _one_malloc_arena():
+    """Let threads allocate from the main thread's glibc malloc arena, not
+    from arenas of their own.  An arena keeps the peak of what its threads
+    allocated, and another thread cannot reuse it: a pool thread running
+    PGD blocks at B=1000 kept 24 MB.  Run before the first thread that this
+    module starts, as arenas that exist stay in use; nothing without glibc."""
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError):
+        return
+    mallopt.argtypes = [ctypes.c_int, ctypes.c_int]
+    mallopt.restype = ctypes.c_int
+    mallopt(_M_ARENA_MAX, 1)
+
+
+def _start_thread(target, name: str, args=()) -> threading.Thread:
+    _one_malloc_arena()
+    thread = threading.Thread(target=target, name=name, args=args)
+    thread.start()
+    return thread
+
+
 def _current_cpu():
     """The CPU the calling thread runs on, or None where ``/proc`` does not
     say (field 39 of ``/proc/thread-self/stat`` on Linux)."""
@@ -76,34 +114,72 @@ def _cpu_share(start) -> float:
 
 
 class _Payoff:
-    """Whether reading ahead pays now.  It needs an allowed CPU that the
-    running ``map_in_order`` workers, or else the one served thread, leave
-    idle.  Then it is judged by the CPU shares (thread CPU time over wall
-    time) of recent read-aheads: each the lesser of the read-ahead thread's
-    during its fill and the served thread's while it ran.  A CPU listed in
-    the affinity mask may be busy with other threads of this or another
-    process (BLAS threads) or, on a VM, share its host CPU with another
-    vCPU; the shares measure all of these.  Shared by every ``Rng`` of the
-    process; the worker count is kept under a lock, and a lost update of the
-    shares from a racing thread only shifts the timing."""
+    """Whether reading ahead pays now, and the process's CPU budget for the
+    worker pools of ``imap_in_order``.
+
+    Reading ahead needs an allowed CPU that the CPUs held by running pool
+    workers, or else the one served thread, leave idle.  Then it is judged
+    by the CPU shares (thread CPU time over wall time) of recent
+    read-aheads: each the lesser of the read-ahead thread's during its fill
+    and the served thread's while it ran.  A CPU listed in the affinity mask
+    may be busy with other threads of this or another process (BLAS
+    threads) or, on a VM, share its host CPU with another vCPU; the shares
+    measure all of these.  Shared by every ``Rng`` and pool of the process;
+    the budget is kept under a lock, and a lost update of the shares from a
+    racing thread only shifts the timing."""
 
     def __init__(self):
         self.shares = ()
         self.skipped = 0
         self.probe_every = PROBE_EVERY
-        self.workers = 0
+        self.workers = 0        # CPUs held by running pool workers
+        self.size = 0           # the budget they are held from
         self._lock = threading.Lock()
+        self._held = threading.local()  # whether this thread holds a CPU
 
     @contextmanager
-    def working(self):
-        """Count the calling thread as a running pool worker."""
+    def reserve(self, workers, n_items):
+        """CPUs for a pool of at most ``workers`` workers (None: as many as
+        the budget allows) over ``n_items`` items (None: not known); yields
+        how many threads the pool may start, each of which holds one of
+        them (``holding``) until it ends.  A caller outside every pool sets
+        the budget while none runs, to ``workers`` or else
+        ``default_threads()``, and holds a CPU itself until the pool ends; a
+        pool worker already holds one.  The threads get only CPUs the budget
+        leaves free, so a pool nested in a full one starts none."""
         with self._lock:
-            self.workers += 1
+            outside = not getattr(self._held, "cpu", False)
+            if outside:
+                if self.workers == 0:
+                    self.size = workers or default_threads()
+                self.workers += 1
+            wanted = (workers or self.size) - 1
+            if n_items is not None:
+                wanted = min(wanted, n_items - 1)
+            extra = max(0, min(wanted, self.size - self.workers))
+            self.workers += extra
+        self._held.cpu = True
+        try:
+            yield extra
+        finally:
+            if outside:
+                self._held.cpu = False
+                self.add(-1)
+
+    @contextmanager
+    def holding(self):
+        """The calling pool thread holds one of its pool's reserved CPUs
+        until the block ends."""
+        self._held.cpu = True
         try:
             yield
         finally:
-            with self._lock:
-                self.workers -= 1
+            self.add(-1)
+
+    def add(self, n: int):
+        """Count ``n`` more CPUs (or give back ``-n``) as held."""
+        with self._lock:
+            self.workers += n
 
     def record(self, share: float):
         self.shares = (self.shares + (share,))[-PAYOFF_WINDOW:]
@@ -129,19 +205,19 @@ _PAYOFF = _Payoff()
 class _ReadAhead:
     """The rows a Philox stream draws next, filled on a worker thread from a
     copy of its state into ``rows``; ``state`` is the state after them.
-    ``join``, called by the thread that made it, re-raises whatever the
-    worker raised and otherwise records the read-ahead's CPU share."""
+    ``join`` re-raises whatever the worker raised and otherwise, when called
+    by the thread that made it, records the read-ahead's CPU share: another
+    thread's CPU time says nothing about the served thread's."""
 
     def __init__(self, clone, state: dict, rows: Array):
         self.rows = rows
         self.state = None
         self.error = None
         self.share = None       # the worker's, during its fill
+        self._served = threading.get_ident()
         self._start = time.thread_time(), time.perf_counter()
-        self._thread = threading.Thread(target=self._fill,
-                                        args=(clone, state, _current_cpu()),
-                                        name="infmix-rng-read-ahead")
-        self._thread.start()
+        self._thread = _start_thread(self._fill, "infmix-rng-read-ahead",
+                                     (clone, state, _current_cpu()))
 
     def _fill(self, clone, state, consumer_cpu):
         try:
@@ -155,11 +231,13 @@ class _ReadAhead:
             self.error = exc
 
     def join(self):
-        served = _cpu_share(self._start)
+        served = (_cpu_share(self._start)
+                  if threading.get_ident() == self._served else None)
         self._thread.join()
         if self.error is not None:
             raise self.error
-        _PAYOFF.record(min(self.share, served))
+        if served is not None:
+            _PAYOFF.record(min(self.share, served))
 
 
 class Rng:
@@ -174,8 +252,9 @@ class Rng:
     ``READ_AHEAD_WIDTH``, while reading ahead pays (``_Payoff``), the stream
     draws the next (n, w) normals from such a copy on a worker thread.  A
     later request of the same shape takes them; any other call drops them,
-    so no call pattern changes a single bit.  An ``Rng`` is owned by one
-    thread at a time.
+    so no call pattern changes a single bit.  An ``Rng`` is used by one
+    thread at a time; ``imap_in_order`` hands one from worker to worker
+    under its lock.
     """
 
     def __init__(self, seed: int, _spawn_key: tuple[int, ...] = ()):
@@ -235,43 +314,109 @@ class Rng:
         return f"Rng(seed={self.seed}, spawn_key={self.spawn_key})"
 
 
-def map_in_order(fn, items, workers: int) -> list:
-    """``[fn(item) for item in items]``, computed by up to ``workers``
-    threads, the calling thread among them, so that at most ``workers - 1``
-    are started.  Each takes the next item not yet taken.  After an item
-    raises, no item starts, and the first exception is re-raised once every
-    thread has stopped.  ``fn`` must not call this again: pools do not nest.
+def imap_in_order(fn, items, workers: int | None = None):
+    """Yield ``fn(item)`` for each of ``items``, in their order, computed by
+    the calling thread and the threads that the CPU budget lets the pool
+    start (``_Payoff.reserve``): at most ``workers - 1``, or with
+    ``workers`` None as many as the budget leaves free.
+
+    Items are taken one at a time, in order, under the pool's lock, so an
+    iterator that draws from an ``Rng`` draws what a plain loop would draw.
+    Each thread computes one item at a time, so at most ``workers`` items
+    are computing, and a finished item waits for its turn only as its
+    result.  While the calling thread waits for another thread's item with
+    none left to take, its CPU is free for pools nested in the others.
+    After an item raises, no item starts, and the first exception is
+    re-raised once every thread has stopped.
     """
-    items = list(items)
-    results = [None] * len(items)
+    n_items = len(items) if hasattr(items, "__len__") else None
+    items = iter(items)
+    cond = threading.Condition()
+    done = {}           # index -> result of a finished item not yet yielded
     errors = []
-    taken = iter(range(len(items)))
-    lock = threading.Lock()
+    taken = 0
+    exhausted = False
 
-    def work():
-        with _PAYOFF.working():
-            while not errors:
-                with lock:
-                    i = next(taken, None)
-                if i is None:
+    def take():
+        """Under ``cond``: the next (index, item), or None if none may start."""
+        nonlocal taken, exhausted
+        if exhausted or errors:
+            return None
+        try:
+            item = next(items)
+        except StopIteration:
+            exhausted = True
+            return None
+        except BaseException as exc:  # re-raised in the caller
+            errors.append(exc)
+            cond.notify_all()
+            return None
+        taken += 1
+        return taken - 1, item
+
+    def finish(index, item):
+        try:
+            result = fn(item)
+        except BaseException as exc:  # re-raised in the caller
+            with cond:
+                errors.append(exc)
+                cond.notify_all()
+            return
+        with cond:
+            done[index] = result
+            cond.notify_all()
+
+    def helper():
+        with _PAYOFF.holding():
+            while True:
+                with cond:
+                    job = take()
+                if job is None:
                     return
-                try:
-                    results[i] = fn(items[i])
-                except BaseException as exc:  # re-raised in the caller
-                    errors.append(exc)
+                finish(*job)
+                job = None      # drop the item before the next is taken
 
-    helpers = [threading.Thread(target=work, name="infmix-worker")
-               for _ in range(min(workers, len(items)) - 1)]
-    for thread in helpers:
-        thread.start()
-    try:
-        work()
-    finally:
-        for thread in helpers:
-            thread.join()
-    if errors:
-        raise errors[0]
-    return results
+    with _PAYOFF.reserve(workers, n_items) as extra:
+        helpers = []
+        try:
+            for _ in range(extra):
+                helpers.append(_start_thread(helper, "infmix-worker"))
+            index = 0
+            while True:
+                with cond:
+                    job = None
+                    while index not in done and not errors:
+                        job = take()
+                        if job is not None or index == taken or errors:
+                            break
+                        _PAYOFF.add(-1)     # lent while another computes it
+                        try:
+                            cond.wait()
+                        finally:
+                            _PAYOFF.add(1)
+                    if errors:
+                        raise errors[0]
+                    if job is None:
+                        if index not in done:
+                            return
+                        result = done.pop(index)
+                if job is not None:
+                    finish(*job)
+                    continue
+                yield result
+                result = None
+                index += 1
+        finally:
+            with cond:
+                exhausted = True    # the consumer may stop early
+            _PAYOFF.add(len(helpers) - extra)   # threads that never started
+            for thread in helpers:
+                thread.join()
+
+
+def map_in_order(fn, items, workers: int | None = None) -> list:
+    """``[fn(item) for item in items]``, computed by ``imap_in_order``."""
+    return list(imap_in_order(fn, items, workers))
 
 
 @dataclass

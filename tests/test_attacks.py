@@ -1,6 +1,7 @@
 """PGD constraint invariants, oracles, and persistence."""
 
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from infmix.attacks import (AttackConfig, attack_csv, pgd_attack, project,
 from infmix.baselines import DeterministicMlp, train_deterministic, FitConfig
 from infmix.data import load_idx
 from infmix.network import StochasticMlp
+from infmix import tensor
 from infmix.tensor import Rng
 
 from test_objectives import toy_dataset
@@ -95,6 +97,40 @@ class TestPgd:
 
             result = pgd_attack(net, images, labels, cfg, step_callback=check)
             assert np.max(np.abs(result.adversarial - images)) <= epsilon + 1e-9
+
+    def test_iterates_are_distinct_and_never_changed(self, toy):
+        net = StochasticMlp.create(Rng(0), topology=(784, 16, 16, 10))
+        images, labels = toy.images[:20], toy.labels[:20]
+        kept = []
+        cfg = AttackConfig(epsilon=0.1, n_iter=6, n_grad_samples=3,
+                           n_eval_samples=2, seed=2)
+        result = pgd_attack(net, images, labels, cfg, step_callback=lambda
+                            it, x: kept.append((x, x.copy())))
+        for i, (x, copy) in enumerate(kept):
+            assert np.array_equal(x, copy)
+            assert not np.shares_memory(x, images)
+            assert not any(np.shares_memory(x, y) for y, _ in kept[i + 1:])
+        assert result.adversarial is kept[-1][0]
+
+    def test_two_workers_hold_about_six_batches(self, monkeypatch):
+        """At B=1000 and 5 gradient draws: the iterate, the gradient sum and
+        the pool's two blocks in flight, each at most its input gradient and
+        about as much again of activations and weights.  One worker held
+        six batches before the update and projection were made in place."""
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+        monkeypatch.setattr(tensor, "allowed_cpus", lambda: 2)
+        net = StochasticMlp.create(Rng(0).derive(0))
+        images = Rng(1).uniform(0.0, 1.0, (1000, 784))
+        labels = np.arange(1000) % 10
+        cfg = AttackConfig(epsilon=0.25, n_iter=2, n_grad_samples=5,
+                           n_eval_samples=4, seed=3)
+        tracemalloc.start()
+        try:
+            pgd_attack(net, images, labels, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 6.5 * images.nbytes
 
     def test_deterministic_attack_reproducible(self, toy, toy_model):
         images, labels = toy.images[:30], toy.labels[:30]

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from infmix import harness
+from infmix import harness, tensor
 from infmix.baselines import DeterministicMlp
 from infmix.checkpoint import load_model, save_model
 from infmix.cli import main
@@ -297,6 +297,21 @@ class TestRunTrain:
         assert results[0]["model"] == model
 
 
+def read_tree(cfg):
+    """Every file of ``cfg.out_dir`` by name: its bytes, or for a JSON file
+    its payload less the ``threads`` and ``out_dir`` of its config."""
+    tree = {}
+    for name in sorted(os.listdir(cfg.out_dir)):
+        with open(os.path.join(cfg.out_dir, name), "rb") as f:
+            tree[name] = f.read()
+        if name.endswith(".json"):
+            payload = json.loads(tree[name])
+            assert payload["config"].pop("threads") == cfg.threads
+            assert payload["config"].pop("out_dir") == cfg.out_dir
+            tree[name] = payload
+    return tree
+
+
 class TestWorkers:
     def test_commands_write_the_same_bytes_on_one_and_two_workers(
             self, synthetic_data_dir, tmp_path):
@@ -308,24 +323,31 @@ class TestWorkers:
             run_ood(cfg)
             run_attack(cfg)
             run_detect(cfg)
-            tree = {}
-            for name in sorted(os.listdir(cfg.out_dir)):
-                with open(os.path.join(cfg.out_dir, name), "rb") as f:
-                    tree[name] = f.read()
-                if name.endswith(".json"):
-                    payload = json.loads(tree[name])
-                    assert payload["config"].pop("threads") == threads
-                    assert payload["config"].pop("out_dir") == cfg.out_dir
-                    tree[name] = payload
-            trees.append(tree)
+            trees.append(read_tree(cfg))
         assert trees[0] == trees[1]
         # Checkpoints, JSON, CSV, and the adversarial images and labels (IDX).
         assert {name.rsplit("-", 1)[-1].rsplit(".", 1)[-1] for name in trees[0]
                 } == {"ckpt", "json", "csv", "double", "ubyte"}
 
+    def test_sweep_writes_the_same_bytes_on_one_and_two_workers(
+            self, synthetic_data_dir, tmp_path):
+        # Three (grid point, trial) pairs: one point's two trials and the
+        # other's one may share the two workers.
+        trees = []
+        for threads in (1, 2):
+            cfg = fast_config(synthetic_data_dir, tmp_path / f"t{threads}",
+                              model="ml", sweep="prior", prior_grid=(1.0, 3.0),
+                              iterations=25, threads=threads)
+            payload = run_sweep(cfg)
+            assert [len(row["accuracies"]) for row in payload["rows"]] == [2, 2]
+            trees.append(read_tree(cfg))
+        assert trees[0] == trees[1]
+        assert sum(name.endswith(".ckpt") for name in trees[0]) == 4
+        assert "sweep_prior_ml_mnist.csv" in trees[0]
+
     def test_threads_default_to_the_allowed_cpus_with_blas_on_one_thread(
             self, monkeypatch):
-        monkeypatch.setattr(harness, "allowed_cpus", lambda: 3)
+        monkeypatch.setattr(tensor, "allowed_cpus", lambda: 3)
         for openblas, omp, want in (("1", None, 3), (None, "1", 3),
                                     ("1", "4", 3), ("4", "1", 1),
                                     (None, None, 1), ("2", None, 1)):
@@ -365,6 +387,14 @@ class TestRunSweep:
         assert len(row["accuracies"]) == 2
         assert os.path.exists(os.path.join(
             cfg.out_dir, "sweep_kl_weight_ml_mnist.csv"))
+
+    def test_points_of_one_run_id_rejected(self, synthetic_data_dir, tmp_path):
+        # Their trials would write the same files at the same time.
+        cfg = fast_config(synthetic_data_dir, tmp_path, sweep="kl_weight",
+                          kl_weight_grid=(0.1, 0.1))
+        with pytest.raises(ConfigError, match="one run id to two points"):
+            run_sweep(cfg)
+        assert os.listdir(cfg.out_dir) == []
 
     def test_empty_grid_rejected(self, synthetic_data_dir, tmp_path):
         cfg = fast_config(synthetic_data_dir, tmp_path, sweep="prior",

@@ -1,5 +1,6 @@
 """Forward/backward exactness and the multi-sample predictive summary."""
 
+import threading
 import tracemalloc
 
 import numpy as np
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 
 from infmix.baselines import DeepEnsemble, DeterministicMlp, DropoutMlp
 from infmix.gradcheck import check_mixture_input_gradient, check_network_gradient
-from infmix import tensor
+from infmix import network, tensor
 from infmix.network import (DRAW_BLOCK, INPUT_GRAD, MAX_ENTROPY, WEIGHT_GRADS,
                             StochasticMlp, backward, entropy_of, forward,
                             summarize_prob_stream, summarize_probs)
@@ -294,19 +295,35 @@ class TestPredict:
             net.predict(np.ones((1, 6)), 0, Rng(0))
 
     def test_each_block_is_freed_before_the_next_is_drawn(self, monkeypatch):
-        monkeypatch.setattr(tensor._PAYOFF, "pays", lambda: False)
-        net = StochasticMlp.create(Rng(0).derive(0))
-        x = Rng(1).uniform(0, 1, (2000, 784))
-        # A block's two hidden activations take 2 * block bytes and its
-        # weights half of one; two blocks alive at once take about 5.
-        block = x.shape[0] * DRAW_BLOCK * net.topology[1] * x.itemsize
-        tracemalloc.start()
-        try:
-            net.predict(x, 4 * DRAW_BLOCK, Rng(2))
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 3.5 * block
+        assert predict_peak(monkeypatch, cpus=1) < 3.5
+
+    def test_two_workers_hold_a_block_each(self, monkeypatch):
+        # A finished block waits for its turn only as its probabilities.
+        assert predict_peak(monkeypatch, cpus=2) < 6.0
+
+
+def predict_peak(monkeypatch, cpus):
+    """The traced peak of a protocol-shape ``predict`` of four blocks at
+    B=2000 on ``cpus`` workers, in blocks: a block's two hidden activations
+    take 2 blocks and its weights half of one, so one block alive at a time
+    takes about 3 and two about 5."""
+    monkeypatch.setattr(tensor._PAYOFF, "pays", lambda: False)
+    one_worker_per_cpu(monkeypatch, cpus)
+    net = StochasticMlp.create(Rng(0).derive(0))
+    x = Rng(1).uniform(0, 1, (2000, 784))
+    block = x.shape[0] * DRAW_BLOCK * net.topology[1] * x.itemsize
+    tracemalloc.start()
+    try:
+        net.predict(x, 4 * DRAW_BLOCK, Rng(2))
+        return tracemalloc.get_traced_memory()[1] / block
+    finally:
+        tracemalloc.stop()
+
+
+def one_worker_per_cpu(monkeypatch, cpus):
+    """Let pools outside any other use ``cpus`` workers."""
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    monkeypatch.setattr(tensor, "allowed_cpus", lambda: cpus)
 
 
 def mixture_model(kind):
@@ -348,6 +365,58 @@ class TestMixtureContract:
         grad_b, prob_b = model.loss_input_grad(self.x, self.y, 7, Rng(0))
         assert np.array_equal(grad_a, grad_b)
         assert np.array_equal(prob_a, prob_b)
+
+
+class TestWorkers:
+    """``predict`` and ``loss_input_grad`` give the same bytes on one, two
+    or three CPUs; on more than one, the first blocks run at once."""
+
+    x = Rng(1).uniform(0.0, 1.0, (40, 6))
+    y = np.arange(40) % 3
+
+    @pytest.mark.parametrize("kind", ["stochastic", "dropout", "ensemble"])
+    def test_same_bytes_on_every_cpu_count(self, kind, monkeypatch):
+        model = mixture_model(kind)
+
+        def blocks(n_samples):
+            return -(-(3 if kind == "ensemble" else n_samples) // DRAW_BLOCK)
+
+        outputs = {}
+        for cpus in (1, 2, 3):
+            one_worker_per_cpu(monkeypatch, cpus)
+            together = all_at_once(monkeypatch, min(cpus, blocks(7)))
+            summary = model.predict(self.x, 7, Rng(2))
+            assert together.broken is False
+            together = all_at_once(monkeypatch, min(cpus, blocks(5)))
+            grad, label_prob = model.loss_input_grad(self.x, self.y, 5, Rng(3))
+            assert together.broken is False
+            outputs[cpus] = [a.tobytes() for a in (
+                summary.mean_probs, summary.class_variance, summary.max_variance,
+                summary.entropy, summary.predicted_class, grad, label_prob)]
+        assert outputs[1] == outputs[2] == outputs[3]
+
+
+def all_at_once(monkeypatch, n):
+    """Make the first ``n`` calls of ``forward`` wait until all of them run,
+    and return the barrier: it breaks, after a timeout, unless a pool runs
+    that many blocks at once."""
+    barrier = threading.Barrier(n, timeout=10.0)
+    calls = iter(range(n))
+    lock = threading.Lock()
+    real = network.forward
+
+    def forward_together(*args, **kwargs):
+        with lock:
+            waits = next(calls, None) is not None
+        if waits:
+            try:
+                barrier.wait()
+            except threading.BrokenBarrierError:
+                pass
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(network, "forward", forward_together)
+    return barrier
 
 
 class TestTopology:

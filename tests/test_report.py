@@ -388,3 +388,97 @@ def test_one_missing_or_null_key_never_raises(key_of, value, prefix):
             if name != "summary.txt":
                 with open(os.path.join(outcome["report_dir"], name), "rb") as f:
                     assert hashlib.sha256(f.read()).hexdigest()[:16] == digest
+
+
+def test_lists_of_the_wrong_length_are_skipped_and_named(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    os.mkdir("results")
+    trial_ml = json.loads(json.dumps(PAYLOADS["ml_kl1_seed1.json"]))
+    trial_ml["histograms"]["entropy"]["counts"]["correct"] = [1]
+    trial_vi = json.loads(json.dumps(PAYLOADS["vi_kl1_seed0.json"]))
+    trial_vi["mixing_variance"][1]["histogram"]["counts"].append(4)
+    bad = {"b_attack_short.json": {**PAYLOADS["attack_ml_s1.json"],
+                                   "mean_curve": [0.9]},
+           "b_attack_long_eps.json": {**PAYLOADS["attack_ml_s1.json"],
+                                      "config": {"eps_grid": [0, 0.1, 0.2, 0.3]}},
+           "b_trial_counts.json": trial_ml,
+           "b_trial_mixing.json": trial_vi}
+    for name, payload in {**PAYLOADS, **bad}.items():
+        with open(os.path.join("results", name), "w") as f:
+            json.dump(payload, f)
+    outcome = run_report("results")
+    assert outcome["warnings"] == [
+        "skipped result file b_attack_long_eps.json: attack_curve result has "
+        "3 entries at mean_curve (expected 4, one per config.eps_grid entry), "
+        "3 entries at std_curve (expected 4, one per config.eps_grid entry)",
+        "skipped result file b_attack_short.json: attack_curve result has "
+        "1 entries at mean_curve (expected 3, one per config.eps_grid entry)",
+        "skipped result file b_trial_counts.json: trial result has 1 entries "
+        "at histograms.entropy.counts.correct (expected 3, one per bin)",
+        "skipped result file b_trial_mixing.json: trial result has 3 entries "
+        "at mixing_variance.1.histogram.counts (expected 2, one per bin)"]
+    for name, digest in REPORT_DIGESTS.items():
+        if name != "summary.txt":
+            with open(os.path.join("results", "report", name), "rb") as f:
+                assert hashlib.sha256(f.read()).hexdigest()[:16] == digest
+
+
+def list_paths(value, path=()):
+    """The path (keys and indices) of every list inside ``value``."""
+    if isinstance(value, dict):
+        items = value.items()
+    elif isinstance(value, list):
+        items = enumerate(value)
+    else:
+        return []
+    return ([path] if isinstance(value, list) else []) + [
+        p for key, v in items for p in list_paths(v, path + (key,))]
+
+
+# The lists whose lengths the report checks against another list's: each
+# count list against its bin edges, each curve against the eps grid.  The
+# list of mixing-variance layers has no length it must match.
+LENGTH_CHECKED = {
+    "trial": ("histograms.", "mixing_variance."),
+    "attack_curve": ("config.eps_grid", "mean_curve", "std_curve"),
+}
+LISTS = [(name, path) for name, payload in PAYLOADS.items()
+         for path in list_paths(payload)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(LISTS), st.booleans(), st.sampled_from(["0_", "z_"]))
+def test_one_list_shortened_or_lengthened_never_raises(list_of, longer, prefix):
+    """A copy of one payload with one list one entry shorter or longer,
+    added to the rest: the copy is skipped and named exactly when the
+    report checks that list's length against another's, and then every
+    other output is unchanged."""
+    source, path = list_of
+    mutant = json.loads(json.dumps(PAYLOADS[source]))
+    held = mutant
+    for key in path:
+        held = held[key]
+    if longer:
+        held.append(json.loads(json.dumps(held[-1])))
+    else:
+        held.pop()
+    mutant_name = prefix + source
+    with tempfile.TemporaryDirectory() as results:
+        for name, payload in {**PAYLOADS, mutant_name: mutant}.items():
+            with open(os.path.join(results, name), "w") as f:
+                json.dump(payload, f)
+        outcome = run_report(results)
+        kind = PAYLOADS[source]["kind"]
+        dotted = ".".join(map(str, path))
+        if not dotted.startswith(LENGTH_CHECKED.get(kind, ())):
+            assert outcome["warnings"] == []
+            return
+        [warning] = outcome["warnings"]
+        assert warning.startswith(
+            f"skipped result file {mutant_name}: {kind} result has ")
+        assert " entries at " in warning
+        assert sorted(outcome["written"]) == sorted(REPORT_DIGESTS)
+        for name, digest in REPORT_DIGESTS.items():
+            if name != "summary.txt":
+                with open(os.path.join(outcome["report_dir"], name), "rb") as f:
+                    assert hashlib.sha256(f.read()).hexdigest()[:16] == digest

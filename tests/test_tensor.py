@@ -15,7 +15,7 @@ from infmix import tensor
 from infmix.network import StochasticMlp
 from infmix.tensor import (MAX_PROBE_EVERY, PAYOFF_WINDOW, PROBE_EVERY,
                            READ_AHEAD_WIDTH, AdamState, Rng, adam_step,
-                           allowed_cpus, map_in_order)
+                           allowed_cpus, imap_in_order, map_in_order)
 
 W = READ_AHEAD_WIDTH
 JOIN_TIMEOUT_S = 60.0
@@ -268,6 +268,22 @@ class TestPayoff:
         rng.uniform(0, 1, 1)
         assert payoff.shares == (0.3,)
 
+    def test_read_ahead_of_another_thread_records_no_share(self, payoff):
+        rng, ref = Rng(8), reference(8)
+        # Started in one thread, taken in this one, which starts the next;
+        # that one is dropped in a third thread.
+        first = in_thread(lambda: rng.standard_normal(2, W))
+        assert rng._ahead is not None
+        second = rng.standard_normal(2, W)
+        assert rng._ahead is not None
+        third = in_thread(lambda: rng.uniform(0, 1, 3))
+        assert np.array_equal(first, ref.standard_normal((2, W)))
+        assert np.array_equal(second, ref.standard_normal((2, W)))
+        assert np.array_equal(third, ref.uniform(0, 1, 3))
+        assert payoff.shares == ()
+        # The stream goes on from where the reference is.
+        assert np.array_equal(rng.standard_normal(3, W), ref.standard_normal((3, W)))
+
     def test_no_worker_while_it_does_not_pay(self, payoff):
         for _ in range(PAYOFF_WINDOW):
             payoff.record(0.4)
@@ -365,6 +381,115 @@ class TestMapInOrder:
 
         assert read_aheads(2) == [False, False]
         assert read_aheads(1) == [True]
+
+
+class TestPool:
+    """``imap_in_order`` takes items lazily, in order, one at a time; at
+    most ``workers`` compute at once; and a nested pool gets only the CPUs
+    of the budget that the enclosing pool leaves idle."""
+
+    def test_items_taken_in_order_one_at_a_time(self):
+        lock = threading.Lock()
+        seen = {"taking": 0, "most_taking": 0, "computing": 0,
+                "most_computing": 0, "order": []}
+
+        def count(key, step):
+            with lock:
+                seen[key] += step
+                most = "most_" + key
+                seen[most] = max(seen[most], seen[key])
+
+        def items():
+            for i in range(120):
+                count("taking", 1)
+                seen["order"].append(i)
+                time.sleep(0)       # another worker may try to take now
+                count("taking", -1)
+                yield i
+
+        def item(i):
+            count("computing", 1)
+            np.linalg.norm(np.arange(200.0))    # drops and takes the GIL
+            count("computing", -1)
+            return -i
+
+        out = []
+        caller = threading.Thread(
+            target=lambda: out.extend(imap_in_order(item, items(), 3)))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            caller.start()
+            caller.join(timeout=JOIN_TIMEOUT_S)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not caller.is_alive()
+        assert out == [-i for i in range(120)]
+        assert seen["order"] == list(range(120))
+        assert seen["most_taking"] == 1
+        assert 1 <= seen["most_computing"] <= 3
+        assert tensor._PAYOFF.workers == 0 and pool_threads() == []
+
+    def nested(self, outer_items, outer_workers, inner_items):
+        """Per outer item: the threads that ran the items of a pool nested
+        in it, and the pool threads alive while they ran."""
+        barrier = threading.Barrier(len(outer_items), timeout=JOIN_TIMEOUT_S)
+        inner = threading.Barrier(inner_items, timeout=JOIN_TIMEOUT_S)
+
+        def inner_item(i):
+            if inner_items > 1 and i < inner_items:
+                inner.wait()    # the nested items run at once
+            return threading.get_ident(), len(pool_threads())
+
+        def outer_item(_):
+            barrier.wait()      # every outer worker holds its CPU
+            runs = map_in_order(inner_item, range(2 * inner_items))
+            barrier.wait()
+            return ({ident for ident, _ in runs},
+                    max(alive for _, alive in runs))
+
+        return map_in_order(outer_item, outer_items, outer_workers)
+
+    def test_nested_pool_under_a_full_one_starts_no_thread(self):
+        for idents, alive in self.nested(range(2), 2, 1):
+            assert len(idents) == 1 and alive == 1
+
+    def test_nested_pool_fills_the_idle_cpu_with_one_thread(self):
+        [(idents, alive)] = self.nested(range(1), 2, 2)
+        assert len(idents) == 2 and alive == 1
+        assert tensor._PAYOFF.workers == 0 and pool_threads() == []
+
+    @pytest.mark.parametrize("where", ["item", "iterator", "nested"])
+    def test_first_exception_reraised_with_no_thread_left(self, where):
+        def items():
+            for i in range(50):
+                if where == "iterator" and i == 17:
+                    raise KeyError("take 17 failed")
+                yield i
+
+        def inner(i):
+            if i == 3:
+                raise ValueError("inner 3 failed")
+            time.sleep(0.001)
+            return i
+
+        def item(i):
+            if where == "item" and i == 17:
+                raise KeyError("item 17 failed")
+            if where == "nested" and i == 1:
+                return map_in_order(inner, range(8))
+            time.sleep(0.001)
+            return i
+
+        with pytest.raises((KeyError, ValueError), match="17 failed|3 failed"):
+            list(imap_in_order(item, items(), 2))
+        assert tensor._PAYOFF.workers == 0 and pool_threads() == []
+
+    def test_consumer_stopping_early_leaves_no_thread(self):
+        results = imap_in_order(lambda i: i, range(100), 2)
+        assert next(results) == 0
+        results.close()
+        assert tensor._PAYOFF.workers == 0 and pool_threads() == []
 
 
 def in_thread(fn):
