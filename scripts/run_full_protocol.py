@@ -28,17 +28,13 @@ def main():
     parser.add_argument("--dataset", default="mnist")
     parser.add_argument("--trials", type=int, default=10)
     parser.add_argument("--iterations", type=int, default=30_000)
-    parser.add_argument("--threads", type=int,
-                        default=ExperimentConfig().threads,
-                        help="workers (default: the allowed CPUs when "
-                             "OPENBLAS_NUM_THREADS=1, else 1)")
     parser.add_argument("--skip-ood", action="store_true")
     parser.add_argument("--skip-attacks", action="store_true")
     args = parser.parse_args()
 
     base = ExperimentConfig(
         dataset=args.dataset, data_dir=args.data_dir, out_dir=args.out_dir,
-        n_trials=args.trials, iterations=args.iterations, threads=args.threads)
+        n_trials=args.trials, iterations=args.iterations)
 
     for model in ("ml", "vi"):
         print(f"=== prior sweep: {model}")

@@ -2,7 +2,7 @@
 training of matrix-variate normal weight distributions, with predictive
 uncertainty, OOD, and adversarial-robustness evaluation."""
 
-from .attacks import AttackConfig, AttackResult, pgd_attack, robustness_curve
+from .attacks import AttackConfig, AttackResult, pgd_attack
 from .baselines import (DeepEnsemble, DeterministicMlp, DropoutMlp, FitConfig,
                         train_deterministic, train_dropout, train_ensemble)
 from .checkpoint import load_model, save_model
@@ -22,7 +22,7 @@ __all__ = [
     "Rng", "StochasticMlp", "TrainConfig", "adam_step",
     "auroc_balanced", "auroc_scores", "kl_to_prior", "load_idx",
     "load_model", "mean_std", "ml_loss",
-    "per_weight_variance", "pgd_attack", "robustness_curve", "save_idx",
+    "per_weight_variance", "pgd_attack", "save_idx",
     "save_model", "summarize_probs", "take_prefix", "train",
     "train_deterministic", "train_dropout", "train_ensemble",
     "uncertainty_histograms", "vi_loss",

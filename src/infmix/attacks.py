@@ -13,7 +13,7 @@ from __future__ import annotations
 import csv
 import io
 import os
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -121,23 +121,6 @@ def pgd_attack(model, images: Array, labels, cfg: AttackConfig,
         robust_accuracy=float(np.mean(~success)),
         summary_after=summary_after,
     )
-
-
-def robustness_curve(model, images: Array, labels, eps_grid=DEFAULT_EPS_GRID,
-                     cfg: AttackConfig | None = None):
-    """Robust accuracy per perturbation budget; one attack per eps.
-
-    Returns a list of (epsilon, AttackResult), eps_grid ascending.
-    """
-    base = cfg or AttackConfig()
-    eps_grid = list(eps_grid)
-    if eps_grid != sorted(eps_grid):
-        raise ValueError("eps_grid must be sorted ascending")
-    curve = []
-    for epsilon in eps_grid:
-        point_cfg = replace(base, epsilon=epsilon)
-        curve.append((epsilon, pgd_attack(model, images, labels, point_cfg)))
-    return curve
 
 
 def attack_csv(result: AttackResult, pred_before) -> str:

@@ -33,10 +33,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--out-dir", help="where results are written")
     parser.add_argument("--seed", type=int, help="override base_seed")
     parser.add_argument("--trials", type=int, help="override n_trials")
-    parser.add_argument("--threads", type=int,
-                        help="workers over trials, OOD splits and attack "
-                             "budgets (default: the allowed CPUs when "
-                             "OPENBLAS_NUM_THREADS=1, else 1)")
 
     sub = parser.add_subparsers(dest="command", required=True)
     sub.add_parser("train", help="train n_trials models and evaluate them")
@@ -69,8 +65,6 @@ def resolve_config(args) -> ExperimentConfig:
         overrides["base_seed"] = args.seed
     if args.trials is not None:
         overrides["n_trials"] = args.trials
-    if args.threads is not None:
-        overrides["threads"] = args.threads
     return cfg.replace(**overrides) if overrides else cfg
 
 

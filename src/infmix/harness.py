@@ -14,7 +14,7 @@ import json
 import math
 import os
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,7 +25,7 @@ from .metrics import auroc_balanced, auroc_scores, mean_std
 from .network import N_CLASSES, PredictiveSummary, StochasticMlp
 from .objectives import (ObjectiveKind, TrainConfig, loss_history_csv, train)
 from .posterior import PriorSpec, kl_to_prior, per_weight_variance
-from .tensor import Rng, default_threads, map_in_order
+from .tensor import Rng, blas_threads, map_in_order
 
 SCHEMA_VERSION = 1
 
@@ -97,7 +97,6 @@ class ExperimentConfig:
     loss_record_every: int = 10
     data_dir: str = "data"
     out_dir: str = "results"
-    threads: int = field(default_factory=default_threads)
 
     def __post_init__(self):
         if self.schema_version != SCHEMA_VERSION:
@@ -117,9 +116,9 @@ class ExperimentConfig:
             entries = value if isinstance(value, tuple) else (value,)
             if math.inf in entries or -math.inf in entries:
                 raise ConfigError(f"{f.name} must be finite, got {value}")
-        for name in ("n_trials", "threads", "n_train_samples", "n_eval_samples",
-                     "batch_size", "ensemble_size", "n_attack_samples",
-                     "attack_iterations", "attack_prefix", "ood_prefix"):
+        for name in ("n_trials", "n_train_samples", "n_eval_samples", "batch_size",
+                     "ensemble_size", "n_attack_samples", "attack_iterations",
+                     "attack_prefix", "ood_prefix"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
         # Written as `not >=` and `not >` so that NaN is rejected too.
@@ -308,10 +307,12 @@ def _write_result(cfg: ExperimentConfig, kind: str, name: str, scores=(),
                   **fields) -> dict:
     """Write and return the result file ``name`` in ``cfg.out_dir``: the
     header, ``fields``, and ``mean_<score>``, ``std_<score>`` over the non-None
-    values in ``fields["trials"]`` (the mean is None if there are none)."""
+    values in ``fields["trials"]`` (the mean is None if there are none).  The
+    header records the BLAS thread setting, on which trained bits depend."""
     payload = {"schema_version": SCHEMA_VERSION, "kind": kind,
                "run_id": cfg.run_id(), "model": cfg.model,
-               "dataset": cfg.dataset, "config": cfg.to_dict(), **fields}
+               "dataset": cfg.dataset, "config": cfg.to_dict(),
+               "blas_threads": blas_threads(), **fields}
     for score in scores:
         vals = [t[score] for t in fields["trials"] if t[score] is not None]
         payload[f"mean_{score}"], payload[f"std_{score}"] = (
@@ -386,26 +387,22 @@ def run_trial(cfg: ExperimentConfig, train_data: Dataset, test_data: Dataset,
 
 def _run_points(cfg: ExperimentConfig, points) -> list:
     """Every trial of each configuration in ``points``, as one map of
-    (point, seed) pairs on ``cfg.threads`` workers; returns the per-trial
-    result dicts of each point."""
+    (point, seed) pairs; returns the per-trial result dicts of each point."""
     train_data = load_split(cfg.data_dir, "train", name=cfg.dataset)
     test_data = load_split(cfg.data_dir, "test", name=cfg.dataset)
     results = iter(map_in_order(
         lambda item: run_trial(item[0], train_data, test_data, item[1]),
-        [(point, seed) for point in points for seed in point.trial_seeds()],
-        cfg.threads))
+        [(point, seed) for point in points for seed in point.trial_seeds()]))
     return [[next(results) for _ in point.trial_seeds()] for point in points]
 
 
 def run_train(cfg: ExperimentConfig) -> list:
-    """All trials of one configuration, on ``cfg.threads`` workers; returns
-    the per-trial result dicts."""
+    """All trials of one configuration; returns the per-trial result dicts."""
     return _run_points(cfg, [cfg])[0]
 
 
 def run_sweep(cfg: ExperimentConfig) -> dict:
-    """Trials for every grid point of the configured sweep axis, all on
-    ``cfg.threads`` workers."""
+    """Trials for every grid point of the configured sweep axis, as one map."""
     if cfg.sweep == "none":
         grid = [None]
     elif cfg.sweep == "kl_weight":
@@ -482,7 +479,7 @@ def _trial_checkpoints(cfg: ExperimentConfig, n_pixels: int, checkpoint=None):
 
 def run_ood(cfg: ExperimentConfig, checkpoint=None) -> dict:
     """Test-vs-OOD AUROC for both uncertainty scores, per trial; each
-    (trial, split) pair is predicted on one of ``cfg.threads`` workers."""
+    (trial, split) pair is one item of the worker pool."""
     test_data = load_split(cfg.data_dir, "test", name=cfg.dataset)
     try:
         ood_data = load_split(cfg.data_dir, "ood", name="ood")
@@ -503,8 +500,7 @@ def run_ood(cfg: ExperimentConfig, checkpoint=None) -> dict:
 
     pairs = _trial_checkpoints(cfg, test_data.images.shape[1], checkpoint)
     by_split = map_in_order(
-        scores, [(pair, split) for pair in pairs for split in (0, 1)],
-        cfg.threads)
+        scores, [(pair, split) for pair in pairs for split in (0, 1)])
     trials = []
     for (seed, _), (test_var, test_ent), (ood_var, ood_ent) in zip(
             pairs, by_split[::2], by_split[1::2]):
@@ -532,7 +528,7 @@ def _attack_config(cfg: ExperimentConfig, seed: int,
 
 def run_attack(cfg: ExperimentConfig, checkpoint=None) -> dict:
     """Robustness curves on the first ``attack_prefix`` test samples; each
-    (trial, epsilon) attack runs on one of ``cfg.threads`` workers."""
+    (trial, epsilon) attack is one item of the worker pool."""
     test_data = load_split(cfg.data_dir, "test", name=cfg.dataset)
     prefix = take_prefix(test_data, min(cfg.attack_prefix, test_data.n))
 
@@ -545,8 +541,7 @@ def run_attack(cfg: ExperimentConfig, checkpoint=None) -> dict:
     pairs = _trial_checkpoints(cfg, prefix.images.shape[1], checkpoint)
     accuracies = iter(map_in_order(
         robust_accuracy,
-        [(pair, epsilon) for pair in pairs for epsilon in cfg.eps_grid],
-        cfg.threads))
+        [(pair, epsilon) for pair in pairs for epsilon in cfg.eps_grid]))
     trials = [{"seed": seed, "curve": [
         {"epsilon": epsilon, "robust_accuracy": next(accuracies)}
         for epsilon in cfg.eps_grid]} for seed, _ in pairs]
@@ -569,7 +564,7 @@ def run_detect(cfg: ExperimentConfig, checkpoint=None) -> dict:
     Clean side: the test set (full by default).  Adversarial side: PGD at
     ``attack_epsilon`` on the same samples.  Reports plain AUROC over all
     samples and the class-balanced correct-vs-successful variant.  Each
-    trial runs on one of ``cfg.threads`` workers.
+    trial is one item of the worker pool.
     """
     test_data = load_split(cfg.data_dir, "test", name=cfg.dataset)
     if not cfg.detect_full_test:
@@ -616,8 +611,7 @@ def run_detect(cfg: ExperimentConfig, checkpoint=None) -> dict:
         return trial
 
     trials = map_in_order(
-        detect, _trial_checkpoints(cfg, test_data.images.shape[1], checkpoint),
-        cfg.threads)
+        detect, _trial_checkpoints(cfg, test_data.images.shape[1], checkpoint))
     return _write_result(
         cfg, "detection", f"detect_{cfg.run_id()}_eps{cfg.attack_epsilon:g}.json",
         ("auroc_variance", "auroc_entropy", "auroc_variance_balanced",
@@ -900,6 +894,19 @@ def run_report(results_dir, report_dir=None) -> dict:
     if not groups["attack_curve"]:
         warnings.append("no attack curves found")
 
+    def histogram_figure(fname, run_id, path, header, hists, series):
+        """Write ``fname``: per bin of ``hists``, the mean and 3·std over
+        trials of each series of count lists.  Counts over other bins have
+        no mean, so where the trials' bins differ, a warning instead."""
+        edges = hists[0]["bin_edges"]
+        if any(h["bin_edges"] != edges for h in hists):
+            warnings.append(f"no figure for run {run_id} at {path}: its "
+                            f"trials' histograms have different bins")
+            return
+        write(fname, _band_csv(header, edges[:-1],
+                               [mean_std(counts, axis=0) for counts in series],
+                               x_fmt=".6g", digits=3))
+
     # Figure data: per-run mean histograms over trials (uncertainty and
     # mixing-distribution variance).
     by_run = {}
@@ -907,21 +914,20 @@ def run_report(results_dir, report_dir=None) -> dict:
         by_run.setdefault(t["run_id"], []).append(t)
     for run_id, ts in sorted(by_run.items()):
         for metric in ("max_variance", "entropy"):
-            write(f"fig_{metric}_hist_{run_id}.csv", _band_csv(
+            hists = [t["histograms"][metric] for t in ts]
+            histogram_figure(
+                f"fig_{metric}_hist_{run_id}.csv", run_id, f"histograms.{metric}",
                 f"x,y_correct,err_correct,y_wrong,err_wrong  # bin left edge,"
-                f" mean count, 3*std over {len(ts)} trials",
-                ts[0]["histograms"][metric]["bin_edges"][:-1],
-                [mean_std([t["histograms"][metric]["counts"][g] for t in ts],
-                          axis=0) for g in ("correct", "wrong")],
-                x_fmt=".6g", digits=3))
+                f" mean count, 3*std over {len(ts)} trials", hists,
+                [[h["counts"][g] for h in hists] for g in ("correct", "wrong")])
         mixes = [t["mixing_variance"] for t in ts if t.get("mixing_variance")]
         for layer in range(min(map(len, mixes), default=0)):
             hists = [mix[layer]["histogram"] for mix in mixes]
-            write(f"fig_mixing_variance_layer{layer}_{run_id}.csv", _band_csv(
-                "x,y,err  # bin left edge, mean count, 3*std",
-                hists[0]["bin_edges"][:-1],
-                [mean_std([h["counts"] for h in hists], axis=0)],
-                x_fmt=".6g", digits=3))
+            histogram_figure(
+                f"fig_mixing_variance_layer{layer}_{run_id}.csv", run_id,
+                f"mixing_variance.{layer}.histogram",
+                "x,y,err  # bin left edge, mean count, 3*std", hists,
+                [[h["counts"] for h in hists]])
 
     # Per-run aggregate metrics in the metric,mean,std,n_trials format, for
     # runs with at least two trials.

@@ -49,12 +49,17 @@ def allowed_cpus() -> int:
     return os.cpu_count() or 1
 
 
+def blas_threads() -> str | None:
+    """The BLAS thread setting as OpenBLAS reads it: ``OPENBLAS_NUM_THREADS``,
+    else ``OMP_NUM_THREADS``, else None."""
+    return (os.environ.get("OPENBLAS_NUM_THREADS")
+            or os.environ.get("OMP_NUM_THREADS"))
+
+
 def default_threads() -> int:
     """The allowed CPUs while BLAS runs on one thread, else 1: workers that
-    each run a multi-threaded BLAS would oversubscribe the CPUs.  OpenBLAS
-    reads ``OPENBLAS_NUM_THREADS`` first, then ``OMP_NUM_THREADS``."""
-    blas = (os.environ.get("OPENBLAS_NUM_THREADS")
-            or os.environ.get("OMP_NUM_THREADS"))
+    each run a multi-threaded BLAS would oversubscribe the CPUs."""
+    blas = blas_threads()
     return allowed_cpus() if blas is not None and blas.strip() == "1" else 1
 
 
@@ -138,25 +143,24 @@ class _Payoff:
         self._held = threading.local()  # whether this thread holds a CPU
 
     @contextmanager
-    def reserve(self, workers, n_items):
-        """CPUs for a pool of at most ``workers`` workers (None: as many as
-        the budget allows) over ``n_items`` items (None: not known); yields
+    def reserve(self, n_items):
+        """CPUs for a pool over ``n_items`` items (None: not known); yields
         how many threads the pool may start, each of which holds one of
         them (``holding``) until it ends.  A caller outside every pool sets
-        the budget while none runs, to ``workers`` or else
-        ``default_threads()``, and holds a CPU itself until the pool ends; a
-        pool worker already holds one.  The threads get only CPUs the budget
-        leaves free, so a pool nested in a full one starts none."""
+        the budget to ``default_threads()`` while none runs, and holds a CPU
+        itself until the pool ends; a pool worker already holds one.  The
+        threads get only CPUs the budget leaves free, so a pool nested in a
+        full one starts none."""
         with self._lock:
             outside = not getattr(self._held, "cpu", False)
             if outside:
                 if self.workers == 0:
-                    self.size = workers or default_threads()
+                    self.size = default_threads()
                 self.workers += 1
-            wanted = (workers or self.size) - 1
+            extra = self.size - self.workers
             if n_items is not None:
-                wanted = min(wanted, n_items - 1)
-            extra = max(0, min(wanted, self.size - self.workers))
+                extra = min(extra, n_items - 1)
+            extra = max(0, extra)
             self.workers += extra
         self._held.cpu = True
         try:
@@ -314,18 +318,18 @@ class Rng:
         return f"Rng(seed={self.seed}, spawn_key={self.spawn_key})"
 
 
-def imap_in_order(fn, items, workers: int | None = None):
+def imap_in_order(fn, items):
     """Yield ``fn(item)`` for each of ``items``, in their order, computed by
-    the calling thread and the threads that the CPU budget lets the pool
-    start (``_Payoff.reserve``): at most ``workers - 1``, or with
-    ``workers`` None as many as the budget leaves free.
+    the calling thread and as many threads as the CPU budget leaves free
+    (``_Payoff.reserve``).
 
     Items are taken one at a time, in order, under the pool's lock, so an
     iterator that draws from an ``Rng`` draws what a plain loop would draw.
-    Each thread computes one item at a time, so at most ``workers`` items
-    are computing, and a finished item waits for its turn only as its
-    result.  While the calling thread waits for another thread's item with
-    none left to take, its CPU is free for pools nested in the others.
+    Each thread computes one item at a time, so at most as many items as
+    the pool has threads are computing, and a finished item waits for its
+    turn only as its result.  While the calling thread waits for another
+    thread's item with none left to take, its CPU is free for pools nested
+    in the others.
     After an item raises, no item starts, and the first exception is
     re-raised once every thread has stopped.
     """
@@ -376,7 +380,7 @@ def imap_in_order(fn, items, workers: int | None = None):
                 finish(*job)
                 job = None      # drop the item before the next is taken
 
-    with _PAYOFF.reserve(workers, n_items) as extra:
+    with _PAYOFF.reserve(n_items) as extra:
         helpers = []
         try:
             for _ in range(extra):
@@ -414,9 +418,9 @@ def imap_in_order(fn, items, workers: int | None = None):
                 thread.join()
 
 
-def map_in_order(fn, items, workers: int | None = None) -> list:
+def map_in_order(fn, items) -> list:
     """``[fn(item) for item in items]``, computed by ``imap_in_order``."""
-    return list(imap_in_order(fn, items, workers))
+    return list(imap_in_order(fn, items))
 
 
 @dataclass

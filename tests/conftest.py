@@ -1,13 +1,22 @@
-"""Shared fixtures: synthetic IDX datasets for fast pipeline tests, and
-discovery of real IDX data (env var INFMIX_DATA_DIR) for the long-running
-reproduction tests, which skip when the files are absent."""
+"""Shared fixtures: synthetic IDX datasets for fast pipeline tests, the
+worker budget pinned to a CPU count, and discovery of real IDX data (env var
+INFMIX_DATA_DIR) for the long-running reproduction tests, which skip when
+the files are absent."""
 
 import os
 
 import numpy as np
 import pytest
 
+from infmix import tensor
 from infmix.data import Dataset, load_idx, write_idx
+
+
+def one_worker_per_cpu(monkeypatch, cpus):
+    """Let pools outside any other use ``cpus`` workers, as an affinity mask
+    of ``cpus`` CPUs with BLAS on one thread would."""
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    monkeypatch.setattr(tensor, "allowed_cpus", lambda: cpus)
 
 
 def synthetic_arrays(n, seed, side=28, n_classes=10, style=0):

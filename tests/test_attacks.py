@@ -2,18 +2,19 @@
 
 import os
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import one_worker_per_cpu
 from infmix.attacks import (AttackConfig, attack_csv, pgd_attack, project,
-                            robustness_curve, write_attack_artifacts)
+                            write_attack_artifacts)
 from infmix.baselines import DeterministicMlp, train_deterministic, FitConfig
 from infmix.data import load_idx
 from infmix.network import StochasticMlp
-from infmix import tensor
 from infmix.tensor import Rng
 
 from test_objectives import toy_dataset
@@ -117,8 +118,7 @@ class TestPgd:
         the pool's two blocks in flight, each at most its input gradient and
         about as much again of activations and weights.  One worker held
         six batches before the update and projection were made in place."""
-        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
-        monkeypatch.setattr(tensor, "allowed_cpus", lambda: 2)
+        one_worker_per_cpu(monkeypatch, 2)
         net = StochasticMlp.create(Rng(0).derive(0))
         images = Rng(1).uniform(0.0, 1.0, (1000, 784))
         labels = np.arange(1000) % 10
@@ -151,11 +151,12 @@ class TestPgd:
 
     def test_attack_degrades_accuracy(self, toy, toy_model):
         images, labels = toy.images[:80], toy.labels[:80]
-        curve = robustness_curve(toy_model, images, labels,
-                                 eps_grid=(0.0, 0.3),
-                                 cfg=AttackConfig(n_iter=15, n_eval_samples=1,
-                                                  seed=0))
-        assert curve[1][1].robust_accuracy < curve[0][1].robust_accuracy
+        clean, attacked = (
+            pgd_attack(toy_model, images, labels,
+                       AttackConfig(epsilon=epsilon, n_iter=15,
+                                    n_eval_samples=1, seed=0))
+            for epsilon in (0.0, 0.3))
+        assert attacked.robust_accuracy < clean.robust_accuracy
 
     def test_predicts_only_the_adversarial_images(self, toy, toy_model):
         # Clean predictions are the caller's: PGD's one evaluation is of its
@@ -180,16 +181,11 @@ class TestPgd:
         cfg = AttackConfig(epsilon=0.2, n_iter=40)
         assert cfg.resolved_step() == pytest.approx(2.5 * 0.2 / 40)
 
-    def test_unsorted_grid_rejected(self, toy, toy_model):
-        with pytest.raises(ValueError):
-            robustness_curve(toy_model, toy.images[:5], toy.labels[:5],
-                             eps_grid=(0.1, 0.0))
-
     def test_curve_at_zero_only_equals_clean_accuracy(self, toy, toy_model):
         images, labels = toy.images[:50], toy.labels[:50]
-        curve = robustness_curve(toy_model, images, labels, eps_grid=(0.0,),
-                                 cfg=AttackConfig(n_eval_samples=1))
-        assert curve[0][1].robust_accuracy == toy_model.predict(images).accuracy(labels)
+        result = pgd_attack(toy_model, images, labels,
+                            AttackConfig(epsilon=0.0, n_eval_samples=1))
+        assert result.robust_accuracy == toy_model.predict(images).accuracy(labels)
 
 
 class TestArtifacts:
@@ -203,7 +199,7 @@ class TestArtifacts:
         reloaded = load_idx(paths["images"], paths["labels"])
         assert np.array_equal(reloaded.images, result.adversarial)
         assert np.array_equal(reloaded.labels, labels)
-        lines = open(paths["csv"]).read().strip().split("\n")
+        lines = Path(paths["csv"]).read_text().strip().split("\n")
         assert lines[0] == "example_index,true_label,pred_before,pred_after,success"
         assert len(lines) == 26
 

@@ -4,6 +4,7 @@
 import hashlib
 import os
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -46,7 +47,7 @@ class TestRoundTrips:
         save_model(net, ckpt)
         second = os.path.join(tmp_path, "again.ckpt")
         save_model(load_model(ckpt), second)
-        assert open(ckpt, "rb").read() == open(second, "rb").read()
+        assert Path(ckpt).read_bytes() == Path(second).read_bytes()
 
     def test_deterministic(self, ckpt):
         model = DeterministicMlp(weights=random_weights(0))
@@ -94,7 +95,7 @@ class TestErrors:
     def test_truncated(self, ckpt):
         net = StochasticMlp.create(Rng(0), topology=(6, 4, 4, 3))
         save_model(net, ckpt)
-        blob = open(ckpt, "rb").read()
+        blob = Path(ckpt).read_bytes()
         with open(ckpt, "wb") as f:
             f.write(blob[:len(blob) // 2])
         with pytest.raises(CheckpointError, match="truncated"):
@@ -232,7 +233,7 @@ class TestNamedParams:
     def test_payload_is_named_params_bytes(self, ckpt, kind):
         model = every_kind()[kind]
         save_model(model, ckpt)
-        blob = open(ckpt, "rb").read()
+        blob = Path(ckpt).read_bytes()
         pos = 12 + {"dropout": 8, "ensemble": 4}.get(kind, 0)
         for net in model.members if kind == "ensemble" else [model]:
             n_layers = struct.unpack_from("<I", blob, pos)[0]
@@ -272,5 +273,5 @@ def test_trained_checkpoint_bytes_are_pinned(ckpt, model):
                            n_train_samples=2, ensemble_size=2)
     net, _ = train_model_for_trial(cfg, data, seed=7)
     save_model(net, ckpt)
-    digest = hashlib.sha256(open(ckpt, "rb").read()).hexdigest()
+    digest = hashlib.sha256(Path(ckpt).read_bytes()).hexdigest()
     assert digest == PINNED_DIGESTS[model]

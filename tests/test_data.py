@@ -2,6 +2,7 @@
 
 import gzip
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -44,8 +45,8 @@ class TestIdxIO:
         img2 = os.path.join(tmp_path, "again-images")
         lab2 = os.path.join(tmp_path, "again-labels")
         save_idx(d, img2, lab2)
-        assert open(img, "rb").read() == open(img2, "rb").read()
-        assert open(lab, "rb").read() == open(lab2, "rb").read()
+        assert Path(img).read_bytes() == Path(img2).read_bytes()
+        assert Path(lab).read_bytes() == Path(lab2).read_bytes()
 
     def test_float64_idx_round_trips_exactly(self, tmp_path):
         images = np.random.default_rng(1).uniform(0, 1, (3, 784))
@@ -77,10 +78,10 @@ class TestIdxIO:
     def test_failed_payload_write_keeps_the_earlier_file(self, tmp_path):
         img, _ = write_pair(tmp_path, np.zeros((2, 28, 28), dtype=np.uint8),
                             np.array([1, 2], dtype=np.uint8))
-        before = open(img, "rb").read()
+        before = Path(img).read_bytes()
         with pytest.raises(ValueError):
             write_idx(img, np.array([["not a pixel"]], dtype=object))
-        assert open(img, "rb").read() == before
+        assert Path(img).read_bytes() == before
         assert sorted(os.listdir(tmp_path)) == ["d-images", "d-labels"]
 
     def test_bad_magic_is_format_error(self, tmp_path):
@@ -100,7 +101,7 @@ class TestIdxIO:
     def test_truncated_is_io_error(self, tmp_path):
         images = np.zeros((3, 28, 28), dtype=np.uint8)
         img, _ = write_pair(tmp_path, images, np.zeros(3, dtype=np.uint8))
-        blob = open(img, "rb").read()
+        blob = Path(img).read_bytes()
         path = os.path.join(tmp_path, "trunc")
         with open(path, "wb") as f:
             f.write(blob[:-100])
@@ -152,10 +153,10 @@ def test_failed_write_keeps_the_earlier_file_and_no_temp(tmp_path, writer):
     name, write, fail = FAILING_WRITES[writer]
     path = os.path.join(tmp_path, name)
     write(path)
-    before = open(path, "rb").read()
+    before = Path(path).read_bytes()
     with pytest.raises((TypeError, ValueError, IndexError)):
         fail(path)
-    assert open(path, "rb").read() == before
+    assert Path(path).read_bytes() == before
     assert not [n for n in os.listdir(tmp_path) if n.endswith(".tmp")]
 
 

@@ -5,12 +5,14 @@ import dataclasses
 import json
 import os
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import one_worker_per_cpu
 from infmix import harness, tensor
 from infmix.baselines import DeterministicMlp
 from infmix.checkpoint import load_model, save_model
@@ -39,7 +41,7 @@ def fast_config(data_dir, out_dir, **overrides):
 # Values that parse but are out of range; each must end in a ConfigError.
 BAD_VALUES = [
     ("attack_prefix", "-1"), ("ood_prefix", "-1"), ("attack_prefix", "0"),
-    ("ood_prefix", "0"), ("threads", "0"),
+    ("ood_prefix", "0"),
     ("n_eval_samples", "0"), ("batch_size", "0"), ("ensemble_size", "0"),
     ("n_attack_samples", "0"), ("attack_iterations", "-3"),
     ("n_train_samples", "0"), ("iterations", "-1"),
@@ -91,7 +93,6 @@ VALID = {
     "detect_full_test": st.booleans(), "ood_prefix": _COUNT,
     "loss_record_every": st.integers(0, 10**6), "data_dir": _PATH,
     "out_dir": _PATH,
-    "threads": st.integers(1, 64),
 }
 
 # Per key, text that is no valid value.  data_dir and out_dir take any text.
@@ -106,7 +107,7 @@ _BAD_TEXT.update({name: _BAD_POSITIVE for name in (
     "prior_variance", "learning_rate")})
 _BAD_TEXT.update({name: _BAD_COUNT for name in (
     "n_train_samples", "n_eval_samples", "batch_size", "n_trials",
-    "ensemble_size", "attack_iterations", "n_attack_samples", "threads",
+    "ensemble_size", "attack_iterations", "n_attack_samples",
     "attack_prefix", "ood_prefix")})
 _BAD_TEXT.update({name: _BAD_SIZE for name in (
     "iterations", "loss_record_every")})
@@ -180,10 +181,6 @@ class TestConfigParsing:
         err = capsys.readouterr().err
         assert err.startswith("config error:") and err.count("\n") == 1
 
-    def test_zero_threads_flag_rejected(self, capsys):
-        assert main(["--threads", "0", "train"]) == 1
-        assert "threads must be >= 1" in capsys.readouterr().err
-
     def test_negative_seed_flag_rejected(self, capsys):
         assert main(["--seed", "-1", "train"]) == 1
         err = capsys.readouterr().err
@@ -254,7 +251,7 @@ class TestRunTrain:
         assert len(results) == 2
         for seed in cfg.trial_seeds():
             path = os.path.join(cfg.out_dir, f"{cfg.run_id()}_seed{seed}.json")
-            payload = json.load(open(path))
+            payload = json.loads(Path(path).read_text())
             assert payload["config"] == cfg.to_dict()
             assert payload["seed"] == seed
             assert 0.0 <= payload["clean_accuracy"] <= 1.0
@@ -274,20 +271,23 @@ class TestRunTrain:
         cfg2 = cfg.replace(out_dir=str(tmp_path / "b"))
         run_train(cfg2)
         name = f"{cfg.run_id()}_seed0.ckpt"
-        a = open(os.path.join(cfg.out_dir, name), "rb").read()
-        b = open(os.path.join(cfg2.out_dir, name), "rb").read()
+        a = Path(cfg.out_dir, name).read_bytes()
+        b = Path(cfg2.out_dir, name).read_bytes()
         assert a == b
 
-    def test_threaded_trials_match_serial(self, synthetic_data_dir, tmp_path):
+    def test_threaded_trials_match_serial(self, synthetic_data_dir, tmp_path,
+                                          monkeypatch):
         serial = fast_config(synthetic_data_dir, tmp_path / "s",
                              model="deterministic", iterations=25)
-        threaded = serial.replace(out_dir=str(tmp_path / "t"), threads=2)
+        threaded = serial.replace(out_dir=str(tmp_path / "t"))
+        one_worker_per_cpu(monkeypatch, 1)
         run_train(serial)
+        one_worker_per_cpu(monkeypatch, 2)
         run_train(threaded)
         for seed in serial.trial_seeds():
             name = f"{serial.run_id()}_seed{seed}.ckpt"
-            assert (open(os.path.join(serial.out_dir, name), "rb").read()
-                    == open(os.path.join(threaded.out_dir, name), "rb").read())
+            assert (Path(serial.out_dir, name).read_bytes()
+                    == Path(threaded.out_dir, name).read_bytes())
 
     @pytest.mark.parametrize("model", ["dropout", "ensemble"])
     def test_baseline_kinds_run(self, synthetic_data_dir, tmp_path, model):
@@ -296,17 +296,39 @@ class TestRunTrain:
         results = run_train(cfg)
         assert results[0]["model"] == model
 
+    @pytest.mark.parametrize("openblas,omp", [("1", "4"), (None, "2"),
+                                              (None, None)])
+    def test_trial_records_the_blas_thread_setting(
+            self, synthetic_data_dir, tmp_path, monkeypatch, openblas, omp):
+        # Trained bits depend on the BLAS thread count.
+        set_blas_env(monkeypatch, openblas, omp)
+        cfg = fast_config(synthetic_data_dir, tmp_path, model="deterministic",
+                          n_trials=1, iterations=5)
+        run_train(cfg)
+        payload = json.loads(
+            Path(cfg.out_dir, f"{cfg.run_id()}_seed0.json").read_text())
+        assert payload["blas_threads"] == (openblas or omp)
+
+
+def set_blas_env(monkeypatch, openblas, omp):
+    """Set ``OPENBLAS_NUM_THREADS`` and ``OMP_NUM_THREADS``; None unsets."""
+    for var, value in (("OPENBLAS_NUM_THREADS", openblas),
+                       ("OMP_NUM_THREADS", omp)):
+        if value is None:
+            monkeypatch.delenv(var, raising=False)
+        else:
+            monkeypatch.setenv(var, value)
+
 
 def read_tree(cfg):
     """Every file of ``cfg.out_dir`` by name: its bytes, or for a JSON file
-    its payload less the ``threads`` and ``out_dir`` of its config."""
+    its payload less the ``out_dir`` of its config."""
     tree = {}
     for name in sorted(os.listdir(cfg.out_dir)):
         with open(os.path.join(cfg.out_dir, name), "rb") as f:
             tree[name] = f.read()
         if name.endswith(".json"):
             payload = json.loads(tree[name])
-            assert payload["config"].pop("threads") == cfg.threads
             assert payload["config"].pop("out_dir") == cfg.out_dir
             tree[name] = payload
     return tree
@@ -314,11 +336,12 @@ def read_tree(cfg):
 
 class TestWorkers:
     def test_commands_write_the_same_bytes_on_one_and_two_workers(
-            self, synthetic_data_dir, tmp_path):
+            self, synthetic_data_dir, tmp_path, monkeypatch):
         trees = []
-        for threads in (1, 2):
-            cfg = fast_config(synthetic_data_dir, tmp_path / f"t{threads}",
-                              model="ml", threads=threads)
+        for cpus in (1, 2):
+            one_worker_per_cpu(monkeypatch, cpus)
+            cfg = fast_config(synthetic_data_dir, tmp_path / f"t{cpus}",
+                              model="ml")
             run_train(cfg)
             run_ood(cfg)
             run_attack(cfg)
@@ -330,14 +353,15 @@ class TestWorkers:
                 } == {"ckpt", "json", "csv", "double", "ubyte"}
 
     def test_sweep_writes_the_same_bytes_on_one_and_two_workers(
-            self, synthetic_data_dir, tmp_path):
+            self, synthetic_data_dir, tmp_path, monkeypatch):
         # Three (grid point, trial) pairs: one point's two trials and the
         # other's one may share the two workers.
         trees = []
-        for threads in (1, 2):
-            cfg = fast_config(synthetic_data_dir, tmp_path / f"t{threads}",
+        for cpus in (1, 2):
+            one_worker_per_cpu(monkeypatch, cpus)
+            cfg = fast_config(synthetic_data_dir, tmp_path / f"t{cpus}",
                               model="ml", sweep="prior", prior_grid=(1.0, 3.0),
-                              iterations=25, threads=threads)
+                              iterations=25)
             payload = run_sweep(cfg)
             assert [len(row["accuracies"]) for row in payload["rows"]] == [2, 2]
             trees.append(read_tree(cfg))
@@ -351,13 +375,8 @@ class TestWorkers:
         for openblas, omp, want in (("1", None, 3), (None, "1", 3),
                                     ("1", "4", 3), ("4", "1", 1),
                                     (None, None, 1), ("2", None, 1)):
-            for var, value in (("OPENBLAS_NUM_THREADS", openblas),
-                               ("OMP_NUM_THREADS", omp)):
-                if value is None:
-                    monkeypatch.delenv(var, raising=False)
-                else:
-                    monkeypatch.setenv(var, value)
-            assert ExperimentConfig().threads == want, (openblas, omp)
+            set_blas_env(monkeypatch, openblas, omp)
+            assert tensor.default_threads() == want, (openblas, omp)
 
 
 class TestPredictDataset:
@@ -539,11 +558,12 @@ class TestRunAttackDetect:
         assert 0.0 <= trial["auroc_entropy"] <= 1.0
         # The report consumes the null without crashing.
         outcome = run_report(str(tmp_path))
-        summary = open(os.path.join(outcome["report_dir"], "summary.txt")).read()
+        summary = Path(outcome["report_dir"], "summary.txt").read_text()
         assert "balanced_entropy=undefined" in summary
 
 
-_HEADER = {"schema_version", "kind", "run_id", "model", "dataset", "config"}
+_HEADER = {"schema_version", "kind", "run_id", "model", "dataset", "config",
+           "blas_threads"}
 _TRIAL_KEYS = _HEADER | {
     "seed", "clean_accuracy", "mean_max_variance", "mean_entropy",
     "mean_max_variance_correct", "mean_max_variance_wrong",
@@ -619,7 +639,7 @@ class TestRunReport:
         outcome = run_report(str(tmp_path))
         skipped = [w for w in outcome["warnings"] if "ml_mnist_seed0.json" in w]
         assert len(skipped) == 1
-        summary = open(os.path.join(outcome["report_dir"], "summary.txt")).read()
+        summary = Path(outcome["report_dir"], "summary.txt").read_text()
         assert skipped[0] in summary
         assert main(["--out-dir", str(tmp_path), "report"]) == 0
         assert "ml_mnist_seed0.json" in capsys.readouterr().err
@@ -632,8 +652,8 @@ class TestRunReport:
         assert "table_accuracy_by_kl_weight.csv" in names
         assert any(n.startswith("fig_robustness_") for n in names)
         assert any(n.startswith("fig_mixing_variance_layer1_") for n in names)
-        table = open(os.path.join(outcome["report_dir"],
-                                  "table_accuracy_by_kl_weight.csv")).read()
+        table = Path(outcome["report_dir"],
+                     "table_accuracy_by_kl_weight.csv").read_text()
         assert table.startswith("dataset,model,kl_weight,n_trials,")
         assert "mnist,ml" in table
 
@@ -643,8 +663,8 @@ class TestRunReport:
         b = run_report(cfg.out_dir, str(tmp_path / "r2"))
         for name in a["written"]:
             if name.endswith(".csv") or name.endswith(".txt"):
-                ca = open(os.path.join(a["report_dir"], name)).read()
-                cb = open(os.path.join(b["report_dir"], name)).read()
+                ca = Path(a["report_dir"], name).read_text()
+                cb = Path(b["report_dir"], name).read_text()
                 assert ca == cb
 
 
@@ -740,8 +760,6 @@ class TestCli:
     def test_cli_overrides_take_effect(self):
         from infmix.cli import build_parser, resolve_config
         args = build_parser().parse_args(
-            ["--data-dir", "d", "--trials", "3", "--seed", "5",
-             "--threads", "2", "train"])
+            ["--data-dir", "d", "--trials", "3", "--seed", "5", "train"])
         cfg = resolve_config(args)
-        assert (cfg.data_dir, cfg.n_trials, cfg.base_seed, cfg.threads) == (
-            "d", 3, 5, 2)
+        assert (cfg.data_dir, cfg.n_trials, cfg.base_seed) == ("d", 3, 5)

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import one_worker_per_cpu
 from infmix.baselines import DeepEnsemble, DeterministicMlp, DropoutMlp
 from infmix.gradcheck import check_mixture_input_gradient, check_network_gradient
 from infmix import network, tensor
@@ -318,12 +319,6 @@ def predict_peak(monkeypatch, cpus):
         return tracemalloc.get_traced_memory()[1] / block
     finally:
         tracemalloc.stop()
-
-
-def one_worker_per_cpu(monkeypatch, cpus):
-    """Let pools outside any other use ``cpus`` workers."""
-    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
-    monkeypatch.setattr(tensor, "allowed_cpus", lambda: cpus)
 
 
 def mixture_model(kind):

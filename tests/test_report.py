@@ -397,12 +397,24 @@ def test_lists_of_the_wrong_length_are_skipped_and_named(tmp_path, monkeypatch):
     trial_ml["histograms"]["entropy"]["counts"]["correct"] = [1]
     trial_vi = json.loads(json.dumps(PAYLOADS["vi_kl1_seed0.json"]))
     trial_vi["mixing_variance"][1]["histogram"]["counts"].append(4)
+    # Two well-formed trials of one run whose entropy and layer 1 histograms
+    # have different bins: those figures have no mean and are not written.
+    fewer_bins = trial("ml", 1, 0.875, prior_variance=2.0)
+    for histogram in (fewer_bins["histograms"]["entropy"],
+                      fewer_bins["mixing_variance"][1]["histogram"]):
+        for counts in (histogram["counts"].values()
+                       if isinstance(histogram["counts"], dict)
+                       else [histogram["counts"]]):
+            counts.pop()
+        histogram["bin_edges"] = histogram["bin_edges"][:-1]
     bad = {"b_attack_short.json": {**PAYLOADS["attack_ml_s1.json"],
                                    "mean_curve": [0.9]},
            "b_attack_long_eps.json": {**PAYLOADS["attack_ml_s1.json"],
                                       "config": {"eps_grid": [0, 0.1, 0.2, 0.3]}},
            "b_trial_counts.json": trial_ml,
-           "b_trial_mixing.json": trial_vi}
+           "b_trial_mixing.json": trial_vi,
+           "c_ml_pv2_seed0.json": trial("ml", 0, 0.9375, prior_variance=2.0),
+           "c_ml_pv2_seed1.json": fewer_bins}
     for name, payload in {**PAYLOADS, **bad}.items():
         with open(os.path.join("results", name), "w") as f:
             json.dump(payload, f)
@@ -416,9 +428,19 @@ def test_lists_of_the_wrong_length_are_skipped_and_named(tmp_path, monkeypatch):
         "skipped result file b_trial_counts.json: trial result has 1 entries "
         "at histograms.entropy.counts.correct (expected 3, one per bin)",
         "skipped result file b_trial_mixing.json: trial result has 3 entries "
-        "at mixing_variance.1.histogram.counts (expected 2, one per bin)"]
+        "at mixing_variance.1.histogram.counts (expected 2, one per bin)",
+        "no figure for run ml_synthetic_kl1_pv2 at histograms.entropy: its "
+        "trials' histograms have different bins",
+        "no figure for run ml_synthetic_kl1_pv2 at "
+        "mixing_variance.1.histogram: its trials' histograms have different "
+        "bins"]
+    assert [name for name in outcome["written"] if "_pv2" in name] == [
+        "fig_max_variance_hist_ml_synthetic_kl1_pv2.csv",
+        "fig_mixing_variance_layer0_ml_synthetic_kl1_pv2.csv",
+        "aggregate_ml_synthetic_kl1_pv2.csv"]
+    # The pv2 trials add a row to the prior table; nothing else changes.
     for name, digest in REPORT_DIGESTS.items():
-        if name != "summary.txt":
+        if name not in ("summary.txt", "table_accuracy_by_prior.csv"):
             with open(os.path.join("results", "report", name), "rb") as f:
                 assert hashlib.sha256(f.read()).hexdigest()[:16] == digest
 

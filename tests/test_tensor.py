@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import one_worker_per_cpu
 from infmix import tensor
 from infmix.network import StochasticMlp
 from infmix.tensor import (MAX_PROBE_EVERY, PAYOFF_WINDOW, PROBE_EVERY,
@@ -298,10 +299,12 @@ def pool_threads():
 
 class TestMapInOrder:
     """``map_in_order`` returns results in input order from the calling
-    thread plus ``workers - 1`` started threads, and counts its running
-    workers in ``_PAYOFF.workers``, which read-aheads leave a CPU to."""
+    thread plus one started thread per other CPU of the budget, and counts
+    its running workers in ``_PAYOFF.workers``, which read-aheads leave a
+    CPU to."""
 
-    def test_caller_is_one_of_the_workers(self):
+    def test_caller_is_one_of_the_workers(self, monkeypatch):
+        one_worker_per_cpu(monkeypatch, 3)
         barrier = threading.Barrier(3, timeout=JOIN_TIMEOUT_S)
 
         def item(i):
@@ -310,20 +313,23 @@ class TestMapInOrder:
             barrier.wait()      # and none has ended yet
             return i, threading.get_ident(), started
 
-        out = map_in_order(item, range(3), 3)
+        out = map_in_order(item, range(3))
         assert [i for i, _, _ in out] == [0, 1, 2]
         idents = {ident for _, ident, _ in out}
         assert len(idents) == 3 and threading.get_ident() in idents
         assert {started for _, _, started in out} == {2}
         assert pool_threads() == []
 
-    def test_one_worker_starts_no_thread(self):
-        assert map_in_order(lambda i: (i, len(pool_threads())), range(4), 1) \
+    def test_one_worker_starts_no_thread(self, monkeypatch):
+        one_worker_per_cpu(monkeypatch, 1)
+        assert map_in_order(lambda i: (i, len(pool_threads())), range(4)) \
             == [(i, 0) for i in range(4)]
 
     @pytest.mark.parametrize("fail_at", [None, 37])
-    def test_worker_count_with_more_workers_than_cpus(self, fail_at):
+    def test_worker_count_with_more_workers_than_cpus(self, fail_at,
+                                                      monkeypatch):
         n_workers = allowed_cpus() + 3
+        one_worker_per_cpu(monkeypatch, n_workers)
         seen = []
 
         def item(i):
@@ -337,7 +343,7 @@ class TestMapInOrder:
 
         def run():
             try:
-                outcome.append(map_in_order(item, range(200), n_workers))
+                outcome.append(map_in_order(item, range(200)))
             except ValueError as exc:
                 outcome.append(exc)
 
@@ -359,7 +365,7 @@ class TestMapInOrder:
             assert len(seen) < 200
 
     def test_reads_ahead_only_while_a_cpu_is_idle(self, monkeypatch):
-        monkeypatch.setattr(tensor, "allowed_cpus", lambda: 2)
+        one_worker_per_cpu(monkeypatch, 2)
         monkeypatch.setattr(tensor, "_PAYOFF", tensor._Payoff())
 
         def read_aheads(n_workers):
@@ -377,7 +383,7 @@ class TestMapInOrder:
                 barrier.wait()      # no worker stops before all have looked
                 return started
 
-            return map_in_order(item, range(n_workers), n_workers)
+            return map_in_order(item, range(n_workers))
 
         assert read_aheads(2) == [False, False]
         assert read_aheads(1) == [True]
@@ -385,10 +391,11 @@ class TestMapInOrder:
 
 class TestPool:
     """``imap_in_order`` takes items lazily, in order, one at a time; at
-    most ``workers`` compute at once; and a nested pool gets only the CPUs
-    of the budget that the enclosing pool leaves idle."""
+    most one item per CPU of the budget computes at once; and a nested pool
+    gets only the CPUs of the budget that the enclosing pool leaves idle."""
 
-    def test_items_taken_in_order_one_at_a_time(self):
+    def test_items_taken_in_order_one_at_a_time(self, monkeypatch):
+        one_worker_per_cpu(monkeypatch, 3)
         lock = threading.Lock()
         seen = {"taking": 0, "most_taking": 0, "computing": 0,
                 "most_computing": 0, "order": []}
@@ -415,7 +422,7 @@ class TestPool:
 
         out = []
         caller = threading.Thread(
-            target=lambda: out.extend(imap_in_order(item, items(), 3)))
+            target=lambda: out.extend(imap_in_order(item, items())))
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
         try:
@@ -430,9 +437,10 @@ class TestPool:
         assert 1 <= seen["most_computing"] <= 3
         assert tensor._PAYOFF.workers == 0 and pool_threads() == []
 
-    def nested(self, outer_items, outer_workers, inner_items):
-        """Per outer item: the threads that ran the items of a pool nested
-        in it, and the pool threads alive while they ran."""
+    def nested(self, monkeypatch, outer_items, inner_items):
+        """Per outer item, on two CPUs: the threads that ran the items of a
+        pool nested in it, and the pool threads alive while they ran."""
+        one_worker_per_cpu(monkeypatch, 2)
         barrier = threading.Barrier(len(outer_items), timeout=JOIN_TIMEOUT_S)
         inner = threading.Barrier(inner_items, timeout=JOIN_TIMEOUT_S)
 
@@ -448,19 +456,21 @@ class TestPool:
             return ({ident for ident, _ in runs},
                     max(alive for _, alive in runs))
 
-        return map_in_order(outer_item, outer_items, outer_workers)
+        return map_in_order(outer_item, outer_items)
 
-    def test_nested_pool_under_a_full_one_starts_no_thread(self):
-        for idents, alive in self.nested(range(2), 2, 1):
+    def test_nested_pool_under_a_full_one_starts_no_thread(self, monkeypatch):
+        for idents, alive in self.nested(monkeypatch, range(2), 1):
             assert len(idents) == 1 and alive == 1
 
-    def test_nested_pool_fills_the_idle_cpu_with_one_thread(self):
-        [(idents, alive)] = self.nested(range(1), 2, 2)
+    def test_nested_pool_fills_the_idle_cpu_with_one_thread(self, monkeypatch):
+        [(idents, alive)] = self.nested(monkeypatch, range(1), 2)
         assert len(idents) == 2 and alive == 1
         assert tensor._PAYOFF.workers == 0 and pool_threads() == []
 
     @pytest.mark.parametrize("where", ["item", "iterator", "nested"])
-    def test_first_exception_reraised_with_no_thread_left(self, where):
+    def test_first_exception_reraised_with_no_thread_left(self, where,
+                                                          monkeypatch):
+        one_worker_per_cpu(monkeypatch, 2)
         def items():
             for i in range(50):
                 if where == "iterator" and i == 17:
@@ -482,11 +492,12 @@ class TestPool:
             return i
 
         with pytest.raises((KeyError, ValueError), match="17 failed|3 failed"):
-            list(imap_in_order(item, items(), 2))
+            list(imap_in_order(item, items()))
         assert tensor._PAYOFF.workers == 0 and pool_threads() == []
 
-    def test_consumer_stopping_early_leaves_no_thread(self):
-        results = imap_in_order(lambda i: i, range(100), 2)
+    def test_consumer_stopping_early_leaves_no_thread(self, monkeypatch):
+        one_worker_per_cpu(monkeypatch, 2)
+        results = imap_in_order(lambda i: i, range(100))
         assert next(results) == 0
         results.close()
         assert tensor._PAYOFF.workers == 0 and pool_threads() == []
