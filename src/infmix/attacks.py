@@ -1,5 +1,6 @@
 """L-inf projected gradient descent against any model exposing
-``loss_input_grad`` and ``predict``.
+``loss_input_grad`` (with the ``ahead`` of ``network.MixtureModel``) and
+``predict``.
 
 Each step ascends the sign of the input gradient of -log p_bar(y|x) and
 projects back onto the eps-ball around the clean input intersected with the
@@ -18,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import Dataset, IDX_FLOAT64, atomic_open, save_idx
-from .network import PredictiveSummary
+from .network import DrawAhead, PredictiveSummary
 from .tensor import Array, Rng
 
 _INIT_STREAM = 4
@@ -96,9 +97,12 @@ def pgd_attack(model, images: Array, labels, cfg: AttackConfig,
 
     grad_rng = rng.derive(_GRAD_STREAM)
     if cfg.epsilon > 0:
+        # Each step draws the next step's components while its last block
+        # computes.
+        ahead = DrawAhead(cfg.n_iter)
         for it in range(cfg.n_iter):
             grad_x, _ = model.loss_input_grad(
-                x, labels, cfg.n_grad_samples, grad_rng)
+                x, labels, cfg.n_grad_samples, grad_rng, ahead)
             # A fresh iterate: the callback may keep the one before.
             x_next = np.sign(grad_x)
             x_next *= step

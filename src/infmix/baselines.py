@@ -17,7 +17,7 @@ from .network import (DEFAULT_TOPOLOGY, WEIGHT_GRADS, MixtureModel, backward,
                       forward, in_blocks)
 from .objectives import FitConfig, fit
 from .posterior import glorot_uniform
-from .tensor import Rng
+from .tensor import Rng, map_in_order
 
 DEFAULT_WEIGHT_DECAY = 1.0 / 60_000.0
 
@@ -162,13 +162,15 @@ def train_ensemble(data: Dataset, k: int = 5,
                    weight_decay: float = DEFAULT_WEIGHT_DECAY,
                    cfg: FitConfig | None = None, topology=DEFAULT_TOPOLOGY,
                    progress=None) -> DeepEnsemble:
-    """k members trained independently from distinct derived seeds."""
+    """k members trained independently from distinct derived seeds, by
+    ``map_in_order`` on the CPUs the budget leaves free; ``progress`` may be
+    called from its worker threads."""
     cfg = cfg or FitConfig()
     if k < 1:
         raise ValueError(f"ensemble size must be >= 1, got {k}")
-    members = []
-    for i in range(k):
-        member_cfg = replace(cfg, seed=cfg.seed + i * _MEMBER_SEED_STRIDE)
-        members.append(train_deterministic(data, weight_decay, member_cfg,
-                                           topology=topology, progress=progress))
+    members = map_in_order(
+        lambda i: train_deterministic(
+            data, weight_decay, replace(cfg, seed=cfg.seed + i * _MEMBER_SEED_STRIDE),
+            topology=topology, progress=progress),
+        range(k))
     return DeepEnsemble(members=members)

@@ -22,8 +22,18 @@ EXIT_CONFIG = 1
 EXIT_VERIFICATION = 2
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error in one line and exits EXIT_CONFIG, not with
+    argparse's 2, which here means a failed verification.  Subcommand
+    parsers are made of the same class."""
+
+    def error(self, message):
+        self.exit(EXIT_CONFIG,
+                  f"usage error: {message} (see {self.prog} --help)\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="infmix",
         description="Train and evaluate infinite-mixture stochastic MLPs "
                     "(mixture-likelihood or variational objective) plus "

@@ -428,15 +428,13 @@ def run_sweep(cfg: ExperimentConfig) -> dict:
                      "run_id": point.run_id(), "accuracies": accs,
                      "mean_accuracy": mean, "std_accuracy": std})
 
-    payload = {"schema_version": SCHEMA_VERSION, "kind": "sweep",
-               "config": cfg.to_dict(), "rows": rows}
-    os.makedirs(cfg.out_dir, exist_ok=True)
-    stem = os.path.join(cfg.out_dir, f"sweep_{cfg.sweep}_{cfg.model}_{cfg.dataset}")
-    write_json_atomic(stem + ".json", payload)
+    stem = f"sweep_{cfg.sweep}_{cfg.model}_{cfg.dataset}"
+    payload = _write_result(cfg, "sweep", stem + ".json", rows=rows)
     lines = [f"{cfg.sweep},mean_accuracy,std_accuracy"]
     lines += [f"{r['value']},{r['mean_accuracy']:.6f},{r['std_accuracy']:.6f}"
               for r in rows]
-    write_text_atomic(stem + ".csv", "\n".join(lines) + "\n")
+    write_text_atomic(os.path.join(cfg.out_dir, stem + ".csv"),
+                      "\n".join(lines) + "\n")
     return payload
 
 

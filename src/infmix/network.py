@@ -13,6 +13,7 @@ only the gradients its trace ``needs``.
 
 from __future__ import annotations
 
+import collections
 from dataclasses import dataclass
 
 import numpy as np
@@ -238,6 +239,56 @@ def in_blocks(n_components: int, make_block):
     return n_components, _Blocks(n_components, make_block)
 
 
+class Components:
+    """The ``count`` components of one mixture call, in the blocks of a
+    kind's ``_components``: made as they are iterated, unless ``draw`` has
+    made the rest of them ahead.  Iterating hands each block out once and
+    keeps no reference to it, so a block is dropped once it has run."""
+
+    def __init__(self, count: int, blocks):
+        if count < 1:
+            raise ValueError(f"n_samples must be >= 1, got {count}")
+        self.count = count
+        self._len = len(blocks)
+        self._made = iter(blocks)
+        self._drawn = collections.deque()
+
+    def __len__(self):
+        return self._len
+
+    def draw(self):
+        """Make every block not yet made, now."""
+        self._drawn.extend(self._made)
+
+    def __iter__(self):
+        while self._drawn:
+            yield self._drawn.popleft()
+        yield from self._made
+
+
+class DrawAhead:
+    """``calls`` successive ``loss_input_grad`` calls of one model on one
+    ``n_samples`` and ``rng``.  Each call but the last draws the next
+    call's components as one more item of its pool (``imap_in_order``'s
+    ``then``): on a CPU that its last blocks leave idle, or, under a full
+    pool, inline after them.  These draws alone read the rng, in call
+    order, so every bit is what drawing in each call gives."""
+
+    def __init__(self, calls: int):
+        self.calls = calls
+        self.drawn = None
+
+    def components(self, model, n_samples: int, rng):
+        """(this call's ``Components``, the function that draws the next
+        call's, or None for the last call)."""
+        this = (model.components(n_samples, rng) if self.drawn is None
+                else self.drawn)
+        self.calls -= 1
+        self.drawn = (model.components(n_samples, rng) if self.calls > 0
+                      else None)
+        return this, None if self.drawn is None else self.drawn.draw
+
+
 class MixtureModel:
     """A uniform mixture of MLP components: weight draws, dropout mask draws
     or ensemble members.  Each model kind only lists its components, in
@@ -247,20 +298,19 @@ class MixtureModel:
 
     ``predict`` and ``loss_input_grad`` run the blocks through
     ``imap_in_order`` on the CPUs the budget leaves free: each block is
-    drawn under the pool's lock in component order, any worker runs it, and
-    its small result is added into the running sums in block order, so the
-    sums hold the bits of a plain loop."""
+    drawn under the pool's lock in component order, unless drawn ahead
+    (``DrawAhead``), any worker runs it, and its small result is added into
+    the running sums in block order, so the sums hold the bits of a plain
+    loop."""
 
-    def _mixture(self, n_samples: int, rng: Rng | None):
-        count, blocks = self._components(n_samples, rng)
-        if count < 1:
-            raise ValueError(f"n_samples must be >= 1, got {count}")
-        return count, blocks
+    def components(self, n_samples: int, rng: Rng | None) -> Components:
+        """The components of one call, drawn from ``rng`` as they run."""
+        return Components(*self._components(n_samples, rng))
 
     def predict(self, x: Array, n_samples: int = 1, rng: Rng | None = None
                 ) -> PredictiveSummary:
         """Predictive summary of the mixture on the batch ``x``."""
-        n_components, blocks = self._mixture(n_samples, rng)
+        components = self.components(n_samples, rng)
 
         def probs(block):
             weights, masks = block
@@ -268,19 +318,22 @@ class MixtureModel:
             return np.exp(log_probs.reshape(-1, *log_probs.shape[-2:]))
 
         return summarize_prob_stream(
-            (p for block in imap_in_order(probs, blocks) for p in block),
-            n_components)
+            (p for block in imap_in_order(probs, components) for p in block),
+            components.count)
 
     def loss_input_grad(self, x: Array, labels, n_samples: int = 1,
-                        rng: Rng | None = None):
+                        rng: Rng | None = None, ahead: DrawAhead | None = None):
         """Gradient wrt x of -log p_bar(y|x) where p_bar averages component
         probabilities (the mixture output itself, not the average of logs).
 
         The per-example 1/p_bar factor is applied after summing per-component
         gradients of p_s, so no trace outlives its block of components.
+        ``ahead`` makes this one of its successive calls.
         Returns (grad_x, mean label probability).
         """
-        n_components, blocks = self._mixture(n_samples, rng)
+        components, draw_next = (ahead or DrawAhead(1)).components(
+            self, n_samples, rng)
+        n_components = components.count
         labels = np.asarray(labels)
         b = x.shape[0]
         rows = np.arange(b)
@@ -298,7 +351,7 @@ class MixtureModel:
         label_prob_sum = np.zeros(b)
         grad_x = None
         count = 0
-        for gx, label_probs, n in imap_in_order(grad, blocks):
+        for gx, label_probs, n in imap_in_order(grad, components, draw_next):
             if grad_x is None:
                 # The first block's array holds the sum: 0.0 + gx, the bits
                 # that adding it to zeros gives (-0.0 becomes 0.0).

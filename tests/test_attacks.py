@@ -1,5 +1,6 @@
 """PGD constraint invariants, oracles, and persistence."""
 
+import hashlib
 import os
 import tracemalloc
 from pathlib import Path
@@ -12,9 +13,10 @@ from hypothesis import strategies as st
 from conftest import one_worker_per_cpu
 from infmix.attacks import (AttackConfig, attack_csv, pgd_attack, project,
                             write_attack_artifacts)
-from infmix.baselines import DeterministicMlp, train_deterministic, FitConfig
+from infmix.baselines import (DeepEnsemble, DeterministicMlp, DropoutMlp,
+                              FitConfig, glorot_weights, train_deterministic)
 from infmix.data import load_idx
-from infmix.network import StochasticMlp
+from infmix.network import DRAW_BLOCK, StochasticMlp
 from infmix.tensor import Rng
 
 from test_objectives import toy_dataset
@@ -186,6 +188,101 @@ class TestPgd:
         result = pgd_attack(toy_model, images, labels,
                             AttackConfig(epsilon=0.0, n_eval_samples=1))
         assert result.robust_accuracy == toy_model.predict(images).accuracy(labels)
+
+
+# SHA-256 of ``pgd_attack``'s adversarial images and of its evaluation's
+# mean probabilities, per (model kind, gradient draws), taken while every
+# step still drew its own components: the same on 1, 2 and 3 CPUs.  The
+# GEMMs of PGD_TOPOLOGY at 30 images are small enough that they are also the
+# same under OPENBLAS_NUM_THREADS=1, 2, 4 and unset (at 784 inputs the mean
+# probabilities are not).  Another numpy or BLAS build may need them taken
+# again.
+PGD_TOPOLOGY = (64, 32, 32, 10)
+PGD_DIGESTS = {
+    ("dropout", 1): (
+        "fdbe9ce9dae54766f42f1436ac8aea02c43d5a3d60a91c7b872fbe240fe0b8bc",
+        "6727e78f34d63066c39caaf4cfb46d3fcbe1629b29103528a9f4c722c6cf200e"),
+    ("dropout", 5): (
+        "36da7ecf6879e062169a468d037e5cf676fd3e62491c425b3f2219953a996b20",
+        "684178516d30fd3bac48f63b6750c4108d51c8521e5c5943c621e18ca36d7315"),
+    ("ensemble", 1): (
+        "8a579e646bd76c808c442a17905215136ff625d0484b9572b650f1a74e42de30",
+        "1f4dfd7d9143e4cd3748b7da983e4b7aa45a106f1b62b9628b6e210cf03b28b0"),
+    ("ensemble", 5): (
+        "8a579e646bd76c808c442a17905215136ff625d0484b9572b650f1a74e42de30",
+        "1f4dfd7d9143e4cd3748b7da983e4b7aa45a106f1b62b9628b6e210cf03b28b0"),
+    ("ml", 1): (
+        "c50f2d57f8ea29692a3f99f456f768dd614dec49d5d4f833c27f957e8e0625a3",
+        "78654ab5a7e7bd9e44034fdb655d5d33d8f4ad51bd6fc2590483567a8edea651"),
+    ("ml", 5): (
+        "cd646f266a14e7e1831a66e08e2306eec1ced7ea8943fffffd180e550d022fbc",
+        "3875de506a3c51bf05b5788d62134f9f6269c38948ba09ac14c65c14e9252cd0"),
+}
+
+
+def pgd_model(kind):
+    if kind == "ml":
+        return StochasticMlp.create(Rng(0).derive(0), topology=PGD_TOPOLOGY)
+    weights = glorot_weights(PGD_TOPOLOGY, Rng(1))
+    if kind == "dropout":
+        return DropoutMlp(weights, p_drop=0.5)
+    return DeepEnsemble([DeterministicMlp(weights),
+                         DeterministicMlp([0.5 * w for w in weights]),
+                         DeterministicMlp([-w for w in weights])])
+
+
+class TestDrawAhead:
+    """Each PGD step draws the next step's components in its own pool, and
+    the attack gives the bits it gave when every step drew its own."""
+
+    x = Rng(7).uniform(0.0, 1.0, (30, PGD_TOPOLOGY[0]))
+    y = np.arange(30) % 10
+
+    @pytest.mark.parametrize("cpus", [1, 2, 3])
+    @pytest.mark.parametrize("kind, n_grad_samples", sorted(PGD_DIGESTS))
+    def test_pinned_bytes_on_every_cpu_count(self, kind, n_grad_samples,
+                                             cpus, monkeypatch):
+        one_worker_per_cpu(monkeypatch, cpus)
+        result = pgd_attack(pgd_model(kind), self.x, self.y, AttackConfig(
+            epsilon=0.25, n_iter=4, n_grad_samples=n_grad_samples,
+            n_eval_samples=3, seed=11))
+        digests = tuple(hashlib.sha256(a.tobytes()).hexdigest() for a in
+                        (result.adversarial, result.summary_after.mean_probs))
+        assert digests == PGD_DIGESTS[kind, n_grad_samples]
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    @pytest.mark.parametrize("n_grad_samples", [1, 5])
+    def test_each_step_draws_the_next_and_the_last_none(
+            self, n_grad_samples, cpus, monkeypatch):
+        one_worker_per_cpu(monkeypatch, cpus)
+        net = StochasticMlp.create(Rng(0), topology=(6, 4, 4, 3))
+        draws = []          # weight draws: one row of normals each
+        real_normal = Rng.standard_normal
+
+        def standard_normal(rng, *shape):
+            draws.extend([shape] * shape[0])
+            return real_normal(rng, *shape)
+
+        monkeypatch.setattr(Rng, "standard_normal", standard_normal)
+        per_call = []
+        real_grad = net.loss_input_grad
+
+        def loss_input_grad(*args):
+            before = len(draws)
+            out = real_grad(*args)
+            per_call.append(len(draws) - before)
+            return out
+
+        monkeypatch.setattr(net, "loss_input_grad", loss_input_grad)
+        s, n_iter, n_eval = n_grad_samples, 6, 3
+        pgd_attack(net, Rng(1).uniform(0.0, 1.0, (4, 6)), [0, 1, 2, 0],
+                   AttackConfig(epsilon=0.1, n_iter=n_iter, n_grad_samples=s,
+                                n_eval_samples=n_eval, seed=2))
+        assert per_call == [2 * s] + [s] * (n_iter - 2) + [0]
+        assert len(draws) == n_iter * s + n_eval
+        # The attack draws in blocks of at most DRAW_BLOCK.
+        blocks = [min(DRAW_BLOCK, s - start) for start in range(0, s, DRAW_BLOCK)]
+        assert {shape[0] for shape in draws[:n_iter * s]} == set(blocks)
 
 
 class TestArtifacts:

@@ -4,11 +4,13 @@
 import hashlib
 import os
 import struct
+import threading
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from infmix import baselines
 from infmix.baselines import DeepEnsemble, DeterministicMlp, DropoutMlp
 from infmix.checkpoint import CheckpointError, load_model, save_model
 from infmix.cli import main
@@ -17,7 +19,7 @@ from infmix.harness import ExperimentConfig, train_model_for_trial
 from infmix.network import StochasticMlp
 from infmix.tensor import Rng
 
-from conftest import synthetic_arrays
+from conftest import one_worker_per_cpu, synthetic_arrays
 
 
 def random_weights(seed, topology=(6, 4, 4, 3)):
@@ -264,8 +266,7 @@ PINNED_DIGESTS = {
 }
 
 
-@pytest.mark.parametrize("model", sorted(PINNED_DIGESTS))
-def test_trained_checkpoint_bytes_are_pinned(ckpt, model):
+def pinned_model_digest(ckpt, model):
     images, labels = synthetic_arrays(60, 5)
     data = Dataset(images=images.reshape(60, -1) / 255.0,
                    labels=labels.astype(np.int64), name="toy")
@@ -273,5 +274,25 @@ def test_trained_checkpoint_bytes_are_pinned(ckpt, model):
                            n_train_samples=2, ensemble_size=2)
     net, _ = train_model_for_trial(cfg, data, seed=7)
     save_model(net, ckpt)
-    digest = hashlib.sha256(Path(ckpt).read_bytes()).hexdigest()
-    assert digest == PINNED_DIGESTS[model]
+    return hashlib.sha256(Path(ckpt).read_bytes()).hexdigest()
+
+
+@pytest.mark.parametrize("model", sorted(PINNED_DIGESTS))
+def test_trained_checkpoint_bytes_are_pinned(ckpt, model):
+    assert pinned_model_digest(ckpt, model) == PINNED_DIGESTS[model]
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_ensemble_members_train_at_once_to_the_pinned_bytes(ckpt, cpus,
+                                                             monkeypatch):
+    # On two CPUs both members train at once, or the barrier breaks.
+    one_worker_per_cpu(monkeypatch, cpus)
+    barrier = threading.Barrier(cpus, timeout=10.0)
+    real = baselines.train_deterministic
+
+    def member(*args, **kwargs):
+        barrier.wait()
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(baselines, "train_deterministic", member)
+    assert pinned_model_digest(ckpt, "ensemble") == PINNED_DIGESTS["ensemble"]

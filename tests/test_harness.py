@@ -407,6 +407,24 @@ class TestRunSweep:
         assert os.path.exists(os.path.join(
             cfg.out_dir, "sweep_kl_weight_ml_mnist.csv"))
 
+    @pytest.mark.parametrize("openblas", ["1", None])
+    def test_json_records_the_blas_thread_setting(
+            self, synthetic_data_dir, tmp_path, monkeypatch, openblas):
+        set_blas_env(monkeypatch, openblas, None)
+        cfg = fast_config(synthetic_data_dir, tmp_path, model="deterministic",
+                          sweep="kl_weight", kl_weight_grid=(0.5,),
+                          n_trials=1, iterations=5)
+        payload = run_sweep(cfg)
+        stem = Path(cfg.out_dir, "sweep_kl_weight_deterministic_mnist")
+        stored = json.loads(stem.with_suffix(".json").read_text())
+        assert stored == json.loads(json.dumps(payload))
+        assert (stored["schema_version"], stored["kind"], stored["run_id"],
+                stored["blas_threads"]) == (1, "sweep", cfg.run_id(), openblas)
+        [row] = stored["rows"]
+        assert stem.with_suffix(".csv").read_text() == (
+            f"kl_weight,mean_accuracy,std_accuracy\n"
+            f"0.5,{row['accuracies'][0]:.6f},0.000000\n")
+
     def test_points_of_one_run_id_rejected(self, synthetic_data_dir, tmp_path):
         # Their trials would write the same files at the same time.
         cfg = fast_config(synthetic_data_dir, tmp_path, sweep="kl_weight",
@@ -689,6 +707,28 @@ class TestCli:
 
     def test_missing_config_file_exits_one(self):
         assert main(["--config", "/nonexistent.cfg", "train"]) == 1
+
+    @pytest.mark.parametrize("argv, message", [
+        (["--bogus", "train"], "unrecognized arguments: --bogus"),
+        (["nosuchcmd"], "argument command: invalid choice: 'nosuchcmd'"),
+        (["attack", "--bogus"], "unrecognized arguments: --bogus"),
+        (["gradcheck", "--gradcheck-seed", "x"],
+         "argument --gradcheck-seed: invalid int value: 'x'")])
+    def test_usage_error_is_a_one_line_config_error(self, argv, message,
+                                                    capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"usage error: {message}")
+        assert captured.err.count("\n") == 1
+
+    def test_help_exits_zero(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["--help"])
+        assert exit_info.value.code == 0
+        assert "usage: infmix" in capsys.readouterr().out
 
     def test_train_and_report_via_cli(self, synthetic_data_dir, tmp_path,
                                       capsys):

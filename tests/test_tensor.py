@@ -297,9 +297,20 @@ def pool_threads():
     return [t for t in threading.enumerate() if t.name == "infmix-worker"]
 
 
+def pool_at_rest():
+    """No pool thread computes or holds a CPU: every one alive is parked,
+    there are fewer of them than the budget has CPUs, and no CPU of the
+    budget is held."""
+    workers = tensor._WORKERS
+    parked = [workers.threads[jobs] for jobs in workers.parked]
+    return (tensor._PAYOFF.workers == 0
+            and sorted(map(id, pool_threads())) == sorted(map(id, parked))
+            and len(parked) < tensor.default_threads())
+
+
 class TestMapInOrder:
     """``map_in_order`` returns results in input order from the calling
-    thread plus one started thread per other CPU of the budget, and counts
+    thread plus one parked thread per other CPU of the budget, and counts
     its running workers in ``_PAYOFF.workers``, which read-aheads leave a
     CPU to."""
 
@@ -318,7 +329,7 @@ class TestMapInOrder:
         idents = {ident for _, ident, _ in out}
         assert len(idents) == 3 and threading.get_ident() in idents
         assert {started for _, _, started in out} == {2}
-        assert pool_threads() == []
+        assert pool_at_rest()
 
     def test_one_worker_starts_no_thread(self, monkeypatch):
         one_worker_per_cpu(monkeypatch, 1)
@@ -357,7 +368,7 @@ class TestMapInOrder:
             sys.setswitchinterval(interval)
         assert not caller.is_alive() and len(outcome) == 1
         assert 1 <= min(seen) and max(seen) <= n_workers
-        assert tensor._PAYOFF.workers == 0 and pool_threads() == []
+        assert pool_at_rest()
         if fail_at is None:
             assert outcome == [[-i for i in range(200)]]
         else:
@@ -435,7 +446,7 @@ class TestPool:
         assert seen["order"] == list(range(120))
         assert seen["most_taking"] == 1
         assert 1 <= seen["most_computing"] <= 3
-        assert tensor._PAYOFF.workers == 0 and pool_threads() == []
+        assert pool_at_rest()
 
     def nested(self, monkeypatch, outer_items, inner_items):
         """Per outer item, on two CPUs: the threads that ran the items of a
@@ -465,7 +476,7 @@ class TestPool:
     def test_nested_pool_fills_the_idle_cpu_with_one_thread(self, monkeypatch):
         [(idents, alive)] = self.nested(monkeypatch, range(1), 2)
         assert len(idents) == 2 and alive == 1
-        assert tensor._PAYOFF.workers == 0 and pool_threads() == []
+        assert pool_at_rest()
 
     @pytest.mark.parametrize("where", ["item", "iterator", "nested"])
     def test_first_exception_reraised_with_no_thread_left(self, where,
@@ -493,14 +504,96 @@ class TestPool:
 
         with pytest.raises((KeyError, ValueError), match="17 failed|3 failed"):
             list(imap_in_order(item, items()))
-        assert tensor._PAYOFF.workers == 0 and pool_threads() == []
+        assert pool_at_rest()
 
     def test_consumer_stopping_early_leaves_no_thread(self, monkeypatch):
         one_worker_per_cpu(monkeypatch, 2)
         results = imap_in_order(lambda i: i, range(100))
         assert next(results) == 0
         results.close()
-        assert tensor._PAYOFF.workers == 0 and pool_threads() == []
+        assert pool_at_rest()
+
+    def test_parked_threads_serve_consecutive_maps(self, monkeypatch):
+        def helpers(cpus):
+            """The threads other than the caller's that ran the items of
+            a map whose ``cpus`` items all run at once."""
+            one_worker_per_cpu(monkeypatch, cpus)
+            barrier = threading.Barrier(cpus, timeout=JOIN_TIMEOUT_S)
+
+            def item(_):
+                if cpus > 1:
+                    barrier.wait()
+                return threading.get_ident()
+
+            idents = set(map_in_order(item, range(cpus)))
+            assert pool_at_rest()
+            return idents - {threading.get_ident()}
+
+        first = helpers(3)
+        assert len(first) == 2 and helpers(3) == first
+        assert {t.ident for t in pool_threads()} == first
+        assert helpers(2) < first and len(pool_threads()) == 1
+        assert helpers(1) == set() and pool_threads() == []
+
+    def test_many_short_maps_under_fast_switching(self, monkeypatch):
+        # Threads parked by one map and woken by the next, with more
+        # workers than CPUs: a lost update of the parked list, the CPU
+        # count or the finished helpers would hang, leak or add threads.
+        n_workers = allowed_cpus() + 3
+        one_worker_per_cpu(monkeypatch, n_workers)
+        outcome = []
+
+        def run():
+            for m in range(150):
+                ran = []
+                got = list(imap_in_order(
+                    lambda i: i * m, range(n_workers),
+                    (lambda: ran.append(m)) if m % 2 else None))
+                outcome.append(got == [i * m for i in range(n_workers)]
+                               and ran == [m] * (m % 2))
+
+        caller = threading.Thread(target=run)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            caller.start()
+            caller.join(timeout=JOIN_TIMEOUT_S)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not caller.is_alive() and outcome == [True] * 150
+        assert pool_at_rest() and len(pool_threads()) <= n_workers - 1
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_then_runs_as_one_more_item_not_yielded(self, cpus, monkeypatch):
+        one_worker_per_cpu(monkeypatch, cpus)
+        events = []
+        drawn = threading.Event()
+
+        def item(i):
+            if cpus > 1 and i == 1:
+                # The last item ends only once ``then`` has run on the
+                # thread that the items leave idle.
+                assert drawn.wait(timeout=JOIN_TIMEOUT_S)
+            events.append(i)
+            return -i
+
+        def then():
+            events.append("then")
+            drawn.set()
+
+        assert list(imap_in_order(item, range(2), then)) == [0, -1]
+        assert events == ([0, 1, "then"] if cpus == 1 else [0, "then", 1])
+        assert pool_at_rest()
+
+    def test_exception_of_then_reraised(self, monkeypatch):
+        one_worker_per_cpu(monkeypatch, 2)
+
+        def then():
+            raise KeyError("then failed")
+
+        with pytest.raises(KeyError, match="then failed"):
+            list(imap_in_order(lambda i: i, range(3), then))
+        assert pool_at_rest()
 
 
 def in_thread(fn):
@@ -516,7 +609,8 @@ def in_thread(fn):
 @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"),
                     reason="no per-thread CPU affinity on this platform")
 class TestKeepOff:
-    """A read-ahead worker keeps off the CPU of the thread it serves."""
+    """A read-ahead worker keeps off the CPU of the thread it serves, and a
+    woken pool thread steps off the CPU of the thread that woke it."""
 
     def test_current_cpu_is_one_the_thread_may_use(self):
         cpu = tensor._current_cpu()
@@ -552,6 +646,39 @@ class TestKeepOff:
 
         assert in_thread(keep_off_only_cpu) == {cpu}
         assert in_thread(keep_off_unknown) == allowed
+
+    def test_step_off_moves_the_thread_and_keeps_its_mask(self):
+        allowed = os.sched_getaffinity(0)
+        if len(allowed) < 2 or tensor._current_cpu() is None:
+            pytest.skip("needs two CPUs and the current CPU from /proc")
+        cpu = min(allowed)
+
+        def step_off():
+            os.sched_setaffinity(0, {cpu})      # on ``cpu`` now
+            os.sched_setaffinity(0, allowed)
+            tensor._step_off(cpu)
+            return tensor._current_cpu(), os.sched_getaffinity(0)
+
+        # The scheduler may move it back later, rarely at once.
+        outcomes = [in_thread(step_off) for _ in range(3)]
+        assert all(mask == allowed for _, mask in outcomes)
+        assert any(now != cpu for now, _ in outcomes)
+
+    def test_woken_pool_thread_steps_off_the_caller_cpu(self, monkeypatch):
+        one_worker_per_cpu(monkeypatch, 2)
+        calls = []
+        monkeypatch.setattr(tensor, "_step_off", lambda cpu: calls.append(
+            (threading.get_ident(), cpu)))
+        monkeypatch.setattr(tensor, "_current_cpu", lambda: "caller's")
+        barrier = threading.Barrier(2, timeout=JOIN_TIMEOUT_S)
+
+        def item(_):
+            barrier.wait()      # both items run at once
+            return threading.get_ident()
+
+        idents = set(map_in_order(item, range(2)))
+        assert calls == [(ident, "caller's") for ident in
+                         idents - {threading.get_ident()}]
 
 
 class TestAdam:
