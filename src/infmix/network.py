@@ -401,13 +401,21 @@ class StochasticMlp(MixtureModel):
     def copy(self) -> "StochasticMlp":
         return StochasticMlp([layer.copy() for layer in self.layers])
 
-    def sample_draws(self, n_samples: int, rng: Rng) -> list:
+    def draw_normals(self, n_samples: int, rng: Rng) -> Array:
+        """The normals of ``n_samples`` weight draws, from one call: an
+        (S, W) array, one row of W weights per draw."""
+        return rng.standard_normal(
+            n_samples, sum(layer.mean.size for layer in self.layers))
+
+    def sample_draws(self, n_samples: int, rng: Rng | None,
+                     normals: Array | None = None) -> list:
         """``n_samples`` draws as one stack (S, n_in+1, n_out) per layer, from
-        one normal call, one row per draw: the stream of a (n_rows, n_cols)
-        call per layer, draw after draw.  Layer 0 is written draw-major, for
-        ``forward``'s wide GEMM."""
+        ``normals`` (``draw_normals``), else drawn from ``rng``.  Each row
+        holds the stream of a (n_rows, n_cols) call per layer, draw after
+        draw.  Layer 0 is written draw-major, for ``forward``'s wide GEMM."""
         sizes = [layer.mean.size for layer in self.layers]
-        normals = rng.standard_normal(n_samples, sum(sizes))
+        if normals is None:
+            normals = self.draw_normals(n_samples, rng)
         parts = np.split(normals, np.cumsum(sizes)[:-1], axis=1)
         draws = []
         for layer, noise in zip(self.layers, parts):

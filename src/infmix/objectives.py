@@ -25,7 +25,7 @@ import numpy as np
 from .data import BatchIterator, Dataset
 from .network import WEIGHT_GRADS, StochasticMlp, backward, forward
 from .posterior import PriorSpec, kl_backward, kl_to_prior, sample_backward
-from .tensor import AdamState, Array, Rng, adam_step
+from .tensor import AdamState, Array, Rng, adam_step, imap_in_order
 
 
 class ObjectiveKind(str, enum.Enum):
@@ -68,8 +68,9 @@ class TrainingDiverged(RuntimeError):
 
 
 def per_example_loglik(net: StochasticMlp, images: Array, labels, n_samples: int,
-                       rng: Rng):
-    """log p(y_n | x_n, theta_s) for S independent weight draws.
+                       rng: Rng | None, normals: Array | None = None):
+    """log p(y_n | x_n, theta_s) for S independent weight draws, made from
+    ``normals`` (``StochasticMlp.draw_normals``), else drawn from ``rng``.
 
     Returns (ll, trace, draws) where ll is (B, S); each draw s is one
     mixture component evaluated on the full batch.  All S run as one stacked
@@ -77,7 +78,7 @@ def per_example_loglik(net: StochasticMlp, images: Array, labels, n_samples: int
     reuses.
     """
     labels = np.asarray(labels)
-    draws = net.sample_draws(n_samples, rng)
+    draws = net.sample_draws(n_samples, rng, normals)
     log_probs, trace = forward([sw.weights for sw in draws], images)
     ll = log_probs[:, np.arange(images.shape[0]), labels].T
     return ll, trace, draws
@@ -138,8 +139,10 @@ def loss_history_csv(records) -> str:
 
 
 def objective_gradients(net: StochasticMlp, images: Array, labels,
-                        cfg: TrainConfig, n_total: int, rng: Rng):
-    """Loss terms and parameter gradients for one batch.
+                        cfg: TrainConfig, n_total: int, rng: Rng | None = None,
+                        normals: Array | None = None):
+    """Loss terms and parameter gradients for one batch, with the weight
+    draws made from ``normals``, else drawn from ``rng``.
 
     Batch loss = -(1/B) sum_n loss_n + kl_weight * KL_total / n_total.
     Returns (nll_term, kl_term, grads) with grads[l] = [gM, ga, gb].
@@ -147,7 +150,7 @@ def objective_gradients(net: StochasticMlp, images: Array, labels,
     labels = np.asarray(labels)
     b = images.shape[0]
     ll, trace, draws = per_example_loglik(
-        net, images, labels, cfg.n_train_samples, rng)
+        net, images, labels, cfg.n_train_samples, rng, normals)
     per_example, weights = objective_loss(cfg.objective, ll)
     nll_term = -float(per_example.mean())
     kl_total = sum(kl_to_prior(layer, cfg.prior) for layer in net.layers)
@@ -205,13 +208,31 @@ def train(net: StochasticMlp, data: Dataset, cfg: TrainConfig,
     """Trains ``net`` in place with ``fit``; returns the loss records.
 
     Deterministic per (net initialization, cfg.seed): batch order and weight
-    draws come from streams derived from cfg.seed.
+    draws come from streams derived from cfg.seed.  Each step but the last
+    draws the next step's normals as one more item of its pool
+    (``imap_in_order``'s ``then``): on a CPU that the step leaves idle, or
+    inline after it.  Only the normals are drawn ahead, as the weights read
+    the parameters that the step updates.  These draws alone read the weight
+    stream, in step order, so every bit is what drawing in each step gives.
     """
     sample_rng = Rng(cfg.seed).derive(_WEIGHT_SAMPLE_STREAM)
+    steps_left = cfg.iterations
+    ahead = None        # the next step's normals, once drawn
+
+    def draw_next():
+        nonlocal ahead
+        ahead = net.draw_normals(cfg.n_train_samples, sample_rng)
 
     def step(images, labels):
-        nll_term, kl_term, grads = objective_gradients(
-            net, images, labels, cfg, n_total=data.n, rng=sample_rng)
+        nonlocal ahead, steps_left
+        if ahead is None:
+            draw_next()
+        normals, ahead = ahead, None
+        steps_left -= 1
+        [(nll_term, kl_term, grads)] = imap_in_order(
+            lambda _: objective_gradients(net, images, labels, cfg,
+                                          n_total=data.n, normals=normals),
+            [None], draw_next if steps_left > 0 else None)
         return nll_term, kl_term, [g for layer in grads for g in layer]
 
     return fit(net.named_params(), step, data, cfg, record_every, progress)

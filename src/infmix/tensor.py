@@ -14,34 +14,12 @@ import itertools
 import os
 import queue
 import threading
-import time
 from contextlib import contextmanager, suppress
 from dataclasses import dataclass
 
 import numpy as np
 
 Array = np.ndarray
-
-# Rows at least this wide are drawn ahead.  A thread start and join take
-# about 87 us and a Philox state copy about 4 us, while 2^14 normals take
-# about 0.35 ms, so narrower rows are not worth a worker.
-READ_AHEAD_WIDTH = 1 << 14
-# A read-ahead whose worker, or the thread it serves, gets less than this
-# share of a CPU (thread CPU time over wall time) takes turns on a CPU with
-# other busy threads, or on a VM shares a host CPU, and so takes the time it
-# saves from the thread it serves.  Workers with a CPU of their own measured
-# shares around 0.95-1.0, and those queued behind the thread they serve 0.5.
-MIN_CPU_SHARE = 0.75
-# Reading ahead stops when the last share and most of this many recent
-# ones fall short, and resumes after one that does not.
-PAYOFF_WINDOW = 3
-# While reading ahead does not pay, a wide request still reads ahead after
-# PROBE_EVERY others, so that a CPU that comes free again is noticed; each
-# probe that falls short doubles the wait, up to MAX_PROBE_EVERY.  Probes
-# cost a little: with a busy loop on the second of two CPUs, probing every
-# 16th or 32nd request made `train` 1-5% slower than never reading ahead.
-PROBE_EVERY = 16
-MAX_PROBE_EVERY = 128
 
 
 def allowed_cpus() -> int:
@@ -85,13 +63,6 @@ def _one_malloc_arena():
     mallopt(_M_ARENA_MAX, 1)
 
 
-def _start_thread(target, name: str, args=(), daemon=None) -> threading.Thread:
-    _one_malloc_arena()
-    thread = threading.Thread(target=target, name=name, args=args, daemon=daemon)
-    thread.start()
-    return thread
-
-
 def _current_cpu():
     """The CPU the calling thread runs on, or None where ``/proc`` does not
     say (field 39 of ``/proc/thread-self/stat`` on Linux)."""
@@ -102,58 +73,28 @@ def _current_cpu():
         return None
 
 
-def _keep_off(cpu):
-    """Let the calling thread run anywhere it may except on ``cpu``.  A new
-    thread is otherwise often started on the CPU of the thread that started
-    it and waits there while another CPU idles."""
-    if cpu is None or not hasattr(os, "sched_setaffinity"):
-        return
-    others = os.sched_getaffinity(0) - {cpu}
-    if others:
-        os.sched_setaffinity(0, others)
-
-
 def _step_off(cpu):
     """Move the calling thread off ``cpu`` now, and let it run anywhere it
     may again.  A woken thread is often placed on the CPU of the thread
     that woke it, and the two then take turns there while another CPU
     idles (on a 2-vCPU VM, PGD steps at one gradient draw took 20 ms
-    against 17); once moved, it stays.  Steering only: a refusal leaves the thread as it
-    is."""
+    against 17); once moved, it stays.  Steering only: a refusal leaves the
+    thread as it is."""
     if cpu is None or not hasattr(os, "sched_setaffinity"):
         return
     with suppress(OSError):
         allowed = os.sched_getaffinity(0)
-        _keep_off(cpu)
-        os.sched_setaffinity(0, allowed)
+        if allowed - {cpu}:
+            os.sched_setaffinity(0, allowed - {cpu})
+            os.sched_setaffinity(0, allowed)
 
 
-def _cpu_share(start) -> float:
-    """The calling thread's CPU time over the wall time since ``start``, a
-    ``(time.thread_time(), time.perf_counter())`` pair it took."""
-    cpu, wall = time.thread_time() - start[0], time.perf_counter() - start[1]
-    return cpu / wall if wall > 0 else 1.0
-
-
-class _Payoff:
-    """Whether reading ahead pays now, and the process's CPU budget for the
-    worker pools of ``imap_in_order``.
-
-    Reading ahead needs an allowed CPU that the CPUs held by running pool
-    workers, or else the one served thread, leave idle.  Then it is judged
-    by the CPU shares (thread CPU time over wall time) of recent
-    read-aheads: each the lesser of the read-ahead thread's during its fill
-    and the served thread's while it ran.  A CPU listed in the affinity mask
-    may be busy with other threads of this or another process (BLAS
-    threads) or, on a VM, share its host CPU with another vCPU; the shares
-    measure all of these.  Shared by every ``Rng`` and pool of the process;
-    the budget is kept under a lock, and a lost update of the shares from a
-    racing thread only shifts the timing."""
+class _Budget:
+    """The process's CPU budget for the worker pools of ``imap_in_order``:
+    its size, and how many of its CPUs running pool workers hold.  Shared
+    by every pool of the process, and kept under a lock."""
 
     def __init__(self):
-        self.shares = ()
-        self.skipped = 0
-        self.probe_every = PROBE_EVERY
         self.workers = 0        # CPUs held by running pool workers
         self.size = 0           # the budget they are held from
         self._lock = threading.Lock()
@@ -203,63 +144,8 @@ class _Payoff:
         with self._lock:
             self.workers += n
 
-    def record(self, share: float):
-        self.shares = (self.shares + (share,))[-PAYOFF_WINDOW:]
 
-    def pays(self) -> bool:
-        if max(self.workers, 1) >= allowed_cpus():
-            return False
-        good = [share >= MIN_CPU_SHARE for share in self.shares]
-        if len(good) < PAYOFF_WINDOW or good[-1] or 2 * sum(good) > len(good):
-            self.probe_every = PROBE_EVERY
-            return True
-        self.skipped += 1
-        if self.skipped < self.probe_every:
-            return False
-        self.skipped = 0
-        self.probe_every = min(2 * self.probe_every, MAX_PROBE_EVERY)
-        return True
-
-
-_PAYOFF = _Payoff()
-
-
-class _ReadAhead:
-    """The rows a Philox stream draws next, filled on a worker thread from a
-    copy of its state into ``rows``; ``state`` is the state after them.
-    ``join`` re-raises whatever the worker raised and otherwise, when called
-    by the thread that made it, records the read-ahead's CPU share: another
-    thread's CPU time says nothing about the served thread's."""
-
-    def __init__(self, clone, state: dict, rows: Array):
-        self.rows = rows
-        self.state = None
-        self.error = None
-        self.share = None       # the worker's, during its fill
-        self._served = threading.get_ident()
-        self._start = time.thread_time(), time.perf_counter()
-        self._thread = _start_thread(self._fill, "infmix-rng-read-ahead",
-                                     (clone, state, _current_cpu()))
-
-    def _fill(self, clone, state, consumer_cpu):
-        try:
-            _keep_off(consumer_cpu)
-            clone.bit_generator.state = state
-            start = time.thread_time(), time.perf_counter()
-            clone.standard_normal(out=self.rows)
-            self.share = _cpu_share(start)
-            self.state = clone.bit_generator.state
-        except BaseException as exc:  # re-raised by join, in the consumer
-            self.error = exc
-
-    def join(self):
-        served = (_cpu_share(self._start)
-                  if threading.get_ident() == self._served else None)
-        self._thread.join()
-        if self.error is not None:
-            raise self.error
-        if served is not None:
-            _PAYOFF.record(min(self.share, served))
+_BUDGET = _Budget()
 
 
 class Rng:
@@ -269,14 +155,8 @@ class Rng:
     independent child stream addressed by integer tags, which is how trials,
     epochs, and evaluation draws get their own reproducible randomness.
 
-    Philox is counter-based, so a copy of its state draws exactly what the
-    stream draws next.  After serving an (n, w) request with w at least
-    ``READ_AHEAD_WIDTH``, while reading ahead pays (``_Payoff``), the stream
-    draws the next (n, w) normals from such a copy on a worker thread.  A
-    later request of the same shape takes them; any other call drops them,
-    so no call pattern changes a single bit.  An ``Rng`` is used by one
-    thread at a time; ``imap_in_order`` hands one from worker to worker
-    under its lock.
+    An ``Rng`` is used by one thread at a time, whichever thread it is:
+    ``imap_in_order`` hands one from worker to worker under its lock.
     """
 
     def __init__(self, seed: int, _spawn_key: tuple[int, ...] = ()):
@@ -284,52 +164,24 @@ class Rng:
         self.spawn_key = tuple(int(t) for t in _spawn_key)
         ss = np.random.SeedSequence(entropy=self.seed, spawn_key=self.spawn_key)
         self._gen = np.random.Generator(np.random.Philox(ss))
-        self._clone = None      # the read-ahead's generator, made on first use
-        self._ahead = None      # the pending _ReadAhead
 
     def derive(self, *tags: int) -> "Rng":
         """Independent child stream; deterministic in (seed, tags)."""
         return Rng(self.seed, self.spawn_key + tuple(tags))
 
-    def _drop_ahead(self):
-        """The pending read-ahead, finished, or None; the stream no longer
-        holds it.  Re-raises an exception of its worker."""
-        ahead, self._ahead = self._ahead, None
-        if ahead is not None:
-            ahead.join()
-        return ahead
-
     def standard_normal(self, *shape: int) -> Array:
-        wide = len(shape) == 2 and shape[0] > 0 and shape[1] >= READ_AHEAD_WIDTH
-        if self._ahead is None and not wide:
-            return self._gen.standard_normal(shape, dtype=np.float64)
-        ahead = self._drop_ahead()
-        if ahead is not None and ahead.rows.shape == shape:
-            out = ahead.rows
-            self._gen.bit_generator.state = ahead.state
-        else:
-            out = self._gen.standard_normal(shape, dtype=np.float64)
-        if wide and _PAYOFF.pays():
-            if self._clone is None:
-                self._clone = np.random.Generator(np.random.Philox())
-            self._ahead = _ReadAhead(self._clone, self._gen.bit_generator.state,
-                                     np.empty(shape))
-        return out
+        return self._gen.standard_normal(shape, dtype=np.float64)
 
     def uniform(self, low: float, high: float, shape) -> Array:
-        self._drop_ahead()
         return self._gen.uniform(low, high, shape)
 
     def permutation(self, n: int) -> Array:
-        self._drop_ahead()
         return self._gen.permutation(n)
 
     def integers(self, low: int, high: int, size=None):
-        self._drop_ahead()
         return self._gen.integers(low, high, size=size)
 
     def choice(self, n: int, size: int, replace: bool = False) -> Array:
-        self._drop_ahead()
         return self._gen.choice(n, size=size, replace=replace)
 
     def __repr__(self):
@@ -343,7 +195,7 @@ class _Workers:
     6 ms GEMM items took 11-14 ms with a thread started per map, more than
     a plain loop's 10-12 ms, and 6.5-8 ms with a parked thread that steps
     off the caller's CPU (``_step_off``).  A pool hands its threads only
-    CPUs of its budget, so no more of them exist than ``_PAYOFF.size - 1``
+    CPUs of its budget, so no more of them exist than ``_BUDGET.size - 1``
     once ``retire`` has ended those that a smaller budget leaves over."""
 
     def __init__(self):
@@ -360,8 +212,11 @@ class _Workers:
                 jobs = self.parked.pop()
             else:
                 jobs = queue.SimpleQueue()
-                self.threads[jobs] = _start_thread(
-                    self._serve, "infmix-worker", (jobs,), daemon=True)
+                _one_malloc_arena()
+                self.threads[jobs] = threading.Thread(
+                    target=self._serve, name="infmix-worker", args=(jobs,),
+                    daemon=True)
+                self.threads[jobs].start()
         jobs.put((helper, done, _current_cpu()))
 
     def _serve(self, jobs):
@@ -369,7 +224,7 @@ class _Workers:
             helper, done, caller_cpu = job
             job = None
             _step_off(caller_cpu)
-            with _PAYOFF.holding():
+            with _BUDGET.holding():
                 try:
                     helper()
                 finally:
@@ -405,7 +260,7 @@ _THEN = object()
 def imap_in_order(fn, items, then=None):
     """Yield ``fn(item)`` for each of ``items``, in their order, computed by
     the calling thread and as many parked threads (``_Workers``) as the CPU
-    budget leaves CPUs free (``_PAYOFF.reserve``).
+    budget leaves CPUs free (``_BUDGET.reserve``).
 
     Items are taken one at a time, in order, under the pool's lock, so an
     iterator that draws from an ``Rng`` draws what a plain loop would draw.
@@ -479,8 +334,8 @@ def imap_in_order(fn, items, then=None):
             finished += 1
             cond.notify_all()
 
-    with _PAYOFF.reserve(n_items) as extra:
-        _WORKERS.retire(_PAYOFF.size - 1)
+    with _BUDGET.reserve(n_items) as extra:
+        _WORKERS.retire(_BUDGET.size - 1)
         started = 0
         try:
             for _ in range(extra):
@@ -494,11 +349,11 @@ def imap_in_order(fn, items, then=None):
                         job = take()
                         if job is not None or index == taken or errors:
                             break
-                        _PAYOFF.add(-1)     # lent while another computes it
+                        _BUDGET.add(-1)     # lent while another computes it
                         try:
                             cond.wait()
                         finally:
-                            _PAYOFF.add(1)
+                            _BUDGET.add(1)
                     if errors:
                         raise errors[0]
                     if job is None:
@@ -517,7 +372,7 @@ def imap_in_order(fn, items, then=None):
                 exhausted = True    # the consumer may stop early
                 while finished < started:
                     cond.wait()
-            _PAYOFF.add(started - extra)    # helpers that never started
+            _BUDGET.add(started - extra)    # helpers that never started
 
 
 def map_in_order(fn, items) -> list:

@@ -1,9 +1,11 @@
 """Shared fixtures: synthetic IDX datasets for fast pipeline tests, the
-worker budget pinned to a CPU count, and discovery of real IDX data (env var
+worker budget pinned to a CPU count and the check that the pool is at rest,
+and discovery of real IDX data (env var
 INFMIX_DATA_DIR) for the long-running reproduction tests, which skip when
 the files are absent."""
 
 import os
+import threading
 
 import numpy as np
 import pytest
@@ -17,6 +19,21 @@ def one_worker_per_cpu(monkeypatch, cpus):
     of ``cpus`` CPUs with BLAS on one thread would."""
     monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
     monkeypatch.setattr(tensor, "allowed_cpus", lambda: cpus)
+
+
+def pool_threads():
+    return [t for t in threading.enumerate() if t.name == "infmix-worker"]
+
+
+def pool_at_rest():
+    """No pool thread computes or holds a CPU: every one alive is parked,
+    there are fewer of them than the budget has CPUs, and no CPU of the
+    budget is held."""
+    workers = tensor._WORKERS
+    parked = [workers.threads[jobs] for jobs in workers.parked]
+    return (tensor._BUDGET.workers == 0
+            and sorted(map(id, pool_threads())) == sorted(map(id, parked))
+            and len(parked) < tensor.default_threads())
 
 
 def synthetic_arrays(n, seed, side=28, n_classes=10, style=0):

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from conftest import one_worker_per_cpu
 from infmix.baselines import DeepEnsemble, DeterministicMlp, DropoutMlp
 from infmix.gradcheck import check_mixture_input_gradient, check_network_gradient
-from infmix import network, tensor
+from infmix import network
 from infmix.network import (DRAW_BLOCK, INPUT_GRAD, MAX_ENTROPY, WEIGHT_GRADS,
                             StochasticMlp, backward, entropy_of, forward,
                             summarize_prob_stream, summarize_probs)
@@ -308,7 +308,6 @@ def predict_peak(monkeypatch, cpus):
     B=2000 on ``cpus`` workers, in blocks: a block's two hidden activations
     take 2 blocks and its weights half of one, so one block alive at a time
     takes about 3 and two about 5."""
-    monkeypatch.setattr(tensor._PAYOFF, "pays", lambda: False)
     one_worker_per_cpu(monkeypatch, cpus)
     net = StochasticMlp.create(Rng(0).derive(0))
     x = Rng(1).uniform(0, 1, (2000, 784))

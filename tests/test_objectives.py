@@ -1,5 +1,8 @@
 """Mixture-likelihood vs expected-log objectives and the training loop."""
 
+import hashlib
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -15,9 +18,9 @@ from infmix.objectives import (FitConfig, LossRecord, ObjectiveKind,
                                ml_loss, objective_gradients,
                                per_example_loglik, train, vi_loss)
 from infmix.posterior import PriorSpec, kl_to_prior
-from infmix.tensor import AdamState, Rng, adam_step
+from infmix.tensor import AdamState, Rng, adam_step, map_in_order
 
-from conftest import synthetic_arrays
+from conftest import one_worker_per_cpu, pool_at_rest, synthetic_arrays
 
 
 def collapsed_net(seed, topology=(6, 4, 4, 3)):
@@ -156,6 +159,21 @@ class TestObjectiveGradients:
                                           perturb=1e-2)
         assert not result.passed
 
+    @pytest.mark.parametrize("kind, n_samples", [("ml", 1), ("ml", 5), ("vi", 3)])
+    def test_normals_drawn_beforehand_give_the_bits_of_the_rng(self, kind,
+                                                               n_samples):
+        net = StochasticMlp.create(Rng(0), topology=(6, 4, 4, 3))
+        x = Rng(1).uniform(0.0, 1.0, (5, 6))
+        y = np.array([0, 1, 2, 0, 1])
+        cfg = TrainConfig(objective=kind, kl_weight=0.3, n_train_samples=n_samples)
+        from_rng = objective_gradients(net, x, y, cfg, n_total=50, rng=Rng(2))
+        from_normals = objective_gradients(
+            net, x, y, cfg, n_total=50,
+            normals=net.draw_normals(n_samples, Rng(2)))
+        assert from_rng[:2] == from_normals[:2]
+        for a, b in zip(from_rng[2], from_normals[2]):
+            assert all(np.array_equal(ga, gb) for ga, gb in zip(a, b))
+
 
 class TestTrain:
     def test_loss_decreases_on_toy_data(self):
@@ -289,6 +307,138 @@ class TestTrain:
         train(net, subset, cfg, record_every=0)
         summary = net.predict(subset.images, n_samples=1, rng=Rng(1))
         assert summary.accuracy(subset.labels) >= 0.95
+
+
+# SHA-256 of the trained parameters and the loss history of six steps, per
+# (objective, draws per step), taken while every step still drew its own
+# normals: the same on 1, 2 and 3 CPUs, and under OPENBLAS_NUM_THREADS=1, 2,
+# 4 and unset.  Another numpy or BLAS build may need them taken again.
+TRAIN_TOPOLOGY = (64, 32, 32, 10)
+TRAIN_DIGESTS = {
+    ("ml", 1): "e55bfe1526eaec5192dafab958b3cead14b2502b84edc9cf363179451d9a11be",
+    ("ml", 5): "a8f6e26fa9308f87abadb89fdc673c12f75333e3b44d571b51eef8d4026ff90e",
+    ("vi", 3): "244d05112af76be409448472e10a96c141a5af531ebd8bb9c239ba709d66b05c",
+}
+
+
+class TestDrawAhead:
+    """Each training step but the last draws the next step's normals in its
+    own pool, and training gives the bits it gave when every step drew its
+    own."""
+
+    data = Dataset(images=Rng(7).uniform(0.0, 1.0, (90, TRAIN_TOPOLOGY[0])),
+                   labels=np.arange(90) % 10)
+
+    def net(self):
+        return StochasticMlp.create(Rng(0).derive(0), topology=TRAIN_TOPOLOGY)
+
+    def cfg(self, objective="ml", n_train_samples=5, iterations=6):
+        return TrainConfig(objective=objective, n_train_samples=n_train_samples,
+                           iterations=iterations, batch_size=30, seed=11)
+
+    def digest(self, objective_and_samples):
+        """The SHA-256 of ``TRAIN_DIGESTS`` for one training."""
+        net = self.net()
+        records = train(net, self.data, self.cfg(*objective_and_samples))
+        digest = hashlib.sha256()
+        for _, p in net.named_params():
+            digest.update(p.tobytes())
+        digest.update(loss_history_csv(records).encode())
+        return digest.hexdigest()
+
+    @pytest.mark.parametrize("cpus", [1, 2, 3])
+    @pytest.mark.parametrize("objective, n_train_samples", sorted(TRAIN_DIGESTS))
+    def test_pinned_bytes_on_every_cpu_count(self, objective, n_train_samples,
+                                             cpus, monkeypatch):
+        one_worker_per_cpu(monkeypatch, cpus)
+        run = objective, n_train_samples
+        assert self.digest(run) == TRAIN_DIGESTS[run]
+        assert pool_at_rest()
+
+    @pytest.mark.parametrize("cpus", [2, 3])
+    def test_pinned_bytes_under_a_full_map(self, cpus, monkeypatch):
+        # Two trainings fill two CPUs: a step's pool finds no idle CPU, or,
+        # on three, one of them finds the third, and draws ahead there.
+        one_worker_per_cpu(monkeypatch, cpus)
+        runs = [("ml", 5), ("vi", 3)]
+        assert map_in_order(self.digest, runs) == [TRAIN_DIGESTS[run]
+                                                   for run in runs]
+        assert pool_at_rest()
+
+    def test_a_step_keeps_its_normals_while_the_next_are_drawn(
+            self, monkeypatch):
+        # On two CPUs each step but the last computes only once the next
+        # step's normals are drawn on the other.
+        one_worker_per_cpu(monkeypatch, 2)
+        drawn = threading.Condition()
+        count = {"draws": 0, "steps": 0}
+        real_draw = StochasticMlp.draw_normals
+        real_grads = objectives_mod.objective_gradients
+
+        def draw_normals(*args):
+            out = real_draw(*args)
+            with drawn:
+                count["draws"] += 1
+                drawn.notify_all()
+            return out
+
+        def objective_gradients(*args, **kwargs):
+            step = count["steps"]
+            count["steps"] += 1
+            if step < self.cfg().iterations - 1:
+                with drawn:
+                    assert drawn.wait_for(lambda: count["draws"] >= step + 2,
+                                          timeout=60.0)
+            return real_grads(*args, **kwargs)
+
+        monkeypatch.setattr(StochasticMlp, "draw_normals", draw_normals)
+        monkeypatch.setattr(objectives_mod, "objective_gradients",
+                            objective_gradients)
+        assert self.digest(("ml", 5)) == TRAIN_DIGESTS["ml", 5]
+        assert pool_at_rest()
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    @pytest.mark.parametrize("n_train_samples", [1, 5])
+    def test_each_step_draws_the_next_and_the_last_none(
+            self, n_train_samples, cpus, monkeypatch):
+        one_worker_per_cpu(monkeypatch, cpus)
+        net = self.net()
+        shapes = []
+        real_normal = Rng.standard_normal
+
+        def standard_normal(rng, *shape):
+            shapes.append(shape)
+            return real_normal(rng, *shape)
+
+        monkeypatch.setattr(Rng, "standard_normal", standard_normal)
+        drawn_by_step = []
+        n_steps = 7
+        train(net, self.data, self.cfg(n_train_samples=n_train_samples,
+                                       iterations=n_steps),
+              progress=lambda it, loss: drawn_by_step.append(len(shapes)))
+        n_weights = sum(layer.mean.size for layer in net.layers)
+        assert shapes == [(n_train_samples, n_weights)] * n_steps
+        assert np.diff([0] + drawn_by_step).tolist() == \
+            [2] + [1] * (n_steps - 2) + [0]
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_error_of_the_drawn_ahead_item_comes_out_of_train(
+            self, cpus, monkeypatch):
+        one_worker_per_cpu(monkeypatch, cpus)
+        net = self.net()
+        calls = []
+        real_draw = net.draw_normals
+
+        def draw_normals(*args):
+            calls.append(args)
+            if len(calls) == 3:     # drawn ahead by the second step
+                raise KeyError("draw 3 failed")
+            return real_draw(*args)
+
+        monkeypatch.setattr(net, "draw_normals", draw_normals)
+        with pytest.raises(KeyError, match="draw 3 failed"):
+            train(net, self.data, self.cfg(iterations=5))
+        assert len(calls) == 3 and pool_at_rest()
 
 
 class TestFit:

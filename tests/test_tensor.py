@@ -4,21 +4,19 @@ import os
 import sys
 import threading
 import time
-import types
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import one_worker_per_cpu
+from conftest import one_worker_per_cpu, pool_at_rest, pool_threads
 from infmix import tensor
 from infmix.network import StochasticMlp
-from infmix.tensor import (MAX_PROBE_EVERY, PAYOFF_WINDOW, PROBE_EVERY,
-                           READ_AHEAD_WIDTH, AdamState, Rng, adam_step,
-                           allowed_cpus, imap_in_order, map_in_order)
+from infmix.tensor import (AdamState, Rng, adam_step, allowed_cpus,
+                           imap_in_order, map_in_order)
 
-W = READ_AHEAD_WIDTH
+W = 1000     # the width of a row of normals
 JOIN_TIMEOUT_S = 60.0
 
 
@@ -58,12 +56,6 @@ def check_stream(seed, ops):
     assert np.array_equal(rng.standard_normal(3, W), ref.standard_normal((3, W)))
 
 
-@pytest.fixture(params=[True, False], ids=["read-ahead", "in-place"])
-def pays(request, monkeypatch):
-    monkeypatch.setattr(tensor._PAYOFF, "pays", lambda: request.param)
-    return request.param
-
-
 class TestRng:
     def test_same_seed_identical_stream(self):
         m1 = Rng(42).standard_normal(2, 2)
@@ -87,36 +79,24 @@ class TestRng:
         assert -0.01 < draws.mean() < 0.01
         assert 0.98 < draws.var() < 1.02
 
+    # Every call equals a plain Philox generator making the same calls.
 
-class TestReadAhead:
-    """Wide rows of normals are drawn ahead from a copy of the Philox state;
-    every request still equals a plain generator making the same calls."""
-
-    def test_block_row_pattern(self, pays):
+    def test_block_row_pattern(self):
         check_stream(0, [("normal", (n, W)) for n in (2, 2, 1) * 3])
 
-    def test_read_ahead_starts_only_for_wide_rows_while_it_pays(self, pays):
-        rng = Rng(1)
-        rng.standard_normal(3, 50)
-        rng.standard_normal(4 * W)
-        rng.standard_normal(0, W)
-        assert rng._ahead is None
-        rng.standard_normal(2, W)
-        assert (rng._ahead is not None) == pays
-
-    def test_zero_rows_and_flat_requests(self, pays):
+    def test_zero_rows_and_flat_requests(self):
         check_stream(1, [("normal", (0, W)), ("normal", (2, W)),
                          ("normal", (0, W)), ("normal", (2, W)),
                          ("normal", (5,)), ("normal", (2, W)),
                          ("normal", (2 * W,)), ("normal", (3, 4)),
                          ("normal", ()), ("normal", (1, W))])
 
-    def test_width_changes(self, pays):
+    def test_width_changes(self):
         check_stream(2, [("normal", (2, W)), ("normal", (2, W + 5)),
                          ("normal", (3, W + 5)), ("normal", (1, W)),
                          ("normal", (2, 7)), ("normal", (4, W))])
 
-    def test_other_calls_in_between(self, pays):
+    def test_other_calls_in_between(self):
         check_stream(3, [("normal", (2, W)), ("uniform", (3, 2)),
                          ("normal", (2, W)), ("integers", 5),
                          ("normal", (2, W)), ("permutation", 9),
@@ -134,14 +114,18 @@ class TestReadAhead:
         max_size=8))
     @settings(max_examples=40, deadline=None)
     def test_any_call_sequence_matches_reference(self, seed, ops):
-        for on in (True, False):
-            tensor._PAYOFF.pays = lambda: on
-            try:
-                check_stream(seed, ops)
-            finally:
-                del tensor._PAYOFF.pays
+        check_stream(seed, ops)
 
-    def test_draw_blocks_equal_single_draws_at_protocol_shape(self, pays):
+    def test_stream_handed_between_threads_goes_on(self):
+        # Training draws a step's normals on whichever pool thread is idle.
+        rng, ref = Rng(9), reference(9)
+        for n in (5, 5, 1, 5):
+            assert np.array_equal(in_thread(lambda: rng.standard_normal(n, W)),
+                                  ref.standard_normal((n, W)))
+            assert np.array_equal(rng.standard_normal(2, W),
+                                  ref.standard_normal((2, W)))
+
+    def test_draw_blocks_equal_single_draws_at_protocol_shape(self):
         net = StochasticMlp.create(Rng(0).derive(0))
         rng, ref = Rng(7), reference(7)
         blocks = [net.sample_draws(n, rng) for n in (5, 2, 2, 1)]
@@ -151,168 +135,11 @@ class TestReadAhead:
                     e = ref.standard_normal((layer.n_rows, layer.n_cols))
                     assert np.array_equal(draws[l].noise[s], e)
 
-    def test_worker_exception_reraises_in_next_request(self, monkeypatch):
-        monkeypatch.setattr(tensor._PAYOFF, "pays", lambda: True)
-
-        class FailingFill:
-            bit_generator = types.SimpleNamespace(state=None)
-
-            def standard_normal(self, out):
-                raise RuntimeError("read-ahead fill failed")
-
-        rng, ref = Rng(4), reference(4)
-        rng._clone = FailingFill()
-        assert np.array_equal(rng.standard_normal(2, W), ref.standard_normal((2, W)))
-        worker = rng._ahead._thread
-        worker.join(timeout=JOIN_TIMEOUT_S)
-        assert not worker.is_alive()
-        with pytest.raises(RuntimeError, match="read-ahead fill failed"):
-            rng.standard_normal(2, W)
-        # Nothing was taken from the stream, which goes on unchanged.
-        rng._clone = None
-        assert np.array_equal(rng.standard_normal(2, W), ref.standard_normal((2, W)))
-
-    def test_more_streams_than_cpus_under_fast_switching(self, monkeypatch):
-        monkeypatch.setattr(tensor._PAYOFF, "pays", lambda: True)
-        n_threads = (os.cpu_count() or 1) + 3
-        ops = [("normal", (n, W)) for n in (2, 2, 1, 3)] + [
-            ("uniform", 4), ("normal", (2, W)), ("normal", (2, W + 1))]
-        failures = []
-
-        def run(seed):
-            try:
-                check_stream(seed, ops * 3)
-            except BaseException as exc:
-                failures.append((seed, exc))
-
-        workers = [threading.Thread(target=run, args=(seed,))
-                   for seed in range(n_threads)]
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-5)
-        try:
-            deadline = time.monotonic() + JOIN_TIMEOUT_S
-            for t in workers:
-                t.start()
-            for t in workers:
-                t.join(timeout=max(deadline - time.monotonic(), 0.0))
-        finally:
-            sys.setswitchinterval(interval)
-        assert not any(t.is_alive() for t in workers)
-        assert failures == []
-
-
-class TestPayoff:
-    """Reading ahead stops while read-aheads get less than ``MIN_CPU_SHARE``
-    of a CPU, still probes at doubling intervals from ``PROBE_EVERY`` up to
-    ``MAX_PROBE_EVERY`` requests, and resumes after one that got a CPU."""
-
-    @pytest.fixture(autouse=True)
-    def payoff(self, monkeypatch):
-        monkeypatch.setattr(tensor, "allowed_cpus", lambda: 2)
-        payoff = tensor._Payoff()
-        monkeypatch.setattr(tensor, "_PAYOFF", payoff)
-        return payoff
-
-    def test_pays_until_measured(self, payoff):
-        assert payoff.pays()
-
-    def test_one_cpu_never_pays(self, payoff, monkeypatch):
-        monkeypatch.setattr(tensor, "allowed_cpus", lambda: 1)
-        assert not payoff.pays()
-
-    def test_shared_cpu_stops_it_but_for_probes_at_doubling_intervals(self, payoff):
-        for _ in range(PAYOFF_WINDOW):
-            payoff.record(0.5)
-        gaps, waited = [], 0
-        for _ in range(6 * MAX_PROBE_EVERY):
-            waited += 1
-            if payoff.pays():
-                gaps.append(waited)
-                waited = 0
-        want = [PROBE_EVERY]
-        while len(want) < len(gaps):
-            want.append(min(2 * want[-1], MAX_PROBE_EVERY))
-        assert gaps == want and gaps[-1] == MAX_PROBE_EVERY
-
-    def test_one_good_probe_resumes_it_and_resets_the_interval(self, payoff):
-        for _ in range(PAYOFF_WINDOW):
-            payoff.record(0.5)
-        while not payoff.pays():
-            pass
-        payoff.record(0.95)
-        assert payoff.pays()
-        payoff.record(0.4)
-        payoff.record(0.4)
-        assert [payoff.pays() for _ in range(PROBE_EVERY)] == [False] * (
-            PROBE_EVERY - 1) + [True]
-
-    def test_one_slow_read_ahead_does_not_stop_it(self, payoff):
-        for share in (0.98, 0.97, 0.3):
-            payoff.record(share)
-        assert payoff.pays()
-
-    def test_workers_record_their_share(self, payoff):
-        rng, ref = Rng(5), reference(5)
-        for _ in range(2):
-            assert np.array_equal(rng.standard_normal(2, W), ref.standard_normal((2, W)))
-        assert np.array_equal(rng.uniform(0, 1, 3), ref.uniform(0, 1, 3))
-        assert len(payoff.shares) == 2 and all(s > 0 for s in payoff.shares)
-
-    @pytest.mark.parametrize("worker, served", [(0.9, 0.3), (0.3, 0.9)])
-    def test_records_the_lesser_of_worker_and_served_share(
-            self, payoff, monkeypatch, worker, served):
-        caller = threading.current_thread()
-        monkeypatch.setattr(tensor, "_cpu_share", lambda start: (
-            served if threading.current_thread() is caller else worker))
-        rng = Rng(7)
-        rng.standard_normal(2, W)
-        rng.uniform(0, 1, 1)
-        assert payoff.shares == (0.3,)
-
-    def test_read_ahead_of_another_thread_records_no_share(self, payoff):
-        rng, ref = Rng(8), reference(8)
-        # Started in one thread, taken in this one, which starts the next;
-        # that one is dropped in a third thread.
-        first = in_thread(lambda: rng.standard_normal(2, W))
-        assert rng._ahead is not None
-        second = rng.standard_normal(2, W)
-        assert rng._ahead is not None
-        third = in_thread(lambda: rng.uniform(0, 1, 3))
-        assert np.array_equal(first, ref.standard_normal((2, W)))
-        assert np.array_equal(second, ref.standard_normal((2, W)))
-        assert np.array_equal(third, ref.uniform(0, 1, 3))
-        assert payoff.shares == ()
-        # The stream goes on from where the reference is.
-        assert np.array_equal(rng.standard_normal(3, W), ref.standard_normal((3, W)))
-
-    def test_no_worker_while_it_does_not_pay(self, payoff):
-        for _ in range(PAYOFF_WINDOW):
-            payoff.record(0.4)
-        rng = Rng(6)
-        rng.standard_normal(2, W)
-        assert rng._ahead is None
-
-
-def pool_threads():
-    return [t for t in threading.enumerate() if t.name == "infmix-worker"]
-
-
-def pool_at_rest():
-    """No pool thread computes or holds a CPU: every one alive is parked,
-    there are fewer of them than the budget has CPUs, and no CPU of the
-    budget is held."""
-    workers = tensor._WORKERS
-    parked = [workers.threads[jobs] for jobs in workers.parked]
-    return (tensor._PAYOFF.workers == 0
-            and sorted(map(id, pool_threads())) == sorted(map(id, parked))
-            and len(parked) < tensor.default_threads())
-
 
 class TestMapInOrder:
     """``map_in_order`` returns results in input order from the calling
     thread plus one parked thread per other CPU of the budget, and counts
-    its running workers in ``_PAYOFF.workers``, which read-aheads leave a
-    CPU to."""
+    its running workers in ``_BUDGET.workers``."""
 
     def test_caller_is_one_of_the_workers(self, monkeypatch):
         one_worker_per_cpu(monkeypatch, 3)
@@ -344,7 +171,7 @@ class TestMapInOrder:
         seen = []
 
         def item(i):
-            seen.append(tensor._PAYOFF.workers)
+            seen.append(tensor._BUDGET.workers)
             np.linalg.norm(np.arange(200.0))    # drops and takes the GIL
             if i == fail_at:
                 raise ValueError(f"item {i} failed")
@@ -374,30 +201,6 @@ class TestMapInOrder:
         else:
             assert str(outcome[0]) == f"item {fail_at} failed"
             assert len(seen) < 200
-
-    def test_reads_ahead_only_while_a_cpu_is_idle(self, monkeypatch):
-        one_worker_per_cpu(monkeypatch, 2)
-        monkeypatch.setattr(tensor, "_PAYOFF", tensor._Payoff())
-
-        def read_aheads(n_workers):
-            barrier = threading.Barrier(n_workers, timeout=JOIN_TIMEOUT_S)
-
-            def item(seed):
-                barrier.wait()      # every worker is running
-                rng, ref = Rng(seed), reference(seed)
-                got = rng.standard_normal(2, W)
-                started = rng._ahead is not None
-                assert np.array_equal(rng.standard_normal(2, W),
-                                      ref.standard_normal((4, W))[2:])
-                assert np.array_equal(
-                    got, reference(seed).standard_normal((2, W)))
-                barrier.wait()      # no worker stops before all have looked
-                return started
-
-            return map_in_order(item, range(n_workers))
-
-        assert read_aheads(2) == [False, False]
-        assert read_aheads(1) == [True]
 
 
 class TestPool:
@@ -609,8 +412,7 @@ def in_thread(fn):
 @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"),
                     reason="no per-thread CPU affinity on this platform")
 class TestKeepOff:
-    """A read-ahead worker keeps off the CPU of the thread it serves, and a
-    woken pool thread steps off the CPU of the thread that woke it."""
+    """A woken pool thread steps off the CPU of the thread that woke it."""
 
     def test_current_cpu_is_one_the_thread_may_use(self):
         cpu = tensor._current_cpu()
@@ -618,34 +420,21 @@ class TestKeepOff:
             pytest.skip("/proc does not give the current CPU here")
         assert cpu in os.sched_getaffinity(0)
 
-    def test_worker_leaves_out_the_consumer_cpu_only(self):
-        allowed = os.sched_getaffinity(0)
-        if len(allowed) < 2:
-            pytest.skip("needs two CPUs")
-        cpu = min(allowed)
-
-        def keep_off():
-            tensor._keep_off(cpu)
-            return os.sched_getaffinity(0)
-
-        assert in_thread(keep_off) == allowed - {cpu}
-        assert os.sched_getaffinity(0) == allowed
-
     def test_unknown_or_only_cpu_changes_nothing(self):
         allowed = os.sched_getaffinity(0)
         cpu = min(allowed)
 
-        def keep_off_only_cpu():
+        def step_off_only_cpu():
             os.sched_setaffinity(0, {cpu})
-            tensor._keep_off(cpu)
+            tensor._step_off(cpu)
             return os.sched_getaffinity(0)
 
-        def keep_off_unknown():
-            tensor._keep_off(None)
+        def step_off_unknown():
+            tensor._step_off(None)
             return os.sched_getaffinity(0)
 
-        assert in_thread(keep_off_only_cpu) == {cpu}
-        assert in_thread(keep_off_unknown) == allowed
+        assert in_thread(step_off_only_cpu) == {cpu}
+        assert in_thread(step_off_unknown) == allowed
 
     def test_step_off_moves_the_thread_and_keeps_its_mask(self):
         allowed = os.sched_getaffinity(0)
