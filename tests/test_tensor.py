@@ -26,12 +26,16 @@ def reference(seed, *tags):
     return np.random.Generator(np.random.Philox(ss))
 
 
-def apply(op, rng, ref):
+def in_place(fn):
+    return fn()
+
+
+def apply(op, rng, ref, draw=in_place):
     """Make the call ``op`` on an ``Rng`` and on its reference generator;
-    returns both results."""
+    returns both results.  ``draw`` makes the ``Rng``'s requests for normals."""
     kind, arg = op
     if kind == "normal":
-        return rng.standard_normal(*arg), ref.standard_normal(arg)
+        return draw(lambda: rng.standard_normal(*arg)), ref.standard_normal(arg)
     if kind == "uniform":
         return rng.uniform(-1.0, 2.0, arg), ref.uniform(-1.0, 2.0, arg)
     if kind == "integers":
@@ -47,10 +51,10 @@ def apply(op, rng, ref):
         reference(rng.seed, *rng.spawn_key, arg).standard_normal((2, W))
 
 
-def check_stream(seed, ops):
+def check_stream(seed, ops, draw=in_place):
     rng, ref = Rng(seed), reference(seed)
     for op in ops:
-        got, want = apply(op, rng, ref)
+        got, want = apply(op, rng, ref, draw)
         assert np.array_equal(got, want), op
     # The stream goes on from where the reference is.
     assert np.array_equal(rng.standard_normal(3, W), ref.standard_normal((3, W)))
@@ -81,29 +85,6 @@ class TestRng:
 
     # Every call equals a plain Philox generator making the same calls.
 
-    def test_block_row_pattern(self):
-        check_stream(0, [("normal", (n, W)) for n in (2, 2, 1) * 3])
-
-    def test_zero_rows_and_flat_requests(self):
-        check_stream(1, [("normal", (0, W)), ("normal", (2, W)),
-                         ("normal", (0, W)), ("normal", (2, W)),
-                         ("normal", (5,)), ("normal", (2, W)),
-                         ("normal", (2 * W,)), ("normal", (3, 4)),
-                         ("normal", ()), ("normal", (1, W))])
-
-    def test_width_changes(self):
-        check_stream(2, [("normal", (2, W)), ("normal", (2, W + 5)),
-                         ("normal", (3, W + 5)), ("normal", (1, W)),
-                         ("normal", (2, 7)), ("normal", (4, W))])
-
-    def test_other_calls_in_between(self):
-        check_stream(3, [("normal", (2, W)), ("uniform", (3, 2)),
-                         ("normal", (2, W)), ("integers", 5),
-                         ("normal", (2, W)), ("permutation", 9),
-                         ("normal", (2, W)), ("choice", 10),
-                         ("normal", (2, W)), ("derive", 4),
-                         ("normal", (2, W))])
-
     @given(st.integers(0, 2**32 - 1), st.lists(st.one_of(
         st.tuples(st.just("normal"), st.one_of(
             st.tuples(st.integers(0, 3), st.sampled_from([W, W + 3, 40])),
@@ -125,10 +106,56 @@ class TestRng:
             assert np.array_equal(rng.standard_normal(2, W),
                                   ref.standard_normal((2, W)))
 
-    def test_draw_blocks_equal_single_draws_at_protocol_shape(self):
+
+@pytest.fixture(params=["read-ahead", "in-place"])
+def draw(request, monkeypatch):
+    """How a request for normals is made: in place, or drawn ahead as
+    training draws the next step's normals, as the ``then`` item of a pool
+    map (on a CPU that the map leaves idle, or inline after it)."""
+    if request.param == "in-place":
+        return in_place
+    one_worker_per_cpu(monkeypatch, 2)
+
+    def ahead(fn):
+        out = []
+        for _ in imap_in_order(lambda _: None, [None], lambda: out.append(fn())):
+            pass
+        assert len(out) == 1
+        return out[0]
+    return ahead
+
+
+class TestReadAhead:
+    """Normals drawn ahead on a pool thread equal normals drawn in place:
+    every request still equals a plain generator making the same calls."""
+
+    def test_block_row_pattern(self, draw):
+        check_stream(0, [("normal", (n, W)) for n in (2, 2, 1) * 3], draw)
+
+    def test_zero_rows_and_flat_requests(self, draw):
+        check_stream(1, [("normal", (0, W)), ("normal", (2, W)),
+                         ("normal", (0, W)), ("normal", (2, W)),
+                         ("normal", (5,)), ("normal", (2, W)),
+                         ("normal", (2 * W,)), ("normal", (3, 4)),
+                         ("normal", ()), ("normal", (1, W))], draw)
+
+    def test_width_changes(self, draw):
+        check_stream(2, [("normal", (2, W)), ("normal", (2, W + 5)),
+                         ("normal", (3, W + 5)), ("normal", (1, W)),
+                         ("normal", (2, 7)), ("normal", (4, W))], draw)
+
+    def test_other_calls_in_between(self, draw):
+        check_stream(3, [("normal", (2, W)), ("uniform", (3, 2)),
+                         ("normal", (2, W)), ("integers", 5),
+                         ("normal", (2, W)), ("permutation", 9),
+                         ("normal", (2, W)), ("choice", 10),
+                         ("normal", (2, W)), ("derive", 4),
+                         ("normal", (2, W))], draw)
+
+    def test_draw_blocks_equal_single_draws_at_protocol_shape(self, draw):
         net = StochasticMlp.create(Rng(0).derive(0))
         rng, ref = Rng(7), reference(7)
-        blocks = [net.sample_draws(n, rng) for n in (5, 2, 2, 1)]
+        blocks = [draw(lambda: net.sample_draws(n, rng)) for n in (5, 2, 2, 1)]
         for draws in blocks:
             for s in range(len(draws[0].noise)):
                 for l, layer in enumerate(net.layers):
