@@ -1,6 +1,6 @@
 """L-inf projected gradient descent against any model exposing
-``loss_input_grad`` (with the ``ahead`` of ``network.MixtureModel``) and
-``predict``.
+``loss_input_grad`` (with the ``ahead``, a ``tensor.DrawAhead``, of
+``network.MixtureModel``) and ``predict``.
 
 Each step ascends the sign of the input gradient of -log p_bar(y|x) and
 projects back onto the eps-ball around the clean input intersected with the
@@ -19,8 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import Dataset, IDX_FLOAT64, atomic_open, save_idx
-from .network import DrawAhead, PredictiveSummary
-from .tensor import Array, Rng
+from .network import PredictiveSummary
+from .tensor import Array, DrawAhead, Rng
 
 _INIT_STREAM = 4
 _GRAD_STREAM = 5

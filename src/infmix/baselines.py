@@ -13,8 +13,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .data import Dataset
-from .network import (DEFAULT_TOPOLOGY, WEIGHT_GRADS, MixtureModel, backward,
-                      forward, in_blocks)
+from .network import (DEFAULT_TOPOLOGY, WEIGHT_GRADS, Components, MixtureModel,
+                      backward, forward)
 from .objectives import FitConfig, fit
 from .posterior import glorot_uniform
 from .tensor import Rng, map_in_order
@@ -41,9 +41,9 @@ class DeterministicMlp(MixtureModel):
         """[(name, array)] of the model's own weights, as ``StochasticMlp``."""
         return [(f"layer{l}.weights", w) for l, w in enumerate(self.weights)]
 
-    def _components(self, n_samples: int, rng: Rng | None):
+    def components(self, n_samples: int, rng: Rng | None) -> Components:
         # Single component: class variance is identically zero.
-        return 1, [(self.weights, None)]
+        return Components(1, lambda start, stop: (self.weights, None))
 
 
 @dataclass
@@ -70,15 +70,16 @@ class DropoutMlp(MixtureModel):
         """One mask (1, n) per hidden layer, shared by the whole batch."""
         return _dropout_masks(rng, self.weights, self.p_drop, 1)
 
-    def _components(self, n_samples: int, rng: Rng):
-        if self.p_drop == 0.0:
-            return n_samples, [(self.weights, None)] * n_samples
+    def components(self, n_samples: int, rng: Rng) -> Components:
+        if self.p_drop == 0.0:  # one unmasked component per block
+            return Components(n_samples, lambda start, stop: (
+                self.weights, None), block=1)
 
         def block(start, stop):  # mask draws stacked per layer: (S, 1, n)
             masks = [self.sample_masks(rng) for _ in range(start, stop)]
             return self.weights, [np.stack(layer) for layer in zip(*masks)]
 
-        return in_blocks(n_samples, block)
+        return Components(n_samples, block)
 
 
 @dataclass
@@ -95,14 +96,14 @@ class DeepEnsemble(MixtureModel):
         return [(f"member{k}.{name}", w) for k, m in enumerate(self.members)
                 for name, w in m.named_params()]
 
-    def _components(self, n_samples: int, rng: Rng | None):
+    def components(self, n_samples: int, rng: Rng | None) -> Components:
         # Finite mixture: always all k members, stacked per layer in blocks
         # (S, n_in + 1, n_out), with uniform weights.
         def block(start, stop):
             layers = zip(*(m.weights for m in self.members[start:stop]))
             return [np.stack(layer) for layer in layers], None
 
-        return in_blocks(self.k, block)
+        return Components(self.k, block)
 
 
 def _dropout_masks(rng: Rng, weights, p_drop: float, rows: int):

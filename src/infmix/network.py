@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .posterior import MvnLayerPosterior, sample
-from .tensor import Array, Rng, imap_in_order
+from .tensor import Array, DrawAhead, Rng, imap_in_order
 
 DEFAULT_TOPOLOGY = (784, 128, 128, 10)
 N_CLASSES = 10
@@ -216,85 +216,44 @@ def summarize_prob_stream(draws, n_samples: int) -> PredictiveSummary:
     )
 
 
-class _Blocks:
-    """The blocks ``make(start, stop)`` over consecutive spans of at most
-    DRAW_BLOCK of ``n`` components, made only as they are iterated, so draws
-    come from the rng in component order; sized, so a pool starts no thread
-    that would find no block."""
-
-    def __init__(self, n: int, make):
-        self.n, self.make = n, make
-
-    def __len__(self):
-        return -(-self.n // DRAW_BLOCK)
-
-    def __iter__(self):
-        for start in range(0, self.n, DRAW_BLOCK):
-            yield self.make(start, min(start + DRAW_BLOCK, self.n))
-
-
-def in_blocks(n_components: int, make_block):
-    """``(n_components, blocks)`` with the blocks ``make_block(start, stop)``
-    of ``_Blocks``."""
-    return n_components, _Blocks(n_components, make_block)
-
-
 class Components:
-    """The ``count`` components of one mixture call, in the blocks of a
-    kind's ``_components``: made as they are iterated, unless ``draw`` has
-    made the rest of them ahead.  Iterating hands each block out once and
-    keeps no reference to it, so a block is dropped once it has run."""
+    """The ``count`` components of one mixture call, in the blocks
+    ``make(start, stop)`` over consecutive spans of at most ``block`` of
+    them.  A block is made as it is iterated, so draws come from the rng in
+    component order, unless ``made`` has made them all; iterating hands
+    each block out once and keeps no reference to it, so a block is dropped
+    once it has run.  Sized in blocks, so a pool starts no thread that
+    would find no block."""
 
-    def __init__(self, count: int, blocks):
+    def __init__(self, count: int, make, block: int = DRAW_BLOCK):
         if count < 1:
             raise ValueError(f"n_samples must be >= 1, got {count}")
         self.count = count
-        self._len = len(blocks)
-        self._made = iter(blocks)
-        self._drawn = collections.deque()
+        self._len = -(-count // block)
+        self._blocks = (make(start, min(start + block, count))
+                        for start in range(0, count, block))
+        self._made = collections.deque()
 
     def __len__(self):
         return self._len
 
-    def draw(self):
-        """Make every block not yet made, now."""
-        self._drawn.extend(self._made)
+    def made(self) -> "Components":
+        """These components, with all their blocks made now."""
+        self._made.extend(self._blocks)
+        return self
 
     def __iter__(self):
-        while self._drawn:
-            yield self._drawn.popleft()
-        yield from self._made
-
-
-class DrawAhead:
-    """``calls`` successive ``loss_input_grad`` calls of one model on one
-    ``n_samples`` and ``rng``.  Each call but the last draws the next
-    call's components as one more item of its pool (``imap_in_order``'s
-    ``then``): on a CPU that its last blocks leave idle, or, under a full
-    pool, inline after them.  These draws alone read the rng, in call
-    order, so every bit is what drawing in each call gives."""
-
-    def __init__(self, calls: int):
-        self.calls = calls
-        self.drawn = None
-
-    def components(self, model, n_samples: int, rng):
-        """(this call's ``Components``, the function that draws the next
-        call's, or None for the last call)."""
-        this = (model.components(n_samples, rng) if self.drawn is None
-                else self.drawn)
-        self.calls -= 1
-        self.drawn = (model.components(n_samples, rng) if self.calls > 0
-                      else None)
-        return this, None if self.drawn is None else self.drawn.draw
+        while self._made:
+            yield self._made.popleft()
+        yield from self._blocks
 
 
 class MixtureModel:
     """A uniform mixture of MLP components: weight draws, dropout mask draws
     or ensemble members.  Each model kind only lists its components, in
-    ``_components(n_samples, rng) -> (count, blocks)``; a block is a
-    (weights, hidden_masks) pair of one component or a stack of them, run on
-    the whole batch.  Kinds with a fixed count ignore ``n_samples``.
+    ``components(n_samples, rng) -> Components``; a block is a (weights,
+    hidden_masks) pair of one component or a stack of them, run on the
+    whole batch.  Kinds with a fixed count ignore ``n_samples``.
 
     ``predict`` and ``loss_input_grad`` run the blocks through
     ``imap_in_order`` on the CPUs the budget leaves free: each block is
@@ -302,10 +261,6 @@ class MixtureModel:
     (``DrawAhead``), any worker runs it, and its small result is added into
     the running sums in block order, so the sums hold the bits of a plain
     loop."""
-
-    def components(self, n_samples: int, rng: Rng | None) -> Components:
-        """The components of one call, drawn from ``rng`` as they run."""
-        return Components(*self._components(n_samples, rng))
 
     def predict(self, x: Array, n_samples: int = 1, rng: Rng | None = None
                 ) -> PredictiveSummary:
@@ -328,12 +283,13 @@ class MixtureModel:
 
         The per-example 1/p_bar factor is applied after summing per-component
         gradients of p_s, so no trace outlives its block of components.
-        ``ahead`` makes this one of its successive calls.
+        ``ahead`` makes this one of its successive calls, each of which
+        takes its components from it, all made.
         Returns (grad_x, mean label probability).
         """
-        components, draw_next = (ahead or DrawAhead(1)).components(
-            self, n_samples, rng)
-        n_components = components.count
+        components, then = (ahead or DrawAhead(1)).take(
+            lambda: self.components(n_samples, rng).made())
+        total = components.count
         labels = np.asarray(labels)
         b = x.shape[0]
         rows = np.arange(b)
@@ -351,7 +307,7 @@ class MixtureModel:
         label_prob_sum = np.zeros(b)
         grad_x = None
         count = 0
-        for gx, label_probs, n in imap_in_order(grad, components, draw_next):
+        for gx, label_probs, n in imap_in_order(grad, components, then):
             if grad_x is None:
                 # The first block's array holds the sum: 0.0 + gx, the bits
                 # that adding it to zeros gives (-0.0 becomes 0.0).
@@ -362,10 +318,10 @@ class MixtureModel:
             label_prob_sum += label_probs
             count += n
             del gx      # before the next block's result is taken
-        if count != n_components:
-            raise ValueError(f"expected {n_components} components, got {count}")
-        mean_label_prob = np.maximum(label_prob_sum / n_components, 1e-300)
-        grad_x /= (-n_components * mean_label_prob)[:, None]
+        if count != total:
+            raise ValueError(f"expected {total} components, got {count}")
+        mean_label_prob = np.maximum(label_prob_sum / total, 1e-300)
+        grad_x /= (-total * mean_label_prob)[:, None]
         return grad_x, mean_label_prob
 
 
@@ -425,6 +381,6 @@ class StochasticMlp(MixtureModel):
                 layer, noise.reshape(n_samples, *layer.mean.shape), out=out))
         return draws
 
-    def _components(self, n_samples: int, rng: Rng):
-        return in_blocks(n_samples, lambda start, stop: (
+    def components(self, n_samples: int, rng: Rng) -> Components:
+        return Components(n_samples, lambda start, stop: (
             [sw.weights for sw in self.sample_draws(stop - start, rng)], None))

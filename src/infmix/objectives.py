@@ -25,7 +25,8 @@ import numpy as np
 from .data import BatchIterator, Dataset
 from .network import WEIGHT_GRADS, StochasticMlp, backward, forward
 from .posterior import PriorSpec, kl_backward, kl_to_prior, sample_backward
-from .tensor import AdamState, Array, Rng, adam_step, imap_in_order
+from .tensor import (AdamState, Array, DrawAhead, Rng, adam_step,
+                     imap_in_order)
 
 
 class ObjectiveKind(str, enum.Enum):
@@ -209,30 +210,20 @@ def train(net: StochasticMlp, data: Dataset, cfg: TrainConfig,
 
     Deterministic per (net initialization, cfg.seed): batch order and weight
     draws come from streams derived from cfg.seed.  Each step but the last
-    draws the next step's normals as one more item of its pool
-    (``imap_in_order``'s ``then``): on a CPU that the step leaves idle, or
-    inline after it.  Only the normals are drawn ahead, as the weights read
-    the parameters that the step updates.  These draws alone read the weight
-    stream, in step order, so every bit is what drawing in each step gives.
+    draws the next step's normals (``DrawAhead``): on a CPU that the step
+    leaves idle, or inline after it.  Only the normals are drawn ahead, as
+    the weights read the parameters that the step updates.
     """
     sample_rng = Rng(cfg.seed).derive(_WEIGHT_SAMPLE_STREAM)
-    steps_left = cfg.iterations
-    ahead = None        # the next step's normals, once drawn
-
-    def draw_next():
-        nonlocal ahead
-        ahead = net.draw_normals(cfg.n_train_samples, sample_rng)
+    ahead = DrawAhead(cfg.iterations)
 
     def step(images, labels):
-        nonlocal ahead, steps_left
-        if ahead is None:
-            draw_next()
-        normals, ahead = ahead, None
-        steps_left -= 1
+        normals, then = ahead.take(
+            lambda: net.draw_normals(cfg.n_train_samples, sample_rng))
         [(nll_term, kl_term, grads)] = imap_in_order(
             lambda _: objective_gradients(net, images, labels, cfg,
                                           n_total=data.n, normals=normals),
-            [None], draw_next if steps_left > 0 else None)
+            [None], then)
         return nll_term, kl_term, [g for layer in grads for g in layer]
 
     return fit(net.named_params(), step, data, cfg, record_every, progress)

@@ -375,6 +375,29 @@ def imap_in_order(fn, items, then=None):
             _BUDGET.add(started - extra)    # helpers that never started
 
 
+class DrawAhead:
+    """``calls`` successive calls that each take a fresh draw.  The first
+    call makes its draw inline; each call but the last makes the next
+    call's as one more item of its pool (``imap_in_order``'s ``then``): on
+    a CPU that its last items leave idle, or, under a full pool, inline
+    after them.  These draws alone call ``draw``, in call order, so every
+    bit is what drawing in each call gives."""
+
+    def __init__(self, calls: int):
+        self.calls = calls
+        self._next = []         # the next call's draw, once made
+
+    def take(self, draw):
+        """(this call's draw, the ``then`` that makes the next call's with
+        ``draw()``, or None for the last call).  Keeps no reference to the
+        draw it hands out."""
+        this = self._next.pop() if self._next else draw()
+        self.calls -= 1
+        if self.calls < 1:
+            return this, None
+        return this, lambda: self._next.append(draw())
+
+
 def map_in_order(fn, items) -> list:
     """``[fn(item) for item in items]``, computed by ``imap_in_order``."""
     return list(imap_in_order(fn, items))
@@ -393,11 +416,9 @@ class AdamState:
     eps: float = 1e-8
 
     @classmethod
-    def for_shape(cls, shape, learning_rate: float = 1e-3,
-                  beta1: float = 0.9, beta2: float = 0.999,
-                  eps: float = 1e-8) -> "AdamState":
-        return cls(m=np.zeros(shape), v=np.zeros(shape), t=0,
-                   learning_rate=learning_rate, beta1=beta1, beta2=beta2, eps=eps)
+    def for_shape(cls, shape, learning_rate: float = 1e-3) -> "AdamState":
+        return cls(m=np.zeros(shape), v=np.zeros(shape),
+                   learning_rate=learning_rate)
 
 
 def adam_step(state: AdamState, params: Array, grads: Array,

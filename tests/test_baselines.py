@@ -1,14 +1,17 @@
 """Point-estimate, dropout, and ensemble baselines."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
 import infmix.baselines as baselines_mod
+from conftest import one_worker_per_cpu, pool_at_rest
 from infmix.baselines import (DeepEnsemble, DeterministicMlp, DropoutMlp,
-                              FitConfig, train_deterministic, train_dropout,
-                              train_ensemble)
+                              FitConfig, glorot_weights, train_deterministic,
+                              train_dropout, train_ensemble)
 from infmix.gradcheck import check_weight_decay_gradient
-from infmix.network import forward, summarize_probs
+from infmix.network import Components, forward, summarize_probs
 from infmix.tensor import Rng
 
 from test_objectives import toy_dataset
@@ -106,8 +109,9 @@ class TestDropout:
         grad, _ = model.loss_input_grad(x, y, 5, Rng(5))
 
         class OneMaskPerComponent(DropoutMlp):
-            def _components(self, n_samples, rng):
-                return len(masks), [(self.weights, m) for m in masks]
+            def components(self, n_samples, rng):
+                return Components(len(masks), lambda start, stop: (
+                    self.weights, masks[start]), block=1)
 
         expected, _ = OneMaskPerComponent(model.weights, 0.5).loss_input_grad(x, y)
         np.testing.assert_allclose(grad, expected, rtol=1e-10, atol=1e-15)
@@ -123,6 +127,60 @@ class TestDropout:
     def test_invalid_probability(self):
         with pytest.raises(ValueError):
             DropoutMlp(weights=[np.zeros((2, 2))], p_drop=1.0)
+
+
+# SHA-256 of a dropout model's ``predict`` (mean probabilities, class
+# variance, entropy) and ``loss_input_grad`` (gradient, label probabilities)
+# at p_drop = 0, per draw count, taken while each unmasked component was a
+# block of its own: the same on 1, 2 and 3 CPUs.  Another numpy or BLAS
+# build may need them taken again.
+NO_DROP_TOPOLOGY = (64, 32, 32, 10)
+NO_DROP_DIGESTS = {
+    1: ("e1a7bccda49e601fdcb1c6b803e3be32be9f7fa10661aaf213a7ad9649e217cc",
+        "62b1406afbd5737436fec2e3c0e719a24d7d1d206ec00ac214434da7d7f597ea"),
+    3: ("f2787506688d799ab5f695bb8ae93f5cd579a3ff2cf888a13d0ca686d22c4fea",
+        "0f72f7771867fdba6fa7fea95e13c6a2c64b400c2d395ccea036d83493257e9b"),
+    5: ("42af7017834f9b381e78b91219af62918d7824432fb21254e2ad8e6da773d9ac",
+        "104265aa28ad6b959a7cf09401d8b172072da8d10495378e01c75293e8199fea"),
+}
+
+
+def sha256(*arrays):
+    digest = hashlib.sha256()
+    for a in arrays:
+        digest.update(a.tobytes())
+    return digest.hexdigest()
+
+
+class TestNoDrop:
+    """At p_drop = 0 every component is the unmasked network."""
+
+    x = Rng(7).uniform(0.0, 1.0, (30, NO_DROP_TOPOLOGY[0]))
+    y = np.arange(30) % 10
+
+    def model(self):
+        return DropoutMlp(glorot_weights(NO_DROP_TOPOLOGY, Rng(1)), p_drop=0.0)
+
+    @pytest.mark.parametrize("cpus", [1, 2, 3])
+    @pytest.mark.parametrize("n_samples", sorted(NO_DROP_DIGESTS))
+    def test_pinned_bytes_on_every_cpu_count(self, n_samples, cpus,
+                                             monkeypatch):
+        one_worker_per_cpu(monkeypatch, cpus)
+        model = self.model()
+        summary = model.predict(self.x, n_samples, Rng(2))
+        grad, label_prob = model.loss_input_grad(self.x, self.y, n_samples,
+                                                 Rng(3))
+        assert (sha256(summary.mean_probs, summary.class_variance,
+                       summary.entropy),
+                sha256(grad, label_prob)) == NO_DROP_DIGESTS[n_samples]
+        assert pool_at_rest()
+
+    def test_zero_samples_rejected(self):
+        model = self.model()
+        with pytest.raises(ValueError, match="n_samples must be >= 1, got 0"):
+            model.predict(self.x, 0, Rng(0))
+        with pytest.raises(ValueError, match="n_samples must be >= 1, got 0"):
+            model.loss_input_grad(self.x, self.y, 0, Rng(0))
 
 
 class TestEnsemble:

@@ -1,9 +1,11 @@
 """Substrate contracts: the deterministic RNG, the worker pool and ADAM."""
 
+import itertools
 import os
 import sys
 import threading
 import time
+import weakref
 
 import numpy as np
 import pytest
@@ -13,8 +15,8 @@ from hypothesis import strategies as st
 from conftest import one_worker_per_cpu, pool_at_rest, pool_threads
 from infmix import tensor
 from infmix.network import StochasticMlp
-from infmix.tensor import (AdamState, Rng, adam_step, allowed_cpus,
-                           imap_in_order, map_in_order)
+from infmix.tensor import (AdamState, DrawAhead, Rng, adam_step,
+                           allowed_cpus, imap_in_order, map_in_order)
 
 W = 1000     # the width of a row of normals
 JOIN_TIMEOUT_S = 60.0
@@ -424,6 +426,62 @@ class TestPool:
         with pytest.raises(KeyError, match="then failed"):
             list(imap_in_order(lambda i: i, range(3), then))
         assert pool_at_rest()
+
+
+class TestDrawAhead:
+    """Successive calls take their draws in call order, each made once:
+    the first inline, every later one by the ``then`` of the call before."""
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    @pytest.mark.parametrize("calls", [1, 2, 5])
+    def test_k_calls_make_k_draws_in_call_order(self, calls, cpus,
+                                                monkeypatch):
+        one_worker_per_cpu(monkeypatch, cpus)
+        made = itertools.count()
+        ahead = DrawAhead(calls)
+        taken = []
+        for _ in range(calls):
+            this, then = ahead.take(lambda: next(made))
+            taken.append(this)
+            list(imap_in_order(lambda _: None, [None], then))
+        assert taken == list(range(calls))
+        assert next(made) == calls
+        assert pool_at_rest()
+
+    def test_first_draw_is_made_inline(self):
+        made = []
+
+        def draw():
+            made.append(threading.get_ident())
+            return len(made)
+
+        this, _ = DrawAhead(3).take(draw)
+        assert this == 1 and made == [threading.get_ident()]
+
+    @pytest.mark.parametrize("calls", [1, 3])
+    def test_only_the_last_call_gets_no_then(self, calls):
+        ahead = DrawAhead(calls)
+        thens = []
+        for _ in range(calls):
+            _, then = ahead.take(object)
+            thens.append(then)
+            if then is not None:
+                then()
+        assert [then is None for then in thens] == \
+            [False] * (calls - 1) + [True]
+
+    def test_keeps_no_reference_to_a_handed_out_draw(self):
+        class Draw:
+            pass
+
+        ahead = DrawAhead(3)
+        for _ in range(3):
+            this, then = ahead.take(Draw)
+            handed_out = weakref.ref(this)
+            if then is not None:
+                then()          # the next call's draw, held until taken
+            del this
+            assert handed_out() is None
 
 
 def in_thread(fn):
