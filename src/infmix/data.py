@@ -8,6 +8,7 @@ to persist adversarial images without quantization loss.
 from __future__ import annotations
 
 import gzip
+import math
 import os
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -50,11 +51,15 @@ def read_idx(path) -> np.ndarray:
             raise OSError(f"truncated IDX file (header dims): {path}")
         dims = [int.from_bytes(dim_bytes[4 * i:4 * i + 4], "big") for i in range(ndim)]
         dtype = _DTYPE_BY_CODE[type_code]
-        n_items = int(np.prod(dims)) if dims else 0
-        payload = f.read(n_items * dtype.itemsize)
-        if len(payload) < n_items * dtype.itemsize:
+        # Python ints: a header's dims may multiply past any fixed width.
+        left = math.prod(dims) * dtype.itemsize if dims else 0
+        chunks = []     # bounded reads: memory grows with the bytes present
+        while left and (chunk := f.read(min(left, 1 << 24))):
+            chunks.append(chunk)
+            left -= len(chunk)
+        if left:
             raise OSError(f"truncated IDX file (payload): {path}")
-        return np.frombuffer(payload, dtype=dtype).reshape(dims)
+        return np.frombuffer(b"".join(chunks), dtype=dtype).reshape(dims)
 
 
 @contextmanager

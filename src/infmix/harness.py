@@ -22,7 +22,8 @@ from . import attacks, baselines, metrics
 from .checkpoint import load_model, save_model
 from .data import Dataset, atomic_open, load_split, take_prefix
 from .metrics import auroc_balanced, auroc_scores, mean_std
-from .network import N_CLASSES, PredictiveSummary, StochasticMlp
+from .network import (DEFAULT_TOPOLOGY, N_CLASSES, PredictiveSummary,
+                      StochasticMlp)
 from .objectives import (ObjectiveKind, TrainConfig, loss_history_csv, train)
 from .posterior import PriorSpec, kl_to_prior, per_weight_variance
 from .tensor import Rng, blas_threads, map_in_order
@@ -390,6 +391,11 @@ def _run_points(cfg: ExperimentConfig, points) -> list:
     (point, seed) pairs; returns the per-trial result dicts of each point."""
     train_data = load_split(cfg.data_dir, "train", name=cfg.dataset)
     test_data = load_split(cfg.data_dir, "test", name=cfg.dataset)
+    for split, data in (("train", train_data), ("test", test_data)):
+        if data.images.shape[1] != DEFAULT_TOPOLOGY[0]:
+            raise ConfigError(
+                f"the {split} split has {data.images.shape[1]} pixels, but "
+                f"the network takes {DEFAULT_TOPOLOGY[0]} inputs")
     results = iter(map_in_order(
         lambda item: run_trial(item[0], train_data, test_data, item[1]),
         [(point, seed) for point in points for seed in point.trial_seeds()]))
@@ -718,7 +724,7 @@ REPORT_READS = {
 def _load_results(results_dir, warnings: list):
     """The result payloads the report reads, grouped by kind.  A JSON file
     that is unreadable, of another schema version, or lacking a field of
-    ``REPORT_READS`` for its kind or holding a value of another type or a
+    ``REPORT_READS`` for its kind or with a value of another type or a
     list of another length there is named in ``warnings`` and skipped."""
     groups = {kind: [] for kind in REPORT_READS}
     for name in sorted(os.listdir(results_dir)):

@@ -3,7 +3,9 @@ worker pool.
 
 Everything downstream (sampling, training, attacks) sits on these
 primitives.  All arrays are 64-bit floats in C (row-major) order; the RNG is
-Philox, so a seed pins the whole bit stream independent of platform.
+Philox, so a seed pins the whole bit stream independent of platform.  The
+pool (``imap_in_order``) runs items on the caller and on threads parked
+between maps, within one CPU budget per process; ``_Pool`` owns both.
 """
 
 from __future__ import annotations
@@ -89,65 +91,6 @@ def _step_off(cpu):
             os.sched_setaffinity(0, allowed)
 
 
-class _Budget:
-    """The process's CPU budget for the worker pools of ``imap_in_order``:
-    its size, and how many of its CPUs running pool workers hold.  Shared
-    by every pool of the process, and kept under a lock."""
-
-    def __init__(self):
-        self.workers = 0        # CPUs held by running pool workers
-        self.size = 0           # the budget they are held from
-        self._lock = threading.Lock()
-        self._held = threading.local()  # whether this thread holds a CPU
-
-    @contextmanager
-    def reserve(self, n_items):
-        """CPUs for a pool over ``n_items`` items (None: not known); yields
-        how many threads the pool may start, each of which holds one of
-        them (``holding``) until it ends.  A caller outside every pool sets
-        the budget to ``default_threads()`` while none runs, and holds a CPU
-        itself until the pool ends; a pool worker already holds one.  The
-        threads get only CPUs the budget leaves free, so a pool nested in a
-        full one starts none."""
-        with self._lock:
-            outside = not getattr(self._held, "cpu", False)
-            if outside:
-                if self.workers == 0:
-                    self.size = default_threads()
-                self.workers += 1
-            extra = self.size - self.workers
-            if n_items is not None:
-                extra = min(extra, n_items - 1)
-            extra = max(0, extra)
-            self.workers += extra
-        self._held.cpu = True
-        try:
-            yield extra
-        finally:
-            if outside:
-                self._held.cpu = False
-                self.add(-1)
-
-    @contextmanager
-    def holding(self):
-        """The calling pool thread holds one of its pool's reserved CPUs
-        until the block ends."""
-        self._held.cpu = True
-        try:
-            yield
-        finally:
-            self._held.cpu = False
-            self.add(-1)
-
-    def add(self, n: int):
-        """Count ``n`` more CPUs (or give back ``-n``) as held."""
-        with self._lock:
-            self.workers += n
-
-
-_BUDGET = _Budget()
-
-
 class Rng:
     """Deterministic random stream keyed by (seed, spawn path).
 
@@ -188,25 +131,72 @@ class Rng:
         return f"Rng(seed={self.seed}, spawn_key={self.spawn_key})"
 
 
-class _Workers:
-    """The threads of ``imap_in_order``'s pools.  Each is started once and
-    then parked between the pools it helps, holding no CPU, so that a pool
+class _Pool:
+    """The worker pool of ``imap_in_order``: the process's CPU budget and
+    the threads that help its maps, all under one lock.
+
+    ``held`` counts the CPUs of the budget held by callers of a map and by
+    the threads that compute its items.  Each thread is started once and
+    then parked between the maps it helps, with no CPU, so that a map
     wakes a thread where it would start one.  On a 2-vCPU VM a map of two
     6 ms GEMM items took 11-14 ms with a thread started per map, more than
     a plain loop's 10-12 ms, and 6.5-8 ms with a parked thread that steps
-    off the caller's CPU (``_step_off``).  A pool hands its threads only
-    CPUs of its budget, so no more of them exist than ``_BUDGET.size - 1``
-    once ``retire`` has ended those that a smaller budget leaves over."""
+    off the caller's CPU (``_step_off``).  A map wakes threads only for
+    CPUs of the budget, so no more of them exist than ``size - 1`` once
+    ``reserve`` has ended those that a smaller budget leaves over."""
 
     def __init__(self):
         self._lock = threading.Lock()
-        self.threads = {}       # job queue -> thread, for each not retired
+        self.size = 0           # the budget, in CPUs
+        self.held = 0           # CPUs of the budget held
+        self.threads = {}       # job queue -> thread, for each not ended
         self.parked = []        # the job queues of the parked ones
+        self._local = threading.local()     # .cpu: this thread holds one
 
-    def run(self, helper, done):
+    @contextmanager
+    def reserve(self, n_items):
+        """CPUs for a map over ``n_items`` items (None: not known); yields
+        how many threads the map may wake, each of which holds one of them
+        until it parks.  A caller outside every map sets the budget to
+        ``default_threads()`` while none runs, and holds a CPU itself until
+        the map ends; a pool thread already holds one.  The threads get
+        only CPUs the budget leaves free, so a map nested in a full one
+        wakes none."""
+        ended = []
+        with self._lock:
+            outside = not getattr(self._local, "cpu", False)
+            if outside:
+                if self.held == 0:
+                    self.size = default_threads()
+                self.held += 1
+            extra = self.size - self.held
+            if n_items is not None:
+                extra = min(extra, n_items - 1)
+            extra = max(0, extra)
+            self.held += extra
+            while len(self.threads) >= self.size and self.parked:
+                jobs = self.parked.pop(0)
+                jobs.put(None)
+                ended.append(self.threads.pop(jobs))
+        self._local.cpu = True
+        try:
+            for thread in ended:
+                thread.join()
+            yield extra
+        finally:
+            if outside:
+                self._local.cpu = False
+                self.add(-1)
+
+    def add(self, n: int):
+        """Count ``n`` more CPUs (or give back ``-n``) as held."""
+        with self._lock:
+            self.held += n
+
+    def wake(self, helper, done):
         """Run ``helper()`` on a parked thread, or on a new one if none is
-        parked, holding a CPU its pool reserved; then park the thread, give
-        the CPU back and call ``done()``."""
+        parked, with a CPU its map reserved; then park the thread, give the
+        CPU back and call ``done()``."""
         with self._lock:
             if self.parked:
                 jobs = self.parked.pop()
@@ -220,38 +210,27 @@ class _Workers:
         jobs.put((helper, done, _current_cpu()))
 
     def _serve(self, jobs):
+        self._local.cpu = True      # whenever it computes, it holds one
         while (job := jobs.get()) is not None:
             helper, done, caller_cpu = job
             job = None
             _step_off(caller_cpu)
-            with _BUDGET.holding():
-                try:
-                    helper()
-                finally:
-                    # Parked before its CPU is free: a pool that gets the
-                    # CPU finds the thread too and starts none.
-                    with self._lock:
-                        self.parked.append(jobs)
+            try:
+                helper()
+            finally:
+                with self._lock:
+                    self.parked.append(jobs)
+                    self.held -= 1
             done()
-            # Parked holding nothing of the pool: its items' arrays would
+            # Parked with nothing of the map: its items' arrays would
             # otherwise stay alive until the next job.
             helper = done = None
 
-    def retire(self, keep: int):
-        """End parked threads until at most ``keep`` threads are left."""
-        ended = []
-        with self._lock:
-            while len(self.threads) > keep and self.parked:
-                jobs = self.parked.pop(0)
-                jobs.put(None)
-                ended.append(self.threads.pop(jobs))
-        for thread in ended:
-            thread.join()
 
-
-_WORKERS = _Workers()
-if hasattr(os, "register_at_fork"):     # a child has none of the threads
-    os.register_at_fork(after_in_child=_WORKERS.__init__)
+_POOL = _Pool()
+# A forked child has none of the threads and holds none of the CPUs.
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_POOL.__init__)
 
 # The item that runs ``imap_in_order``'s ``then``.
 _THEN = object()
@@ -259,8 +238,8 @@ _THEN = object()
 
 def imap_in_order(fn, items, then=None):
     """Yield ``fn(item)`` for each of ``items``, in their order, computed by
-    the calling thread and as many parked threads (``_Workers``) as the CPU
-    budget leaves CPUs free (``_BUDGET.reserve``).
+    the calling thread and as many parked threads as the CPU budget leaves
+    CPUs free (``_Pool``).
 
     Items are taken one at a time, in order, under the pool's lock, so an
     iterator that draws from an ``Rng`` draws what a plain loop would draw.
@@ -334,12 +313,11 @@ def imap_in_order(fn, items, then=None):
             finished += 1
             cond.notify_all()
 
-    with _BUDGET.reserve(n_items) as extra:
-        _WORKERS.retire(_BUDGET.size - 1)
+    with _POOL.reserve(n_items) as extra:
         started = 0
         try:
             for _ in range(extra):
-                _WORKERS.run(helper, parked)
+                _POOL.wake(helper, parked)
                 started += 1
             index = 0
             while True:
@@ -349,11 +327,11 @@ def imap_in_order(fn, items, then=None):
                         job = take()
                         if job is not None or index == taken or errors:
                             break
-                        _BUDGET.add(-1)     # lent while another computes it
+                        _POOL.add(-1)   # lent while another computes it
                         try:
                             cond.wait()
                         finally:
-                            _BUDGET.add(1)
+                            _POOL.add(1)
                     if errors:
                         raise errors[0]
                     if job is None:
@@ -372,7 +350,7 @@ def imap_in_order(fn, items, then=None):
                 exhausted = True    # the consumer may stop early
                 while finished < started:
                     cond.wait()
-            _BUDGET.add(started - extra)    # helpers that never started
+            _POOL.add(started - extra)  # helpers that never started
 
 
 class DrawAhead:

@@ -29,9 +29,9 @@ def pool_at_rest():
     """No pool thread computes or holds a CPU: every one alive is parked,
     there are fewer of them than the budget has CPUs, and no CPU of the
     budget is held."""
-    workers = tensor._WORKERS
-    parked = [workers.threads[jobs] for jobs in workers.parked]
-    return (tensor._BUDGET.workers == 0
+    pool = tensor._POOL
+    parked = [pool.threads[jobs] for jobs in pool.parked]
+    return (pool.held == 0
             and sorted(map(id, pool_threads())) == sorted(map(id, parked))
             and len(parked) < tensor.default_threads())
 

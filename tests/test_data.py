@@ -108,6 +108,21 @@ class TestIdxIO:
         with pytest.raises(OSError, match="truncated"):
             read_idx(path)
 
+    # The first claims 60000 x 65535 x 65535 bytes; the second's item count,
+    # 2**64, wraps to 0 in 64-bit integers.
+    @pytest.mark.parametrize("dims", [(60000, 65535, 65535),
+                                      (2 ** 31, 2 ** 31, 4)])
+    @pytest.mark.parametrize("suffix", ["", ".gz"])
+    def test_header_past_the_payload_is_io_error(self, tmp_path, dims,
+                                                  suffix):
+        path = os.path.join(tmp_path, "claims" + suffix)
+        blob = bytes([0, 0, 8, 3]) + b"".join(
+            d.to_bytes(4, "big") for d in dims) + bytes(1000)
+        with (gzip.open if suffix else open)(path, "wb") as f:
+            f.write(blob)
+        with pytest.raises(OSError, match="truncated IDX file \\(payload\\)"):
+            read_idx(path)
+
     def test_label_out_of_range_rejected(self, tmp_path):
         images = np.zeros((1, 28, 28), dtype=np.uint8)
         img, lab = write_pair(tmp_path, images, np.array([11], dtype=np.uint8))

@@ -4,6 +4,7 @@ import csv
 import dataclasses
 import json
 import os
+import shutil
 import warnings
 from pathlib import Path
 
@@ -17,7 +18,7 @@ from infmix import harness, tensor
 from infmix.baselines import DeterministicMlp
 from infmix.checkpoint import load_model, save_model
 from infmix.cli import main
-from infmix.data import load_idx, load_split, take_prefix
+from infmix.data import load_idx, load_split, read_idx, take_prefix, write_idx
 from infmix.harness import (MODEL_KINDS, SWEEP_AXES, ConfigError,
                             ExperimentConfig, config_text, load_config,
                             parse_config_text, predict_dataset, run_attack,
@@ -776,6 +777,40 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith(f"config error: checkpoint {path} maps {widths}")
         assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("split", ["train", "t10k"])
+    @pytest.mark.parametrize("model", ["ml", "dropout"])
+    def test_images_that_do_not_fit_the_network_exit_one(
+            self, synthetic_data_dir, tmp_path, capsys, split, model):
+        data_dir = tmp_path / "data"
+        shutil.copytree(synthetic_data_dir, data_dir)
+        write_idx(data_dir / f"{split}-images-idx3-ubyte",
+                  read_idx(data_dir / f"{split}-images-idx3-ubyte")[:, :10, :10])
+        out_dir = tmp_path / "out"
+        cfg_path = tmp_path / "run.cfg"
+        cfg_path.write_text(f"model = {model}\niterations = 5\nn_trials = 1\n")
+        code = main(["--config", str(cfg_path), "--data-dir", str(data_dir),
+                     "--out-dir", str(out_dir), "train"])
+        assert code == 1
+        err = capsys.readouterr().err
+        name = "train" if split == "train" else "test"
+        assert err == (f"config error: the {name} split has 100 pixels, but "
+                       f"the network takes 784 inputs\n")
+        assert not out_dir.exists()
+
+    def test_idx_header_past_the_file_exits_one(self, synthetic_data_dir,
+                                                  tmp_path, capsys):
+        data_dir = tmp_path / "data"
+        shutil.copytree(synthetic_data_dir, data_dir)
+        path = data_dir / "train-images-idx3-ubyte"
+        with open(path, "r+b") as f:    # 60000 x 65535 x 65535 bytes claimed
+            f.write(bytes([0, 0, 8, 3]) + b"".join(
+                d.to_bytes(4, "big") for d in (60000, 65535, 65535)))
+        code = main(["--data-dir", str(data_dir), "--out-dir",
+                     str(tmp_path / "out"), "train"])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"config error: truncated IDX file (payload): {path}\n")
 
     def test_diverged_training_exits_one_without_traceback(
             self, synthetic_data_dir, tmp_path, capsys):

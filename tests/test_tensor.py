@@ -168,7 +168,7 @@ class TestReadAhead:
 class TestMapInOrder:
     """``map_in_order`` returns results in input order from the calling
     thread plus one parked thread per other CPU of the budget, and counts
-    its running workers in ``_BUDGET.workers``."""
+    the CPUs its running workers hold in ``_POOL.held``."""
 
     def test_caller_is_one_of_the_workers(self, monkeypatch):
         one_worker_per_cpu(monkeypatch, 3)
@@ -198,11 +198,17 @@ class TestMapInOrder:
         n_workers = allowed_cpus() + 3
         one_worker_per_cpu(monkeypatch, n_workers)
         seen = []
+        raised = threading.Event()
 
         def item(i):
-            seen.append(tensor._BUDGET.workers)
+            seen.append(tensor._POOL.held)
+            if fail_at is not None and i > fail_at:
+                # A thread stalled inside item ``fail_at`` would otherwise
+                # let the others start every later item before it raises.
+                assert raised.wait(timeout=JOIN_TIMEOUT_S)
             np.linalg.norm(np.arange(200.0))    # drops and takes the GIL
             if i == fail_at:
+                raised.set()
                 raise ValueError(f"item {i} failed")
             return -i
 
@@ -374,12 +380,17 @@ class TestPool:
         n_workers = allowed_cpus() + 3
         one_worker_per_cpu(monkeypatch, n_workers)
         outcome = []
+        alive = []      # the pool threads alive as each item computes
+
+        def item(i, m):
+            alive.append(len(pool_threads()))
+            return i * m
 
         def run():
             for m in range(150):
                 ran = []
                 got = list(imap_in_order(
-                    lambda i: i * m, range(n_workers),
+                    lambda i: item(i, m), range(n_workers),
                     (lambda: ran.append(m)) if m % 2 else None))
                 outcome.append(got == [i * m for i in range(n_workers)]
                                and ran == [m] * (m % 2))
@@ -393,7 +404,28 @@ class TestPool:
         finally:
             sys.setswitchinterval(interval)
         assert not caller.is_alive() and outcome == [True] * 150
+        assert len(alive) == 150 * n_workers and max(alive) <= n_workers - 1
         assert pool_at_rest() and len(pool_threads()) <= n_workers - 1
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="no os.fork")
+    def test_child_forked_inside_an_item_starts_with_an_empty_pool(
+            self, monkeypatch):
+        one_worker_per_cpu(monkeypatch, 2)
+
+        def item(i):
+            if i:
+                return None
+            pid = os.fork()
+            if pid == 0:    # the child: no CPU held, no thread, a whole map
+                pool = tensor._POOL
+                ok = (pool.held == 0 and not pool.threads
+                      and map_in_order(lambda j: -j, range(3)) == [0, -1, -2]
+                      and pool.held == 0)
+                os._exit(0 if ok else 1)
+            return os.waitpid(pid, 0)[1]
+
+        assert map_in_order(item, range(2))[0] == 0
+        assert pool_at_rest()
 
     @pytest.mark.parametrize("cpus", [1, 2])
     def test_then_runs_as_one_more_item_not_yielded(self, cpus, monkeypatch):
