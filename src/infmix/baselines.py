@@ -9,13 +9,14 @@ attack code is model-agnostic.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 
 from .data import Dataset
-from .network import (DEFAULT_TOPOLOGY, WEIGHT_GRADS, Components, MixtureModel,
-                      backward, forward)
-from .objectives import FitConfig, fit
+from .network import (DEFAULT_TOPOLOGY, Components, MixtureModel, forward,
+                      label_backward)
+from .objectives import FitConfig, ObjectiveKind, fit, step_gradients
 from .posterior import glorot_uniform
 from .tensor import Rng, map_in_order
 
@@ -113,6 +114,32 @@ def _dropout_masks(rng: Rng, weights, p_drop: float, rows: int):
             for w in weights[:-1]]
 
 
+class DropoutMasks:
+    """Dropout training's sampler (see ``objectives.SharedDraws``): masks
+    per example, drawn for the batch they meet; None at p_drop = 0."""
+
+    def __init__(self, weights, p_drop: float, rng: Rng):
+        self.weights, self.p_drop, self.rng = weights, p_drop, rng
+
+    def draw(self, batch_size: int):
+        return _dropout_masks(self.rng, self.weights, self.p_drop,
+                              batch_size) if self.p_drop > 0.0 else None
+
+    def loglik(self, images, labels, masks):
+        log_probs, trace = forward(self.weights, images, hidden_masks=masks)
+        return log_probs[np.arange(len(labels)), labels][:, None], (trace, labels)
+
+    def grads(self, ctx, grad_ll) -> list:
+        return label_backward(*ctx, grad_ll.T)[0]
+
+
+def dropout_step(sampler: DropoutMasks, weight_decay: float):
+    """Dropout training's ``step_gradients``: the NLL, which is the vi
+    objective at one draw, and the L2 penalty, whose term reads 0.0."""
+    return partial(step_gradients, sampler, ObjectiveKind.VI, lambda: (
+        0.0, _decay_gradient(sampler.weights, weight_decay)))
+
+
 def _decay_gradient(weights, weight_decay: float):
     """Gradient of weight_decay * 0.5 * sum ||W||^2 with bias rows excluded."""
     grads = []
@@ -140,22 +167,10 @@ def train_dropout(data: Dataset, p_drop: float = 0.5,
         raise ValueError(f"weight_decay must be >= 0, got {weight_decay}")
     model = DropoutMlp(weights=glorot_weights(topology, Rng(cfg.seed).derive(0)),
                        p_drop=p_drop)
-    weights = model.weights
-    mask_rng = Rng(cfg.seed).derive(_MASK_STREAM)
-
-    def step(images, labels):
-        b = images.shape[0]
-        masks = _dropout_masks(mask_rng, weights, p_drop, b) if p_drop > 0.0 else None
-        log_probs, trace = forward(weights, images, hidden_masks=masks)
-        grad_log_probs = np.zeros_like(log_probs)
-        grad_log_probs[np.arange(b), labels] = -1.0 / b
-        trace.needs = WEIGHT_GRADS
-        grad_w, _ = backward(trace, grad_log_probs)
-        for g, dg in zip(grad_w, _decay_gradient(weights, weight_decay)):
-            g += dg
-        return -float(log_probs[np.arange(b), labels].mean()), 0.0, grad_w
-
-    fit(model.named_params(), step, data, cfg, progress=progress)
+    sampler = DropoutMasks(model.weights, p_drop,
+                           Rng(cfg.seed).derive(_MASK_STREAM))
+    fit(model.named_params(), sampler, dropout_step(sampler, weight_decay), data,
+        cfg, progress=progress)
     return model
 
 

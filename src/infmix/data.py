@@ -46,13 +46,15 @@ def read_idx(path) -> np.ndarray:
         type_code, ndim = header[2], header[3]
         if type_code not in _DTYPE_BY_CODE:
             raise IdxFormatError(f"unsupported IDX type code 0x{type_code:02x} in {path}")
+        if ndim == 0:
+            raise IdxFormatError(f"IDX header with no dims in {path}")
         dim_bytes = f.read(4 * ndim)
         if len(dim_bytes) < 4 * ndim:
             raise OSError(f"truncated IDX file (header dims): {path}")
         dims = [int.from_bytes(dim_bytes[4 * i:4 * i + 4], "big") for i in range(ndim)]
         dtype = _DTYPE_BY_CODE[type_code]
         # Python ints: a header's dims may multiply past any fixed width.
-        left = math.prod(dims) * dtype.itemsize if dims else 0
+        left = math.prod(dims) * dtype.itemsize
         chunks = []     # bounded reads: memory grows with the bytes present
         while left and (chunk := f.read(min(left, 1 << 24))):
             chunks.append(chunk)
@@ -126,6 +128,8 @@ def load_idx(images_path, labels_path, name: str = "") -> Dataset:
         raise DataConsistencyError(
             f"image count {raw_images.shape[0]} != label count {raw_labels.shape[0]}")
     n = raw_images.shape[0]
+    if n == 0:
+        raise DataConsistencyError(f"no images in {images_path}")
     images = raw_images.reshape(n, -1).astype(np.float64)
     if raw_images.dtype == np.dtype(">u1"):
         images /= 255.0
@@ -230,6 +234,11 @@ class BatchIterator:
 
     def _permutation_for_epoch(self, epoch: int) -> np.ndarray:
         return Rng(self.seed).derive(_SHUFFLE_STREAM, epoch).permutation(self.dataset.n)
+
+    def next_size(self) -> int:
+        """The size of the batch that ``next_batch`` serves next."""
+        pos = self._pos if self._pos < self.dataset.n else 0
+        return min(self.batch_size, self.dataset.n - pos)
 
     def next_batch(self):
         """Next (images, labels) batch; reshuffles at epoch boundaries."""

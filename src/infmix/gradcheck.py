@@ -15,10 +15,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .baselines import _decay_gradient
+from .baselines import DropoutMasks, _decay_gradient, dropout_step, glorot_weights
 from .network import StochasticMlp, backward, forward
-from .objectives import (ObjectiveKind, TrainConfig, ml_loss, objective_gradients,
-                         objective_loss, per_example_loglik, vi_loss)
+from .objectives import (ObjectiveKind, SharedDraws, TrainConfig, ml_loss,
+                         objective_gradients, objective_loss, vi_loss)
 from .posterior import PriorSpec, kl_backward, kl_to_prior, sample, sample_backward
 from .tensor import Rng
 
@@ -93,15 +93,16 @@ def _frozen_rng(seed: int) -> Rng:
 
 
 def frozen_loglik(net: StochasticMlp, images, labels, n_samples: int, seed: int):
-    """(ll, trace, draws) of ``per_example_loglik`` with frozen noise."""
-    return per_example_loglik(net, images, labels, n_samples, _frozen_rng(seed))
+    """(ll, ctx) of ``SharedDraws.loglik`` with frozen noise."""
+    sampler = SharedDraws(net, n_samples, _frozen_rng(seed))
+    return sampler.loglik(images, labels, sampler.draw(len(labels)))
 
 
 def frozen_objective_value(net, images, labels, n_samples, seed, kind, kl_weight,
                            prior) -> float:
     """Batch objective -(1/B) sum_n loss_n + kl_weight * KL / B, treating the
     batch as the whole dataset (the quantity the gradient check targets)."""
-    ll, _, _ = frozen_loglik(net, images, labels, n_samples, seed)
+    ll, _ = frozen_loglik(net, images, labels, n_samples, seed)
     per_example, _ = objective_loss(kind, ll)
     kl = sum(kl_to_prior(layer, prior) for layer in net.layers)
     return -float(per_example.mean()) + kl_weight * kl / images.shape[0]
@@ -194,12 +195,35 @@ def check_weight_decay_gradient(seed: int = 0, tolerance: float = 1e-6) -> Check
                     tolerance)
 
 
+def check_dropout_gradient(seed: int = 0, tolerance: float = 1e-5) -> CheckResult:
+    """``dropout_step``'s gradients over frozen per-example masks, vs
+    central FD of the NLL plus the weight decay."""
+    weights = glorot_weights(TINY_TOPOLOGY, Rng(seed))
+    # Nonzero biases: a unit whose inputs are all dropped is off its kink.
+    jitter = Rng(seed).derive(16)
+    for w in weights:
+        w[-1] = jitter.uniform(-0.5, 0.5, w.shape[1])
+    images, labels = _tiny_batch(seed)
+    sampler = DropoutMasks(weights, 0.5, Rng(seed).derive(15))
+    masks = sampler.draw(images.shape[0])
+    wd = 0.125
+    _, _, analytic = dropout_step(sampler, wd)(images, labels, masks)
+    rows = np.arange(images.shape[0])
+
+    def loss():
+        log_probs, _ = forward(weights, images, hidden_masks=masks)
+        return (-float(np.mean(log_probs[rows, labels]))
+                + sum(0.5 * wd * float(np.sum(w[:-1] ** 2)) for w in weights))
+
+    return fd_check("dropout_step", analytic, weights, loss, tolerance)
+
+
 def check_single_sample_equivalence(seed: int = 0) -> CheckResult:
     """With S=1 the two objectives must coincide exactly: same losses, same
     mixture weights, hence bit-identical gradients."""
     net = _tiny_net(seed)
     images, labels = _tiny_batch(seed)
-    ll, _, _ = frozen_loglik(net, images, labels, 1, seed)
+    ll, _ = frozen_loglik(net, images, labels, 1, seed)
     ml_val, ml_w = ml_loss(ll)
     vi_val, vi_w = vi_loss(ll)
     grads = {}
@@ -243,6 +267,7 @@ def run_all_checks(seed: int = 0, perturb: float = 0.0):
         check_sampling_gradient(seed),
         check_network_gradient(seed),
         check_weight_decay_gradient(seed),
+        check_dropout_gradient(seed),
         check_single_sample_equivalence(seed),
         check_mixture_input_gradient(seed),
     ]

@@ -145,6 +145,15 @@ def backward(trace: ForwardTrace, grad_log_probs: Array):
     return grad_weights, grad_x
 
 
+def label_backward(trace: ForwardTrace, labels, grad: Array, needs=WEIGHT_GRADS):
+    """``backward`` of sum(grad * log_probs[..., n, labels[n]]) over
+    ``trace``'s output, producing what ``needs`` names."""
+    grad_log_probs = np.zeros_like(trace.log_probs)
+    grad_log_probs[..., np.arange(len(labels)), labels] = grad
+    trace.needs = needs
+    return backward(trace, grad_log_probs)
+
+
 @dataclass
 class PredictiveSummary:
     """Per-example uncertainty summary over S weight draws."""
@@ -297,11 +306,9 @@ class MixtureModel:
         def grad(block):
             weights, masks = block
             log_probs, trace = forward(weights, x, hidden_masks=masks)
-            grad_log_probs = np.zeros_like(log_probs)
             p_label = np.exp(log_probs[..., rows, labels])
-            grad_log_probs[..., rows, labels] = p_label  # d p / d log p = p
-            trace.needs = INPUT_GRAD
-            _, gx = backward(trace, grad_log_probs)
+            # d p / d log p = p
+            _, gx = label_backward(trace, labels, p_label, INPUT_GRAD)
             return gx, p_label.reshape(-1, b).sum(axis=0), p_label.size // b
 
         label_prob_sum = np.zeros(b)

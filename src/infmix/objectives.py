@@ -11,8 +11,10 @@ of the full-dataset objective divided by N.  By Jensen, ml >= vi always,
 with equality at S = 1; the backward pass differs only in the per-(n, s)
 mixture weights (softmax of l over s for ml, uniform 1/S for vi).
 
-``fit`` is the one minibatch-ADAM loop; every model kind, these two and the
-baselines, trains through it with its own step closure.
+Every model kind, these two and the baselines, trains through one step,
+``step_gradients``: a sampler, which draws a step's noise and gives the
+batch's log-likelihoods and their gradients; ``objective_loss``; and a
+penalty.  ``fit`` is the one minibatch-ADAM loop around it.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data import BatchIterator, Dataset
-from .network import WEIGHT_GRADS, StochasticMlp, backward, forward
+from .network import StochasticMlp, forward, label_backward
 from .posterior import PriorSpec, kl_backward, kl_to_prior, sample_backward
 from .tensor import (AdamState, Array, DrawAhead, Rng, adam_step,
                      imap_in_order)
@@ -65,24 +67,37 @@ class TrainConfig(FitConfig):
 
 
 class TrainingDiverged(RuntimeError):
-    """A non-finite loss; the message names the iteration."""
+    """A non-finite loss, log-likelihood or activation; the message names
+    the iteration."""
 
 
-def per_example_loglik(net: StochasticMlp, images: Array, labels, n_samples: int,
-                       rng: Rng | None, normals: Array | None = None):
-    """log p(y_n | x_n, theta_s) for S independent weight draws, made from
-    ``normals`` (``StochasticMlp.draw_normals``), else drawn from ``rng``.
+class SharedDraws:
+    """A training step's sampler for a ``StochasticMlp``: S weight draws
+    that the whole batch shares.  A sampler has ``draw(batch_size)``, a
+    step's noise, or None if it draws none; ``loglik(images, labels,
+    noise) -> (ll, ctx)``, ll of shape (B, S); and ``grads(ctx, grad_ll)``,
+    one gradient per trained array."""
 
-    Returns (ll, trace, draws) where ll is (B, S); each draw s is one
-    mixture component evaluated on the full batch.  All S run as one stacked
-    forward pass, whose trace and per-layer sampled stacks the backward pass
-    reuses.
-    """
-    labels = np.asarray(labels)
-    draws = net.sample_draws(n_samples, rng, normals)
-    log_probs, trace = forward([sw.weights for sw in draws], images)
-    ll = log_probs[:, np.arange(images.shape[0]), labels].T
-    return ll, trace, draws
+    def __init__(self, net: StochasticMlp, n_samples: int, rng: Rng | None):
+        self.net, self.n_samples, self.rng = net, n_samples, rng
+
+    def draw(self, batch_size: int) -> Array:
+        return self.net.draw_normals(self.n_samples, self.rng)
+
+    def loglik(self, images: Array, labels, normals: Array):
+        """log p(y_n | x_n, theta_s) of each draw s, made from ``normals``;
+        all S run as one stacked forward pass, whose trace and per-layer
+        sampled stacks ``grads`` reuses."""
+        draws = self.net.sample_draws(self.n_samples, None, normals)
+        log_probs, trace = forward([sw.weights for sw in draws], images)
+        ll = log_probs[:, np.arange(images.shape[0]), labels].T
+        return ll, (trace, labels, draws)
+
+    def grads(self, ctx, grad_ll: Array) -> list:
+        trace, labels, draws = ctx
+        grad_w, _ = label_backward(trace, labels, grad_ll.T)
+        return [g for layer, sw, gw in zip(self.net.layers, draws, grad_w)
+                for g in sample_backward(layer, sw, gw)]
 
 
 def logmeanexp(a: Array, axis: int = -1) -> Array:
@@ -139,58 +154,80 @@ def loss_history_csv(records) -> str:
     return "\n".join(lines) + "\n"
 
 
+def kl_penalty(net: StochasticMlp, cfg: TrainConfig, n_total: int):
+    """kl_weight * KL_total / n_total, and its gradients (None at weight 0)."""
+    kl_scale = cfg.kl_weight / n_total
+    kl_term = kl_scale * sum(kl_to_prior(layer, cfg.prior) for layer in net.layers)
+    return kl_term, None if cfg.kl_weight == 0.0 else [
+        kl_scale * g for layer in net.layers for g in kl_backward(layer, cfg.prior)]
+
+
+def step_gradients(sampler, objective: ObjectiveKind, penalty, images: Array,
+                   labels, noise):
+    """The one training step of every model kind: batch loss = -(1/B)
+    sum_n loss_n + penalty term, with loss_n the ``objective_loss`` of the
+    sampler's log-likelihoods under ``noise``, and ``penalty()`` giving
+    (the penalty term, its gradients or None).
+    Returns (nll_term, penalty_term, grads), one gradient per trained array.
+    """
+    ll, ctx = sampler.loglik(images, labels, noise)
+    per_example, weights = objective_loss(objective, ll)
+    grads = sampler.grads(ctx, -weights / images.shape[0])
+    penalty_term, penalty_grads = penalty()
+    for g, pg in zip(grads, penalty_grads or ()):
+        g += pg
+    return -float(per_example.mean()), penalty_term, grads
+
+
 def objective_gradients(net: StochasticMlp, images: Array, labels,
                         cfg: TrainConfig, n_total: int, rng: Rng | None = None,
                         normals: Array | None = None):
-    """Loss terms and parameter gradients for one batch, with the weight
-    draws made from ``normals``, else drawn from ``rng``.
+    """``step_gradients`` of ml or vi, with shared weight draws made from
+    ``normals``, else drawn from ``rng``, and the KL penalty.
 
-    Batch loss = -(1/B) sum_n loss_n + kl_weight * KL_total / n_total.
     Returns (nll_term, kl_term, grads) with grads[l] = [gM, ga, gb].
     """
-    labels = np.asarray(labels)
-    b = images.shape[0]
-    ll, trace, draws = per_example_loglik(
-        net, images, labels, cfg.n_train_samples, rng, normals)
-    per_example, weights = objective_loss(cfg.objective, ll)
-    nll_term = -float(per_example.mean())
-    kl_total = sum(kl_to_prior(layer, cfg.prior) for layer in net.layers)
-    kl_scale = cfg.kl_weight / n_total
-    kl_term = kl_scale * kl_total
-
-    grad_log_probs = np.zeros_like(trace.log_probs)
-    grad_log_probs[:, np.arange(b), labels] = -weights.T / b
-    trace.needs = WEIGHT_GRADS
-    grad_w_layers, _ = backward(trace, grad_log_probs)
-    grads = [list(sample_backward(layer, sw, gw))
-             for layer, sw, gw in zip(net.layers, draws, grad_w_layers)]
-    if cfg.kl_weight != 0.0:
-        for l, layer in enumerate(net.layers):
-            gm, ga, gb = kl_backward(layer, cfg.prior)
-            grads[l][0] += kl_scale * gm
-            grads[l][1] += kl_scale * ga
-            grads[l][2] += kl_scale * gb
-    return nll_term, kl_term, grads
+    sampler = SharedDraws(net, cfg.n_train_samples, rng)
+    nll_term, kl_term, grads = step_gradients(
+        sampler, cfg.objective, lambda: kl_penalty(net, cfg, n_total), images,
+        labels, sampler.draw(len(labels)) if normals is None else normals)
+    return nll_term, kl_term, [grads[l:l + 3] for l in range(0, len(grads), 3)]
 
 
-def fit(named_params, step, data: Dataset, cfg: FitConfig,
+def fit(named_params, sampler, step, data: Dataset, cfg: FitConfig,
         record_every: int = 0, progress=None):
     """The one minibatch-ADAM loop; updates the arrays in place.
 
     ``named_params`` is a model's ``named_params()``.  ``step(images,
-    labels)`` returns (nll_term, penalty_term, grads) with one gradient per
-    array, in that order; the names label the arrays in errors.  Aborts on
-    a non-finite loss, naming the iteration.  The loss, the activations and
-    the gradients are checked for non-finite values, so numpy's own
-    overflow warnings on the way there are silenced.
+    labels, noise)`` returns (nll_term, penalty_term, grads) with one
+    gradient per array, in that order; the names label the arrays in
+    errors.  ``noise`` is ``sampler.draw`` of its batch's size: each step
+    but the last draws the next step's (``DrawAhead``) on a CPU that the
+    step leaves idle, or inline after it, and noise of None runs no map.
+    Aborts with ``TrainingDiverged``, naming the iteration, on a non-finite
+    loss or a ``FloatingPointError`` of the step.  The loss, the
+    activations and the gradients are checked for non-finite values, so
+    numpy's own overflow warnings on the way there are silenced.
     """
     batches = BatchIterator(data, cfg.batch_size, seed=cfg.seed)
     states = [AdamState.for_shape(p.shape, learning_rate=cfg.learning_rate)
               for _, p in named_params]
+    ahead = DrawAhead(cfg.iterations)
     records = []
     for it in range(cfg.iterations):
-        with np.errstate(all="ignore"):
-            nll_term, penalty_term, grads = step(*batches.next_batch())
+        # Taken before the batch: a draw is sized to the batch served next.
+        noise, then = ahead.take(lambda: sampler.draw(batches.next_size()))
+        images, labels = batches.next_batch()
+        try:
+            with np.errstate(all="ignore"):
+                if noise is None:
+                    nll_term, penalty_term, grads = step(images, labels, None)
+                else:
+                    [(nll_term, penalty_term, grads)] = imap_in_order(
+                        lambda _: step(images, labels, noise), [None], then)
+        except FloatingPointError as exc:
+            raise TrainingDiverged(
+                f"training diverged ({exc}) at iteration {it}") from exc
         loss = nll_term + penalty_term
         if not np.isfinite(loss):
             raise TrainingDiverged(
@@ -209,21 +246,16 @@ def train(net: StochasticMlp, data: Dataset, cfg: TrainConfig,
     """Trains ``net`` in place with ``fit``; returns the loss records.
 
     Deterministic per (net initialization, cfg.seed): batch order and weight
-    draws come from streams derived from cfg.seed.  Each step but the last
-    draws the next step's normals (``DrawAhead``): on a CPU that the step
-    leaves idle, or inline after it.  Only the normals are drawn ahead, as
-    the weights read the parameters that the step updates.
+    draws come from streams derived from cfg.seed.  Only the normals are
+    drawn ahead, as the weights read the parameters that the step updates.
     """
-    sample_rng = Rng(cfg.seed).derive(_WEIGHT_SAMPLE_STREAM)
-    ahead = DrawAhead(cfg.iterations)
+    sampler = SharedDraws(net, cfg.n_train_samples,
+                          Rng(cfg.seed).derive(_WEIGHT_SAMPLE_STREAM))
 
-    def step(images, labels):
-        normals, then = ahead.take(
-            lambda: net.draw_normals(cfg.n_train_samples, sample_rng))
-        [(nll_term, kl_term, grads)] = imap_in_order(
-            lambda _: objective_gradients(net, images, labels, cfg,
-                                          n_total=data.n, normals=normals),
-            [None], then)
+    def step(images, labels, normals):
+        nll_term, kl_term, grads = objective_gradients(
+            net, images, labels, cfg, n_total=data.n, normals=normals)
         return nll_term, kl_term, [g for layer in grads for g in layer]
 
-    return fit(net.named_params(), step, data, cfg, record_every, progress)
+    return fit(net.named_params(), sampler, step, data, cfg, record_every,
+               progress)

@@ -6,13 +6,15 @@ import numpy as np
 import pytest
 
 import infmix.baselines as baselines_mod
+import infmix.objectives as objectives_mod
 from conftest import one_worker_per_cpu, pool_at_rest
 from infmix.baselines import (DeepEnsemble, DeterministicMlp, DropoutMlp,
                               FitConfig, glorot_weights, train_deterministic,
                               train_dropout, train_ensemble)
-from infmix.gradcheck import check_weight_decay_gradient
+from infmix.data import Dataset
+from infmix.gradcheck import check_dropout_gradient, check_weight_decay_gradient
 from infmix.network import Components, forward, summarize_probs
-from infmix.tensor import Rng
+from infmix.tensor import Rng, map_in_order
 
 from test_objectives import toy_dataset
 
@@ -116,6 +118,11 @@ class TestDropout:
         expected, _ = OneMaskPerComponent(model.weights, 0.5).loss_input_grad(x, y)
         np.testing.assert_allclose(grad, expected, rtol=1e-10, atol=1e-15)
 
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_step_gradient_oracle(self, seed):
+        result = check_dropout_gradient(seed=seed)
+        assert result.passed, result.line()
+
     def test_inverted_dropout_scaling(self):
         # With p = 0.5 kept units are doubled: a surviving-mask forward of a
         # linear net doubles the logit contribution of kept units.
@@ -181,6 +188,106 @@ class TestNoDrop:
             model.predict(self.x, 0, Rng(0))
         with pytest.raises(ValueError, match="n_samples must be >= 1, got 0"):
             model.loss_input_grad(self.x, self.y, 0, Rng(0))
+
+
+# SHA-256 of the weights and the per-iteration losses of ``train_dropout``
+# over 90 images in batches of 40, so that two of its eight steps end an
+# epoch on a batch of 10, per p_drop; taken while each step drew its own
+# masks: the same on 1, 2 and 3 CPUs, and under OPENBLAS_NUM_THREADS=1, 2
+# and unset.  Another numpy or BLAS build may need them taken again.
+DROPOUT_TOPOLOGY = (64, 32, 32, 10)
+DROPOUT_DIGESTS = {
+    0.5: "211faa7f68c7e1a104c91922d981706cfe30afca5006b483acfa1e7fe7b1d908",
+    0.0: "dcc9c23b1ed7b82139808d4b538059d519e69db8f6eca3e39e7b5ef34da0df85",
+}
+
+
+class TestDropoutDrawAhead:
+    """Each dropout step but the last draws the next step's masks, sized to
+    the batch they will meet, in its own pool; at p_drop = 0 no step runs a
+    pool.  Training gives the bits it gave when every step drew its own."""
+
+    data = Dataset(images=Rng(7).uniform(0.0, 1.0, (90, DROPOUT_TOPOLOGY[0])),
+                   labels=np.arange(90) % 10)
+    cfg = FitConfig(batch_size=40, iterations=8, seed=11)
+
+    def train(self, p_drop, progress=None):
+        return train_dropout(self.data, p_drop, 1e-3, self.cfg,
+                             DROPOUT_TOPOLOGY, progress=progress)
+
+    def digest(self, p_drop):
+        """The SHA-256 of ``DROPOUT_DIGESTS`` for one training."""
+        losses = []
+        model = self.train(p_drop, lambda it, loss: losses.append(loss))
+        return sha256(*model.weights, np.array(losses))
+
+    @pytest.mark.parametrize("cpus", [1, 2, 3])
+    @pytest.mark.parametrize("p_drop", sorted(DROPOUT_DIGESTS))
+    def test_pinned_bytes_on_every_cpu_count(self, p_drop, cpus, monkeypatch):
+        one_worker_per_cpu(monkeypatch, cpus)
+        assert self.digest(p_drop) == DROPOUT_DIGESTS[p_drop]
+        # At p_drop = 0 training runs no pool, which stays as it was.
+        assert p_drop == 0.0 or pool_at_rest()
+
+    @pytest.mark.parametrize("cpus", [2, 3])
+    def test_pinned_bytes_under_a_full_map(self, cpus, monkeypatch):
+        # Two trainings fill two CPUs: a step's pool finds no idle CPU, or,
+        # on three, one of them finds the third, and draws ahead there.
+        one_worker_per_cpu(monkeypatch, cpus)
+        runs = sorted(DROPOUT_DIGESTS)
+        assert map_in_order(self.digest, runs) == [DROPOUT_DIGESTS[p]
+                                                   for p in runs]
+        assert pool_at_rest()
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_each_step_draws_the_next_masks_for_its_batch(self, cpus,
+                                                          monkeypatch):
+        one_worker_per_cpu(monkeypatch, cpus)
+        rows = []
+        real_masks = baselines_mod._dropout_masks
+
+        def dropout_masks(rng, weights, p_drop, n):
+            rows.append(n)
+            return real_masks(rng, weights, p_drop, n)
+
+        monkeypatch.setattr(baselines_mod, "_dropout_masks", dropout_masks)
+        drawn_by_step = []
+        self.train(0.5, lambda it, loss: drawn_by_step.append(len(rows)))
+        assert rows == [40, 40, 10, 40, 40, 10, 40, 40]
+        assert np.diff([0] + drawn_by_step).tolist() == [2] + [1] * 6 + [0]
+
+    @pytest.mark.parametrize("p_drop, maps", [(0.5, 8), (0.0, 0)])
+    def test_only_a_step_with_masks_runs_a_pool(self, p_drop, maps,
+                                                monkeypatch):
+        one_worker_per_cpu(monkeypatch, 2)
+        calls = []
+        real_imap = objectives_mod.imap_in_order
+
+        def imap_in_order(*args):
+            calls.append(args)
+            return real_imap(*args)
+
+        monkeypatch.setattr(objectives_mod, "imap_in_order", imap_in_order)
+        self.train(p_drop)
+        assert len(calls) == maps
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_error_of_the_drawn_ahead_masks_comes_out_of_training(
+            self, cpus, monkeypatch):
+        one_worker_per_cpu(monkeypatch, cpus)
+        calls = []
+        real_masks = baselines_mod._dropout_masks
+
+        def dropout_masks(*args):
+            calls.append(args)
+            if len(calls) == 3:     # drawn ahead by the second step
+                raise KeyError("masks 3 failed")
+            return real_masks(*args)
+
+        monkeypatch.setattr(baselines_mod, "_dropout_masks", dropout_masks)
+        with pytest.raises(KeyError, match="masks 3 failed"):
+            self.train(0.5)
+        assert len(calls) == 3 and pool_at_rest()
 
 
 class TestEnsemble:

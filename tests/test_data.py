@@ -91,6 +91,19 @@ class TestIdxIO:
         with pytest.raises(IdxFormatError, match="magic"):
             read_idx(path)
 
+    def test_header_with_no_dims_is_format_error(self, tmp_path):
+        path = os.path.join(tmp_path, "nodims")
+        with open(path, "wb") as f:
+            f.write(bytes([0, 0, 8, 0]))
+        with pytest.raises(IdxFormatError, match="no dims"):
+            read_idx(path)
+
+    def test_no_images_is_consistency_error(self, tmp_path):
+        img, lab = write_pair(tmp_path, np.zeros((0, 28, 28), dtype=np.uint8),
+                              np.zeros(0, dtype=np.uint8))
+        with pytest.raises(DataConsistencyError, match="no images"):
+            load_idx(img, lab)
+
     def test_count_mismatch_is_consistency_error(self, tmp_path):
         images = np.zeros((3, 28, 28), dtype=np.uint8)
         labels = np.zeros(2, dtype=np.uint8)

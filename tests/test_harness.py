@@ -692,7 +692,7 @@ class TestCli:
         assert main(["gradcheck"]) == 0
         out = capsys.readouterr().out
         assert "all checks passed" in out
-        assert out.count("PASS") == 8
+        assert out.count("PASS") == 9
 
     def test_negative_gradcheck_seed_is_a_one_line_config_error(self, capsys):
         assert main(["gradcheck", "--gradcheck-seed", "-1"]) == 1
@@ -811,6 +811,27 @@ class TestCli:
         assert code == 1
         assert capsys.readouterr().err == (
             f"config error: truncated IDX file (payload): {path}\n")
+
+    # A header of 0 dims, and a pair of files of 0 images and 0 labels.
+    @pytest.mark.parametrize("image_file, label_file, message", [
+        (bytes([0, 0, 8, 0]), None, "IDX header with no dims in {}"),
+        (bytes([0, 0, 8, 3, 0, 0, 0, 0, 0, 0, 0, 28, 0, 0, 0, 28]),
+         bytes([0, 0, 8, 1, 0, 0, 0, 0]), "no images in {}")],
+        ids=["no dims", "no images"])
+    def test_idx_file_with_no_data_exits_one(self, synthetic_data_dir, tmp_path,
+                                             capsys, image_file, label_file,
+                                             message):
+        data_dir = tmp_path / "data"
+        shutil.copytree(synthetic_data_dir, data_dir)
+        images = data_dir / "train-images-idx3-ubyte"
+        images.write_bytes(image_file)
+        if label_file is not None:
+            (data_dir / "train-labels-idx1-ubyte").write_bytes(label_file)
+        code = main(["--data-dir", str(data_dir), "--out-dir",
+                     str(tmp_path / "out"), "train"])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"config error: {message.format(images)}\n")
 
     def test_diverged_training_exits_one_without_traceback(
             self, synthetic_data_dir, tmp_path, capsys):

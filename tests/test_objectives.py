@@ -14,9 +14,9 @@ from infmix.data import BatchIterator, Dataset
 from infmix.gradcheck import check_objective_gradient
 from infmix.network import WEIGHT_GRADS, StochasticMlp, backward, forward
 from infmix.objectives import (FitConfig, LossRecord, ObjectiveKind,
-                               TrainConfig, logmeanexp, loss_history_csv,
-                               ml_loss, objective_gradients,
-                               per_example_loglik, train, vi_loss)
+                               SharedDraws, TrainConfig, logmeanexp,
+                               loss_history_csv, ml_loss, objective_gradients,
+                               train, vi_loss)
 from infmix.posterior import PriorSpec, kl_to_prior
 from infmix.tensor import AdamState, Rng, adam_step, map_in_order
 
@@ -42,13 +42,19 @@ def toy_dataset(n=600, seed=0, side=12):
                    labels=labels.astype(np.int64), name="toy")
 
 
+def shared_loglik(net, images, labels, n_samples, rng):
+    """(ll, (trace, labels, draws)) of ``SharedDraws`` drawing from ``rng``."""
+    sampler = SharedDraws(net, n_samples, rng)
+    return sampler.loglik(images, labels, sampler.draw(len(labels)))
+
+
 class TestPerExampleLoglik:
     def test_first_draw_is_the_per_layer_sampling_stream(self):
         # The batched draws keep the stream of one normal call per layer.
         net = StochasticMlp.create(Rng(0), topology=(6, 4, 4, 3))
         x = Rng(1).uniform(0, 1, (5, 6))
         y = Rng(2).integers(0, 3, size=5)
-        _, trace, draws = per_example_loglik(net, x, y, n_samples=3, rng=Rng(3))
+        _, (trace, _, draws) = shared_loglik(net, x, y, 3, Rng(3))
         layer = net.layers[0]
         e = Rng(3).standard_normal(layer.n_rows, layer.n_cols)
         expected = layer.row_std[:, None] * e * layer.col_std + layer.mean
@@ -60,7 +66,7 @@ class TestPerExampleLoglik:
         net = collapsed_net(0)
         x = Rng(1).uniform(0, 1, (5, 6))
         y = Rng(2).integers(0, 3, size=5)
-        ll, _, _ = per_example_loglik(net, x, y, n_samples=4, rng=Rng(3))
+        ll, _ = shared_loglik(net, x, y, 4, Rng(3))
         for s in range(1, 4):
             np.testing.assert_allclose(ll[:, s], ll[:, 0], atol=1e-12)
 
@@ -68,7 +74,7 @@ class TestPerExampleLoglik:
         net = StochasticMlp.create(Rng(0), topology=(6, 4, 4, 3))
         x = Rng(1).uniform(0, 1, (7, 6))
         y = Rng(2).integers(0, 3, size=7)
-        ll, _, _ = per_example_loglik(net, x, y, n_samples=3, rng=Rng(3))
+        ll, _ = shared_loglik(net, x, y, 3, Rng(3))
         assert np.all(ll <= 0.0)
 
     def test_uniform_output_net(self):
@@ -77,7 +83,7 @@ class TestPerExampleLoglik:
             layer.mean = np.zeros_like(layer.mean)
         x = Rng(1).uniform(0, 1, (4, 6))
         y = np.array([0, 1, 2, 0])
-        ll, _, _ = per_example_loglik(net, x, y, n_samples=2, rng=Rng(5))
+        ll, _ = shared_loglik(net, x, y, 2, Rng(5))
         np.testing.assert_allclose(ll, -np.log(3.0), atol=1e-12)
 
 
@@ -283,6 +289,26 @@ class TestTrain:
         with pytest.raises(RuntimeError, match="iteration 2"):
             train(net, data, cfg)
 
+    def test_non_finite_log_likelihood_aborts_with_iteration(self,
+                                                              monkeypatch):
+        data = toy_dataset(n=100)
+        net = StochasticMlp.create(Rng(0), topology=(784, 8, 8, 10))
+        calls = {"n": 0}
+        real = objectives_mod.forward
+
+        def poisoned(*args, **kwargs):
+            calls["n"] += 1
+            log_probs, trace = real(*args, **kwargs)
+            if calls["n"] == 3:
+                log_probs = np.full_like(log_probs, np.nan)
+            return log_probs, trace
+
+        monkeypatch.setattr(objectives_mod, "forward", poisoned)
+        with pytest.raises(objectives_mod.TrainingDiverged, match=(
+                r"^training diverged \(non-finite log-likelihood matrix\) "
+                r"at iteration 2$")):
+            train(net, data, TrainConfig(iterations=10, batch_size=50, seed=0))
+
     def test_invalid_config(self):
         with pytest.raises(ValueError):
             TrainConfig(n_train_samples=0)
@@ -442,7 +468,7 @@ class TestDrawAhead:
 
 
 class TestFit:
-    """The one minibatch-ADAM loop, through both kinds of step closure."""
+    """The one minibatch-ADAM loop and step, with either sampler."""
 
     TOPOLOGY = (784, 8, 8, 10)
     BLOCKS = ("mean", "row_scale_raw", "col_scale_raw")
@@ -512,6 +538,26 @@ class TestFit:
                 topology=self.TOPOLOGY, progress=progress)
         assert [it for it, _ in seen] == list(range(6))
         assert all(np.isfinite(loss) for _, loss in seen)
+
+
+class TestDropoutObjective:
+    @pytest.mark.parametrize("kind", list(ObjectiveKind))
+    def test_nll_and_gradient_seed_are_either_objective_at_one_draw(self, kind):
+        # Dropout's NLL and its -1/B gradient seed, as dropout's own step
+        # computed them, from the masked sampler's log-likelihoods.
+        for seed in range(50):
+            b = 1 + seed
+            rng = Rng(seed)
+            weights = baselines.glorot_weights((6, 4, 4, 3), rng.derive(0))
+            sampler = baselines.DropoutMasks(weights, 0.5, rng.derive(1))
+            images, labels = rng.uniform(0.0, 1.0, (b, 6)), np.arange(b) % 3
+            masks = sampler.draw(b)
+            ll, _ = sampler.loglik(images, labels, masks)
+            log_probs, _ = forward(weights, images, hidden_masks=masks)
+            per_example, grad_weights = objectives_mod.objective_loss(kind, ll)
+            assert -float(per_example.mean()) == \
+                -float(log_probs[np.arange(b), labels].mean())
+            assert np.array_equal(-grad_weights / b, np.full((b, 1), -1.0 / b))
 
 
 class TestLossHistory:
