@@ -10,6 +10,7 @@ from __future__ import annotations
 import gzip
 import math
 import os
+import zlib
 from contextlib import contextmanager
 from dataclasses import dataclass
 
@@ -37,6 +38,13 @@ def _open_maybe_gzip(path):
 
 def read_idx(path) -> np.ndarray:
     """Read one IDX file into an ndarray (ubyte or float64 payload)."""
+    try:
+        return _read_idx(path)
+    except (EOFError, zlib.error) as exc:     # a cut or corrupt gzip stream
+        raise OSError(f"corrupt gzip IDX file {path}: {exc}") from exc
+
+
+def _read_idx(path) -> np.ndarray:
     with _open_maybe_gzip(path) as f:
         header = f.read(4)
         if len(header) < 4:

@@ -205,7 +205,7 @@ def load_config(path) -> ExperimentConfig:
     try:
         with open(path) as f:
             text = f.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     return parse_config_text(text)
 
@@ -533,6 +533,8 @@ def _attack_config(cfg: ExperimentConfig, seed: int,
 def run_attack(cfg: ExperimentConfig, checkpoint=None) -> dict:
     """Robustness curves on the first ``attack_prefix`` test samples; each
     (trial, epsilon) attack is one item of the worker pool."""
+    if not cfg.eps_grid:
+        raise ConfigError("empty eps_grid: no attack to run")
     test_data = load_split(cfg.data_dir, "test", name=cfg.dataset)
     prefix = take_prefix(test_data, min(cfg.attack_prefix, test_data.n))
 

@@ -16,7 +16,7 @@ import itertools
 import os
 import queue
 import threading
-from contextlib import contextmanager, suppress
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -63,32 +63,6 @@ def _one_malloc_arena():
     mallopt.argtypes = [ctypes.c_int, ctypes.c_int]
     mallopt.restype = ctypes.c_int
     mallopt(_M_ARENA_MAX, 1)
-
-
-def _current_cpu():
-    """The CPU the calling thread runs on, or None where ``/proc`` does not
-    say (field 39 of ``/proc/thread-self/stat`` on Linux)."""
-    try:
-        with open("/proc/thread-self/stat", "rb") as f:
-            return int(f.read().rsplit(b")", 1)[1].split()[36])
-    except (OSError, ValueError, IndexError):
-        return None
-
-
-def _step_off(cpu):
-    """Move the calling thread off ``cpu`` now, and let it run anywhere it
-    may again.  A woken thread is often placed on the CPU of the thread
-    that woke it, and the two then take turns there while another CPU
-    idles (on a 2-vCPU VM, PGD steps at one gradient draw took 20 ms
-    against 17); once moved, it stays.  Steering only: a refusal leaves the
-    thread as it is."""
-    if cpu is None or not hasattr(os, "sched_setaffinity"):
-        return
-    with suppress(OSError):
-        allowed = os.sched_getaffinity(0)
-        if allowed - {cpu}:
-            os.sched_setaffinity(0, allowed - {cpu})
-            os.sched_setaffinity(0, allowed)
 
 
 class Rng:
@@ -139,11 +113,13 @@ class _Pool:
     the threads that compute its items.  Each thread is started once and
     then parked between the maps it helps, with no CPU, so that a map
     wakes a thread where it would start one.  On a 2-vCPU VM a map of two
-    6 ms GEMM items took 11-14 ms with a thread started per map, more than
-    a plain loop's 10-12 ms, and 6.5-8 ms with a parked thread that steps
-    off the caller's CPU (``_step_off``).  A map wakes threads only for
-    CPUs of the budget, so no more of them exist than ``size - 1`` once
-    ``reserve`` has ended those that a smaller budget leaves over."""
+    7 ms GEMM items took 9.1-9.7 ms with a parked thread, 9.9-10.7 ms with
+    a thread started per map and 15.5-16.3 ms as a plain loop (medians of
+    200 maps, 3 processes each).  A woken thread runs where the scheduler
+    puts it: moving it off the caller's CPU gained nothing measurable.  A
+    map wakes threads only for CPUs of the budget, so no more of them exist
+    than ``size - 1`` once ``reserve`` has ended those that a smaller budget
+    leaves over."""
 
     def __init__(self):
         self._lock = threading.Lock()
@@ -207,14 +183,13 @@ class _Pool:
                     target=self._serve, name="infmix-worker", args=(jobs,),
                     daemon=True)
                 self.threads[jobs].start()
-        jobs.put((helper, done, _current_cpu()))
+        jobs.put((helper, done))
 
     def _serve(self, jobs):
         self._local.cpu = True      # whenever it computes, it holds one
         while (job := jobs.get()) is not None:
-            helper, done, caller_cpu = job
+            helper, done = job
             job = None
-            _step_off(caller_cpu)
             try:
                 helper()
             finally:

@@ -121,6 +121,21 @@ class TestIdxIO:
         with pytest.raises(OSError, match="truncated"):
             read_idx(path)
 
+    # The first half of a gzip file, and a gzip file whose first deflate
+    # block has the reserved block type 3 (bits 1-2 of the byte after the
+    # 10-byte header that ``gzip.compress`` writes).
+    @pytest.mark.parametrize("damage", [
+        lambda blob: blob[:len(blob) // 2],
+        lambda blob: blob[:10] + bytes([blob[10] | 0x06]) + blob[11:]],
+        ids=["half", "bad block type"])
+    def test_cut_or_corrupt_gzip_is_io_error(self, tmp_path, damage):
+        img, _ = write_pair(tmp_path, np.zeros((3, 28, 28), dtype=np.uint8),
+                            np.zeros(3, dtype=np.uint8))
+        path = img + ".gz"
+        Path(path).write_bytes(damage(gzip.compress(Path(img).read_bytes())))
+        with pytest.raises(OSError, match="corrupt gzip IDX file"):
+            read_idx(path)
+
     # The first claims 60000 x 65535 x 65535 bytes; the second's item count,
     # 2**64, wraps to 0 in 64-bit integers.
     @pytest.mark.parametrize("dims", [(60000, 65535, 65535),

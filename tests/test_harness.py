@@ -2,6 +2,7 @@
 
 import csv
 import dataclasses
+import gzip
 import json
 import os
 import shutil
@@ -709,6 +710,14 @@ class TestCli:
     def test_missing_config_file_exits_one(self):
         assert main(["--config", "/nonexistent.cfg", "train"]) == 1
 
+    def test_config_file_that_is_not_utf8_exits_one(self, tmp_path, capsys):
+        path = tmp_path / "bad.cfg"
+        path.write_bytes(bytes([0xff, 0xfe, 0x00]))
+        assert main(["--config", str(path), "train"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: cannot read config {path}: ")
+        assert err.count("\n") == 1
+
     @pytest.mark.parametrize("argv, message", [
         (["--bogus", "train"], "unrecognized arguments: --bogus"),
         (["nosuchcmd"], "argument command: invalid choice: 'nosuchcmd'"),
@@ -763,6 +772,20 @@ class TestCli:
         assert code == 0
         assert "balanced entropy undefined" in capsys.readouterr().out
 
+    def test_empty_eps_grid_exits_one_before_any_attack(
+            self, synthetic_data_dir, tmp_path, capsys):
+        cfg_path = tmp_path / "run.cfg"
+        cfg_path.write_text("model = deterministic\neps_grid =\n")
+        out_dir = tmp_path / "out"
+        code = main(["--config", str(cfg_path), "--data-dir", synthetic_data_dir,
+                     "--out-dir", str(out_dir), "attack",
+                     "--checkpoint", perfect_checkpoint(tmp_path)])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "config error: empty eps_grid: no attack to run\n"
+        assert not list(out_dir.glob("attack_*"))
+
     @pytest.mark.parametrize("command", ["ood", "attack", "detect"])
     @pytest.mark.parametrize("shapes,widths", [
         (((7, 4), (5, 10)), "6 inputs to 10 classes"),
@@ -811,6 +834,22 @@ class TestCli:
         assert code == 1
         assert capsys.readouterr().err == (
             f"config error: truncated IDX file (payload): {path}\n")
+
+    def test_cut_gzip_idx_file_exits_one(self, synthetic_data_dir, tmp_path,
+                                         capsys):
+        data_dir = tmp_path / "data"
+        shutil.copytree(synthetic_data_dir, data_dir)
+        images = data_dir / "train-images-idx3-ubyte"
+        path = data_dir / "train-images-idx3-ubyte.gz"
+        blob = gzip.compress(images.read_bytes())
+        path.write_bytes(blob[:len(blob) // 2])
+        images.unlink()
+        code = main(["--data-dir", str(data_dir), "--out-dir",
+                     str(tmp_path / "out"), "train"])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"config error: corrupt gzip IDX file {path}: Compressed file "
+            f"ended before the end-of-stream marker was reached\n")
 
     # A header of 0 dims, and a pair of files of 0 images and 0 labels.
     @pytest.mark.parametrize("image_file, label_file, message", [

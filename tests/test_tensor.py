@@ -517,74 +517,13 @@ class TestDrawAhead:
 
 
 def in_thread(fn):
-    """``fn()`` run on a new thread, so that affinity changes stay there."""
+    """``fn()`` run on a new thread."""
     out = []
     worker = threading.Thread(target=lambda: out.append(fn()))
     worker.start()
     worker.join(timeout=JOIN_TIMEOUT_S)
     assert not worker.is_alive() and len(out) == 1
     return out[0]
-
-
-@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"),
-                    reason="no per-thread CPU affinity on this platform")
-class TestKeepOff:
-    """A woken pool thread steps off the CPU of the thread that woke it."""
-
-    def test_current_cpu_is_one_the_thread_may_use(self):
-        cpu = tensor._current_cpu()
-        if cpu is None:
-            pytest.skip("/proc does not give the current CPU here")
-        assert cpu in os.sched_getaffinity(0)
-
-    def test_unknown_or_only_cpu_changes_nothing(self):
-        allowed = os.sched_getaffinity(0)
-        cpu = min(allowed)
-
-        def step_off_only_cpu():
-            os.sched_setaffinity(0, {cpu})
-            tensor._step_off(cpu)
-            return os.sched_getaffinity(0)
-
-        def step_off_unknown():
-            tensor._step_off(None)
-            return os.sched_getaffinity(0)
-
-        assert in_thread(step_off_only_cpu) == {cpu}
-        assert in_thread(step_off_unknown) == allowed
-
-    def test_step_off_moves_the_thread_and_keeps_its_mask(self):
-        allowed = os.sched_getaffinity(0)
-        if len(allowed) < 2 or tensor._current_cpu() is None:
-            pytest.skip("needs two CPUs and the current CPU from /proc")
-        cpu = min(allowed)
-
-        def step_off():
-            os.sched_setaffinity(0, {cpu})      # on ``cpu`` now
-            os.sched_setaffinity(0, allowed)
-            tensor._step_off(cpu)
-            return tensor._current_cpu(), os.sched_getaffinity(0)
-
-        # The scheduler may move it back later, rarely at once.
-        outcomes = [in_thread(step_off) for _ in range(3)]
-        assert all(mask == allowed for _, mask in outcomes)
-        assert any(now != cpu for now, _ in outcomes)
-
-    def test_woken_pool_thread_steps_off_the_caller_cpu(self, monkeypatch):
-        one_worker_per_cpu(monkeypatch, 2)
-        calls = []
-        monkeypatch.setattr(tensor, "_step_off", lambda cpu: calls.append(
-            (threading.get_ident(), cpu)))
-        monkeypatch.setattr(tensor, "_current_cpu", lambda: "caller's")
-        barrier = threading.Barrier(2, timeout=JOIN_TIMEOUT_S)
-
-        def item(_):
-            barrier.wait()      # both items run at once
-            return threading.get_ident()
-
-        idents = set(map_in_order(item, range(2)))
-        assert calls == [(ident, "caller's") for ident in
-                         idents - {threading.get_ident()}]
 
 
 class TestAdam:
