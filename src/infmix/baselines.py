@@ -9,14 +9,13 @@ attack code is model-agnostic.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import partial
 
 import numpy as np
 
 from .data import Dataset
 from .network import (DEFAULT_TOPOLOGY, Components, MixtureModel, forward,
                       label_backward)
-from .objectives import FitConfig, ObjectiveKind, fit, step_gradients
+from .objectives import FitConfig, ObjectiveKind, fit
 from .posterior import glorot_uniform
 from .tensor import Rng, map_in_order
 
@@ -133,21 +132,13 @@ class DropoutMasks:
         return label_backward(*ctx, grad_ll.T)[0]
 
 
-def dropout_step(sampler: DropoutMasks, weight_decay: float):
-    """Dropout training's ``step_gradients``: the NLL, which is the vi
-    objective at one draw, and the L2 penalty, whose term reads 0.0."""
-    return partial(step_gradients, sampler, ObjectiveKind.VI, lambda: (
-        0.0, _decay_gradient(sampler.weights, weight_decay)))
-
-
-def _decay_gradient(weights, weight_decay: float):
-    """Gradient of weight_decay * 0.5 * sum ||W||^2 with bias rows excluded."""
-    grads = []
-    for w in weights:
-        g = weight_decay * w
-        g[-1, :] = 0.0
-        grads.append(g)
-    return grads
+def decay_penalty(weights, weight_decay: float):
+    """Dropout training's penalty: (0.0, the gradient of weight_decay * 0.5
+    * sum ||W||^2 with bias rows excluded); the term reads 0.0."""
+    grads = [weight_decay * w for w in weights]
+    for g in grads:
+        g[-1] = 0.0
+    return 0.0, grads
 
 
 def train_deterministic(data: Dataset, weight_decay: float = DEFAULT_WEIGHT_DECAY,
@@ -161,7 +152,8 @@ def train_dropout(data: Dataset, p_drop: float = 0.5,
                   weight_decay: float = DEFAULT_WEIGHT_DECAY,
                   cfg: FitConfig | None = None, topology=DEFAULT_TOPOLOGY,
                   progress=None) -> DropoutMlp:
-    """Cross-entropy + L2 training by ``fit``; per-example masks if p_drop > 0."""
+    """Cross-entropy (vi at one draw) + L2 training by ``fit``; per-example
+    masks if p_drop > 0."""
     cfg = cfg or FitConfig()
     if weight_decay < 0:
         raise ValueError(f"weight_decay must be >= 0, got {weight_decay}")
@@ -169,8 +161,9 @@ def train_dropout(data: Dataset, p_drop: float = 0.5,
                        p_drop=p_drop)
     sampler = DropoutMasks(model.weights, p_drop,
                            Rng(cfg.seed).derive(_MASK_STREAM))
-    fit(model.named_params(), sampler, dropout_step(sampler, weight_decay), data,
-        cfg, progress=progress)
+    fit(model.named_params(), sampler, ObjectiveKind.VI,
+        lambda: decay_penalty(model.weights, weight_decay), data, cfg,
+        progress=progress)
     return model
 
 

@@ -141,6 +141,12 @@ def load_idx(images_path, labels_path, name: str = "") -> Dataset:
     images = raw_images.reshape(n, -1).astype(np.float64)
     if raw_images.dtype == np.dtype(">u1"):
         images /= 255.0
+    elif not np.all((images >= 0.0) & (images <= 1.0)):     # NaN included
+        raise DataConsistencyError(f"float pixels outside [0, 1] in {images_path}")
+    if raw_labels.dtype != np.dtype(">u1") and not np.all(
+            np.isin(raw_labels, np.arange(10))):
+        raise DataConsistencyError(
+            f"float labels that are not integers 0..9 in {labels_path}")
     labels = raw_labels.astype(np.int64)
     if n and (labels.min() < 0 or labels.max() > 9):
         raise DataConsistencyError(

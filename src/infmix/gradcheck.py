@@ -15,10 +15,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .baselines import DropoutMasks, _decay_gradient, dropout_step, glorot_weights
+from .baselines import DropoutMasks, decay_penalty, glorot_weights
 from .network import StochasticMlp, backward, forward
 from .objectives import (ObjectiveKind, SharedDraws, TrainConfig, ml_loss,
-                         objective_gradients, objective_loss, vi_loss)
+                         objective_gradients, objective_loss, step_gradients,
+                         vi_loss)
 from .posterior import PriorSpec, kl_backward, kl_to_prior, sample, sample_backward
 from .tensor import Rng
 
@@ -134,9 +135,8 @@ def check_objective_gradient(kind: ObjectiveKind, seed: int = 0,
     cfg = TrainConfig(objective=kind, kl_weight=0.3, prior=PriorSpec(1.2),
                       n_train_samples=3, seed=seed)
 
-    _, _, grads = objective_gradients(
+    _, _, analytic = objective_gradients(
         net, images, labels, cfg, n_total=images.shape[0], rng=_frozen_rng(seed))
-    analytic = [g for layer in grads for g in layer]
     analytic[0].flat[0] += perturb
     return fd_check(
         f"objective_{ObjectiveKind(kind).value}", analytic,
@@ -158,7 +158,8 @@ def check_kl_gradient(seed: int = 0, tolerance: float = 1e-6) -> CheckResult:
 def check_sampling_gradient(seed: int = 0, tolerance: float = 1e-5) -> CheckResult:
     """d/d(M, a, b) of sum(G * W) over one frozen draw, G random and fixed."""
     net = _tiny_net(seed)
-    noises = [sw.noise for sw in net.sample_draws(1, _frozen_rng(seed))]
+    noises = [sw.noise for sw in net.sample_draws(
+        net.draw_normals(1, _frozen_rng(seed)))]
     g_rng = Rng(seed).derive(12)
     gs = [g_rng.standard_normal(1, layer.n_rows, layer.n_cols)
           for layer in net.layers]
@@ -174,7 +175,8 @@ def check_network_gradient(seed: int = 0, tolerance: float = 1e-5) -> CheckResul
     """Weight and input gradients of sum(G * log_probs) on one fixed draw."""
     net = _tiny_net(seed)
     images, labels = _tiny_batch(seed)
-    weights = [sw.weights for sw in net.sample_draws(1, _frozen_rng(seed))]
+    weights = [sw.weights for sw in net.sample_draws(
+        net.draw_normals(1, _frozen_rng(seed)))]
     g = Rng(seed).derive(13).standard_normal(1, images.shape[0],
                                              net.layers[-1].n_cols)
 
@@ -189,15 +191,15 @@ def check_weight_decay_gradient(seed: int = 0, tolerance: float = 1e-6) -> Check
     rng = Rng(seed).derive(14)
     weights = [rng.standard_normal(4, 3), rng.standard_normal(4, 2)]
     wd = 0.125
-    return fd_check("weight_decay", _decay_gradient(weights, wd), weights,
+    return fd_check("weight_decay", decay_penalty(weights, wd)[1], weights,
                     lambda: sum(0.5 * wd * float(np.sum(w[:-1] ** 2))
                                 for w in weights),
                     tolerance)
 
 
 def check_dropout_gradient(seed: int = 0, tolerance: float = 1e-5) -> CheckResult:
-    """``dropout_step``'s gradients over frozen per-example masks, vs
-    central FD of the NLL plus the weight decay."""
+    """Dropout training's ``step_gradients`` over frozen per-example masks,
+    vs central FD of the NLL plus the weight decay."""
     weights = glorot_weights(TINY_TOPOLOGY, Rng(seed))
     # Nonzero biases: a unit whose inputs are all dropped is off its kink.
     jitter = Rng(seed).derive(16)
@@ -207,7 +209,9 @@ def check_dropout_gradient(seed: int = 0, tolerance: float = 1e-5) -> CheckResul
     sampler = DropoutMasks(weights, 0.5, Rng(seed).derive(15))
     masks = sampler.draw(images.shape[0])
     wd = 0.125
-    _, _, analytic = dropout_step(sampler, wd)(images, labels, masks)
+    _, _, analytic = step_gradients(sampler, ObjectiveKind.VI,
+                                    lambda: decay_penalty(weights, wd),
+                                    images, labels, masks)
     rows = np.arange(images.shape[0])
 
     def loss():
@@ -233,7 +237,7 @@ def check_single_sample_equivalence(seed: int = 0) -> CheckResult:
         _, _, g = objective_gradients(
             net, images, labels, cfg, n_total=images.shape[0],
             rng=_frozen_rng(seed))
-        grads[kind] = flatten([part for layer in g for part in layer])
+        grads[kind] = flatten(g)
     exact = (np.array_equal(ml_val, vi_val) and np.array_equal(ml_w, vi_w)
              and np.array_equal(grads[ObjectiveKind.ML], grads[ObjectiveKind.VI]))
     err = 0.0 if exact else max(

@@ -492,6 +492,10 @@ def run_ood(cfg: ExperimentConfig, checkpoint=None) -> dict:
             f"OOD data missing: {exc}; convert the OOD set to IDX and place "
             f"it in {cfg.data_dir}") from exc
     ood_data = take_prefix(ood_data, min(cfg.ood_prefix, ood_data.n))
+    if ood_data.images.shape[1] != test_data.images.shape[1]:
+        raise ConfigError(
+            f"the ood split has {ood_data.images.shape[1]} pixels, but the "
+            f"test split has {test_data.images.shape[1]}")
 
     splits = (test_data, ood_data)
 

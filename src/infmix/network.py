@@ -370,24 +370,21 @@ class StochasticMlp(MixtureModel):
         return rng.standard_normal(
             n_samples, sum(layer.mean.size for layer in self.layers))
 
-    def sample_draws(self, n_samples: int, rng: Rng | None,
-                     normals: Array | None = None) -> list:
-        """``n_samples`` draws as one stack (S, n_in+1, n_out) per layer, from
-        ``normals`` (``draw_normals``), else drawn from ``rng``.  Each row
-        holds the stream of a (n_rows, n_cols) call per layer, draw after
-        draw.  Layer 0 is written draw-major, for ``forward``'s wide GEMM."""
+    def sample_draws(self, normals: Array) -> list:
+        """The S draws of ``normals`` (``draw_normals``) as one stack
+        (S, n_in+1, n_out) per layer.  Each row holds the stream of a
+        (n_rows, n_cols) call per layer, draw after draw.  Layer 0 is
+        written draw-major, for ``forward``'s wide GEMM."""
         sizes = [layer.mean.size for layer in self.layers]
-        if normals is None:
-            normals = self.draw_normals(n_samples, rng)
         parts = np.split(normals, np.cumsum(sizes)[:-1], axis=1)
         draws = []
         for layer, noise in zip(self.layers, parts):
             out = None if draws else np.empty(
-                (layer.n_rows, n_samples, layer.n_cols)).transpose(1, 0, 2)
-            draws.append(sample(
-                layer, noise.reshape(n_samples, *layer.mean.shape), out=out))
+                (layer.n_rows, len(normals), layer.n_cols)).transpose(1, 0, 2)
+            draws.append(sample(layer, noise.reshape(-1, *layer.mean.shape), out=out))
         return draws
 
     def components(self, n_samples: int, rng: Rng) -> Components:
         return Components(n_samples, lambda start, stop: (
-            [sw.weights for sw in self.sample_draws(stop - start, rng)], None))
+            [sw.weights for sw in self.sample_draws(
+                self.draw_normals(stop - start, rng))], None))

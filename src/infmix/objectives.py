@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -78,7 +79,7 @@ class SharedDraws:
     noise) -> (ll, ctx)``, ll of shape (B, S); and ``grads(ctx, grad_ll)``,
     one gradient per trained array."""
 
-    def __init__(self, net: StochasticMlp, n_samples: int, rng: Rng | None):
+    def __init__(self, net: StochasticMlp, n_samples: int, rng: Rng):
         self.net, self.n_samples, self.rng = net, n_samples, rng
 
     def draw(self, batch_size: int) -> Array:
@@ -88,7 +89,7 @@ class SharedDraws:
         """log p(y_n | x_n, theta_s) of each draw s, made from ``normals``;
         all S run as one stacked forward pass, whose trace and per-layer
         sampled stacks ``grads`` reuses."""
-        draws = self.net.sample_draws(self.n_samples, None, normals)
+        draws = self.net.sample_draws(normals)
         log_probs, trace = forward([sw.weights for sw in draws], images)
         ll = log_probs[:, np.arange(images.shape[0]), labels].T
         return ll, (trace, labels, draws)
@@ -180,30 +181,26 @@ def step_gradients(sampler, objective: ObjectiveKind, penalty, images: Array,
 
 
 def objective_gradients(net: StochasticMlp, images: Array, labels,
-                        cfg: TrainConfig, n_total: int, rng: Rng | None = None,
-                        normals: Array | None = None):
-    """``step_gradients`` of ml or vi, with shared weight draws made from
-    ``normals``, else drawn from ``rng``, and the KL penalty.
-
-    Returns (nll_term, kl_term, grads) with grads[l] = [gM, ga, gb].
-    """
+                        cfg: TrainConfig, n_total: int, rng: Rng):
+    """``step_gradients`` of ml or vi with shared weight draws from ``rng``
+    and the KL penalty: (nll_term, kl_term, grads), one gradient per array
+    of ``net.named_params()``."""
     sampler = SharedDraws(net, cfg.n_train_samples, rng)
-    nll_term, kl_term, grads = step_gradients(
-        sampler, cfg.objective, lambda: kl_penalty(net, cfg, n_total), images,
-        labels, sampler.draw(len(labels)) if normals is None else normals)
-    return nll_term, kl_term, [grads[l:l + 3] for l in range(0, len(grads), 3)]
+    return step_gradients(sampler, cfg.objective,
+                          partial(kl_penalty, net, cfg, n_total), images,
+                          labels, sampler.draw(len(labels)))
 
 
-def fit(named_params, sampler, step, data: Dataset, cfg: FitConfig,
-        record_every: int = 0, progress=None):
+def fit(named_params, sampler, objective: ObjectiveKind, penalty,
+        data: Dataset, cfg: FitConfig, record_every: int = 0, progress=None):
     """The one minibatch-ADAM loop; updates the arrays in place.
 
-    ``named_params`` is a model's ``named_params()``.  ``step(images,
-    labels, noise)`` returns (nll_term, penalty_term, grads) with one
-    gradient per array, in that order; the names label the arrays in
-    errors.  ``noise`` is ``sampler.draw`` of its batch's size: each step
-    but the last draws the next step's (``DrawAhead``) on a CPU that the
-    step leaves idle, or inline after it, and noise of None runs no map.
+    ``named_params`` is a model's ``named_params()``.  Each step is
+    ``step_gradients(sampler, objective, penalty, ...)``, whose gradients
+    come one per array, in that order; the names label the arrays in
+    errors.  A step's noise is ``sampler.draw`` of its batch's size: each
+    step but the last draws the next step's (``DrawAhead``) on a CPU that
+    the step leaves idle, or inline after it, and noise of None runs no map.
     Aborts with ``TrainingDiverged``, naming the iteration, on a non-finite
     loss or a ``FloatingPointError`` of the step.  The loss, the
     activations and the gradients are checked for non-finite values, so
@@ -218,13 +215,15 @@ def fit(named_params, sampler, step, data: Dataset, cfg: FitConfig,
         # Taken before the batch: a draw is sized to the batch served next.
         noise, then = ahead.take(lambda: sampler.draw(batches.next_size()))
         images, labels = batches.next_batch()
+        step = partial(step_gradients, sampler, objective, penalty, images,
+                       labels, noise)
         try:
             with np.errstate(all="ignore"):
                 if noise is None:
-                    nll_term, penalty_term, grads = step(images, labels, None)
+                    nll_term, penalty_term, grads = step()
                 else:
                     [(nll_term, penalty_term, grads)] = imap_in_order(
-                        lambda _: step(images, labels, noise), [None], then)
+                        lambda _: step(), [None], then)
         except FloatingPointError as exc:
             raise TrainingDiverged(
                 f"training diverged ({exc}) at iteration {it}") from exc
@@ -251,11 +250,6 @@ def train(net: StochasticMlp, data: Dataset, cfg: TrainConfig,
     """
     sampler = SharedDraws(net, cfg.n_train_samples,
                           Rng(cfg.seed).derive(_WEIGHT_SAMPLE_STREAM))
-
-    def step(images, labels, normals):
-        nll_term, kl_term, grads = objective_gradients(
-            net, images, labels, cfg, n_total=data.n, normals=normals)
-        return nll_term, kl_term, [g for layer in grads for g in layer]
-
-    return fit(net.named_params(), sampler, step, data, cfg, record_every,
+    return fit(net.named_params(), sampler, cfg.objective,
+               partial(kl_penalty, net, cfg, data.n), data, cfg, record_every,
                progress)

@@ -157,6 +157,44 @@ class TestIdxIO:
         with pytest.raises(DataConsistencyError, match="0..9"):
             load_idx(img, lab)
 
+    @pytest.mark.parametrize("pixel", [5.0, -0.25, np.nan, np.inf])
+    def test_float_pixel_outside_the_unit_interval_rejected(self, tmp_path,
+                                                             pixel):
+        images = np.full((2, 4, 4), 0.5)
+        images[1, 2, 3] = pixel
+        img, lab = write_pair(tmp_path, np.zeros((2, 4, 4), np.uint8),
+                              np.array([1, 2], np.uint8))
+        write_idx(img, images, IDX_FLOAT64)
+        with pytest.raises(DataConsistencyError,
+                           match=r"^float pixels outside \[0, 1\] in "):
+            load_idx(img, lab)
+
+    @pytest.mark.parametrize("label", [0.5, 9.9, -1.0, 10.0, np.nan])
+    def test_float_label_that_is_not_a_class_rejected(self, tmp_path, label):
+        img, lab = write_pair(tmp_path, np.zeros((2, 4, 4), np.uint8),
+                              np.array([1, 2], np.uint8))
+        write_idx(lab, np.array([3.0, label]), IDX_FLOAT64)
+        with pytest.raises(DataConsistencyError,
+                           match="^float labels that are not integers 0..9 in "):
+            load_idx(img, lab)
+
+    def test_float_pixels_and_labels_at_their_bounds_load(self, tmp_path):
+        images = np.array([[[0.0, 1.0], [0.25, 1.0]], [[1.0, 0.0], [0.0, 0.5]]])
+        img, lab = os.path.join(tmp_path, "f-images"), os.path.join(tmp_path, "f-labels")
+        write_idx(img, images, IDX_FLOAT64)
+        write_idx(lab, np.array([0.0, 9.0]), IDX_FLOAT64)
+        d = load_idx(img, lab)
+        assert np.array_equal(d.images, images.reshape(2, 4))
+        assert d.labels.tolist() == [0, 9]
+
+    def test_attack_artifacts_load_back(self, tmp_path):
+        result = attack_result()
+        result.adversarial[0, :2] = 0.0, 1.0
+        paths = write_attack_artifacts(result, [1, 2, 3], tmp_path, "adv")
+        d = load_idx(paths["images"], paths["labels"])
+        assert np.array_equal(d.images, result.adversarial)
+        assert np.array_equal(d.labels, result.true_labels)
+
 
 def small_net(bad_layer=None):
     """A small stochastic net; ``bad_layer``'s mean cannot be written."""

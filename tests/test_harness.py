@@ -19,7 +19,8 @@ from infmix import harness, tensor
 from infmix.baselines import DeterministicMlp
 from infmix.checkpoint import load_model, save_model
 from infmix.cli import main
-from infmix.data import load_idx, load_split, read_idx, take_prefix, write_idx
+from infmix.data import (IDX_FLOAT64, load_idx, load_split, read_idx,
+                         take_prefix, write_idx)
 from infmix.harness import (MODEL_KINDS, SWEEP_AXES, ConfigError,
                             ExperimentConfig, config_text, load_config,
                             parse_config_text, predict_dataset, run_attack,
@@ -800,6 +801,39 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith(f"config error: checkpoint {path} maps {widths}")
         assert err.count("\n") == 1
+
+    def test_ood_split_that_does_not_fit_the_network_exits_one(
+            self, synthetic_data_dir, tmp_path, capsys):
+        data_dir = tmp_path / "data"
+        shutil.copytree(synthetic_data_dir, data_dir)
+        path = data_dir / "notmnist-images-idx3-ubyte"
+        write_idx(path, np.pad(read_idx(path), ((0, 0), (2, 2), (2, 2))))
+        code = main(["--data-dir", str(data_dir), "--out-dir",
+                     str(tmp_path / "out"), "ood",
+                     "--checkpoint", perfect_checkpoint(tmp_path)])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("config error: the ood split has 1024 pixels, "
+                                "but the test split has 784\n")
+        assert not (tmp_path / "out").exists()
+
+    def test_float_test_pixel_outside_the_unit_interval_exits_one(
+            self, synthetic_data_dir, tmp_path, capsys):
+        data_dir = tmp_path / "data"
+        shutil.copytree(synthetic_data_dir, data_dir)
+        path = data_dir / "t10k-images-idx3-ubyte"
+        images = read_idx(path) / 255.0
+        images[0, 10, 10] = 5.0
+        write_idx(path, images, IDX_FLOAT64)
+        code = main(["--data-dir", str(data_dir), "--out-dir",
+                     str(tmp_path / "out"), "detect",
+                     "--checkpoint", perfect_checkpoint(tmp_path)])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"config error: float pixels outside [0, 1] in {path}\n")
 
     @pytest.mark.parametrize("split", ["train", "t10k"])
     @pytest.mark.parametrize("model", ["ml", "dropout"])

@@ -21,7 +21,7 @@ from infmix.tensor import Rng
 
 def one_draw(net, seed):
     """One weight matrix per layer, the first draw of ``sample_draws``."""
-    return [sw.weights[0] for sw in net.sample_draws(1, Rng(seed))]
+    return [sw.weights[0] for sw in net.sample_draws(net.draw_normals(1, Rng(seed)))]
 
 
 def zero_weights(topology):
@@ -127,7 +127,7 @@ def kernel_cases():
     net = StochasticMlp.create(Rng(3), topology=TINY)
     cases = []
     for s in (1, 3):
-        weights = [sw.weights for sw in net.sample_draws(s, Rng(5))]
+        weights = [sw.weights for sw in net.sample_draws(net.draw_normals(s, Rng(5)))]
         cases += [(weights, None, s),
                   (weights, stacked_masks(6, s, 1), s),
                   (weights, stacked_masks(7, s, 5), s)]
@@ -194,7 +194,7 @@ class TestStackedKernel:
         # One normal call for S draws gives the stream of S x L calls in
         # (draw, layer) order, so draws do not depend on how they are batched.
         net = StochasticMlp.create(Rng(0), topology=TINY)
-        draws = net.sample_draws(3, Rng(4))
+        draws = net.sample_draws(net.draw_normals(3, Rng(4)))
         rng = Rng(4)
         for s in range(3):
             for l, layer in enumerate(net.layers):

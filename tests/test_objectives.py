@@ -173,12 +173,15 @@ class TestObjectiveGradients:
         y = np.array([0, 1, 2, 0, 1])
         cfg = TrainConfig(objective=kind, kl_weight=0.3, n_train_samples=n_samples)
         from_rng = objective_gradients(net, x, y, cfg, n_total=50, rng=Rng(2))
-        from_normals = objective_gradients(
-            net, x, y, cfg, n_total=50,
-            normals=net.draw_normals(n_samples, Rng(2)))
+        # The step that ``fit`` runs on normals it drew a step early.
+        from_normals = objectives_mod.step_gradients(
+            SharedDraws(net, n_samples, Rng(2)), cfg.objective,
+            lambda: objectives_mod.kl_penalty(net, cfg, 50), x, y,
+            net.draw_normals(n_samples, Rng(2)))
         assert from_rng[:2] == from_normals[:2]
+        assert len(from_rng[2]) == len(net.named_params())
         for a, b in zip(from_rng[2], from_normals[2]):
-            assert all(np.array_equal(ga, gb) for ga, gb in zip(a, b))
+            assert np.array_equal(a, b)
 
 
 class TestTrain:
@@ -276,7 +279,7 @@ class TestTrain:
         cfg = TrainConfig(iterations=10, batch_size=50, seed=0)
 
         calls = {"n": 0}
-        real = objectives_mod.objective_gradients
+        real = objectives_mod.step_gradients
 
         def poisoned(*args, **kwargs):
             calls["n"] += 1
@@ -285,9 +288,10 @@ class TestTrain:
                 nll = float("nan")
             return nll, kl, grads
 
-        monkeypatch.setattr(objectives_mod, "objective_gradients", poisoned)
+        monkeypatch.setattr(objectives_mod, "step_gradients", poisoned)
         with pytest.raises(RuntimeError, match="iteration 2"):
             train(net, data, cfg)
+        assert calls["n"] == 3      # steps 0, 1 and 2, each through the patch
 
     def test_non_finite_log_likelihood_aborts_with_iteration(self,
                                                               monkeypatch):
@@ -399,7 +403,7 @@ class TestDrawAhead:
         drawn = threading.Condition()
         count = {"draws": 0, "steps": 0}
         real_draw = StochasticMlp.draw_normals
-        real_grads = objectives_mod.objective_gradients
+        real_grads = objectives_mod.step_gradients
 
         def draw_normals(*args):
             out = real_draw(*args)
@@ -408,7 +412,7 @@ class TestDrawAhead:
                 drawn.notify_all()
             return out
 
-        def objective_gradients(*args, **kwargs):
+        def step_gradients(*args, **kwargs):
             step = count["steps"]
             count["steps"] += 1
             if step < self.cfg().iterations - 1:
@@ -418,9 +422,9 @@ class TestDrawAhead:
             return real_grads(*args, **kwargs)
 
         monkeypatch.setattr(StochasticMlp, "draw_normals", draw_normals)
-        monkeypatch.setattr(objectives_mod, "objective_gradients",
-                            objective_gradients)
+        monkeypatch.setattr(objectives_mod, "step_gradients", step_gradients)
         assert self.digest(("ml", 5)) == TRAIN_DIGESTS["ml", 5]
+        assert count["steps"] == self.cfg().iterations
         assert pool_at_rest()
 
     @pytest.mark.parametrize("cpus", [1, 2])
@@ -486,9 +490,8 @@ class TestFit:
         _, _, grads = objective_gradients(
             net, images, labels, cfg, n_total=data.n,
             rng=Rng(cfg.seed).derive(objectives_mod._WEIGHT_SAMPLE_STREAM))
-        flat = [g for layer in grads for g in layer]
         expected = [adam_step(AdamState.for_shape(p.shape, learning_rate=0.05),
-                              p, g) for p, g in zip(initial, flat)]
+                              p, g) for p, g in zip(initial, grads)]
         train(net, data, cfg, record_every=0)
         trained = [getattr(layer, b) for layer in net.layers for b in self.BLOCKS]
         assert len(trained) == len(expected) == 9
@@ -511,7 +514,7 @@ class TestFit:
         grad_log_probs[np.arange(cfg.batch_size), labels] = -1.0 / cfg.batch_size
         trace.needs = WEIGHT_GRADS
         grad_w, _ = backward(trace, grad_log_probs)
-        decay = baselines._decay_gradient(initial, weight_decay)
+        _, decay = baselines.decay_penalty(initial, weight_decay)
         expected = [adam_step(AdamState.for_shape(w.shape, learning_rate=0.05),
                               w, g + dg)
                     for w, g, dg in zip(initial, grad_w, decay)]
@@ -538,6 +541,102 @@ class TestFit:
                 topology=self.TOPOLOGY, progress=progress)
         assert [it for it, _ in seen] == list(range(6))
         assert all(np.isfinite(loss) for _, loss in seen)
+
+
+class NoisyLinear:
+    """A sampler of the tests' own, neither ``SharedDraws`` nor
+    ``DropoutMasks``: S noisy copies of a linear fit to the labels,
+    ll[b, s] = -(x_b . w - y_b + noise[s, b])^2 / 2, or one noiseless copy
+    if it draws None (``n_samples`` None).  It logs each draw's size and
+    each step's (batch size, noise, thread)."""
+
+    def __init__(self, w, n_samples, rng):
+        self.w, self.n_samples, self.rng = w, n_samples, rng
+        self.drawn, self.met = [], []
+
+    def draw(self, batch_size):
+        self.drawn.append(batch_size)
+        if self.n_samples is not None:
+            return self.rng.standard_normal(self.n_samples, batch_size)
+
+    def loglik(self, images, labels, noise):
+        self.met.append((len(labels), noise, threading.get_ident()))
+        r = (images @ self.w - labels)[:, None]
+        r = r + (0.0 if noise is None else noise.T)
+        return -0.5 * r ** 2, (images, r)
+
+    def grads(self, ctx, grad_ll):
+        images, r = ctx
+        return [images.T @ -(grad_ll * r).sum(axis=1)]
+
+    def penalty(self):
+        return 0.05 * float(self.w @ self.w), [0.1 * self.w]
+
+
+class TestFitSamplerContract:
+    """What ``fit`` promises any sampler: one more sampler is one class."""
+
+    data = Dataset(images=Rng(3).uniform(0.0, 1.0, (70, 4)),
+                   labels=np.arange(70) % 3)
+    cfg = FitConfig(batch_size=30, learning_rate=0.05, iterations=7, seed=2)
+    SIZES = [30, 30, 10, 30, 30, 10, 30]    # the batches of 70 examples
+
+    def fit(self, sampler, objective="vi", progress=None):
+        return objectives_mod.fit(
+            [("w", sampler.w)], sampler, objective, sampler.penalty,
+            self.data, self.cfg, record_every=1, progress=progress)
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_noise_of_none_steps_inline_with_no_map(self, cpus, monkeypatch):
+        one_worker_per_cpu(monkeypatch, cpus)
+
+        def no_map(*args):
+            raise AssertionError("a step of no noise ran a map")
+
+        monkeypatch.setattr(objectives_mod, "imap_in_order", no_map)
+        sampler, drawn_by_step = NoisyLinear(np.zeros(4), None, Rng(5)), []
+        self.fit(sampler, progress=lambda it, loss: drawn_by_step.append(
+            len(sampler.drawn)))
+        assert sampler.drawn == self.SIZES
+        assert drawn_by_step == list(range(1, 8))   # each step its own draw
+        assert sampler.met == [(b, None, threading.get_ident())
+                               for b in self.SIZES]
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_noise_is_drawn_a_step_early_for_the_batch_it_meets(
+            self, cpus, monkeypatch):
+        one_worker_per_cpu(monkeypatch, cpus)
+        sampler, drawn_by_step = NoisyLinear(np.zeros(4), 3, Rng(5)), []
+        self.fit(sampler, progress=lambda it, loss: drawn_by_step.append(
+            len(sampler.drawn)))
+        assert sampler.drawn == self.SIZES
+        assert drawn_by_step == [2, 3, 4, 5, 6, 7, 7]
+        assert [(b, noise.shape) for b, noise, _ in sampler.met] == [
+            (b, (3, b)) for b in self.SIZES]
+        assert pool_at_rest()
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    @pytest.mark.parametrize("objective, n_samples",
+                             [("ml", 3), ("vi", 3), ("ml", None)])
+    def test_parameters_are_a_hand_rolled_loop(self, objective, n_samples,
+                                               cpus, monkeypatch):
+        one_worker_per_cpu(monkeypatch, cpus)
+        sampler = NoisyLinear(np.zeros(4), n_samples, Rng(5))
+        batches = BatchIterator(self.data, self.cfg.batch_size, seed=self.cfg.seed)
+        state = AdamState.for_shape((4,), learning_rate=self.cfg.learning_rate)
+        losses = []
+        for _ in range(self.cfg.iterations):
+            noise = sampler.draw(batches.next_size())
+            images, labels = batches.next_batch()
+            nll, penalty, [g] = objectives_mod.step_gradients(
+                sampler, objective, sampler.penalty, images, labels, noise)
+            sampler.w[...] = adam_step(state, sampler.w, g)
+            losses.append(nll + penalty)
+        fitted = NoisyLinear(np.zeros(4), n_samples, Rng(5))
+        records = self.fit(fitted, objective)
+        assert not np.array_equal(sampler.w, np.zeros(4))
+        assert np.array_equal(fitted.w, sampler.w)
+        assert [r.loss for r in records] == losses
 
 
 class TestDropoutObjective:

@@ -157,7 +157,8 @@ class TestReadAhead:
     def test_draw_blocks_equal_single_draws_at_protocol_shape(self, draw):
         net = StochasticMlp.create(Rng(0).derive(0))
         rng, ref = Rng(7), reference(7)
-        blocks = [draw(lambda: net.sample_draws(n, rng)) for n in (5, 2, 2, 1)]
+        blocks = [draw(lambda: net.sample_draws(net.draw_normals(n, rng)))
+                  for n in (5, 2, 2, 1)]
         for draws in blocks:
             for s in range(len(draws[0].noise)):
                 for l, layer in enumerate(net.layers):
@@ -199,15 +200,31 @@ class TestMapInOrder:
         one_worker_per_cpu(monkeypatch, n_workers)
         seen = []
         raised = threading.Event()
+        failing = []    # the thread of item ``fail_at``
+
+        def in_finish(ident):
+            """Whether thread ``ident`` is inside the map's ``finish``."""
+            frame = sys._current_frames().get(ident)
+            while frame is not None and not (
+                    frame.f_code.co_name == "finish"
+                    and frame.f_code.co_filename == tensor.__file__):
+                frame = frame.f_back
+            return frame is not None
 
         def item(i):
             seen.append(tensor._POOL.held)
             if fail_at is not None and i > fail_at:
-                # A thread stalled inside item ``fail_at`` would otherwise
-                # let the others start every later item before it raises.
+                # A thread stalled inside item ``fail_at``, before or after
+                # it raises, would otherwise let the others start every
+                # later item before the map records its error.
                 assert raised.wait(timeout=JOIN_TIMEOUT_S)
+                deadline = time.monotonic() + JOIN_TIMEOUT_S
+                while in_finish(failing[0]):
+                    assert time.monotonic() < deadline
+                    time.sleep(1e-4)
             np.linalg.norm(np.arange(200.0))    # drops and takes the GIL
             if i == fail_at:
+                failing.append(threading.get_ident())
                 raised.set()
                 raise ValueError(f"item {i} failed")
             return -i
