@@ -1,5 +1,6 @@
-"""Finite-mixture and point-estimate baselines sharing the MLP substrate:
-a deterministic network with weight decay, MC dropout, and a deep ensemble.
+"""Finite-mixture baselines sharing the MLP substrate: MC dropout, whose
+p_drop = 0 case is the deterministic network with weight decay, and a deep
+ensemble of such point-estimate networks.
 
 Each is a ``network.MixtureModel`` that lists its components, so it has
 the stochastic model's ``predict`` / ``loss_input_grad`` and evaluation and
@@ -32,28 +33,15 @@ def glorot_weights(topology, rng: Rng):
 
 
 @dataclass
-class DeterministicMlp(MixtureModel):
-    """Point-estimate MLP; prediction is a pure function of the input."""
-
-    weights: list
-
-    def named_params(self) -> list:
-        """[(name, array)] of the model's own weights, as ``StochasticMlp``."""
-        return [(f"layer{l}.weights", w) for l, w in enumerate(self.weights)]
-
-    def components(self, n_samples: int, rng: Rng | None) -> Components:
-        # Single component: class variance is identically zero.
-        return Components(1, lambda start, stop: (self.weights, None))
-
-
-@dataclass
 class DropoutMlp(MixtureModel):
     """Deterministic weights plus Bernoulli masks on hidden activations.
 
     Inverted dropout: kept units are scaled by 1/(1-p) whenever masks are
     sampled, so the no-mask forward pass needs no rescaling.  Evaluation
     draws one mask per component, shared across the batch, mirroring how
-    weight draws are shared in the stochastic model.
+    weight draws are shared in the stochastic model.  At p_drop = 0 it is
+    the point-estimate network: one component, whose prediction is a pure
+    function of the input.
     """
 
     weights: list
@@ -64,16 +52,17 @@ class DropoutMlp(MixtureModel):
             raise ValueError(f"p_drop must be in [0, 1), got {self.p_drop}")
 
     def named_params(self) -> list:
+        """[(name, array)] of the model's own weights, as ``StochasticMlp``."""
         return [(f"layer{l}.weights", w) for l, w in enumerate(self.weights)]
 
     def sample_masks(self, rng: Rng):
         """One mask (1, n) per hidden layer, shared by the whole batch."""
         return _dropout_masks(rng, self.weights, self.p_drop, 1)
 
-    def components(self, n_samples: int, rng: Rng) -> Components:
-        if self.p_drop == 0.0:  # one unmasked component per block
-            return Components(n_samples, lambda start, stop: (
-                self.weights, None), block=1)
+    def components(self, n_samples: int, rng: Rng | None) -> Components:
+        if self.p_drop == 0.0:  # one component; n_samples < 1 still raises
+            return Components(min(n_samples, 1), lambda start, stop: (
+                self.weights, None))
 
         def block(start, stop):  # mask draws stacked per layer: (S, 1, n)
             masks = [self.sample_masks(rng) for _ in range(start, stop)]
@@ -84,7 +73,8 @@ class DropoutMlp(MixtureModel):
 
 @dataclass
 class DeepEnsemble(MixtureModel):
-    """Uniform mixture of independently trained point-estimate networks."""
+    """Uniform mixture of independently trained point-estimate networks,
+    each a ``DropoutMlp`` at p_drop = 0."""
 
     members: list
 
@@ -141,13 +131,6 @@ def decay_penalty(weights, weight_decay: float):
     return 0.0, grads
 
 
-def train_deterministic(data: Dataset, weight_decay: float = DEFAULT_WEIGHT_DECAY,
-                        cfg: FitConfig | None = None, topology=DEFAULT_TOPOLOGY,
-                        progress=None) -> DeterministicMlp:
-    model = train_dropout(data, 0.0, weight_decay, cfg, topology, progress)
-    return DeterministicMlp(weights=model.weights)
-
-
 def train_dropout(data: Dataset, p_drop: float = 0.5,
                   weight_decay: float = DEFAULT_WEIGHT_DECAY,
                   cfg: FitConfig | None = None, topology=DEFAULT_TOPOLOGY,
@@ -178,8 +161,9 @@ def train_ensemble(data: Dataset, k: int = 5,
     if k < 1:
         raise ValueError(f"ensemble size must be >= 1, got {k}")
     members = map_in_order(
-        lambda i: train_deterministic(
-            data, weight_decay, replace(cfg, seed=cfg.seed + i * _MEMBER_SEED_STRIDE),
+        lambda i: train_dropout(
+            data, 0.0, weight_decay,
+            replace(cfg, seed=cfg.seed + i * _MEMBER_SEED_STRIDE),
             topology=topology, progress=progress),
         range(k))
     return DeepEnsemble(members=members)

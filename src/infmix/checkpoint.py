@@ -4,9 +4,10 @@ Layout (all integers u32 little-endian, all floats f64 little-endian):
 
   magic "IMIX" | version | kind | kind header | one body per net
 
-  kind header : nothing for kind 0 (stochastic net) and kind 1
-                (deterministic), p_drop for kind 2 (dropout), n_members
-                for kind 3 (ensemble), whose bodies are its members'
+  kind header : nothing for kind 0 (stochastic net) and kind 1 (point
+                estimate: dropout at p_drop = 0), p_drop for kind 2
+                (dropout; a stored 0 loads too), n_members for kind 3
+                (ensemble), whose bodies are its members'
   net body    : n_layers, per-layer (n_rows, n_cols), then the net's
                 arrays in its ``named_params`` order, each row-major
 
@@ -23,7 +24,7 @@ import struct
 
 import numpy as np
 
-from .baselines import DeepEnsemble, DeterministicMlp, DropoutMlp
+from .baselines import DeepEnsemble, DropoutMlp
 from .data import atomic_open
 from .network import StochasticMlp
 from .posterior import MvnLayerPosterior
@@ -69,8 +70,10 @@ def _read_f64s(f, shape) -> np.ndarray:
 
 
 def save_model(model, path) -> None:
-    kind = {StochasticMlp: KIND_STOCHASTIC, DeterministicMlp: KIND_DETERMINISTIC,
-            DropoutMlp: KIND_DROPOUT, DeepEnsemble: KIND_ENSEMBLE}.get(type(model))
+    kind = {StochasticMlp: KIND_STOCHASTIC, DropoutMlp: KIND_DROPOUT,
+            DeepEnsemble: KIND_ENSEMBLE}.get(type(model))
+    if kind == KIND_DROPOUT and model.p_drop == 0.0:
+        kind = KIND_DETERMINISTIC
     if kind is None:
         raise CheckpointError(f"cannot checkpoint {type(model).__name__}")
     with atomic_open(path, "wb") as f:
@@ -113,8 +116,8 @@ def _read_net(f, make):
     return net
 
 
-def _point_net(dims) -> DeterministicMlp:
-    return DeterministicMlp(weights=[np.empty(d) for d in dims])
+def _point_net(dims) -> DropoutMlp:
+    return DropoutMlp(weights=[np.empty(d) for d in dims], p_drop=0.0)
 
 
 def _stochastic_net(dims) -> StochasticMlp:

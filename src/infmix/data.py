@@ -156,20 +156,18 @@ def load_idx(images_path, labels_path, name: str = "") -> Dataset:
 
 
 def save_idx(dataset: Dataset, images_path, labels_path,
-             type_code: int = IDX_UBYTE, side: int = 28) -> None:
-    """Persist a Dataset back to an IDX pair.
+             type_code: int = IDX_UBYTE) -> None:
+    """Persist a Dataset back to an IDX pair of square images.
 
     With the default ubyte code, pixels are rescaled by 255; datasets loaded
     from ubyte files round-trip bit-identically.  Float64 keeps exact values
     (used for adversarial batches).
     """
-    n = dataset.n
     cols = dataset.images.shape[1]
-    if cols != side * side:
-        side = int(np.sqrt(cols))
-        if side * side != cols:
-            raise ValueError(f"cannot reshape {cols} pixels to a square image")
-    images = dataset.images.reshape(n, side, side)
+    side = int(np.sqrt(cols))
+    if side * side != cols:
+        raise ValueError(f"cannot reshape {cols} pixels to a square image")
+    images = dataset.images.reshape(dataset.n, side, side)
     if type_code == IDX_UBYTE:
         images = np.rint(images * 255.0)
     write_idx(images_path, images, type_code)

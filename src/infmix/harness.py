@@ -253,11 +253,10 @@ def train_model_for_trial(cfg: ExperimentConfig, train_data: Dataset, seed: int)
                          n_train_samples=cfg.n_train_samples,
                          **dataclasses.asdict(fit))
         return net, train(net, train_data, tc, record_every=cfg.loss_record_every)
-    if cfg.model == "deterministic":
-        return baselines.train_deterministic(train_data, cfg.weight_decay, fit), []
-    if cfg.model == "dropout":
-        return baselines.train_dropout(train_data, cfg.dropout_p,
-                                       cfg.weight_decay, fit), []
+    if cfg.model in ("deterministic", "dropout"):
+        p_drop = cfg.dropout_p if cfg.model == "dropout" else 0.0
+        return baselines.train_dropout(train_data, p_drop, cfg.weight_decay,
+                                       fit), []
     if cfg.model == "ensemble":
         return baselines.train_ensemble(train_data, cfg.ensemble_size,
                                         cfg.weight_decay, fit), []

@@ -4,10 +4,11 @@ and discovery of real IDX data (env var
 INFMIX_DATA_DIR) for the long-running reproduction tests, which skip when
 the files are absent."""
 
+import importlib.util
 import os
 import threading
+from pathlib import Path
 
-import numpy as np
 import pytest
 
 from infmix import tensor
@@ -36,20 +37,13 @@ def pool_at_rest():
             and len(parked) < tensor.default_threads())
 
 
-def synthetic_arrays(n, seed, side=28, n_classes=10, style=0):
-    """Images whose class is a bright patch position; learnable by a small
-    MLP in a few hundred iterations.  ``style`` shifts the patch layout so a
-    second call yields an out-of-distribution variant."""
-    rng = np.random.default_rng(seed)
-    labels = rng.integers(0, n_classes, n)
-    images = rng.uniform(0.0, 0.3, (n, side, side))
-    for i, c in enumerate(labels):
-        row, col = divmod(int(c), 5)
-        r0 = 3 + row * 12 + style * 3
-        c0 = 2 + col * 5
-        images[i, r0:r0 + 6, c0:c0 + 4] += 0.7
-    images = np.clip(images, 0.0, 1.0)
-    return np.rint(images * 255).astype(np.uint8), labels.astype(np.uint8)
+# The images of ``scripts/make_synthetic_data.py``, from the script itself.
+_spec = importlib.util.spec_from_file_location(
+    "make_synthetic_data",
+    Path(__file__).resolve().parents[1] / "scripts" / "make_synthetic_data.py")
+_generator = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(_generator)
+synthetic_arrays = _generator.synthetic_arrays
 
 
 def write_synthetic_split(data_dir, stem, n, seed, style=0):

@@ -19,8 +19,7 @@ import numpy as np
 import pytest
 
 from infmix.attacks import AttackConfig, pgd_attack
-from infmix.baselines import FitConfig, train_deterministic, train_dropout, \
-    train_ensemble
+from infmix.baselines import FitConfig, train_dropout, train_ensemble
 from infmix.checkpoint import load_model, save_model
 from infmix.data import load_split, take_prefix
 from infmix.gradcheck import (check_objective_gradient,
@@ -214,7 +213,7 @@ class ModelBank:
             return load_model(path)
         fit = FitConfig(iterations=iterations, seed=seed)
         if kind == "deterministic":
-            model = train_deterministic(self.train_data, cfg=fit)
+            model = train_dropout(self.train_data, 0.0, cfg=fit)
         elif kind == "dropout":
             model = train_dropout(self.train_data, 0.5, cfg=fit)
         elif kind == "ensemble":

@@ -13,8 +13,8 @@ from hypothesis import strategies as st
 from conftest import one_worker_per_cpu
 from infmix.attacks import (AttackConfig, attack_csv, pgd_attack, project,
                             write_attack_artifacts)
-from infmix.baselines import (DeepEnsemble, DeterministicMlp, DropoutMlp,
-                              FitConfig, glorot_weights, train_deterministic)
+from infmix.baselines import (DeepEnsemble, DropoutMlp, FitConfig,
+                              glorot_weights, train_dropout)
 from infmix.data import load_idx
 from infmix.network import DRAW_BLOCK, StochasticMlp
 from infmix.tensor import Rng
@@ -29,8 +29,8 @@ def toy():
 
 @pytest.fixture(scope="module")
 def toy_model(toy):
-    return train_deterministic(
-        toy, weight_decay=0.0,
+    return train_dropout(
+        toy, 0.0, weight_decay=0.0,
         cfg=FitConfig(batch_size=100, iterations=300, seed=0),
         topology=(784, 16, 16, 10))
 
@@ -39,7 +39,7 @@ def linear_two_class_model(w0=2.0, w1=-1.0):
     """One input, two classes, no hidden layer: logit gap = x (w0 - w1)."""
     weights = np.array([[w0, w1],
                         [0.0, 0.0]])
-    return DeterministicMlp(weights=[weights])
+    return DropoutMlp(weights=[weights], p_drop=0.0)
 
 
 class TestProjection:
@@ -226,9 +226,9 @@ def pgd_model(kind):
     weights = glorot_weights(PGD_TOPOLOGY, Rng(1))
     if kind == "dropout":
         return DropoutMlp(weights, p_drop=0.5)
-    return DeepEnsemble([DeterministicMlp(weights),
-                         DeterministicMlp([0.5 * w for w in weights]),
-                         DeterministicMlp([-w for w in weights])])
+    return DeepEnsemble([DropoutMlp(weights, 0.0),
+                         DropoutMlp([0.5 * w for w in weights], 0.0),
+                         DropoutMlp([-w for w in weights], 0.0)])
 
 
 class TestDrawAhead:

@@ -11,8 +11,9 @@ import numpy as np
 import pytest
 
 from infmix import baselines
-from infmix.baselines import DeepEnsemble, DeterministicMlp, DropoutMlp
-from infmix.checkpoint import CheckpointError, load_model, save_model
+from infmix.baselines import DeepEnsemble, DropoutMlp
+from infmix.checkpoint import (KIND_DETERMINISTIC, KIND_DROPOUT,
+                               CheckpointError, load_model, save_model)
 from infmix.cli import main
 from infmix.data import Dataset
 from infmix.harness import ExperimentConfig, train_model_for_trial
@@ -52,12 +53,30 @@ class TestRoundTrips:
         assert Path(ckpt).read_bytes() == Path(second).read_bytes()
 
     def test_deterministic(self, ckpt):
-        model = DeterministicMlp(weights=random_weights(0))
+        # The point-estimate net, dropout at p_drop = 0, is written as kind 1.
+        model = DropoutMlp(weights=random_weights(0), p_drop=0.0)
         save_model(model, ckpt)
+        assert struct.unpack_from("<I", Path(ckpt).read_bytes(), 8) == (
+            KIND_DETERMINISTIC,)
         loaded = load_model(ckpt)
-        assert isinstance(loaded, DeterministicMlp)
+        assert isinstance(loaded, DropoutMlp) and loaded.p_drop == 0.0
         for wa, wb in zip(model.weights, loaded.weights):
             assert np.array_equal(wa, wb)
+
+    def test_dropout_file_at_zero_probability_is_the_point_net(self, ckpt):
+        # Kind 2 with a stored p_drop of 0 loads as kind 1 does.
+        x = Rng(0).uniform(0, 1, (8, 6))
+        summaries = []
+        for kind, header in ((KIND_DETERMINISTIC, b""),
+                             (KIND_DROPOUT, struct.pack("<d", 0.0))):
+            Path(ckpt).write_bytes(checkpoint_bytes(
+                kind, header, [net_body(((7, 4), (5, 4), (5, 3)))]))
+            model = load_model(ckpt)
+            assert type(model) is DropoutMlp and model.p_drop == 0.0
+            summaries.append(model.predict(x, 5, Rng(1)))
+        for s in summaries:
+            assert s.n_samples == 1 and np.all(s.class_variance == 0.0)
+        assert np.array_equal(summaries[0].mean_probs, summaries[1].mean_probs)
 
     def test_dropout_keeps_probability(self, ckpt):
         model = DropoutMlp(weights=random_weights(1), p_drop=0.5)
@@ -67,13 +86,14 @@ class TestRoundTrips:
         assert loaded.p_drop == 0.5
 
     def test_ensemble(self, ckpt):
-        ens = DeepEnsemble(members=[DeterministicMlp(weights=random_weights(s))
-                                    for s in range(3)])
+        ens = DeepEnsemble(members=[
+            DropoutMlp(weights=random_weights(s), p_drop=0.0) for s in range(3)])
         save_model(ens, ckpt)
         loaded = load_model(ckpt)
         assert isinstance(loaded, DeepEnsemble)
         assert loaded.k == 3
         for ma, mb in zip(ens.members, loaded.members):
+            assert type(mb) is DropoutMlp and mb.p_drop == 0.0
             for wa, wb in zip(ma.weights, mb.weights):
                 assert np.array_equal(wa, wb)
 
@@ -187,10 +207,10 @@ def every_kind():
     stochastic = StochasticMlp.create(Rng(3), topology=(6, 4, 4, 3))
     return {
         "stochastic": stochastic,
-        "deterministic": DeterministicMlp(weights=random_weights(0)),
+        "deterministic": DropoutMlp(weights=random_weights(0), p_drop=0.0),
         "dropout": DropoutMlp(weights=random_weights(1), p_drop=0.5),
         "ensemble": DeepEnsemble(members=[
-            DeterministicMlp(weights=random_weights(s)) for s in (2, 3)]),
+            DropoutMlp(weights=random_weights(s), p_drop=0.0) for s in (2, 3)]),
     }
 
 
@@ -288,11 +308,11 @@ def test_ensemble_members_train_at_once_to_the_pinned_bytes(ckpt, cpus,
     # On two CPUs both members train at once, or the barrier breaks.
     one_worker_per_cpu(monkeypatch, cpus)
     barrier = threading.Barrier(cpus, timeout=10.0)
-    real = baselines.train_deterministic
+    real = baselines.train_dropout
 
     def member(*args, **kwargs):
         barrier.wait()
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(baselines, "train_deterministic", member)
+    monkeypatch.setattr(baselines, "train_dropout", member)
     assert pinned_model_digest(ckpt, "ensemble") == PINNED_DIGESTS["ensemble"]

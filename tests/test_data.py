@@ -57,6 +57,17 @@ class TestIdxIO:
         d2 = load_idx(img, lab)
         assert np.array_equal(d2.images, images)
 
+    def test_side_comes_from_the_pixel_count(self, tmp_path):
+        img = os.path.join(tmp_path, "s-images")
+        lab = os.path.join(tmp_path, "s-labels")
+        images = np.arange(50, dtype=np.uint8).reshape(2, 5, 5)
+        save_idx(Dataset(images=images.reshape(2, 25) / 255.0,
+                         labels=np.array([0, 1])), img, lab)
+        assert np.array_equal(read_idx(img), images)
+        with pytest.raises(ValueError, match="cannot reshape 24 pixels"):
+            save_idx(Dataset(images=np.zeros((2, 24)), labels=np.array([0, 1])),
+                     img, lab)
+
     def test_gzip_transparent(self, tmp_path):
         images = np.full((2, 28, 28), 128, dtype=np.uint8)
         img, lab = write_pair(tmp_path, images, np.array([1, 2], dtype=np.uint8))

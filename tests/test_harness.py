@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from conftest import one_worker_per_cpu
 from infmix import harness, tensor
-from infmix.baselines import DeterministicMlp
+from infmix.baselines import DropoutMlp
 from infmix.checkpoint import load_model, save_model
 from infmix.cli import main
 from infmix.data import (IDX_FLOAT64, load_idx, load_split, read_idx,
@@ -235,7 +235,7 @@ def perfect_checkpoint(out_dir) -> str:
         patch[r0:r0 + 6, c0:c0 + 4] = 1.0
         w[:784, c] = patch.ravel()
     path = os.path.join(out_dir, "perfect.ckpt")
-    save_model(DeterministicMlp(weights=[w]), path)
+    save_model(DropoutMlp(weights=[w], p_drop=0.0), path)
     return path
 
 
@@ -485,6 +485,19 @@ class TestRunOod:
         payload = run_ood(cfg.replace(data_dir=str(alt), out_dir=str(alt),
                                       n_eval_samples=20), checkpoint=ckpt)
         assert abs(payload["mean_auroc_entropy"] - 0.5) < 0.06
+
+
+    @pytest.mark.parametrize("model,dropout_p", [("deterministic", 0.5),
+                                                 ("dropout", 0.0)])
+    def test_point_net_ranks_no_variance(self, synthetic_data_dir, tmp_path,
+                                         model, dropout_p):
+        # Dropout at p = 0 is the point net: its variance is exactly 0 on
+        # every image, so the variance AUROC is that of all ties.
+        cfg = fast_config(synthetic_data_dir, tmp_path, model=model,
+                          dropout_p=dropout_p, n_trials=1, iterations=25,
+                          n_eval_samples=10)
+        assert run_train(cfg)[0]["mean_max_variance"] == 0.0
+        assert run_ood(cfg)["trials"][0]["auroc_variance"] == 0.5
 
 
 class TestRunAttackDetect:
@@ -794,7 +807,8 @@ class TestCli:
     def test_checkpoint_that_does_not_fit_the_data_exits_one(
             self, synthetic_data_dir, tmp_path, capsys, command, shapes, widths):
         path = str(tmp_path / "other.ckpt")
-        save_model(DeterministicMlp(weights=[np.zeros(s) for s in shapes]), path)
+        save_model(DropoutMlp(weights=[np.zeros(s) for s in shapes], p_drop=0.0),
+                   path)
         code = main(["--data-dir", synthetic_data_dir, "--out-dir",
                      str(tmp_path / "out"), command, "--checkpoint", path])
         assert code == 1

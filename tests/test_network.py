@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import one_worker_per_cpu
-from infmix.baselines import DeepEnsemble, DeterministicMlp, DropoutMlp
+from infmix.baselines import DeepEnsemble, DropoutMlp
 from infmix.gradcheck import check_mixture_input_gradient, check_network_gradient
 from infmix import network
 from infmix.network import (DRAW_BLOCK, INPUT_GRAD, MAX_ENTROPY, WEIGHT_GRADS,
@@ -329,10 +329,10 @@ def mixture_model(kind):
     if kind == "dropout":
         return DropoutMlp(weights, p_drop=0.5)
     if kind == "ensemble":
-        return DeepEnsemble([DeterministicMlp(weights),
-                             DeterministicMlp([0.5 * w for w in weights]),
-                             DeterministicMlp([-w for w in weights])])
-    return DeterministicMlp(weights)
+        return DeepEnsemble([DropoutMlp(weights, 0.0),
+                             DropoutMlp([0.5 * w for w in weights], 0.0),
+                             DropoutMlp([-w for w in weights], 0.0)])
+    return DropoutMlp(weights, p_drop=0.0)
 
 
 class TestMixtureContract:
