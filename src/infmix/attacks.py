@@ -56,7 +56,6 @@ class AttackConfig:
 @dataclass
 class AttackResult:
     adversarial: Array
-    epsilon: float
     true_labels: np.ndarray
     pred_after: np.ndarray
     success: np.ndarray          # prediction != true label after the attack
@@ -118,7 +117,6 @@ def pgd_attack(model, images: Array, labels, cfg: AttackConfig,
     success = pred_after != labels
     return AttackResult(
         adversarial=x,
-        epsilon=cfg.epsilon,
         true_labels=labels,
         pred_after=pred_after,
         success=success,
@@ -152,7 +150,7 @@ def write_attack_artifacts(result: AttackResult, pred_before, out_dir,
     labels_path = os.path.join(out_dir, f"{stem}-labels-idx1-ubyte")
     csv_path = os.path.join(out_dir, f"{stem}.csv")
     adv = Dataset(images=result.adversarial,
-                  labels=np.asarray(result.true_labels), name=stem)
+                  labels=np.asarray(result.true_labels))
     save_idx(adv, images_path, labels_path, type_code=IDX_FLOAT64)
     with atomic_open(csv_path) as f:
         f.write(attack_csv(result, pred_before))

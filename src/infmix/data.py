@@ -110,7 +110,6 @@ class Dataset:
 
     images: Array
     labels: np.ndarray
-    name: str = ""
 
     def __post_init__(self):
         if self.images.shape[0] != len(self.labels):
@@ -122,7 +121,7 @@ class Dataset:
         return self.images.shape[0]
 
 
-def load_idx(images_path, labels_path, name: str = "") -> Dataset:
+def load_idx(images_path, labels_path) -> Dataset:
     """Load an IDX image/label pair, scaling ubyte pixels to [0,1]."""
     raw_images = read_idx(images_path)
     raw_labels = read_idx(labels_path)
@@ -148,11 +147,11 @@ def load_idx(images_path, labels_path, name: str = "") -> Dataset:
         raise DataConsistencyError(
             f"float labels that are not integers 0..9 in {labels_path}")
     labels = raw_labels.astype(np.int64)
-    if n and (labels.min() < 0 or labels.max() > 9):
+    if labels.min() < 0 or labels.max() > 9:
         raise DataConsistencyError(
             f"labels outside 0..9 in {labels_path}: range "
             f"[{labels.min()}, {labels.max()}]")
-    return Dataset(images=images, labels=labels, name=name)
+    return Dataset(images=images, labels=labels)
 
 
 def save_idx(dataset: Dataset, images_path, labels_path,
@@ -181,8 +180,7 @@ def take_prefix(dataset: Dataset, n: int) -> Dataset:
     if n < 0:
         raise ValueError(f"prefix length must be nonnegative, got {n}")
     return Dataset(images=dataset.images[:n].copy(),
-                   labels=dataset.labels[:n].copy(),
-                   name=dataset.name)
+                   labels=dataset.labels[:n].copy())
 
 
 _STANDARD_FILES = {
@@ -212,12 +210,12 @@ def find_split(data_dir, split: str):
     return tuple(paths)
 
 
-def load_split(data_dir, split: str, name: str = "") -> Dataset:
+def load_split(data_dir, split: str) -> Dataset:
     pair = find_split(data_dir, split)
     if pair is None:
         raise FileNotFoundError(
             f"no {split} IDX pair ({'/'.join(_STANDARD_FILES[split])}) under {data_dir}")
-    return load_idx(pair[0], pair[1], name=name or split)
+    return load_idx(pair[0], pair[1])
 
 
 # Spawn tag namespacing epoch permutations away from other streams derived

@@ -274,13 +274,12 @@ def concat_summaries(parts) -> PredictiveSummary:
     )
 
 
-def predict_dataset(model, images, n_samples: int, rng: Rng,
-                    chunk: int = _EVAL_CHUNK) -> PredictiveSummary:
+def predict_dataset(model, images, n_samples: int, rng: Rng) -> PredictiveSummary:
     """Chunked prediction over a whole dataset, deterministic in ``rng``."""
     parts = []
-    for start in range(0, images.shape[0], chunk):
-        parts.append(model.predict(images[start:start + chunk], n_samples,
-                                   rng.derive(start)))
+    for start in range(0, images.shape[0], _EVAL_CHUNK):
+        parts.append(model.predict(images[start:start + _EVAL_CHUNK],
+                                   n_samples, rng.derive(start)))
     return concat_summaries(parts)
 
 
@@ -388,8 +387,8 @@ def run_trial(cfg: ExperimentConfig, train_data: Dataset, test_data: Dataset,
 def _run_points(cfg: ExperimentConfig, points) -> list:
     """Every trial of each configuration in ``points``, as one map of
     (point, seed) pairs; returns the per-trial result dicts of each point."""
-    train_data = load_split(cfg.data_dir, "train", name=cfg.dataset)
-    test_data = load_split(cfg.data_dir, "test", name=cfg.dataset)
+    train_data = load_split(cfg.data_dir, "train")
+    test_data = load_split(cfg.data_dir, "test")
     for split, data in (("train", train_data), ("test", test_data)):
         if data.images.shape[1] != DEFAULT_TOPOLOGY[0]:
             raise ConfigError(
@@ -483,9 +482,9 @@ def _trial_checkpoints(cfg: ExperimentConfig, n_pixels: int, checkpoint=None):
 def run_ood(cfg: ExperimentConfig, checkpoint=None) -> dict:
     """Test-vs-OOD AUROC for both uncertainty scores, per trial; each
     (trial, split) pair is one item of the worker pool."""
-    test_data = load_split(cfg.data_dir, "test", name=cfg.dataset)
+    test_data = load_split(cfg.data_dir, "test")
     try:
-        ood_data = load_split(cfg.data_dir, "ood", name="ood")
+        ood_data = load_split(cfg.data_dir, "ood")
     except FileNotFoundError as exc:
         raise ConfigError(
             f"OOD data missing: {exc}; convert the OOD set to IDX and place "
@@ -538,7 +537,7 @@ def run_attack(cfg: ExperimentConfig, checkpoint=None) -> dict:
     (trial, epsilon) attack is one item of the worker pool."""
     if not cfg.eps_grid:
         raise ConfigError("empty eps_grid: no attack to run")
-    test_data = load_split(cfg.data_dir, "test", name=cfg.dataset)
+    test_data = load_split(cfg.data_dir, "test")
     prefix = take_prefix(test_data, min(cfg.attack_prefix, test_data.n))
 
     def robust_accuracy(item):
@@ -575,7 +574,7 @@ def run_detect(cfg: ExperimentConfig, checkpoint=None) -> dict:
     samples and the class-balanced correct-vs-successful variant.  Each
     trial is one item of the worker pool.
     """
-    test_data = load_split(cfg.data_dir, "test", name=cfg.dataset)
+    test_data = load_split(cfg.data_dir, "test")
     if not cfg.detect_full_test:
         test_data = take_prefix(test_data, min(cfg.attack_prefix, test_data.n))
 
@@ -854,8 +853,10 @@ def run_report(results_dir, report_dir=None) -> dict:
     """Consolidate result JSONs into table CSVs, figure data, and a summary.
 
     Missing inputs are listed in the summary; a partial report is still
-    emitted and the call succeeds.
+    emitted and the call succeeds.  A missing ``results_dir`` raises.
     """
+    if not os.path.isdir(results_dir):
+        raise ConfigError(f"no results directory {results_dir}")
     report_dir = report_dir or os.path.join(results_dir, "report")
     os.makedirs(report_dir, exist_ok=True)
     warnings = []

@@ -46,8 +46,6 @@ def auroc_scores(pos_scores, neg_scores) -> float:
 class BalancedAuroc:
     value: float
     n_per_class: int
-    n_positives_available: int
-    n_negatives_available: int
 
 
 def auroc_balanced(pos_scores, neg_scores, seed: int = 0) -> BalancedAuroc:
@@ -70,9 +68,7 @@ def auroc_balanced(pos_scores, neg_scores, seed: int = 0) -> BalancedAuroc:
         pos = pos[rng.choice(n_pos, m, replace=False)]
     if n_neg > m:
         neg = neg[rng.choice(n_neg, m, replace=False)]
-    return BalancedAuroc(value=auroc_scores(pos, neg), n_per_class=m,
-                         n_positives_available=n_pos,
-                         n_negatives_available=n_neg)
+    return BalancedAuroc(value=auroc_scores(pos, neg), n_per_class=m)
 
 
 def uncertainty_histograms(groups: dict) -> dict:

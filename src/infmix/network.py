@@ -165,10 +165,6 @@ class PredictiveSummary:
     predicted_class: np.ndarray  # (B,) argmax of mean_probs
     n_samples: int
 
-    @property
-    def n(self) -> int:
-        return self.mean_probs.shape[0]
-
     def correct_mask(self, labels) -> np.ndarray:
         return self.predicted_class == np.asarray(labels)
 
@@ -227,20 +223,20 @@ def summarize_prob_stream(draws, n_samples: int) -> PredictiveSummary:
 
 class Components:
     """The ``count`` components of one mixture call, in the blocks
-    ``make(start, stop)`` over consecutive spans of at most ``block`` of
-    them.  A block is made as it is iterated, so draws come from the rng in
-    component order, unless ``made`` has made them all; iterating hands
+    ``make(start, stop)`` over consecutive spans of at most ``DRAW_BLOCK``
+    of them.  A block is made as it is iterated, so draws come from the rng
+    in component order, unless ``made`` has made them all; iterating hands
     each block out once and keeps no reference to it, so a block is dropped
     once it has run.  Sized in blocks, so a pool starts no thread that
     would find no block."""
 
-    def __init__(self, count: int, make, block: int = DRAW_BLOCK):
+    def __init__(self, count: int, make):
         if count < 1:
             raise ValueError(f"n_samples must be >= 1, got {count}")
         self.count = count
-        self._len = -(-count // block)
-        self._blocks = (make(start, min(start + block, count))
-                        for start in range(0, count, block))
+        self._len = -(-count // DRAW_BLOCK)
+        self._blocks = (make(start, min(start + DRAW_BLOCK, count))
+                        for start in range(0, count, DRAW_BLOCK))
         self._made = collections.deque()
 
     def __len__(self):
@@ -266,10 +262,10 @@ class MixtureModel:
 
     ``predict`` and ``loss_input_grad`` run the blocks through
     ``imap_in_order`` on the CPUs the budget leaves free: each block is
-    drawn under the pool's lock in component order, unless drawn ahead
-    (``DrawAhead``), any worker runs it, and its small result is added into
-    the running sums in block order, so the sums hold the bits of a plain
-    loop."""
+    drawn under the map's lock (two maps that may run at once share no
+    ``Rng``) in component order, unless drawn ahead (``DrawAhead``), any
+    worker runs it, and its small result is added into the running sums in
+    block order, so the sums hold the bits of a plain loop."""
 
     def predict(self, x: Array, n_samples: int = 1, rng: Rng | None = None
                 ) -> PredictiveSummary:
@@ -339,20 +335,12 @@ class StochasticMlp(MixtureModel):
     layers: list
 
     @classmethod
-    def create(cls, rng: Rng, topology=DEFAULT_TOPOLOGY,
-               init_weight_std: float = 0.05) -> "StochasticMlp":
+    def create(cls, rng: Rng, topology=DEFAULT_TOPOLOGY) -> "StochasticMlp":
         layers = [
-            MvnLayerPosterior.initialize(n_in, n_out, rng.derive(l),
-                                         init_weight_std=init_weight_std)
+            MvnLayerPosterior.initialize(n_in, n_out, rng.derive(l))
             for l, (n_in, n_out) in enumerate(zip(topology[:-1], topology[1:]))
         ]
         return cls(layers=layers)
-
-    @property
-    def topology(self):
-        dims = [self.layers[0].n_rows - 1]
-        dims += [layer.n_cols for layer in self.layers]
-        return tuple(dims)
 
     def named_params(self) -> list:
         """[(name, array)] of the trained arrays, the model's own, in the one

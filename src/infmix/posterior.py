@@ -17,6 +17,8 @@ from scipy.special import expit as sigmoid
 
 from .tensor import Array, Rng
 
+INIT_WEIGHT_STD = 0.05      # r_i c_j of every weight of a new layer
+
 
 def softplus(x):
     return np.logaddexp(0.0, x)
@@ -79,11 +81,10 @@ class MvnLayerPosterior:
         return softplus(self.col_scale_raw)
 
     @classmethod
-    def initialize(cls, n_in: int, n_out: int, rng: Rng,
-                   init_weight_std: float = 0.05) -> "MvnLayerPosterior":
+    def initialize(cls, n_in: int, n_out: int, rng: Rng) -> "MvnLayerPosterior":
         """Glorot-uniform mean (zero bias row); scales set so that the
-        initial per-weight standard deviation is ``init_weight_std``."""
-        raw = float(softplus_inv(np.sqrt(init_weight_std)))
+        initial per-weight standard deviation is ``INIT_WEIGHT_STD``."""
+        raw = float(softplus_inv(np.sqrt(INIT_WEIGHT_STD)))
         return cls(mean=glorot_uniform(n_in, n_out, rng),
                    row_scale_raw=np.full(n_in + 1, raw),
                    col_scale_raw=np.full(n_out, raw))

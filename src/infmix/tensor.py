@@ -216,8 +216,9 @@ def imap_in_order(fn, items, then=None):
     the calling thread and as many parked threads as the CPU budget leaves
     CPUs free (``_Pool``).
 
-    Items are taken one at a time, in order, under the pool's lock, so an
-    iterator that draws from an ``Rng`` draws what a plain loop would draw.
+    Items are taken one at a time, in order, under the map's own lock, so
+    an iterator that draws from an ``Rng`` draws what a plain loop would
+    draw; two maps that may run at once must not share one, and none does.
     Each thread computes one item at a time, so at most as many items as
     the pool has threads are computing, and a finished item waits for its
     turn only as its result.  While the calling thread waits for another

@@ -65,15 +65,13 @@ def synthetic_data_dir(tmp_path_factory):
 @pytest.fixture(scope="session")
 def synthetic_train(synthetic_data_dir) -> Dataset:
     return load_idx(os.path.join(synthetic_data_dir, "train-images-idx3-ubyte"),
-                    os.path.join(synthetic_data_dir, "train-labels-idx1-ubyte"),
-                    name="synthetic-train")
+                    os.path.join(synthetic_data_dir, "train-labels-idx1-ubyte"))
 
 
 @pytest.fixture(scope="session")
 def synthetic_test(synthetic_data_dir) -> Dataset:
     return load_idx(os.path.join(synthetic_data_dir, "t10k-images-idx3-ubyte"),
-                    os.path.join(synthetic_data_dir, "t10k-labels-idx1-ubyte"),
-                    name="synthetic-test")
+                    os.path.join(synthetic_data_dir, "t10k-labels-idx1-ubyte"))
 
 
 def real_data_dir(dataset="mnist"):

@@ -27,8 +27,7 @@ from infmix.gradcheck import (check_objective_gradient,
 from infmix.metrics import auroc_scores
 from infmix.network import MAX_ENTROPY, StochasticMlp, summarize_probs
 from infmix.objectives import ObjectiveKind, TrainConfig, ml_loss, train, vi_loss
-from infmix.posterior import (MvnLayerPosterior, PriorSpec, kl_to_prior,
-                              per_weight_variance)
+from infmix.posterior import PriorSpec, kl_to_prior, per_weight_variance
 from infmix.tensor import Rng
 
 from conftest import real_data_dir

@@ -1,7 +1,6 @@
 """PGD constraint invariants, oracles, and persistence."""
 
 import hashlib
-import os
 import tracemalloc
 from pathlib import Path
 

@@ -8,11 +8,11 @@ import pytest
 import infmix.baselines as baselines_mod
 import infmix.objectives as objectives_mod
 from conftest import one_worker_per_cpu, pool_at_rest
-from infmix.baselines import (DeepEnsemble, DropoutMlp, FitConfig,
-                              glorot_weights, train_dropout, train_ensemble)
+from infmix.baselines import (DropoutMlp, FitConfig, glorot_weights,
+                              train_dropout, train_ensemble)
 from infmix.data import Dataset
 from infmix.gradcheck import check_dropout_gradient, check_weight_decay_gradient
-from infmix.network import Components, forward, summarize_probs
+from infmix.network import INPUT_GRAD, forward, label_backward, summarize_probs
 from infmix.tensor import Rng, map_in_order
 
 from test_objectives import toy_dataset
@@ -101,13 +101,15 @@ class TestDropout:
         np.testing.assert_allclose(summary.mean_probs, stacked.mean(axis=0),
                                    rtol=1e-12, atol=1e-15)
         grad, _ = model.loss_input_grad(x, y, 5, Rng(5))
-
-        class OneMaskPerComponent(DropoutMlp):
-            def components(self, n_samples, rng):
-                return Components(len(masks), lambda start, stop: (
-                    self.weights, masks[start]), block=1)
-
-        expected, _ = OneMaskPerComponent(model.weights, 0.5).loss_input_grad(x, y)
+        # -d log p_bar / dx = -sum_s dp_s/dx / (S p_bar), one mask at a time.
+        grads, label_probs = [], []
+        for m in masks:
+            log_probs, trace = forward(model.weights, x, hidden_masks=m)
+            p = np.exp(log_probs[np.arange(len(y)), y])
+            grads.append(label_backward(trace, y, p, INPUT_GRAD)[1])
+            label_probs.append(p)
+        p_bar = np.mean(label_probs, axis=0)
+        expected = -sum(grads) / (len(masks) * p_bar)[:, None]
         np.testing.assert_allclose(grad, expected, rtol=1e-10, atol=1e-15)
 
     @pytest.mark.parametrize("seed", [0, 1, 2])

@@ -289,7 +289,7 @@ PINNED_DIGESTS = {
 def pinned_model_digest(ckpt, model):
     images, labels = synthetic_arrays(60, 5)
     data = Dataset(images=images.reshape(60, -1) / 255.0,
-                   labels=labels.astype(np.int64), name="toy")
+                   labels=labels.astype(np.int64))
     cfg = ExperimentConfig(model=model, iterations=5, batch_size=4,
                            n_train_samples=2, ensemble_size=2)
     net, _ = train_model_for_trial(cfg, data, seed=7)

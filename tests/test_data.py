@@ -217,7 +217,7 @@ def small_net(bad_layer=None):
 
 
 def attack_result(n=3):
-    return AttackResult(adversarial=np.full((n, 4), 0.5), epsilon=0.1,
+    return AttackResult(adversarial=np.full((n, 4), 0.5),
                         true_labels=np.arange(n), pred_after=np.zeros(n, int),
                         success=np.ones(n, bool), robust_accuracy=0.0,
                         summary_after=None)

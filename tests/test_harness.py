@@ -22,10 +22,9 @@ from infmix.cli import main
 from infmix.data import (IDX_FLOAT64, load_idx, load_split, read_idx,
                          take_prefix, write_idx)
 from infmix.harness import (MODEL_KINDS, SWEEP_AXES, ConfigError,
-                            ExperimentConfig, config_text, load_config,
-                            parse_config_text, predict_dataset, run_attack,
-                            run_detect, run_ood, run_report, run_sweep,
-                            run_train)
+                            ExperimentConfig, config_text, parse_config_text,
+                            predict_dataset, run_attack, run_detect, run_ood,
+                            run_report, run_sweep, run_train)
 from infmix.metrics import auroc_balanced
 from infmix.network import StochasticMlp
 from infmix.tensor import Rng
@@ -383,12 +382,13 @@ class TestWorkers:
 
 
 class TestPredictDataset:
-    def test_chunks_keyed_by_start_index(self):
+    def test_chunks_keyed_by_start_index(self, monkeypatch):
         # Each chunk draws from rng.derive(start): its draws depend on where
         # the chunk starts, not on how many draws run per forward pass.
         net = StochasticMlp.create(Rng(0), topology=(6, 4, 4, 3))
         x = Rng(1).uniform(0, 1, (7, 6))
-        whole = predict_dataset(net, x, 5, Rng(2), chunk=3)
+        monkeypatch.setattr(harness, "_EVAL_CHUNK", 3)
+        whole = predict_dataset(net, x, 5, Rng(2))
         for start in (0, 3, 6):
             part = net.predict(x[start:start + 3], 5, Rng(2).derive(start))
             assert np.array_equal(whole.mean_probs[start:start + 3],
@@ -723,6 +723,15 @@ class TestCli:
 
     def test_missing_config_file_exits_one(self):
         assert main(["--config", "/nonexistent.cfg", "train"]) == 1
+
+    def test_report_on_a_missing_results_dir_is_a_one_line_config_error(
+            self, tmp_path, capsys):
+        missing = tmp_path / "does_not_exist"
+        assert main(["report", "--results-dir", str(missing)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"config error: no results directory {missing}\n"
+        assert not missing.exists()
 
     def test_config_file_that_is_not_utf8_exits_one(self, tmp_path, capsys):
         path = tmp_path / "bad.cfg"

@@ -79,8 +79,6 @@ class TestBalancedAuroc:
         pos, neg = self.make_scores(100, 30)
         balanced = auroc_balanced(pos, neg, seed=1)
         assert balanced.n_per_class == 30
-        assert balanced.n_positives_available == 100
-        assert balanced.n_negatives_available == 30
 
     def test_seeded_subsampling_reproducible(self):
         pos, neg = self.make_scores(80, 30, seed=3)

@@ -15,7 +15,6 @@ from infmix import network
 from infmix.network import (DRAW_BLOCK, INPUT_GRAD, MAX_ENTROPY, WEIGHT_GRADS,
                             StochasticMlp, backward, entropy_of, forward,
                             summarize_prob_stream, summarize_probs)
-from infmix.posterior import MvnLayerPosterior, softplus_inv
 from infmix.tensor import Rng
 
 
@@ -311,7 +310,7 @@ def predict_peak(monkeypatch, cpus):
     one_worker_per_cpu(monkeypatch, cpus)
     net = StochasticMlp.create(Rng(0).derive(0))
     x = Rng(1).uniform(0, 1, (2000, 784))
-    block = x.shape[0] * DRAW_BLOCK * net.topology[1] * x.itemsize
+    block = x.shape[0] * DRAW_BLOCK * net.layers[0].n_cols * x.itemsize
     tracemalloc.start()
     try:
         net.predict(x, 4 * DRAW_BLOCK, Rng(2))
@@ -416,6 +415,5 @@ def all_at_once(monkeypatch, n):
 class TestTopology:
     def test_default_dims_chain(self):
         net = StochasticMlp.create(Rng(0))
-        assert net.topology == (784, 128, 128, 10)
         assert [layer.mean.shape for layer in net.layers] == [
             (785, 128), (129, 128), (129, 10)]

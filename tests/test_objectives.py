@@ -17,7 +17,7 @@ from infmix.objectives import (FitConfig, LossRecord, ObjectiveKind,
                                SharedDraws, TrainConfig, logmeanexp,
                                loss_history_csv, ml_loss, objective_gradients,
                                train, vi_loss)
-from infmix.posterior import PriorSpec, kl_to_prior
+from infmix.posterior import kl_to_prior
 from infmix.tensor import AdamState, Rng, adam_step, map_in_order
 
 from conftest import one_worker_per_cpu, pool_at_rest, synthetic_arrays
@@ -39,7 +39,7 @@ def toy_dataset(n=600, seed=0, side=12):
     """Small learnable dataset: patch position encodes the class."""
     images28, labels = synthetic_arrays(n, seed)
     return Dataset(images=images28.reshape(n, -1) / 255.0,
-                   labels=labels.astype(np.int64), name="toy")
+                   labels=labels.astype(np.int64))
 
 
 def shared_loglik(net, images, labels, n_samples, rng):

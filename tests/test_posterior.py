@@ -223,7 +223,7 @@ class TestKlBackward:
 
 class TestInitialization:
     def test_initial_per_weight_std(self):
-        layer = MvnLayerPosterior.initialize(8, 4, Rng(0), init_weight_std=0.05)
+        layer = MvnLayerPosterior.initialize(8, 4, Rng(0))
         np.testing.assert_allclose(per_weight_variance(layer), 0.05 ** 2,
                                    rtol=1e-9)
 
