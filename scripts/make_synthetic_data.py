@@ -28,8 +28,11 @@ def synthetic_arrays(n, seed, side=28, n_classes=10, style=0):
         r0 = 3 + row * 12 + style * 3
         c0 = 2 + col * 5
         images[i, r0:r0 + 6, c0:c0 + 4] += 0.7
-    images = np.clip(images, 0.0, 1.0)
-    return np.rint(images * 255).astype(np.uint8), labels.astype(np.uint8)
+    # In place: one float64 copy of the split is alive at a time.
+    np.clip(images, 0.0, 1.0, out=images)
+    images *= 255
+    np.rint(images, out=images)
+    return images.astype(np.uint8), labels.astype(np.uint8)
 
 
 def main():

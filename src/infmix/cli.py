@@ -22,7 +22,7 @@ EXIT_CONFIG = 1
 EXIT_VERIFICATION = 2
 
 
-class _Parser(argparse.ArgumentParser):
+class OneLineParser(argparse.ArgumentParser):
     """Reports a usage error in one line and exits EXIT_CONFIG, not with
     argparse's 2, which here means a failed verification.  Subcommand
     parsers are made of the same class."""
@@ -33,7 +33,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(
+    parser = OneLineParser(
         prog="infmix",
         description="Train and evaluate infinite-mixture stochastic MLPs "
                     "(mixture-likelihood or variational objective) plus "
@@ -66,77 +66,21 @@ def build_parser() -> argparse.ArgumentParser:
 
 def resolve_config(args) -> ExperimentConfig:
     cfg = load_config(args.config) if args.config else ExperimentConfig()
-    overrides = {}
-    if args.data_dir is not None:
-        overrides["data_dir"] = args.data_dir
-    if args.out_dir is not None:
-        overrides["out_dir"] = args.out_dir
-    if args.seed is not None:
-        overrides["base_seed"] = args.seed
-    if args.trials is not None:
-        overrides["n_trials"] = args.trials
-    return cfg.replace(**overrides) if overrides else cfg
+    overrides = {"data_dir": args.data_dir, "out_dir": args.out_dir,
+                 "base_seed": args.seed, "n_trials": args.trials}
+    return cfg.replace(**{k: v for k, v in overrides.items() if v is not None})
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    return exit_code(lambda: _command(args))
 
+
+def exit_code(action) -> int:
+    """``action()``'s exit code; bad input or a diverged run ends in one
+    stderr line and EXIT_CONFIG, not in a traceback."""
     try:
-        if args.command == "gradcheck":
-            if args.gradcheck_seed < 0:
-                raise ConfigError(
-                    f"--gradcheck-seed must be >= 0, got {args.gradcheck_seed}")
-            results = gradcheck_mod.run_all_checks(seed=args.gradcheck_seed)
-            for res in results:
-                print(res.line())
-            if all(r.passed for r in results):
-                print("gradcheck: all checks passed")
-                return EXIT_OK
-            print("gradcheck: FAILED", file=sys.stderr)
-            return EXIT_VERIFICATION
-        cfg = resolve_config(args)
-        if args.command == "report":
-            results_dir = args.results_dir or cfg.out_dir
-            outcome = harness.run_report(results_dir, args.report_dir)
-            for warning in outcome["warnings"]:
-                print(f"warning: {warning}", file=sys.stderr)
-            print(f"report written to {outcome['report_dir']} "
-                  f"({len(outcome['written'])} files)")
-            return EXIT_OK
-        if args.command == "train":
-            results = harness.run_train(cfg)
-            for res in results:
-                print(f"{res['run_id']} seed={res['seed']} "
-                      f"accuracy={res['clean_accuracy']:.4f}")
-            return EXIT_OK
-        if args.command == "sweep":
-            payload = harness.run_sweep(cfg)
-            for row in payload["rows"]:
-                print(f"{cfg.sweep}={row['value']}: "
-                      f"accuracy={row['mean_accuracy']:.4f} "
-                      f"+- {row['std_accuracy']:.4f}")
-            return EXIT_OK
-        if args.command == "ood":
-            payload = harness.run_ood(cfg, checkpoint=args.checkpoint)
-            print(f"ood {payload['run_id']}: "
-                  f"variance AUROC {payload['mean_auroc_variance']:.4f}, "
-                  f"entropy AUROC {payload['mean_auroc_entropy']:.4f}")
-            return EXIT_OK
-        if args.command == "attack":
-            payload = harness.run_attack(cfg, checkpoint=args.checkpoint)
-            for eps, acc in zip(cfg.eps_grid, payload["mean_curve"]):
-                print(f"eps={eps}: robust accuracy {acc:.4f}")
-            return EXIT_OK
-        if args.command == "detect":
-            payload = harness.run_detect(cfg, checkpoint=args.checkpoint)
-            balanced = payload["mean_auroc_entropy_balanced"]
-            print(f"detection {payload['run_id']} eps={payload['epsilon']}: "
-                  f"variance {payload['mean_auroc_variance']:.4f}, "
-                  f"entropy {payload['mean_auroc_entropy']:.4f}, "
-                  f"balanced entropy "
-                  + (f"{balanced:.4f}" if balanced is not None else "undefined"))
-            return EXIT_OK
-        raise ConfigError(f"unknown command {args.command!r}")
+        return action()
     except (ConfigError, OSError, IdxFormatError, DataConsistencyError,
             CheckpointError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
@@ -144,6 +88,63 @@ def main(argv=None) -> int:
     except (TrainingDiverged, FloatingPointError) as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+
+
+def _command(args) -> int:
+    if args.command == "gradcheck":
+        if args.gradcheck_seed < 0:
+            raise ConfigError(
+                f"--gradcheck-seed must be >= 0, got {args.gradcheck_seed}")
+        results = gradcheck_mod.run_all_checks(seed=args.gradcheck_seed)
+        for res in results:
+            print(res.line())
+        if all(r.passed for r in results):
+            print("gradcheck: all checks passed")
+            return EXIT_OK
+        print("gradcheck: FAILED", file=sys.stderr)
+        return EXIT_VERIFICATION
+    cfg = resolve_config(args)
+    if args.command == "report":
+        results_dir = args.results_dir or cfg.out_dir
+        outcome = harness.run_report(results_dir, args.report_dir)
+        for warning in outcome["warnings"]:
+            print(f"warning: {warning}", file=sys.stderr)
+        print(f"report written to {outcome['report_dir']} "
+              f"({len(outcome['written'])} files)")
+        return EXIT_OK
+    if args.command == "train":
+        for res in harness.run_train(cfg):
+            print(f"{res['run_id']} seed={res['seed']} "
+                  f"accuracy={res['clean_accuracy']:.4f}")
+        return EXIT_OK
+    if args.command == "sweep":
+        payload = harness.run_sweep(cfg)
+        for row in payload["rows"]:
+            print(f"{cfg.sweep}={row['value']}: "
+                  f"accuracy={row['mean_accuracy']:.4f} "
+                  f"+- {row['std_accuracy']:.4f}")
+        return EXIT_OK
+    if args.command == "ood":
+        payload = harness.run_ood(cfg, checkpoint=args.checkpoint)
+        print(f"ood {payload['run_id']}: "
+              f"variance AUROC {payload['mean_auroc_variance']:.4f}, "
+              f"entropy AUROC {payload['mean_auroc_entropy']:.4f}")
+        return EXIT_OK
+    if args.command == "attack":
+        payload = harness.run_attack(cfg, checkpoint=args.checkpoint)
+        for eps, acc in zip(cfg.eps_grid, payload["mean_curve"]):
+            print(f"eps={eps}: robust accuracy {acc:.4f}")
+        return EXIT_OK
+    if args.command == "detect":
+        payload = harness.run_detect(cfg, checkpoint=args.checkpoint)
+        balanced = payload["mean_auroc_entropy_balanced"]
+        print(f"detection {payload['run_id']} eps={payload['epsilon']}: "
+              f"variance {payload['mean_auroc_variance']:.4f}, "
+              f"entropy {payload['mean_auroc_entropy']:.4f}, "
+              f"balanced entropy "
+              + (f"{balanced:.4f}" if balanced is not None else "undefined"))
+        return EXIT_OK
+    raise ConfigError(f"unknown command {args.command!r}")
 
 
 if __name__ == "__main__":

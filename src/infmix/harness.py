@@ -384,9 +384,13 @@ def run_trial(cfg: ExperimentConfig, train_data: Dataset, test_data: Dataset,
     return _write_result(cfg, "trial", stem + ".json", **result)
 
 
-def _run_points(cfg: ExperimentConfig, points) -> list:
-    """Every trial of each configuration in ``points``, as one map of
+def run_points(cfg: ExperimentConfig, points) -> list:
+    """Every trial of each of ``points``, on ``cfg``'s data, as one map of
     (point, seed) pairs; returns the per-trial result dicts of each point."""
+    # Points of one run id would write the same files, at the same time.
+    run_ids = [point.run_id() for point in points]
+    if len(set(run_ids)) < len(run_ids):
+        raise ConfigError(f"the grid gives one run id to two points: {run_ids}")
     train_data = load_split(cfg.data_dir, "train")
     test_data = load_split(cfg.data_dir, "test")
     for split, data in (("train", train_data), ("test", test_data)):
@@ -402,7 +406,7 @@ def _run_points(cfg: ExperimentConfig, points) -> list:
 
 def run_train(cfg: ExperimentConfig) -> list:
     """All trials of one configuration; returns the per-trial result dicts."""
-    return _run_points(cfg, [cfg])[0]
+    return run_points(cfg, [cfg])[0]
 
 
 def run_sweep(cfg: ExperimentConfig) -> dict:
@@ -419,13 +423,8 @@ def run_sweep(cfg: ExperimentConfig) -> dict:
     points = [cfg if value is None
               else cfg.replace(kl_weight=value) if cfg.sweep == "kl_weight"
               else cfg.replace(prior_variance=value) for value in grid]
-    # Points of one run id would write the same files, at the same time.
-    run_ids = [point.run_id() for point in points]
-    if len(set(run_ids)) < len(run_ids):
-        raise ConfigError(f"{cfg.sweep} grid {grid} gives one run id to two "
-                          f"points: {run_ids}")
     rows = []
-    for value, point, results in zip(grid, points, _run_points(cfg, points)):
+    for value, point, results in zip(grid, points, run_points(cfg, points)):
         accs = [r["clean_accuracy"] for r in results]
         mean, std = mean_std(accs)
         rows.append({"sweep": cfg.sweep, "value": value,

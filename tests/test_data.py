@@ -1,6 +1,7 @@
 """IDX round trips, normalization, prefixes, and batch determinism."""
 
 import gzip
+import hashlib
 import os
 from pathlib import Path
 
@@ -9,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import synthetic_arrays
 from infmix.attacks import AttackResult, write_attack_artifacts
 from infmix.checkpoint import save_model
 from infmix.data import (BatchIterator, DataConsistencyError, Dataset,
@@ -343,6 +345,29 @@ class TestBatchIterator:
     def test_empty_dataset_rejected(self):
         with pytest.raises(ValueError):
             BatchIterator(index_dataset(0), 10, seed=0)
+
+
+# SHA-256 of the images and then the labels of ``synthetic_arrays(n, seed,
+# style=style)``, keyed by (n, seed, style).  Another numpy build may need
+# them taken again.
+SYNTHETIC_DIGESTS = {
+    (1, 0, 0): "04126aa94ad893f6ab09e1260f6e5a8d5c6a4b27b3abd8911f6142fffe5929f2",
+    (50, 0, 0): "f951d7f2b1e1f8163558353fdae731cdf7c83f89dc51eca2a89b33889544b5b5",
+    (37, 1, 0): "79974ef992b3edf0805342edcbc6b3582095c777a171b1db1204836a68ebd0c5",
+    (40, 2, 2): "d341f21da88933f4db9a55908636c6e630d0867926150543e5576efe1f46f139",
+    (25, 7, 1): "76c8495348f539f48689ac2e6ddcb549c00c3f6b520f1b1995647de499b33a7d",
+}
+
+
+@pytest.mark.parametrize("key", SYNTHETIC_DIGESTS)
+def test_synthetic_arrays_keep_their_bytes(key):
+    n, seed, style = key
+    images, labels = synthetic_arrays(n, seed, style=style)
+    assert (images.shape, images.dtype, labels.shape, labels.dtype) == (
+        (n, 28, 28), np.uint8, (n,), np.uint8)
+    digest = hashlib.sha256(images.tobytes())
+    digest.update(labels.tobytes())
+    assert digest.hexdigest() == SYNTHETIC_DIGESTS[key]
 
 
 @pytest.mark.slow
