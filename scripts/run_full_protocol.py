@@ -28,17 +28,14 @@ def protocol_points(base: ExperimentConfig) -> list:
     """The protocol's trainings, each once: the kl-weight sweep's points,
     then the prior sweep's, then the three baselines.  The point where the
     sweeps meet keeps the kl-weight sweep's config."""
+    runs = [(model, sweep) for sweep in ("kl_weight", "prior")
+            for model in ("ml", "vi")]
+    runs += [(model, "none") for model in ("deterministic", "dropout", "ensemble")]
     points = {}
-    for sweep, axis, grid in (("kl_weight", "kl_weight", base.kl_weight_grid),
-                              ("prior", "prior_variance", base.prior_grid)):
-        for model in ("ml", "vi"):
-            for value in grid:
-                point = base.replace(model=model, sweep=sweep,
-                                     **{**UNIT, axis: value})
-                points.setdefault(point.run_id(), point)
-    for model in ("deterministic", "dropout", "ensemble"):
-        point = base.replace(model=model)
-        points.setdefault(point.run_id(), point)
+    for model, sweep in runs:
+        for point in harness.sweep_points(
+                base.replace(model=model, sweep=sweep, **UNIT)):
+            points.setdefault(point.run_id(), point)
     return list(points.values())
 
 

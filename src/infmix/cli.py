@@ -15,6 +15,7 @@ from . import harness
 from .checkpoint import CheckpointError
 from .data import DataConsistencyError, IdxFormatError
 from .harness import ConfigError, ExperimentConfig, load_config
+from .metrics import mean_std
 from .objectives import TrainingDiverged
 
 EXIT_OK = 0
@@ -118,11 +119,12 @@ def _command(args) -> int:
                   f"accuracy={res['clean_accuracy']:.4f}")
         return EXIT_OK
     if args.command == "sweep":
-        payload = harness.run_sweep(cfg)
-        for row in payload["rows"]:
-            print(f"{cfg.sweep}={row['value']}: "
-                  f"accuracy={row['mean_accuracy']:.4f} "
-                  f"+- {row['std_accuracy']:.4f}")
+        points = harness.sweep_points(cfg)
+        field, _ = harness.SWEEPS.get(cfg.sweep, (None, None))
+        for point, trials in zip(points, harness.run_points(cfg, points)):
+            mean, std = mean_std([t["clean_accuracy"] for t in trials])
+            value = getattr(point, field) if field else None
+            print(f"{cfg.sweep}={value}: accuracy={mean:.4f} +- {std:.4f}")
         return EXIT_OK
     if args.command == "ood":
         payload = harness.run_ood(cfg, checkpoint=args.checkpoint)

@@ -34,7 +34,10 @@ _EVAL_STREAM = 20
 _EVAL_CHUNK = 2000
 
 MODEL_KINDS = ("ml", "vi", "deterministic", "dropout", "ensemble")
-SWEEP_AXES = ("none", "kl_weight", "prior")
+# Each sweep axis: the config field it varies and the field holding its grid.
+SWEEPS = {"kl_weight": ("kl_weight", "kl_weight_grid"),
+          "prior": ("prior_variance", "prior_grid")}
+SWEEP_AXES = ("none", *SWEEPS)
 
 # Per-weight mixing-distribution variances span orders of magnitude, so the
 # exported histograms use fixed log-spaced bins.
@@ -55,7 +58,9 @@ def _parse_bool(s: str) -> bool:
 
 
 def _parse_float_list(s: str):
-    return tuple(float(tok) for tok in s.split(",") if tok.strip())
+    """Comma-separated floats; an empty value is the empty list, and an
+    empty entry is an error."""
+    return tuple(float(tok) for tok in s.split(",")) if s.strip() else ()
 
 
 def _parse_optional_float(s: str):
@@ -154,13 +159,6 @@ class ExperimentConfig:
             return (f"{self.model}_{self.dataset}"
                     f"_kl{self.kl_weight:g}_pv{self.prior_variance:g}")
         return f"{self.model}_{self.dataset}"
-
-    def to_dict(self) -> dict:
-        d = dataclasses.asdict(self)
-        d["kl_weight_grid"] = list(self.kl_weight_grid)
-        d["prior_grid"] = list(self.prior_grid)
-        d["eps_grid"] = list(self.eps_grid)
-        return d
 
     def replace(self, **kwargs) -> "ExperimentConfig":
         return dataclasses.replace(self, **kwargs)
@@ -310,7 +308,7 @@ def _write_result(cfg: ExperimentConfig, kind: str, name: str, scores=(),
     header records the BLAS thread setting, on which trained bits depend."""
     payload = {"schema_version": SCHEMA_VERSION, "kind": kind,
                "run_id": cfg.run_id(), "model": cfg.model,
-               "dataset": cfg.dataset, "config": cfg.to_dict(),
+               "dataset": cfg.dataset, "config": dataclasses.asdict(cfg),
                "blas_threads": blas_threads(), **fields}
     for score in scores:
         vals = [t[score] for t in fields["trials"] if t[score] is not None]
@@ -409,36 +407,15 @@ def run_train(cfg: ExperimentConfig) -> list:
     return run_points(cfg, [cfg])[0]
 
 
-def run_sweep(cfg: ExperimentConfig) -> dict:
-    """Trials for every grid point of the configured sweep axis, as one map."""
+def sweep_points(cfg: ExperimentConfig) -> list:
+    """``cfg`` at each value of its sweep axis's grid, in grid order; with
+    no sweep, ``cfg`` alone."""
     if cfg.sweep == "none":
-        grid = [None]
-    elif cfg.sweep == "kl_weight":
-        grid = list(cfg.kl_weight_grid)
-    else:
-        grid = list(cfg.prior_grid)
-    if not grid:
+        return [cfg]
+    field, grid = SWEEPS[cfg.sweep]
+    if not getattr(cfg, grid):
         raise ConfigError(f"empty grid for sweep axis {cfg.sweep!r}")
-
-    points = [cfg if value is None
-              else cfg.replace(kl_weight=value) if cfg.sweep == "kl_weight"
-              else cfg.replace(prior_variance=value) for value in grid]
-    rows = []
-    for value, point, results in zip(grid, points, run_points(cfg, points)):
-        accs = [r["clean_accuracy"] for r in results]
-        mean, std = mean_std(accs)
-        rows.append({"sweep": cfg.sweep, "value": value,
-                     "run_id": point.run_id(), "accuracies": accs,
-                     "mean_accuracy": mean, "std_accuracy": std})
-
-    stem = f"sweep_{cfg.sweep}_{cfg.model}_{cfg.dataset}"
-    payload = _write_result(cfg, "sweep", stem + ".json", rows=rows)
-    lines = [f"{cfg.sweep},mean_accuracy,std_accuracy"]
-    lines += [f"{r['value']},{r['mean_accuracy']:.6f},{r['std_accuracy']:.6f}"
-              for r in rows]
-    write_text_atomic(os.path.join(cfg.out_dir, stem + ".csv"),
-                      "\n".join(lines) + "\n")
-    return payload
+    return [cfg.replace(**{field: value}) for value in getattr(cfg, grid)]
 
 
 # ----------------------------------------------------------------------

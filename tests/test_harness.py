@@ -24,8 +24,8 @@ from infmix.data import (IDX_FLOAT64, load_idx, load_split, read_idx,
 from infmix.harness import (MODEL_KINDS, SWEEP_AXES, ConfigError,
                             ExperimentConfig, config_text, parse_config_text,
                             predict_dataset, run_attack, run_detect, run_ood,
-                            run_report, run_sweep, run_train)
-from infmix.metrics import auroc_balanced
+                            run_points, run_report, run_train, sweep_points)
+from infmix.metrics import auroc_balanced, mean_std
 from infmix.network import StochasticMlp
 from infmix.tensor import Rng
 
@@ -60,6 +60,8 @@ BAD_VALUES = [
     ("learning_rate", "inf"), ("kl_weight", "inf"), ("prior_variance", "inf"),
     ("weight_decay", "inf"), ("attack_epsilon", "inf"), ("attack_step", "inf"),
     ("eps_grid", "0,inf"), ("kl_weight_grid", "1,inf"), ("prior_grid", "1,inf"),
+    ("kl_weight_grid", "1,,0.1"), ("eps_grid", "0.1,"), ("prior_grid", ",1"),
+    ("prior_grid", ","),
 ]
 
 _NONNEGATIVE = st.floats(0.0, allow_infinity=False)
@@ -254,7 +256,8 @@ class TestRunTrain:
         for seed in cfg.trial_seeds():
             path = os.path.join(cfg.out_dir, f"{cfg.run_id()}_seed{seed}.json")
             payload = json.loads(Path(path).read_text())
-            assert payload["config"] == cfg.to_dict()
+            assert payload["config"] == json.loads(
+                json.dumps(dataclasses.asdict(cfg)))
             assert payload["seed"] == seed
             assert 0.0 <= payload["clean_accuracy"] <= 1.0
             assert os.path.exists(os.path.join(cfg.out_dir, payload["checkpoint"]))
@@ -355,21 +358,21 @@ class TestWorkers:
                 } == {"ckpt", "json", "csv", "double", "ubyte"}
 
     def test_sweep_writes_the_same_bytes_on_one_and_two_workers(
-            self, synthetic_data_dir, tmp_path, monkeypatch):
+            self, synthetic_data_dir, tmp_path, monkeypatch, capsys):
         # Three (grid point, trial) pairs: one point's two trials and the
         # other's one may share the two workers.
-        trees = []
+        trees, outs = [], []
         for cpus in (1, 2):
             one_worker_per_cpu(monkeypatch, cpus)
             cfg = fast_config(synthetic_data_dir, tmp_path / f"t{cpus}",
                               model="ml", sweep="prior", prior_grid=(1.0, 3.0),
                               iterations=25)
-            payload = run_sweep(cfg)
-            assert [len(row["accuracies"]) for row in payload["rows"]] == [2, 2]
+            assert sweep_cli(cfg, tmp_path / f"t{cpus}.cfg") == 0
+            outs.append(capsys.readouterr().out)
             trees.append(read_tree(cfg))
-        assert trees[0] == trees[1]
+        assert trees[0] == trees[1] and outs[0] == outs[1]
         assert sum(name.endswith(".ckpt") for name in trees[0]) == 4
-        assert "sweep_prior_ml_mnist.csv" in trees[0]
+        assert not [name for name in trees[0] if name.startswith("sweep_")]
 
     def test_threads_default_to_the_allowed_cpus_with_blas_on_one_thread(
             self, monkeypatch):
@@ -397,50 +400,85 @@ class TestPredictDataset:
                                   part.class_variance)
 
 
+def sweep_cli(cfg, cfg_path) -> int:
+    """``infmix sweep`` on ``cfg``, written to ``cfg_path``."""
+    cfg_path.write_text(config_text(cfg))
+    return main(["--config", str(cfg_path), "sweep"])
+
+
+def sweep_lines(cfg, field) -> str:
+    """The stdout of ``infmix sweep`` on ``cfg``, from its trial files: per
+    point, the mean and std of its trials' accuracies."""
+    lines = ""
+    for point in sweep_points(cfg):
+        mean, std = mean_std([json.loads(Path(
+            cfg.out_dir, f"{point.run_id()}_seed{seed}.json").read_text()
+        )["clean_accuracy"] for seed in cfg.trial_seeds()])
+        value = getattr(point, field) if field else None
+        lines += f"{cfg.sweep}={value}: accuracy={mean:.4f} +- {std:.4f}\n"
+    return lines
+
+
 class TestRunSweep:
-    def test_grid_of_one_degenerates_to_train(self, synthetic_data_dir, tmp_path):
-        cfg = fast_config(synthetic_data_dir, tmp_path, model="ml",
+    def test_no_sweep_is_the_config_alone(self):
+        cfg = ExperimentConfig(kl_weight_grid=(), prior_grid=())
+        assert sweep_points(cfg) == [cfg]
+
+    @pytest.mark.parametrize("sweep, field, grid", [
+        ("kl_weight", "kl_weight", (0.01, 1.0, 1e-5, 2e-5)),
+        ("prior", "prior_variance", (3.0, 0.5, 1.5))])
+    def test_points_follow_the_grid_in_order(self, sweep, field, grid):
+        cfg = ExperimentConfig(sweep=sweep, kl_weight_grid=grid,
+                               prior_grid=grid, kl_weight=0.1,
+                               prior_variance=2.0)
+        assert sweep_points(cfg) == [cfg.replace(**{field: v}) for v in grid]
+
+    def test_grid_of_one_degenerates_to_train(self, synthetic_data_dir,
+                                              tmp_path, capsys):
+        cfg = fast_config(synthetic_data_dir, tmp_path / "sweep", model="ml",
                           sweep="kl_weight", kl_weight_grid=(0.5,),
                           iterations=25)
-        payload = run_sweep(cfg)
-        assert len(payload["rows"]) == 1
-        row = payload["rows"][0]
-        assert row["value"] == 0.5
-        assert len(row["accuracies"]) == 2
-        assert os.path.exists(os.path.join(
-            cfg.out_dir, "sweep_kl_weight_ml_mnist.csv"))
+        assert sweep_cli(cfg, tmp_path / "run.cfg") == 0
+        assert capsys.readouterr().out == sweep_lines(cfg, "kl_weight")
+        train = cfg.replace(out_dir=str(tmp_path / "train"), kl_weight=0.5)
+        run_train(train)
+        tree = read_tree(cfg)
+        assert tree == read_tree(train) and len(tree) == 8
 
-    @pytest.mark.parametrize("openblas", ["1", None])
-    def test_json_records_the_blas_thread_setting(
-            self, synthetic_data_dir, tmp_path, monkeypatch, openblas):
-        set_blas_env(monkeypatch, openblas, None)
-        cfg = fast_config(synthetic_data_dir, tmp_path, model="deterministic",
-                          sweep="kl_weight", kl_weight_grid=(0.5,),
-                          n_trials=1, iterations=5)
-        payload = run_sweep(cfg)
-        stem = Path(cfg.out_dir, "sweep_kl_weight_deterministic_mnist")
-        stored = json.loads(stem.with_suffix(".json").read_text())
-        assert stored == json.loads(json.dumps(payload))
-        assert (stored["schema_version"], stored["kind"], stored["run_id"],
-                stored["blas_threads"]) == (1, "sweep", cfg.run_id(), openblas)
-        [row] = stored["rows"]
-        assert stem.with_suffix(".csv").read_text() == (
-            f"kl_weight,mean_accuracy,std_accuracy\n"
-            f"0.5,{row['accuracies'][0]:.6f},0.000000\n")
+    @pytest.mark.parametrize("sweep, field", [
+        ("none", None), ("kl_weight", "kl_weight"),
+        ("prior", "prior_variance")])
+    def test_cli_prints_each_points_accuracy_and_writes_trials_only(
+            self, synthetic_data_dir, tmp_path, capsys, sweep, field):
+        cfg = fast_config(synthetic_data_dir, tmp_path / "out", model="vi",
+                          sweep=sweep, kl_weight_grid=(1e-5, 2e-5),
+                          prior_grid=(3.0, 0.5), iterations=5)
+        assert sweep_cli(cfg, tmp_path / "run.cfg") == 0
+        out = capsys.readouterr().out
+        assert out == sweep_lines(cfg, field)
+        assert out.count("\n") == len(sweep_points(cfg))
+        assert sorted(os.listdir(cfg.out_dir)) == sorted(
+            f"{point.run_id()}_seed{seed}{suffix}"
+            for point in sweep_points(cfg) for seed in cfg.trial_seeds()
+            for suffix in (".json", ".ckpt", "_loss.csv", "_hist.csv"))
 
     def test_points_of_one_run_id_rejected(self, synthetic_data_dir, tmp_path):
         # Their trials would write the same files at the same time.
         cfg = fast_config(synthetic_data_dir, tmp_path, sweep="kl_weight",
                           kl_weight_grid=(0.1, 0.1))
         with pytest.raises(ConfigError, match="one run id to two points"):
-            run_sweep(cfg)
+            run_points(cfg, sweep_points(cfg))
         assert os.listdir(cfg.out_dir) == []
 
-    def test_empty_grid_rejected(self, synthetic_data_dir, tmp_path):
-        cfg = fast_config(synthetic_data_dir, tmp_path, sweep="prior",
+    def test_empty_grid_rejected(self, synthetic_data_dir, tmp_path, capsys):
+        cfg = fast_config(synthetic_data_dir, tmp_path / "out", sweep="prior",
                           prior_grid=())
         with pytest.raises(ConfigError, match="empty grid"):
-            run_sweep(cfg)
+            sweep_points(cfg)
+        assert sweep_cli(cfg, tmp_path / "run.cfg") == 1
+        assert capsys.readouterr().err == (
+            "config error: empty grid for sweep axis 'prior'\n")
+        assert not os.path.exists(cfg.out_dir)
 
 
 class TestRunOod:

@@ -1,5 +1,6 @@
 """The full-protocol driver, ``scripts/run_full_protocol.py``, end to end on
-a small synthetic dataset, and its one-line errors."""
+a small synthetic dataset, against ``infmix sweep`` on one of its sweeps,
+and its one-line errors."""
 
 import importlib.util
 import json
@@ -12,7 +13,7 @@ from pathlib import Path
 import pytest
 
 from conftest import write_synthetic_split
-from infmix import harness
+from infmix import cli, harness
 
 ROOT = Path(__file__).resolve().parents[1]
 DRIVER = ROOT / "scripts" / "run_full_protocol.py"
@@ -40,8 +41,12 @@ def small_data_dir(tmp_path_factory):
     return str(d)
 
 
-def test_each_protocol_model_trains_once_in_one_map(small_data_dir, tmp_path,
-                                                    monkeypatch):
+@pytest.fixture(scope="module")
+def driver_run(small_data_dir, tmp_path_factory):
+    """The driver at one trial of two iterations, less OOD scoring and the
+    attacks, with out dir ``results`` in a work dir of its own: that out
+    dir, each training it ran and the point count of each map."""
+    work = tmp_path_factory.mktemp("driver")
     trained, maps = [], []
     train, run_points = harness.train_model_for_trial, harness.run_points
 
@@ -53,15 +58,20 @@ def test_each_protocol_model_trains_once_in_one_map(small_data_dir, tmp_path,
         maps.append(len(points))
         return run_points(cfg, points)
 
-    monkeypatch.setattr(harness, "train_model_for_trial", counting_train)
-    monkeypatch.setattr(harness, "run_points", counting_run_points)
-    out_dir = tmp_path / "results"
-    monkeypatch.setattr(sys, "argv", [
-        str(DRIVER), "--data-dir", small_data_dir, "--out-dir", str(out_dir),
-        "--trials", "1", "--iterations", "2", "--skip-ood", "--skip-attacks",
-        "--dataset", "synthetic"])
-    assert protocol.main() == 0
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(harness, "train_model_for_trial", counting_train)
+        mp.setattr(harness, "run_points", counting_run_points)
+        mp.chdir(work)
+        mp.setattr(sys, "argv", [
+            str(DRIVER), "--data-dir", small_data_dir, "--out-dir", "results",
+            "--trials", "1", "--iterations", "2", "--skip-ood",
+            "--skip-attacks", "--dataset", "synthetic"])
+        assert protocol.main() == 0
+    return work / "results", trained, maps
 
+
+def test_each_protocol_model_trains_once_in_one_map(driver_run):
+    out_dir, trained, maps = driver_run
     assert maps == [len(PROTOCOL_MODELS)] == [19]
     assert Counter(trained) == {key + (0,): 1 for key in PROTOCOL_MODELS}
     assert not list(out_dir.glob("sweep_*"))
@@ -71,6 +81,24 @@ def test_each_protocol_model_trains_once_in_one_map(small_data_dir, tmp_path,
         trial = json.loads(
             (out_dir / f"{model}_synthetic_kl1_pv1_seed0.json").read_text())
         assert trial["config"]["sweep"] == "kl_weight"
+
+
+def test_sweep_cli_writes_the_drivers_kl_sweep_trials(
+        driver_run, small_data_dir, tmp_path, monkeypatch, capsys):
+    # Both expand the sweep with harness.sweep_points: one config per point.
+    (tmp_path / "run.cfg").write_text(
+        "dataset = synthetic\nmodel = ml\nsweep = kl_weight\niterations = 2\n")
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(["--config", "run.cfg", "--data-dir", small_data_dir,
+                     "--out-dir", "results", "--trials", "1", "sweep"]) == 0
+    assert capsys.readouterr().out.count("\n") == 5
+    names = sorted(f"ml_synthetic_kl{kl:g}_pv1_seed0{suffix}"
+                   for kl in (1.0, 0.1, 0.01, 1e-3, 1e-4)
+                   for suffix in (".json", ".ckpt", "_loss.csv", "_hist.csv"))
+    assert sorted(os.listdir("results")) == names
+    for name in names:
+        assert (Path("results", name).read_bytes()
+                == (driver_run[0] / name).read_bytes()), name
 
 
 @pytest.mark.parametrize("args, message", [
