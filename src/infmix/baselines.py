@@ -104,7 +104,7 @@ def _dropout_masks(rng: Rng, weights, p_drop: float, rows: int):
 
 
 class DropoutMasks:
-    """Dropout training's sampler (see ``objectives.SharedDraws``): masks
+    """Dropout training's sampler (see ``objectives.LocalDraws``): masks
     per example, drawn for the batch they meet; None at p_drop = 0."""
 
     def __init__(self, weights, p_drop: float, rng: Rng):

@@ -3,9 +3,11 @@
 All checks run on tiny nets with frozen reparameterization noise (a fixed
 ``Rng`` key, replayed for every evaluation of the loss), so each loss is a
 smooth deterministic function of the parameters and central differences
-are a valid oracle.  Weight draws come from ``StochasticMlp.sample_draws``,
-the sampler training runs, and every finite-difference check goes through
-``fd_check``.  The ``perturb`` hook injects an error into
+are a valid oracle.  The objective checks run ``LocalDraws``, the sampler
+training runs: layer 0's pre-activations drawn per example, and weight
+draws of ``StochasticMlp.sample_draws`` above it, the draws that prediction
+and attacks take at every layer.  Every finite-difference check goes
+through ``fd_check``.  The ``perturb`` hook injects an error into
 one analytic gradient, as a negative control that the checker can fail.
 """
 
@@ -17,10 +19,12 @@ import numpy as np
 
 from .baselines import DropoutMasks, decay_penalty, glorot_weights
 from .network import StochasticMlp, backward, forward
-from .objectives import (ObjectiveKind, SharedDraws, TrainConfig, ml_loss,
+from .objectives import (LocalDraws, ObjectiveKind, TrainConfig, ml_loss,
                          objective_gradients, objective_loss, step_gradients,
                          vi_loss)
-from .posterior import PriorSpec, kl_backward, kl_to_prior, sample, sample_backward
+from .posterior import (PriorSpec, kl_backward, kl_to_prior,
+                        preactivation_backward, sample, sample_backward,
+                        sample_preactivations)
 from .tensor import Rng
 
 TINY_TOPOLOGY = (5, 3, 3, 2)
@@ -94,8 +98,8 @@ def _frozen_rng(seed: int) -> Rng:
 
 
 def frozen_loglik(net: StochasticMlp, images, labels, n_samples: int, seed: int):
-    """(ll, ctx) of ``SharedDraws.loglik`` with frozen noise."""
-    sampler = SharedDraws(net, n_samples, _frozen_rng(seed))
+    """(ll, ctx) of ``LocalDraws.loglik`` with frozen noise."""
+    sampler = LocalDraws(net, n_samples, _frozen_rng(seed))
     return sampler.loglik(images, labels, sampler.draw(len(labels)))
 
 
@@ -168,6 +172,23 @@ def check_sampling_gradient(seed: int = 0, tolerance: float = 1e-5) -> CheckResu
     return fd_check("sampling", analytic, [p for _, p in net.named_params()],
                     lambda: sum(float(np.sum(g * sample(layer, e).weights))
                                 for layer, e, g in zip(net.layers, noises, gs)),
+                    tolerance)
+
+
+def check_preactivation_gradient(seed: int = 0,
+                                 tolerance: float = 1e-5) -> CheckResult:
+    """d/d(M, a, b) of sum(G * z) over layer 0's locally sampled
+    pre-activations z on a batch, with S=2 frozen draws, G random and fixed."""
+    layer = _tiny_net(seed).layers[0]
+    images, _ = _tiny_batch(seed)
+    noise = _frozen_rng(seed).standard_normal(2, images.shape[0], layer.n_cols)
+    g = Rng(seed).derive(12).standard_normal(*noise.shape)
+    analytic = preactivation_backward(
+        layer, sample_preactivations(layer, images, noise), g)
+    return fd_check("local_preactivation", analytic,
+                    [layer.mean, layer.row_scale_raw, layer.col_scale_raw],
+                    lambda: float(np.sum(g * sample_preactivations(
+                        layer, images, noise).z)),
                     tolerance)
 
 
@@ -269,6 +290,7 @@ def run_all_checks(seed: int = 0, perturb: float = 0.0):
         check_objective_gradient(ObjectiveKind.VI, seed),
         check_kl_gradient(seed),
         check_sampling_gradient(seed),
+        check_preactivation_gradient(seed),
         check_network_gradient(seed),
         check_weight_decay_gradient(seed),
         check_dropout_gradient(seed),

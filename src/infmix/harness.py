@@ -757,7 +757,9 @@ def _accuracy_table(trials, axes=()) -> str:
     rows = []
     for key, accs in sorted(cells.items()):
         mean, std = mean_std(accs)
-        rows.append({**dict(zip(keys, key)), "n_trials": len(accs),
+        # Axis values in full: at 4 decimals kl 1e-5 and 2e-5 share a label.
+        labels = (*key[:2], *map(repr, key[2:]))
+        rows.append({**dict(zip(keys, labels)), "n_trials": len(accs),
                      "mean_accuracy": mean, "std_accuracy": std})
     return _csv_from_rows(
         rows, [*keys, "n_trials", "mean_accuracy", "std_accuracy"])

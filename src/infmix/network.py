@@ -7,8 +7,10 @@ stochastic model (weights drawn per call), the deterministic baseline
 (fixed weights), and dropout (optional per-hidden-layer masks).  Biases are
 the last row of each weight matrix.  It is the one S-draw kernel: a weight
 may be a stack (S, n_in+1, n_out) of draws that all see the same batch, so
-layer 0 runs as the single GEMM x @ [W_1|...|W_S]; ``backward`` produces
-only the gradients its trace ``needs``.
+in prediction and attacks layer 0 runs as the single GEMM
+x @ [W_1|...|W_S]; ``backward`` produces only the gradients its trace
+``needs``.  Training samples layer 0 locally (``objectives.LocalDraws``) and
+runs layers 1 and up here, on the stack (S, B, n) of its per-draw outputs.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ DRAW_BLOCK = 2
 class ForwardTrace:
     """Everything needed to replay the forward pass exactly in reverse."""
 
-    inputs: Array                   # (B, n_in) raw batch, shared by all draws
+    inputs: Array                   # (B, n_in) shared by all draws, or (S, B, n_in)
     hidden: list                    # input of layers 1.., after ReLU and mask
     weights: list                   # per-layer weight matrix or stack used
     hidden_masks: list | None       # dropout masks on hidden activations, or None
@@ -60,23 +62,27 @@ def forward(weights: list, x: Array, hidden_masks=None):
     """Run the MLP on a batch: ReLU hidden layers, log-softmax output.
 
     ``weights[l]`` has shape (n_in_l + 1, n_out_l), or (S, n_in_l + 1,
-    n_out_l) for S draws.  ``hidden_masks``, if given, multiplies each hidden
-    activation (inverted-dropout convention); a mask is (rows, n) or
-    (S, rows, n).  With any stack the outputs gain a leading draw axis.
+    n_out_l) for S draws.  ``x`` is a batch (B, n_in), or a stack (S, B,
+    n_in) of one per draw: the outputs of a locally sampled layer 0, so that
+    ``weights`` are then layers 1 and up, as errors number them.
+    ``hidden_masks``, if given, multiplies each hidden activation
+    (inverted-dropout convention); a mask is (rows, n) or (S, rows, n).
+    With any stack the outputs gain a leading draw axis.
     Returns (log_probs, ForwardTrace).
     """
-    if x.ndim != 2 or x.shape[1] != weights[0].shape[-2] - 1:
+    if x.ndim not in (2, 3) or x.shape[-1] != weights[0].shape[-2] - 1:
         raise ValueError(
             f"input shape {x.shape} incompatible with first layer "
             f"{weights[0].shape}")
+    first = x.ndim - 2
     hidden = []
     h = x
     for l, w in enumerate(weights):
         if h.shape[-1] != w.shape[-2] - 1:
             raise ValueError(
-                f"layer {l}: activation width {h.shape[-1] + 1} != weight rows "
-                f"{w.shape[-2]}")
-        if l == 0 and w.ndim == 3:
+                f"layer {l + first}: activation width {h.shape[-1] + 1} != "
+                f"weight rows {w.shape[-2]}")
+        if l == 0 and w.ndim == 3 and x.ndim == 2:
             wide = _wide(w)
             z = x @ wide[:-1]
             z += wide[-1]
@@ -85,7 +91,8 @@ def forward(weights: list, x: Array, hidden_masks=None):
             z = h @ w[..., :-1, :]
             z += w[..., -1:, :]
         if not np.all(np.isfinite(z)):
-            raise FloatingPointError(f"non-finite activation in layer {l}")
+            raise FloatingPointError(
+                f"non-finite activation in layer {l + first}")
         if l < len(weights) - 1:
             # In place: backward reads the ReLU's slope off h > 0, which
             # also holds after a mask, whose entries are 0 or positive.
@@ -102,11 +109,11 @@ def forward(weights: list, x: Array, hidden_masks=None):
 def backward(trace: ForwardTrace, grad_log_probs: Array):
     """Exact reverse pass of ``forward``.
 
-    Returns (per-layer weight gradients, gradient wrt the raw input batch),
+    Returns (per-layer weight gradients, gradient wrt the input ``x``),
     with None in place of whatever ``trace.needs`` leaves out.  A weight
     gradient has its weight's shape; a matrix shared by stacked draws gets
-    the sum over draws, and so does the input.  The input gradient is what
-    L-inf attacks consume.
+    the sum over draws, and so does a batch that they all share.  The input
+    gradient is what L-inf attacks and locally sampled training consume.
     """
     if grad_log_probs.shape != trace.log_probs.shape:
         raise ValueError(
@@ -117,13 +124,20 @@ def backward(trace: ForwardTrace, grad_log_probs: Array):
     # d/dz of sum(g * log_softmax(z)) = g - softmax(z) * sum(g)
     grad_z = grad_log_probs - probs * grad_log_probs.sum(axis=-1, keepdims=True)
     grad_weights = [None] * len(trace.weights)
-    for l in range(len(trace.weights) - 1, 0, -1):
+    # A stack of inputs, one per draw, runs layer 0 as the layers above it.
+    stacked = trace.inputs.ndim == 3
+    for l in range(len(trace.weights) - 1, -1 if stacked else 0, -1):
         w = trace.weights[l]
         if want_weights:
-            h = trace.hidden[l - 1]
-            g = np.concatenate([np.swapaxes(h, -1, -2) @ grad_z,
-                                grad_z.sum(axis=-2, keepdims=True)], axis=-2)
+            h = trace.hidden[l - 1] if l else trace.inputs
+            g = np.empty((*grad_z.shape[:-2], h.shape[-1] + 1,
+                          grad_z.shape[-1]))
+            np.matmul(np.swapaxes(h, -1, -2), grad_z, out=g[..., :-1, :])
+            g[..., -1, :] = grad_z.sum(axis=-2)
             grad_weights[l] = g if g.ndim == w.ndim else g.sum(axis=0)
+        if l == 0:
+            return grad_weights, (grad_z @ np.swapaxes(w[..., :-1, :], -1, -2)
+                                  if "input" in trace.needs else None)
         # In place on the fresh output of the GEMM.
         grad_z = grad_z @ np.swapaxes(w[..., :-1, :], -1, -2)
         if trace.hidden_masks is not None:
@@ -358,16 +372,18 @@ class StochasticMlp(MixtureModel):
         return rng.standard_normal(
             n_samples, sum(layer.mean.size for layer in self.layers))
 
-    def sample_draws(self, normals: Array) -> list:
+    def sample_draws(self, normals: Array, first: int = 0) -> list:
         """The S draws of ``normals`` (``draw_normals``) as one stack
-        (S, n_in+1, n_out) per layer.  Each row holds the stream of a
-        (n_rows, n_cols) call per layer, draw after draw.  Layer 0 is
-        written draw-major, for ``forward``'s wide GEMM."""
-        sizes = [layer.mean.size for layer in self.layers]
+        (S, n_in+1, n_out) per layer, of the layers from ``first`` on.  Each
+        row holds the stream of a (n_rows, n_cols) call per layer, draw
+        after draw.  Layer 0 is written draw-major, for ``forward``'s wide
+        GEMM."""
+        layers = self.layers[first:]
+        sizes = [layer.mean.size for layer in layers]
         parts = np.split(normals, np.cumsum(sizes)[:-1], axis=1)
         draws = []
-        for layer, noise in zip(self.layers, parts):
-            out = None if draws else np.empty(
+        for l, (layer, noise) in enumerate(zip(layers, parts), first):
+            out = None if l else np.empty(
                 (layer.n_rows, len(normals), layer.n_cols)).transpose(1, 0, 2)
             draws.append(sample(layer, noise.reshape(-1, *layer.mean.shape), out=out))
         return draws

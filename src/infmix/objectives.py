@@ -14,7 +14,9 @@ mixture weights (softmax of l over s for ml, uniform 1/S for vi).
 Every model kind, these two and the baselines, trains through one step,
 ``step_gradients``: a sampler, which draws a step's noise and gives the
 batch's log-likelihoods and their gradients; ``objective_loss``; and a
-penalty.  ``fit`` is the one minibatch-ADAM loop around it.
+penalty.  ``fit`` is the one minibatch-ADAM loop around it.  The stochastic
+net's sampler, ``LocalDraws``, samples layer 0's pre-activations per
+example and shares weight draws above it.
 """
 
 from __future__ import annotations
@@ -26,8 +28,11 @@ from functools import partial
 import numpy as np
 
 from .data import BatchIterator, Dataset
-from .network import StochasticMlp, forward, label_backward
-from .posterior import PriorSpec, kl_backward, kl_to_prior, sample_backward
+from .network import (INPUT_GRAD, WEIGHT_GRADS, StochasticMlp, forward,
+                      label_backward)
+from .posterior import (PriorSpec, kl_backward, kl_to_prior,
+                        preactivation_backward, sample_backward,
+                        sample_preactivations)
 from .tensor import (AdamState, Array, DrawAhead, Rng, adam_step,
                      imap_in_order)
 
@@ -72,33 +77,61 @@ class TrainingDiverged(RuntimeError):
     the iteration."""
 
 
-class SharedDraws:
-    """A training step's sampler for a ``StochasticMlp``: S weight draws
-    that the whole batch shares.  A sampler has ``draw(batch_size)``, a
-    step's noise, or None if it draws none; ``loglik(images, labels,
-    noise) -> (ll, ctx)``, ll of shape (B, S); and ``grads(ctx, grad_ll)``,
-    one gradient per trained array."""
+class LocalDraws:
+    """A training step's sampler for a ``StochasticMlp``.  A sampler has
+    ``draw(batch_size)``, a step's noise, or None if it draws none;
+    ``loglik(images, labels, noise) -> (ll, ctx)``, ll of shape (B, S); and
+    ``grads(ctx, grad_ll)``, one gradient per trained array.
+
+    Layer 0 is sampled locally: its pre-activations are drawn per example
+    and draw (``posterior.sample_preactivations``), from S*B normals per
+    unit and one mean GEMM for all S draws.  Layers 1 and up take S weight
+    draws that the whole batch shares.  Layer 0's weights are independent
+    of the other layers', and given x its pre-activation units are
+    independent, so each example's S log-likelihoods have the joint law
+    that shared draws of every layer give them; only the correlation across
+    the batch's examples differs.  At 784-128-128-10, B=200 and S=5 a step
+    draws 217,010 normals, against 591,410 for shared draws of every
+    layer.  Prediction and attacks keep shared draws at every layer: the
+    input gradient of a locally sampled layer is not that of a weight
+    draw."""
 
     def __init__(self, net: StochasticMlp, n_samples: int, rng: Rng):
         self.net, self.n_samples, self.rng = net, n_samples, rng
 
     def draw(self, batch_size: int) -> Array:
-        return self.net.draw_normals(self.n_samples, self.rng)
+        """One (S, B*n + W) call, n the width of layer 0 and W the weights
+        above it: draw s's row holds its layer-0 noise, example after
+        example, then the weight noise of layers 1 and up."""
+        return self.rng.standard_normal(
+            self.n_samples, batch_size * self.net.layers[0].n_cols
+            + sum(layer.mean.size for layer in self.net.layers[1:]))
 
     def loglik(self, images: Array, labels, normals: Array):
         """log p(y_n | x_n, theta_s) of each draw s, made from ``normals``;
-        all S run as one stacked forward pass, whose trace and per-layer
-        sampled stacks ``grads`` reuses."""
-        draws = self.net.sample_draws(normals)
-        log_probs, trace = forward([sw.weights for sw in draws], images)
+        the layers above 0 run as one stacked forward pass on layer 0's
+        per-draw outputs, whose trace ``grads`` reuses."""
+        layer = self.net.layers[0]
+        split = images.shape[0] * layer.n_cols
+        pre = sample_preactivations(
+            layer, images,
+            normals[:, :split].reshape(len(normals), -1, layer.n_cols))
+        if not np.all(np.isfinite(pre.z)):
+            raise FloatingPointError("non-finite activation in layer 0")
+        draws = self.net.sample_draws(normals[:, split:], first=1)
+        log_probs, trace = forward([sw.weights for sw in draws],
+                                   np.maximum(pre.z, 0.0))
         ll = log_probs[:, np.arange(images.shape[0]), labels].T
-        return ll, (trace, labels, draws)
+        return ll, (trace, labels, pre, draws)
 
     def grads(self, ctx, grad_ll: Array) -> list:
-        trace, labels, draws = ctx
-        grad_w, _ = label_backward(trace, labels, grad_ll.T)
-        return [g for layer, sw, gw in zip(self.net.layers, draws, grad_w)
-                for g in sample_backward(layer, sw, gw)]
+        trace, labels, pre, draws = ctx
+        grad_w, grad_h = label_backward(trace, labels, grad_ll.T,
+                                        WEIGHT_GRADS | INPUT_GRAD)
+        grad_h *= trace.inputs > 0.0
+        return [*preactivation_backward(self.net.layers[0], pre, grad_h),
+                *(g for layer, sw, gw in zip(self.net.layers[1:], draws, grad_w)
+                  for g in sample_backward(layer, sw, gw))]
 
 
 def logmeanexp(a: Array, axis: int = -1) -> Array:
@@ -182,10 +215,10 @@ def step_gradients(sampler, objective: ObjectiveKind, penalty, images: Array,
 
 def objective_gradients(net: StochasticMlp, images: Array, labels,
                         cfg: TrainConfig, n_total: int, rng: Rng):
-    """``step_gradients`` of ml or vi with shared weight draws from ``rng``
-    and the KL penalty: (nll_term, kl_term, grads), one gradient per array
-    of ``net.named_params()``."""
-    sampler = SharedDraws(net, cfg.n_train_samples, rng)
+    """``step_gradients`` of ml or vi with training's draws (``LocalDraws``)
+    from ``rng`` and the KL penalty: (nll_term, kl_term, grads), one
+    gradient per array of ``net.named_params()``."""
+    sampler = LocalDraws(net, cfg.n_train_samples, rng)
     return step_gradients(sampler, cfg.objective,
                           partial(kl_penalty, net, cfg, n_total), images,
                           labels, sampler.draw(len(labels)))
@@ -248,8 +281,8 @@ def train(net: StochasticMlp, data: Dataset, cfg: TrainConfig,
     draws come from streams derived from cfg.seed.  Only the normals are
     drawn ahead, as the weights read the parameters that the step updates.
     """
-    sampler = SharedDraws(net, cfg.n_train_samples,
-                          Rng(cfg.seed).derive(_WEIGHT_SAMPLE_STREAM))
+    sampler = LocalDraws(net, cfg.n_train_samples,
+                         Rng(cfg.seed).derive(_WEIGHT_SAMPLE_STREAM))
     return fit(net.named_params(), sampler, cfg.objective,
                partial(kl_penalty, net, cfg, data.n), data, cfg, record_every,
                progress)

@@ -6,6 +6,12 @@ c = softplus(b), giving per-weight variance r_i^2 c_j^2, i.e. a Gaussian
 over the weight matrix with vec-covariance diag(c)^2 (x) diag(r)^2.
 Sampling uses the reparameterization W = M + diag(r) E diag(c) with
 E ~ N(0, I), so gradients flow to (M, a, b) through cached noise.
+
+A layer that sees a batch x may instead be sampled locally, as its
+pre-activations z = x~W with x~ = [x, 1] (Kingma, Salimans & Welling 2015):
+given x, the columns of x~W are independent normals of mean (x~M)_bj and
+variance c_j^2 sd_b^2, sd_b^2 = sum_i x~_bi^2 r_i^2, so z = x~M + c_j sd_b eps
+with eps ~ N(0, I) drawn per example and draw.
 """
 
 from __future__ import annotations
@@ -137,6 +143,63 @@ def sample_backward(layer: MvnLayerPosterior, sw: SampledWeights,
     grad_a = grad_r * sigmoid(layer.row_scale_raw)
     grad_b = grad_c * sigmoid(layer.col_scale_raw)
     return grad_weights.sum(axis=0), grad_a, grad_b
+
+
+@dataclass
+class LocalPreactivations:
+    """S locally sampled pre-activation draws of one layer on a batch, with
+    what their backward reads."""
+
+    z: Array        # (S, B, n_cols) pre-activations x~M + c sd eps
+    noise: Array    # (S, B, n_cols) eps
+    inputs: Array   # (B, n_rows - 1) the batch x
+    sd: Array       # (B,) sqrt(sum_i x~_bi^2 r_i^2)
+
+
+def sample_preactivations(layer: MvnLayerPosterior, x: Array,
+                          noise: Array) -> LocalPreactivations:
+    """Draws the layer's pre-activations on the batch ``x`` (B, n_rows - 1)
+    from a stack of noise (S, B, n_cols), one normal per example, draw and
+    unit: one mean GEMM and one GEMV serve every draw."""
+    if noise.ndim != 3 or noise.shape[1:] != (x.shape[0], layer.n_cols):
+        raise ValueError(f"noise shape {noise.shape} is not a stack "
+                         f"(S, {x.shape[0]}, {layer.n_cols})")
+    r2 = layer.row_std ** 2
+    sd = np.sqrt((x * x) @ r2[:-1] + r2[-1])
+    mean = x @ layer.mean[:-1]
+    mean += layer.mean[-1]
+    z = noise * (sd[:, None] * layer.col_std)
+    z += mean
+    return LocalPreactivations(z=z, noise=noise, inputs=x, sd=sd)
+
+
+def preactivation_backward(layer: MvnLayerPosterior, pre: LocalPreactivations,
+                           grad_z: Array):
+    """Gradients of a scalar loss wrt (mean, row_scale_raw, col_scale_raw)
+    given its gradient wrt the drawn pre-activations, summed over the draws.
+
+    With G = sum_s dL/dz_s and E = sum_s dL/dz_s eps_s (both (B, n_cols)):
+    dL/dM = x~^T G;  dL/dc_j = sum_b sd_b E_bj;
+    dL/dr_i = r_i sum_b x~_bi^2 (E c)_b / sd_b;  chained through softplus.
+    """
+    if grad_z.shape != pre.z.shape:
+        raise ValueError(
+            f"grad shape {grad_z.shape} != pre-activation shape {pre.z.shape}")
+    x = pre.inputs
+    g = grad_z.sum(axis=0)
+    grad_mean = np.empty(layer.mean.shape)
+    np.matmul(x.T, g, out=grad_mean[:-1])
+    grad_mean[-1] = g.sum(axis=0)
+    ge = np.einsum("sbj,sbj->bj", grad_z, pre.noise)
+    grad_c = pre.sd @ ge
+    t = (ge @ layer.col_std) / pre.sd
+    grad_r = np.empty(layer.n_rows)
+    grad_r[:-1] = t @ (x * x)
+    grad_r[-1] = t.sum()
+    grad_r *= layer.row_std
+    grad_a = grad_r * sigmoid(layer.row_scale_raw)
+    grad_b = grad_c * sigmoid(layer.col_scale_raw)
+    return grad_mean, grad_a, grad_b
 
 
 def kl_to_prior(layer: MvnLayerPosterior, prior: PriorSpec) -> float:

@@ -745,7 +745,8 @@ class TestCli:
         assert main(["gradcheck"]) == 0
         out = capsys.readouterr().out
         assert "all checks passed" in out
-        assert out.count("PASS") == 9
+        assert out.count("PASS") == 10
+        assert "PASS  local_preactivation " in out
 
     def test_negative_gradcheck_seed_is_a_one_line_config_error(self, capsys):
         assert main(["gradcheck", "--gradcheck-seed", "-1"]) == 1

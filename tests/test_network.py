@@ -163,6 +163,40 @@ class TestStackedKernel:
             expected = per if w.ndim == 3 else per.sum(axis=0)
             np.testing.assert_allclose(grad_w[l], expected, rtol=1e-12, atol=1e-15)
 
+    @pytest.mark.parametrize("stacked_weights", [True, False])
+    def test_stack_of_inputs_equals_per_draw_path(self, stacked_weights):
+        # Layers 1 and up of training: each draw runs on its own input.
+        net = StochasticMlp.create(Rng(3), topology=TINY)
+        weights = [sw.weights for sw in net.sample_draws(
+            net.draw_normals(3, Rng(5))[:, net.layers[0].mean.size:], first=1)]
+        if not stacked_weights:
+            weights = [w[0] for w in weights]
+        h = Rng(1).uniform(0, 1, (3, 5, 4))
+        g = Rng(2).standard_normal(3, 5, 3)
+        log_probs, trace = forward(weights, h)
+        grad_w, grad_h = backward(trace, g)
+        assert log_probs.shape == (3, 5, 3) and grad_h.shape == h.shape
+        draw_grads = []
+        for d in range(3):
+            lp, tr = forward(per_draw(weights, d), h[d])
+            np.testing.assert_allclose(log_probs[d], lp, rtol=1e-12, atol=1e-15)
+            gw, gx = backward(tr, g[d])
+            draw_grads.append(gw)
+            np.testing.assert_allclose(grad_h[d], gx, rtol=1e-12, atol=1e-15)
+        for l, w in enumerate(weights):
+            per = np.stack([gw[l] for gw in draw_grads])
+            expected = per if w.ndim == 3 else per.sum(axis=0)
+            np.testing.assert_allclose(grad_w[l], expected, rtol=1e-12, atol=1e-15)
+        trace.needs = WEIGHT_GRADS
+        assert backward(trace, g)[1] is None
+
+    def test_stack_of_inputs_numbers_layers_from_1(self):
+        weights = zero_weights((4, 3, 2))
+        weights[0][0, 0] = np.inf
+        with np.errstate(invalid="ignore"):
+            with pytest.raises(FloatingPointError, match="layer 1$"):
+                forward(weights, np.ones((2, 1, 4)))
+
     def test_unrequested_gradients_are_none(self):
         weights, _, s = kernel_cases()[3]
         x = Rng(1).uniform(0, 1, (5, 6))

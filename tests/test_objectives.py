@@ -8,16 +8,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import infmix.network as network_mod
 import infmix.objectives as objectives_mod
 from infmix import baselines
 from infmix.data import BatchIterator, Dataset
 from infmix.gradcheck import check_objective_gradient
 from infmix.network import WEIGHT_GRADS, StochasticMlp, backward, forward
-from infmix.objectives import (FitConfig, LossRecord, ObjectiveKind,
-                               SharedDraws, TrainConfig, logmeanexp,
+from infmix.objectives import (FitConfig, LocalDraws, LossRecord,
+                               ObjectiveKind, TrainConfig, logmeanexp,
                                loss_history_csv, ml_loss, objective_gradients,
                                train, vi_loss)
-from infmix.posterior import kl_to_prior
+from infmix.posterior import kl_to_prior, softplus_inv
 from infmix.tensor import AdamState, Rng, adam_step, map_in_order
 
 from conftest import one_worker_per_cpu, pool_at_rest, synthetic_arrays
@@ -42,23 +43,34 @@ def toy_dataset(n=600, seed=0, side=12):
                    labels=labels.astype(np.int64))
 
 
-def shared_loglik(net, images, labels, n_samples, rng):
-    """(ll, (trace, labels, draws)) of ``SharedDraws`` drawing from ``rng``."""
-    sampler = SharedDraws(net, n_samples, rng)
+def local_loglik(net, images, labels, n_samples, rng):
+    """(ll, (trace, labels, pre, draws)) of ``LocalDraws`` drawing from
+    ``rng``."""
+    sampler = LocalDraws(net, n_samples, rng)
     return sampler.loglik(images, labels, sampler.draw(len(labels)))
 
 
 class TestPerExampleLoglik:
     def test_first_draw_is_the_per_layer_sampling_stream(self):
-        # The batched draws keep the stream of one normal call per layer.
+        # A draw's normals come in the stream of one normal call for layer
+        # 0's pre-activations and then one per weight layer above it.
         net = StochasticMlp.create(Rng(0), topology=(6, 4, 4, 3))
         x = Rng(1).uniform(0, 1, (5, 6))
         y = Rng(2).integers(0, 3, size=5)
-        _, (trace, _, draws) = shared_loglik(net, x, y, 3, Rng(3))
-        layer = net.layers[0]
-        e = Rng(3).standard_normal(layer.n_rows, layer.n_cols)
-        expected = layer.row_std[:, None] * e * layer.col_std + layer.mean
-        assert np.array_equal(draws[0].noise[0], e)
+        _, (trace, _, pre, draws) = local_loglik(net, x, y, 3, Rng(3))
+        layer0, layer1 = net.layers[:2]
+        rng = Rng(3)
+        e0 = rng.standard_normal(5, layer0.n_cols)
+        e1 = rng.standard_normal(layer1.n_rows, layer1.n_cols)
+        x1 = np.hstack([x, np.ones((5, 1))])
+        sd = np.sqrt((x1 * x1) @ layer0.row_std ** 2)
+        np.testing.assert_allclose(
+            pre.z[0], x1 @ layer0.mean + layer0.col_std * sd[:, None] * e0,
+            rtol=1e-13, atol=1e-15)
+        assert np.array_equal(pre.noise[0], e0)
+        assert np.array_equal(trace.inputs, np.maximum(pre.z, 0.0))
+        expected = layer1.row_std[:, None] * e1 * layer1.col_std + layer1.mean
+        assert np.array_equal(draws[0].noise[0], e1)
         assert np.array_equal(draws[0].weights[0], expected)
         assert np.array_equal(trace.weights[0][0], expected)
 
@@ -66,7 +78,7 @@ class TestPerExampleLoglik:
         net = collapsed_net(0)
         x = Rng(1).uniform(0, 1, (5, 6))
         y = Rng(2).integers(0, 3, size=5)
-        ll, _ = shared_loglik(net, x, y, 4, Rng(3))
+        ll, _ = local_loglik(net, x, y, 4, Rng(3))
         for s in range(1, 4):
             np.testing.assert_allclose(ll[:, s], ll[:, 0], atol=1e-12)
 
@@ -74,7 +86,7 @@ class TestPerExampleLoglik:
         net = StochasticMlp.create(Rng(0), topology=(6, 4, 4, 3))
         x = Rng(1).uniform(0, 1, (7, 6))
         y = Rng(2).integers(0, 3, size=7)
-        ll, _ = shared_loglik(net, x, y, 3, Rng(3))
+        ll, _ = local_loglik(net, x, y, 3, Rng(3))
         assert np.all(ll <= 0.0)
 
     def test_uniform_output_net(self):
@@ -83,8 +95,69 @@ class TestPerExampleLoglik:
             layer.mean = np.zeros_like(layer.mean)
         x = Rng(1).uniform(0, 1, (4, 6))
         y = np.array([0, 1, 2, 0])
-        ll, _ = shared_loglik(net, x, y, 2, Rng(5))
+        ll, _ = local_loglik(net, x, y, 2, Rng(5))
         np.testing.assert_allclose(ll, -np.log(3.0), atol=1e-12)
+
+
+class TestLocalDraws:
+    """Training's sampler: layer 0 sampled per example, shared weight draws
+    above it."""
+
+    def net(self, seed=0):
+        # Layer 0's weights of std about 0.3, the others' about 0.03, so
+        # that layer 0's draws move the log-likelihoods most.
+        net = StochasticMlp.create(Rng(seed), topology=(5, 4, 3, 2))
+        for l, layer in enumerate(net.layers):
+            layer.row_scale_raw[...] = -2.0 if l else 1.0
+        return net
+
+    def shared_loglik(self, net, images, labels, n_samples, rng):
+        """ll (B, S) of S weight draws of every layer (``sample_draws``)."""
+        weights = [sw.weights for sw in net.sample_draws(
+            net.draw_normals(n_samples, rng))]
+        log_probs, _ = forward(weights, images)
+        return log_probs[:, np.arange(len(labels)), labels].T
+
+    def test_each_example_keeps_the_law_of_shared_draws(self):
+        # Per example, the mean and the variance of log p(y|x, theta) over
+        # draws agree between the two samplers within five standard errors;
+        # a layer 0 of 1.2 times the width is told apart.
+        net = self.net()
+        images = Rng(1).uniform(0.0, 1.0, (3, 5))
+        labels = np.array([0, 1, 1])
+        n = 40_000
+        local, _ = local_loglik(net, images, labels, n, Rng(2))
+        wider = net.copy()
+        wider.layers[0].col_scale_raw[...] = softplus_inv(
+            1.2 * wider.layers[0].col_std)
+        for other, same in ((net, True), (wider, False)):
+            shared = self.shared_loglik(other, images, labels, n, Rng(3))
+            agree = []
+            for a, b in ((local, shared), (local ** 2, shared ** 2)):
+                se = np.sqrt((a.var(axis=1) + b.var(axis=1)) / n)
+                agree.append(np.abs(a.mean(axis=1) - b.mean(axis=1)) < 5.0 * se)
+            assert np.all(agree) == same
+
+    def test_a_protocol_step_draws_217010_normals(self):
+        # Layer 0's pre-activations of the batch, then the weights above.
+        normals = LocalDraws(StochasticMlp.create(Rng(0)), 5, Rng(1)).draw(200)
+        assert normals.shape == (5, 200 * 128 + 129 * 128 + 129 * 10)
+        assert normals.size == 217_010
+
+    def test_a_step_samples_the_weights_of_layers_1_and_up(self, monkeypatch):
+        calls = []
+        real = network_mod.sample
+
+        def sample(layer, noise, out=None):
+            calls.append(noise.shape)
+            return real(layer, noise, out)
+
+        monkeypatch.setattr(network_mod, "sample", sample)
+        net = StochasticMlp.create(Rng(0), topology=(6, 4, 4, 3))
+        x = Rng(1).uniform(0.0, 1.0, (5, 6))
+        objective_gradients(net, x, np.arange(5) % 3, TrainConfig(), n_total=5,
+                            rng=Rng(2))
+        assert calls == [(5, 5, 4), (5, 5, 3)]
 
 
 class TestMlLoss:
@@ -175,9 +248,9 @@ class TestObjectiveGradients:
         from_rng = objective_gradients(net, x, y, cfg, n_total=50, rng=Rng(2))
         # The step that ``fit`` runs on normals it drew a step early.
         from_normals = objectives_mod.step_gradients(
-            SharedDraws(net, n_samples, Rng(2)), cfg.objective,
+            LocalDraws(net, n_samples, Rng(9)), cfg.objective,
             lambda: objectives_mod.kl_penalty(net, cfg, 50), x, y,
-            net.draw_normals(n_samples, Rng(2)))
+            LocalDraws(net, n_samples, Rng(2)).draw(len(y)))
         assert from_rng[:2] == from_normals[:2]
         assert len(from_rng[2]) == len(net.named_params())
         for a, b in zip(from_rng[2], from_normals[2]):
@@ -313,6 +386,26 @@ class TestTrain:
                 r"at iteration 2$")):
             train(net, data, TrainConfig(iterations=10, batch_size=50, seed=0))
 
+    def test_non_finite_layer_0_activation_aborts_with_iteration(self,
+                                                                  monkeypatch):
+        data = toy_dataset(n=100)
+        net = StochasticMlp.create(Rng(0), topology=(784, 8, 8, 10))
+        calls = {"n": 0}
+        real = objectives_mod.sample_preactivations
+
+        def poisoned(*args, **kwargs):
+            calls["n"] += 1
+            pre = real(*args, **kwargs)
+            if calls["n"] == 3:
+                pre.z[0, 0, 0] = np.inf
+            return pre
+
+        monkeypatch.setattr(objectives_mod, "sample_preactivations", poisoned)
+        with pytest.raises(objectives_mod.TrainingDiverged, match=(
+                r"^training diverged \(non-finite activation in layer 0\) "
+                r"at iteration 2$")):
+            train(net, data, TrainConfig(iterations=10, batch_size=50, seed=0))
+
     def test_invalid_config(self):
         with pytest.raises(ValueError):
             TrainConfig(n_train_samples=0)
@@ -340,14 +433,15 @@ class TestTrain:
 
 
 # SHA-256 of the trained parameters and the loss history of six steps, per
-# (objective, draws per step), taken while every step still drew its own
-# normals: the same on 1, 2 and 3 CPUs, and under OPENBLAS_NUM_THREADS=1, 2,
-# 4 and unset.  Another numpy or BLAS build may need them taken again.
+# (objective, draws per step), with layer 0 sampled locally: the same with
+# every step drawing its own normals (no draw-ahead), on 1, 2 and 3 CPUs,
+# under taskset -c 0, and under OPENBLAS_NUM_THREADS=1, 2, 4 and unset.
+# Another numpy or BLAS build may need them taken again.
 TRAIN_TOPOLOGY = (64, 32, 32, 10)
 TRAIN_DIGESTS = {
-    ("ml", 1): "e55bfe1526eaec5192dafab958b3cead14b2502b84edc9cf363179451d9a11be",
-    ("ml", 5): "a8f6e26fa9308f87abadb89fdc673c12f75333e3b44d571b51eef8d4026ff90e",
-    ("vi", 3): "244d05112af76be409448472e10a96c141a5af531ebd8bb9c239ba709d66b05c",
+    ("ml", 1): "06f8a335f5b6072fd927ca77843367be799b9665ec95575d609862860edf6b62",
+    ("ml", 5): "8eb7e88ca113a297324d0642e0cb35f432fdd2fad4dc8358cd2382937434eee5",
+    ("vi", 3): "11a7acadeef8d2a3e39b4649333d7a4a5c60eb9f902eb835b51100df2115f6cf",
 }
 
 
@@ -402,10 +496,10 @@ class TestDrawAhead:
         one_worker_per_cpu(monkeypatch, 2)
         drawn = threading.Condition()
         count = {"draws": 0, "steps": 0}
-        real_draw = StochasticMlp.draw_normals
+        real_draw = LocalDraws.draw
         real_grads = objectives_mod.step_gradients
 
-        def draw_normals(*args):
+        def draw(*args):
             out = real_draw(*args)
             with drawn:
                 count["draws"] += 1
@@ -421,7 +515,7 @@ class TestDrawAhead:
                                           timeout=60.0)
             return real_grads(*args, **kwargs)
 
-        monkeypatch.setattr(StochasticMlp, "draw_normals", draw_normals)
+        monkeypatch.setattr(LocalDraws, "draw", draw)
         monkeypatch.setattr(objectives_mod, "step_gradients", step_gradients)
         assert self.digest(("ml", 5)) == TRAIN_DIGESTS["ml", 5]
         assert count["steps"] == self.cfg().iterations
@@ -446,8 +540,11 @@ class TestDrawAhead:
         train(net, self.data, self.cfg(n_train_samples=n_train_samples,
                                        iterations=n_steps),
               progress=lambda it, loss: drawn_by_step.append(len(shapes)))
-        n_weights = sum(layer.mean.size for layer in net.layers)
-        assert shapes == [(n_train_samples, n_weights)] * n_steps
+        # Layer 0's pre-activations of the batch of 30, then the weights
+        # of layers 1 and up.
+        n_normals = 30 * net.layers[0].n_cols + sum(
+            layer.mean.size for layer in net.layers[1:])
+        assert shapes == [(n_train_samples, n_normals)] * n_steps
         assert np.diff([0] + drawn_by_step).tolist() == \
             [2] + [1] * (n_steps - 2) + [0]
 
@@ -457,15 +554,15 @@ class TestDrawAhead:
         one_worker_per_cpu(monkeypatch, cpus)
         net = self.net()
         calls = []
-        real_draw = net.draw_normals
+        real_draw = LocalDraws.draw
 
-        def draw_normals(*args):
+        def draw(*args):
             calls.append(args)
             if len(calls) == 3:     # drawn ahead by the second step
                 raise KeyError("draw 3 failed")
             return real_draw(*args)
 
-        monkeypatch.setattr(net, "draw_normals", draw_normals)
+        monkeypatch.setattr(LocalDraws, "draw", draw)
         with pytest.raises(KeyError, match="draw 3 failed"):
             train(net, self.data, self.cfg(iterations=5))
         assert len(calls) == 3 and pool_at_rest()
@@ -544,7 +641,7 @@ class TestFit:
 
 
 class NoisyLinear:
-    """A sampler of the tests' own, neither ``SharedDraws`` nor
+    """A sampler of the tests' own, neither ``LocalDraws`` nor
     ``DropoutMasks``: S noisy copies of a linear fit to the labels,
     ll[b, s] = -(x_b . w - y_b + noise[s, b])^2 / 2, or one noiseless copy
     if it draws None (``n_samples`` None).  It logs each draw's size and

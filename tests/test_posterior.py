@@ -6,10 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import expit as sigmoid
 
-from infmix.gradcheck import check_kl_gradient, check_sampling_gradient, fd_check
+from infmix.gradcheck import (check_kl_gradient, check_preactivation_gradient,
+                              check_sampling_gradient, fd_check)
 from infmix.posterior import (MvnLayerPosterior, PriorSpec, kl_backward,
-                              kl_to_prior, per_weight_variance, sample,
-                              sample_backward, softplus, softplus_inv)
+                              kl_to_prior, per_weight_variance,
+                              preactivation_backward, sample, sample_backward,
+                              sample_preactivations, softplus, softplus_inv)
 from infmix.tensor import Rng
 
 
@@ -141,6 +143,69 @@ class TestSampleBackward:
 def univariate_gaussian_kl(m, s, prior_var=1.0):
     return 0.5 * (s * s / prior_var + m * m / prior_var - 1.0
                   + np.log(prior_var) - np.log(s * s))
+
+
+class TestSamplePreactivations:
+    """Layer 0's local sampler: the pre-activations x~W of a weight draw,
+    drawn per example from their closed-form law."""
+
+    def moments_case(self):
+        layer = random_layer(4, n_rows=6, n_cols=3)
+        x = Rng(5).uniform(0.0, 1.0, (4, 5))
+        x1 = np.hstack([x, np.ones((4, 1))])
+        mean = x1 @ layer.mean
+        var = np.outer((x1 * x1) @ layer.row_std ** 2, layer.col_std ** 2)
+        return layer, x, x1, mean, var
+
+    def assert_moments(self, z, mean, var):
+        """Per-(example, unit) mean and variance of z's draws within five
+        standard errors of the closed form, and an example's units
+        uncorrelated."""
+        n, b, j = z.shape
+        assert np.all(np.abs(z.mean(axis=0) - mean) < 5.0 * np.sqrt(var / n))
+        # The variance of a normal's sample variance is 2 var^2 / (n - 1).
+        assert np.all(np.abs(z.var(axis=0, ddof=1) - var)
+                      < 5.0 * var * np.sqrt(2.0 / (n - 1)))
+        corr = np.corrcoef(z.reshape(n, -1), rowvar=False)
+        same_example = np.kron(np.eye(b), np.ones((j, j))) > 0
+        other_unit = same_example & ~np.eye(b * j, dtype=bool)
+        assert np.all(np.abs(corr[other_unit]) < 5.0 / np.sqrt(n))
+
+    def test_moments_match_the_closed_form(self):
+        layer, x, _, mean, var = self.moments_case()
+        z = sample_preactivations(
+            layer, x, Rng(6).standard_normal(200_000, 4, 3)).z
+        self.assert_moments(z, mean, var)
+
+    def test_weight_draws_give_the_same_closed_form(self):
+        # The law that local sampling draws from is that of x~W.
+        layer, _, x1, mean, var = self.moments_case()
+        z = x1 @ sample(layer, noise(7, layer, 200_000)).weights
+        self.assert_moments(z, mean, var)
+
+    def test_degenerate_scales_collapse_to_the_mean_gemm(self):
+        layer, x, x1, _, _ = self.moments_case()
+        layer.row_scale_raw[...] = -40.0
+        pre = sample_preactivations(layer, x, Rng(8).standard_normal(2, 4, 3))
+        np.testing.assert_allclose(pre.z, np.stack([x1 @ layer.mean] * 2),
+                                   rtol=0, atol=1e-15)
+
+    @pytest.mark.parametrize("shape", [(4, 3), (1, 3, 3), (1, 4, 2)])
+    def test_noise_that_does_not_fit_the_batch_is_rejected(self, shape):
+        layer, x, _, _, _ = self.moments_case()
+        with pytest.raises(ValueError, match="not a stack"):
+            sample_preactivations(layer, x, np.zeros(shape))
+
+    def test_shape_mismatch_of_the_gradient_rejected(self):
+        layer, x, _, _, _ = self.moments_case()
+        pre = sample_preactivations(layer, x, np.zeros((2, 4, 3)))
+        with pytest.raises(ValueError):
+            preactivation_backward(layer, pre, np.zeros((1, 4, 3)))
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_finite_difference_oracle(self, seed):
+        result = check_preactivation_gradient(seed=seed, tolerance=1e-5)
+        assert result.passed, result.line()
 
 
 class TestKl:

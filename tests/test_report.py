@@ -96,8 +96,8 @@ PAYLOADS = {
 
 # First 16 hex digits of each output file's SHA-256, in the order written.
 REPORT_DIGESTS = {
-    "table_accuracy_by_prior.csv": "223fb9caaccaefca",
-    "table_accuracy_by_kl_weight.csv": "b27a7fb6f3924e36",
+    "table_accuracy_by_prior.csv": "b9f2cf764eddd954",
+    "table_accuracy_by_kl_weight.csv": "09df35d7c226743d",
     "table_baseline_accuracy.csv": "9e46ee662a974024",
     "table_ood_auroc.csv": "634d15eae286d5e8",
     "table_adv_detection_auroc.csv": "e9f80e6db31029b9",
@@ -243,12 +243,31 @@ def test_accuracy_tables_hold_the_other_axis_at_one(tmp_path, monkeypatch):
     # The ml cell at 1 counts the three kl_weight=1, prior_variance=1 trials:
     # the trial at prior_variance 3 is in no KL cell, the one at kl_weight
     # 0.1 in no prior cell.
-    for table, other in (("table_accuracy_by_prior.csv", "3.0000,1,0.8438"),
-                         ("table_accuracy_by_kl_weight.csv", "0.1000,1,0.8125")):
+    for table, other in (("table_accuracy_by_prior.csv", "3.0,1,0.8438"),
+                         ("table_accuracy_by_kl_weight.csv", "0.1,1,0.8125")):
         with open(os.path.join("results", "report", table)) as f:
             rows = [r for r in f.read().splitlines() if ",ml," in r]
         assert sorted(rows) == sorted([f"synthetic,ml,{other},0.0000",
-                                       "synthetic,ml,1.0000,3,0.9062,0.0312"])
+                                       "synthetic,ml,1.0,3,0.9062,0.0312"])
+
+
+def test_accuracy_tables_print_axis_values_in_full(tmp_path, monkeypatch):
+    # A vi sweep over kl_weight_grid = 1,1e-5,2e-5 with two trials: each
+    # weight keeps a row and a label of its own, in the order of the values.
+    monkeypatch.chdir(tmp_path)
+    os.mkdir("results")
+    for i, kl_weight in enumerate((1.0, 1e-5, 2e-5)):
+        for seed in (0, 1):
+            with open(os.path.join("results", f"vi_{i}_{seed}.json"), "w") as f:
+                json.dump(trial("vi", seed, 0.5 + 0.125 * (i + seed),
+                                kl_weight=kl_weight), f)
+    run_report("results")
+    with open(os.path.join("results", "report",
+                           "table_accuracy_by_kl_weight.csv")) as f:
+        assert f.read().splitlines()[1:] == [
+            "synthetic,vi,1e-05,2,0.6875,0.0884",
+            "synthetic,vi,2e-05,2,0.8125,0.0884",
+            "synthetic,vi,1.0,2,0.5625,0.0884"]
 
 def test_wrong_types_are_skipped_and_named(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
