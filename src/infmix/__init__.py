@@ -9,7 +9,7 @@ from .checkpoint import load_model, save_model
 from .data import BatchIterator, Dataset, load_idx, save_idx, take_prefix
 from .metrics import (auroc_balanced, auroc_scores, mean_std,
                       uncertainty_histograms)
-from .network import PredictiveSummary, StochasticMlp, summarize_probs
+from .network import PredictiveSummary, StochasticMlp
 from .objectives import (ObjectiveKind, TrainConfig, ml_loss, train, vi_loss)
 from .posterior import (MvnLayerPosterior, PriorSpec, kl_to_prior,
                         per_weight_variance)
@@ -23,7 +23,7 @@ __all__ = [
     "auroc_balanced", "auroc_scores", "kl_to_prior", "load_idx",
     "load_model", "mean_std", "ml_loss",
     "per_weight_variance", "pgd_attack", "save_idx",
-    "save_model", "summarize_probs", "take_prefix", "train",
+    "save_model", "take_prefix", "train",
     "train_dropout", "train_ensemble",
     "uncertainty_histograms", "vi_loss",
 ]

@@ -208,21 +208,6 @@ def load_config(path) -> ExperimentConfig:
     return parse_config_text(text)
 
 
-def config_text(cfg: ExperimentConfig) -> str:
-    """Render a config back to the flat text format (round-trips)."""
-    lines = []
-    for f_ in dataclasses.fields(cfg):
-        v = getattr(cfg, f_.name)
-        if isinstance(v, tuple):
-            v = ",".join(str(float(x)) for x in v)
-        elif isinstance(v, bool):
-            v = "true" if v else "false"
-        elif v is None:
-            v = "auto"
-        lines.append(f"{f_.name} = {v}")
-    return "\n".join(lines) + "\n"
-
-
 def write_text_atomic(path, text: str) -> None:
     with atomic_open(path) as f:
         f.write(text)
@@ -329,17 +314,6 @@ def _band_csv(header: str, xs, series, x_fmt: str = "", digits: int = 6) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _json_histograms(hists: dict) -> dict:
-    return {
-        metric: {
-            "bin_edges": data["bin_edges"].tolist(),
-            "counts": {name: counts.tolist()
-                       for name, counts in data["counts"].items()},
-        }
-        for metric, data in hists.items()
-    }
-
-
 # ----------------------------------------------------------------------
 # train / sweep
 # ----------------------------------------------------------------------
@@ -352,7 +326,6 @@ def run_trial(cfg: ExperimentConfig, train_data: Dataset, test_data: Dataset,
     summary = predict_dataset(model, test_data.images, cfg.n_eval_samples,
                               eval_rng)
     groups = metrics.summary_groups(summary, test_data.labels)
-    hists = metrics.uncertainty_histograms(groups)
 
     os.makedirs(cfg.out_dir, exist_ok=True)
     stem = f"{cfg.run_id()}_seed{seed}"
@@ -360,8 +333,8 @@ def run_trial(cfg: ExperimentConfig, train_data: Dataset, test_data: Dataset,
               "clean_accuracy": summary.accuracy(test_data.labels),
               "mean_max_variance": float(summary.max_variance.mean()),
               "mean_entropy": float(summary.entropy.mean()),
-              "histograms": _json_histograms(hists),
-              "checkpoint": stem + ".ckpt", "histogram_csv": stem + "_hist.csv"}
+              "histograms": metrics.uncertainty_histograms(groups),
+              "checkpoint": stem + ".ckpt"}
     save_model(model, os.path.join(cfg.out_dir, result["checkpoint"]))
     for group, scores in groups.items():
         for score, values in scores.items():
@@ -377,8 +350,6 @@ def run_trial(cfg: ExperimentConfig, train_data: Dataset, test_data: Dataset,
         result["final_loss"] = records[-1].loss
         write_text_atomic(os.path.join(cfg.out_dir, result["loss_csv"]),
                           loss_history_csv(records))
-    write_text_atomic(os.path.join(cfg.out_dir, result["histogram_csv"]),
-                      metrics.histograms_csv(hists))
     return _write_result(cfg, "trial", stem + ".json", **result)
 
 
@@ -532,14 +503,11 @@ def run_attack(cfg: ExperimentConfig, checkpoint=None) -> dict:
 
     mean, std = mean_std(
         [[pt["robust_accuracy"] for pt in t["curve"]] for t in trials], axis=0)
-    stem = f"attack_{cfg.run_id()}_s{cfg.n_attack_samples}"
-    payload = _write_result(cfg, "attack_curve", stem + ".json",
-                            n_attack_samples=cfg.n_attack_samples,
-                            n_attacked=prefix.n, trials=trials,
-                            mean_curve=mean, std_curve=std)
-    write_text_atomic(os.path.join(cfg.out_dir, stem + ".csv"), _band_csv(
-        "epsilon,mean_robust_accuracy,std3", cfg.eps_grid, [(mean, std)]))
-    return payload
+    return _write_result(cfg, "attack_curve",
+                         f"attack_{cfg.run_id()}_s{cfg.n_attack_samples}.json",
+                         n_attack_samples=cfg.n_attack_samples,
+                         n_attacked=prefix.n, trials=trials,
+                         mean_curve=mean, std_curve=std)
 
 
 def run_detect(cfg: ExperimentConfig, checkpoint=None) -> dict:

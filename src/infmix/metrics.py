@@ -77,7 +77,8 @@ def uncertainty_histograms(groups: dict) -> dict:
     ``groups`` maps a group name ("correct", "wrong", "test", "ood",
     "adversarial", ...) to a dict with arrays under "max_variance" and
     "entropy".  Bin edges are fixed per metric so histograms from different
-    trials aggregate bin-wise; total counts equal the input sizes.
+    trials aggregate bin-wise; total counts equal the input sizes.  Edges
+    and counts are lists, ready for a result JSON.
     """
     out = {}
     for metric, edges in _EDGES_BY_METRIC.items():
@@ -85,8 +86,8 @@ def uncertainty_histograms(groups: dict) -> dict:
         for name, values in groups.items():
             v = np.asarray(values[metric], dtype=np.float64)
             counts, _ = np.histogram(np.clip(v, edges[0], edges[-1]), bins=edges)
-            per_group[name] = counts
-        out[metric] = {"bin_edges": edges.copy(), "counts": per_group}
+            per_group[name] = counts.tolist()
+        out[metric] = {"bin_edges": edges.tolist(), "counts": per_group}
     return out
 
 
@@ -112,17 +113,4 @@ def mean_std(values, axis=None):
     n = v.size if axis is None else v.shape[axis]
     std = v.std(axis=axis, ddof=1 if n > 1 else 0)
     return v.mean(axis=axis).tolist(), std.tolist()
-
-
-def histograms_csv(hists: dict) -> str:
-    """Flat CSV of ``uncertainty_histograms`` output:
-    metric,group,bin_left,bin_right,count."""
-    lines = ["metric,group,bin_left,bin_right,count"]
-    for metric, data in hists.items():
-        edges = np.asarray(data["bin_edges"])
-        for group, counts in data["counts"].items():
-            for j, count in enumerate(counts):
-                lines.append(f"{metric},{group},{edges[j]:.6g},"
-                             f"{edges[j + 1]:.6g},{int(count)}")
-    return "\n".join(lines) + "\n"
 

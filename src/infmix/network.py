@@ -124,9 +124,7 @@ def backward(trace: ForwardTrace, grad_log_probs: Array):
     # d/dz of sum(g * log_softmax(z)) = g - softmax(z) * sum(g)
     grad_z = grad_log_probs - probs * grad_log_probs.sum(axis=-1, keepdims=True)
     grad_weights = [None] * len(trace.weights)
-    # A stack of inputs, one per draw, runs layer 0 as the layers above it.
-    stacked = trace.inputs.ndim == 3
-    for l in range(len(trace.weights) - 1, -1 if stacked else 0, -1):
+    for l in range(len(trace.weights) - 1, -1, -1):
         w = trace.weights[l]
         if want_weights:
             h = trace.hidden[l - 1] if l else trace.inputs
@@ -136,27 +134,21 @@ def backward(trace: ForwardTrace, grad_log_probs: Array):
             g[..., -1, :] = grad_z.sum(axis=-2)
             grad_weights[l] = g if g.ndim == w.ndim else g.sum(axis=0)
         if l == 0:
-            return grad_weights, (grad_z @ np.swapaxes(w[..., :-1, :], -1, -2)
-                                  if "input" in trace.needs else None)
+            break
         # In place on the fresh output of the GEMM.
         grad_z = grad_z @ np.swapaxes(w[..., :-1, :], -1, -2)
         if trace.hidden_masks is not None:
             grad_z *= trace.hidden_masks[l - 1]
         grad_z *= trace.hidden[l - 1] > 0.0
-
-    # Layer 0: one GEMM over all draws, [gz_1|...|gz_S], for each gradient.
-    w = trace.weights[0]
-    if w.ndim == 2 and grad_z.ndim == 3:
-        grad_z = grad_z.sum(axis=0)
-    grad_z, wide = _wide(grad_z), _wide(w)
-    if want_weights:
-        g = np.empty(wide.shape)
-        np.matmul(trace.inputs.T, grad_z, out=g[:-1])
-        g[-1] = grad_z.sum(axis=0)
-        grad_weights[0] = g if w.ndim == 2 else \
-            g.reshape(w.shape[1], w.shape[0], -1).transpose(1, 0, 2)
-    grad_x = grad_z @ wide[:-1].T if "input" in trace.needs else None
-    return grad_weights, grad_x
+    if "input" not in trace.needs:
+        return grad_weights, None
+    if grad_z.ndim > trace.inputs.ndim:
+        # A batch that all draws share gets the sum over them: one GEMM,
+        # [gz_1|...|gz_S] by [W_1|...|W_S]^T, or the summed grad_z by one
+        # matrix.  Rebinding grad_z frees the stack before the GEMM.
+        grad_z = _wide(grad_z) if w.ndim == 3 else grad_z.sum(axis=0)
+        w = _wide(w)
+    return grad_weights, grad_z @ np.swapaxes(w[..., :-1, :], -1, -2)
 
 
 def label_backward(trace: ForwardTrace, labels, grad: Array, needs=WEIGHT_GRADS):
@@ -194,21 +186,14 @@ def entropy_of(probs: Array) -> Array:
     return -terms.sum(axis=1)
 
 
-def summarize_probs(prob_draws: Array) -> PredictiveSummary:
-    """Predictive summary from stacked component probabilities (S, B, K).
+def summarize_prob_stream(draws, n_samples: int) -> PredictiveSummary:
+    """Predictive summary from an iterable of S component probabilities
+    (B, K), accumulating first and second moments so S draws never sit in
+    memory.
 
     class variance = (1/S) sum_s p_s^2 - p_bar^2, clamped at 0 against
     floating-point cancellation; entropy is computed on p_bar.
     """
-    prob_draws = np.asarray(prob_draws, dtype=np.float64)
-    if prob_draws.ndim != 3:
-        raise ValueError(f"expected (S, B, K) probabilities, got {prob_draws.shape}")
-    return summarize_prob_stream(iter(prob_draws), prob_draws.shape[0])
-
-
-def summarize_prob_stream(draws, n_samples: int) -> PredictiveSummary:
-    """Same summary as ``summarize_probs`` from an iterator of (B, K) draws,
-    accumulating first and second moments so S draws never sit in memory."""
     prob_sum = None
     sq_sum = None
     count = 0

@@ -25,7 +25,7 @@ from infmix.data import load_split, take_prefix
 from infmix.gradcheck import (check_objective_gradient,
                               check_single_sample_equivalence)
 from infmix.metrics import auroc_scores
-from infmix.network import MAX_ENTROPY, StochasticMlp, summarize_probs
+from infmix.network import MAX_ENTROPY, StochasticMlp, summarize_prob_stream
 from infmix.objectives import ObjectiveKind, TrainConfig, ml_loss, train, vi_loss
 from infmix.posterior import PriorSpec, kl_to_prior, per_weight_variance
 from infmix.tensor import Rng
@@ -115,13 +115,13 @@ class TestPropertyGate:
         for seed in range(20):
             raw = Rng(seed).uniform(0.01, 1.0, (7, 6, 10))
             stack = raw / raw.sum(axis=2, keepdims=True)
-            summary = summarize_probs(stack)
+            summary = summarize_prob_stream(stack, len(stack))
             centered = ((stack - stack.mean(axis=0)) ** 2).mean(axis=0)
             worst = max(worst, float(np.max(np.abs(
                 summary.class_variance - centered))))
             assert np.all(summary.entropy >= 0.0)
             assert np.all(summary.entropy <= MAX_ENTROPY + 1e-12)
-        single = summarize_probs(stack[:1])
+        single = summarize_prob_stream(stack[:1], 1)
         s1_zero = bool(np.all(single.class_variance == 0.0))
         gate("4 predictive-variance identity", worst < 1e-12 and s1_zero,
              f"max identity gap={worst:.2e} < 1e-12, S=1 variance exactly 0")

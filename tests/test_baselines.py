@@ -12,7 +12,8 @@ from infmix.baselines import (DropoutMlp, FitConfig, glorot_weights,
                               train_dropout, train_ensemble)
 from infmix.data import Dataset
 from infmix.gradcheck import check_dropout_gradient, check_weight_decay_gradient
-from infmix.network import INPUT_GRAD, forward, label_backward, summarize_probs
+from infmix.network import (INPUT_GRAD, forward, label_backward,
+                            summarize_prob_stream)
 from infmix.tensor import Rng, map_in_order
 
 from test_objectives import toy_dataset
@@ -307,7 +308,7 @@ class TestEnsemble:
                             for m in ens.members])
         np.testing.assert_allclose(summary.mean_probs, stacked.mean(axis=0),
                                    atol=1e-12)
-        reference = summarize_probs(stacked)
+        reference = summarize_prob_stream(stacked, len(stacked))
         np.testing.assert_allclose(summary.class_variance,
                                    reference.class_variance, atol=1e-12)
 

@@ -22,7 +22,7 @@ from infmix.cli import main
 from infmix.data import (IDX_FLOAT64, load_idx, load_split, read_idx,
                          take_prefix, write_idx)
 from infmix.harness import (MODEL_KINDS, SWEEP_AXES, ConfigError,
-                            ExperimentConfig, config_text, parse_config_text,
+                            ExperimentConfig, parse_config_text,
                             predict_dataset, run_attack, run_detect, run_ood,
                             run_points, run_report, run_train, sweep_points)
 from infmix.metrics import auroc_balanced, mean_std
@@ -38,6 +38,19 @@ FAST = dict(n_train_samples=2, n_eval_samples=4, batch_size=100,
 def fast_config(data_dir, out_dir, **overrides):
     return ExperimentConfig(data_dir=data_dir, out_dir=str(out_dir),
                             **{**FAST, **overrides})
+
+
+def config_file_text(cfg: ExperimentConfig) -> str:
+    """``cfg`` in the config file format, one ``key = value`` line per
+    field: a list comma-separated, a bool as true or false, None as auto."""
+    def value(v):
+        if isinstance(v, tuple):
+            return ",".join(str(float(x)) for x in v)
+        if isinstance(v, bool):
+            return "true" if v else "false"
+        return "auto" if v is None else str(v)
+    return "".join(f"{f.name} = {value(getattr(cfg, f.name))}\n"
+                   for f in dataclasses.fields(cfg))
 
 
 # Values that parse but are out of range; each must end in a ConfigError.
@@ -135,7 +148,7 @@ _BAD_TEXT.update({
 class TestConfigParsing:
     def test_defaults_round_trip(self):
         cfg = ExperimentConfig()
-        assert parse_config_text(config_text(cfg)) == cfg
+        assert parse_config_text(config_file_text(cfg)) == cfg
 
     def test_parses_values_and_comments(self):
         cfg = parse_config_text(
@@ -201,7 +214,7 @@ class TestConfigProperties:
     @settings(max_examples=100, deadline=None)
     def test_text_round_trip(self, values):
         cfg = ExperimentConfig(**values)
-        assert parse_config_text(config_text(cfg)) == cfg
+        assert parse_config_text(config_file_text(cfg)) == cfg
 
     @given(st.data())
     @settings(max_examples=200, deadline=None)
@@ -402,7 +415,7 @@ class TestPredictDataset:
 
 def sweep_cli(cfg, cfg_path) -> int:
     """``infmix sweep`` on ``cfg``, written to ``cfg_path``."""
-    cfg_path.write_text(config_text(cfg))
+    cfg_path.write_text(config_file_text(cfg))
     return main(["--config", str(cfg_path), "sweep"])
 
 
@@ -443,7 +456,7 @@ class TestRunSweep:
         train = cfg.replace(out_dir=str(tmp_path / "train"), kl_weight=0.5)
         run_train(train)
         tree = read_tree(cfg)
-        assert tree == read_tree(train) and len(tree) == 8
+        assert tree == read_tree(train) and len(tree) == 6
 
     @pytest.mark.parametrize("sweep, field", [
         ("none", None), ("kl_weight", "kl_weight"),
@@ -460,7 +473,7 @@ class TestRunSweep:
         assert sorted(os.listdir(cfg.out_dir)) == sorted(
             f"{point.run_id()}_seed{seed}{suffix}"
             for point in sweep_points(cfg) for seed in cfg.trial_seeds()
-            for suffix in (".json", ".ckpt", "_loss.csv", "_hist.csv"))
+            for suffix in (".json", ".ckpt", "_loss.csv"))
 
     def test_points_of_one_run_id_rejected(self, synthetic_data_dir, tmp_path):
         # Their trials would write the same files at the same time.
@@ -545,7 +558,27 @@ class TestRunAttackDetect:
         assert payload["n_attacked"] == 60
         assert len(payload["mean_curve"]) == len(cfg.eps_grid)
         stem = f"attack_{cfg.run_id()}_s{cfg.n_attack_samples}"
-        assert os.path.exists(os.path.join(cfg.out_dir, stem + ".csv"))
+        assert os.path.exists(os.path.join(cfg.out_dir, stem + ".json"))
+
+    def test_each_result_is_written_once(self, synthetic_data_dir, tmp_path):
+        # A trial's histograms and a run's robustness curve live in their
+        # JSONs only; the report's figure holds the curve's rows.
+        cfg = fast_config(synthetic_data_dir, tmp_path / "out", model="ml")
+        run_train(cfg)
+        run_attack(cfg)
+        curve = f"{cfg.run_id()}_s{cfg.n_attack_samples}"
+        assert sorted(os.listdir(cfg.out_dir)) == sorted(
+            [f"{cfg.run_id()}_seed{seed}{suffix}" for seed in cfg.trial_seeds()
+             for suffix in (".json", ".ckpt", "_loss.csv")]
+            + [f"attack_{curve}.json"])
+        payload = json.loads(
+            Path(cfg.out_dir, f"attack_{curve}.json").read_text())
+        run_report(cfg.out_dir, str(tmp_path / "report"))
+        figure = Path(tmp_path, "report", f"fig_robustness_{curve}.csv")
+        band = harness._band_csv("", payload["config"]["eps_grid"], [
+            (payload["mean_curve"], payload["std_curve"])])
+        assert figure.read_text().splitlines()[1:] == band.splitlines()[1:]
+        assert len(band.splitlines()) == 1 + len(cfg.eps_grid)
 
     def test_detect_payload(self, trained_run):
         cfg, _ = trained_run
@@ -639,8 +672,7 @@ _HEADER = {"schema_version", "kind", "run_id", "model", "dataset", "config",
 _TRIAL_KEYS = _HEADER | {
     "seed", "clean_accuracy", "mean_max_variance", "mean_entropy",
     "mean_max_variance_correct", "mean_max_variance_wrong",
-    "mean_entropy_correct", "mean_entropy_wrong", "histograms", "checkpoint",
-    "histogram_csv"}
+    "mean_entropy_correct", "mean_entropy_wrong", "histograms", "checkpoint"}
 
 
 def _written_keys(out_dir, name) -> set:

@@ -1,13 +1,15 @@
 """AUROC oracles, histogram invariants, and trial aggregation."""
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from infmix.metrics import (ENTROPY_BIN_EDGES, VARIANCE_BIN_EDGES,
-                            auroc_balanced, auroc_scores, histograms_csv,
-                            mean_std, uncertainty_histograms)
+                            auroc_balanced, auroc_scores, mean_std,
+                            uncertainty_histograms)
 from infmix.tensor import Rng
 
 
@@ -101,8 +103,8 @@ class TestHistograms:
     def test_counts_conserved(self):
         hists = uncertainty_histograms(self.groups())
         for metric in ("max_variance", "entropy"):
-            assert hists[metric]["counts"]["correct"].sum() == 30
-            assert hists[metric]["counts"]["wrong"].sum() == 10
+            assert sum(hists[metric]["counts"]["correct"]) == 30
+            assert sum(hists[metric]["counts"]["wrong"]) == 10
 
     def test_bin_edges_fixed(self):
         hists = uncertainty_histograms(self.groups())
@@ -114,7 +116,7 @@ class TestHistograms:
     def test_degenerate_all_correct(self):
         groups = self.groups(n_wrong=0)
         hists = uncertainty_histograms(groups)
-        assert hists["entropy"]["counts"]["wrong"].sum() == 0
+        assert sum(hists["entropy"]["counts"]["wrong"]) == 0
 
     def test_permutation_invariant(self):
         groups = self.groups()
@@ -125,29 +127,28 @@ class TestHistograms:
         }
         a = uncertainty_histograms(groups)
         b = uncertainty_histograms(shuffled)
-        assert np.array_equal(a["entropy"]["counts"]["correct"],
-                              b["entropy"]["counts"]["correct"])
+        assert a["entropy"]["counts"]["correct"] == (
+            b["entropy"]["counts"]["correct"])
 
     def test_boundary_values_counted(self):
         groups = {"g": {"max_variance": np.array([0.0, 0.25]),
                         "entropy": np.array([0.0, np.log(10.0)])}}
         hists = uncertainty_histograms(groups)
-        assert hists["max_variance"]["counts"]["g"].sum() == 2
-        assert hists["entropy"]["counts"]["g"].sum() == 2
+        assert sum(hists["max_variance"]["counts"]["g"]) == 2
+        assert sum(hists["entropy"]["counts"]["g"]) == 2
 
-
-class TestCsvInterfaces:
-    def test_histogram_csv_shape(self):
+    def test_one_group_is_json_ready(self):
         rng = Rng(0)
         groups = {"test": {"max_variance": rng.uniform(0, 0.25, 40),
                            "entropy": rng.uniform(0, np.log(10), 40)}}
-        text = histograms_csv(uncertainty_histograms(groups))
-        lines = text.strip().split("\n")
-        assert lines[0] == "metric,group,bin_left,bin_right,count"
-        assert len(lines) == 1 + 2 * 25  # two metrics x 25 bins x one group
-        total = sum(int(line.split(",")[-1]) for line in lines[1:]
-                    if line.split(",")[0] == "entropy")
-        assert total == 40
+        hists = uncertainty_histograms(groups)
+        assert json.loads(json.dumps(hists)) == hists
+        assert sorted(hists) == ["entropy", "max_variance"]
+        for metric in hists:
+            assert list(hists[metric]["counts"]) == ["test"]
+            assert len(hists[metric]["counts"]["test"]) == 25
+            assert len(hists[metric]["bin_edges"]) == 26
+        assert sum(hists["entropy"]["counts"]["test"]) == 40
 
 
 class TestMeanStd:

@@ -14,7 +14,7 @@ from infmix.gradcheck import check_mixture_input_gradient, check_network_gradien
 from infmix import network
 from infmix.network import (DRAW_BLOCK, INPUT_GRAD, MAX_ENTROPY, WEIGHT_GRADS,
                             StochasticMlp, backward, entropy_of, forward,
-                            summarize_prob_stream, summarize_probs)
+                            summarize_prob_stream)
 from infmix.tensor import Rng
 
 
@@ -248,7 +248,7 @@ class TestSummaries:
         p1[0, 0] = 1.0
         p2 = np.zeros((1, 10))
         p2[0, 1] = 1.0
-        summary = summarize_probs(np.stack([p1, p2]))
+        summary = summarize_prob_stream([p1, p2], 2)
         np.testing.assert_allclose(summary.mean_probs[0, :2], [0.5, 0.5])
         np.testing.assert_allclose(summary.class_variance[0, :2], [0.25, 0.25])
         assert summary.class_variance[0, 2:].max() == 0.0
@@ -256,13 +256,13 @@ class TestSummaries:
 
     def test_single_sample_variance_exactly_zero(self):
         stack = random_prob_stack(0, s=1)
-        summary = summarize_probs(stack)
+        summary = summarize_prob_stream(stack, len(stack))
         assert np.all(summary.class_variance == 0.0)
         assert np.all(summary.max_variance == 0.0)
 
     def test_uniform_mean_gives_max_entropy(self):
         stack = np.full((3, 2, 10), 0.1)
-        summary = summarize_probs(stack)
+        summary = summarize_prob_stream(stack, len(stack))
         np.testing.assert_allclose(summary.entropy, np.log(10.0), atol=1e-12)
 
     def test_one_hot_entropy_zero(self):
@@ -274,7 +274,7 @@ class TestSummaries:
     @settings(max_examples=50, deadline=None)
     def test_variance_identity_and_entropy_bounds(self, seed):
         stack = random_prob_stack(seed)
-        summary = summarize_probs(stack)
+        summary = summarize_prob_stream(stack, len(stack))
         centered = ((stack - stack.mean(axis=0)) ** 2).mean(axis=0)
         np.testing.assert_allclose(summary.class_variance, centered, atol=1e-12)
         assert np.all(summary.entropy >= 0.0)
@@ -285,20 +285,21 @@ class TestSummaries:
     def test_prediction_invariant_to_draw_order(self, seed):
         stack = random_prob_stack(seed)
         perm = Rng(seed).permutation(stack.shape[0])
-        a = summarize_probs(stack)
-        b = summarize_probs(stack[perm])
+        a = summarize_prob_stream(stack, len(stack))
+        b = summarize_prob_stream(stack[perm], len(stack))
         assert np.array_equal(a.predicted_class, b.predicted_class)
 
     def test_stream_matches_stack(self):
         stack = random_prob_stack(42)
-        a = summarize_probs(stack)
-        b = summarize_prob_stream(iter(stack), stack.shape[0])
-        assert np.array_equal(a.mean_probs, b.mean_probs)
-        assert np.array_equal(a.class_variance, b.class_variance)
+        summary = summarize_prob_stream(iter(stack), stack.shape[0])
+        mean = stack.mean(axis=0)
+        assert np.array_equal(summary.mean_probs, mean)
+        assert np.array_equal(summary.class_variance, np.maximum(
+            (stack * stack).mean(axis=0) - mean * mean, 0.0))
 
     def test_variance_clamped_nonnegative(self):
         stack = np.full((4, 2, 10), 0.1)  # exact cancellation case
-        summary = summarize_probs(stack)
+        summary = summarize_prob_stream(stack, len(stack))
         assert np.all(summary.class_variance >= 0.0)
 
 

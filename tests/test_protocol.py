@@ -94,7 +94,7 @@ def test_sweep_cli_writes_the_drivers_kl_sweep_trials(
     assert capsys.readouterr().out.count("\n") == 5
     names = sorted(f"ml_synthetic_kl{kl:g}_pv1_seed0{suffix}"
                    for kl in (1.0, 0.1, 0.01, 1e-3, 1e-4)
-                   for suffix in (".json", ".ckpt", "_loss.csv", "_hist.csv"))
+                   for suffix in (".json", ".ckpt", "_loss.csv"))
     assert sorted(os.listdir("results")) == names
     for name in names:
         assert (Path("results", name).read_bytes()
