@@ -4,9 +4,9 @@ All checks run on tiny nets with frozen reparameterization noise (a fixed
 ``Rng`` key, replayed for every evaluation of the loss), so each loss is a
 smooth deterministic function of the parameters and central differences
 are a valid oracle.  The objective checks run ``LocalDraws``, the sampler
-training runs: layer 0's pre-activations drawn per example, and weight
-draws of ``StochasticMlp.sample_draws`` above it, the draws that prediction
-and attacks take at every layer.  Every finite-difference check goes
+training and prediction run: layer 0's pre-activations drawn per example,
+and weight draws of ``StochasticMlp.sample_draws`` above it, the draws that
+attacks take at every layer.  Every finite-difference check goes
 through ``fd_check``.  The ``perturb`` hook injects an error into
 one analytic gradient, as a negative control that the checker can fail.
 """
@@ -271,16 +271,20 @@ def check_mixture_input_gradient(seed: int = 0, tolerance: float = 1e-5,
                                  n_samples: int = 3) -> CheckResult:
     """Input gradient of -sum_n log p_bar(y_n|x_n) over S frozen draws (the
     quantity PGD ascends), from ``loss_input_grad``, vs central FD of the
-    mixture probabilities ``predict`` reports."""
+    mixture probabilities of the same shared weight draws, the blocks of
+    ``components`` run through ``forward``."""
     net = _tiny_net(seed)
     images, labels = _tiny_batch(seed)
     analytic, _ = net.loss_input_grad(images, labels, n_samples, _frozen_rng(seed))
     rows = np.arange(images.shape[0])
-    return fd_check(
-        "mixture_input_grad", [analytic], [images],
-        lambda: -float(np.sum(np.log(net.predict(
-            images, n_samples, _frozen_rng(seed)).mean_probs[rows, labels]))),
-        tolerance)
+
+    def loss():
+        label_probs = sum(
+            np.exp(forward(weights, images)[0][:, rows, labels]).sum(axis=0)
+            for weights, _ in net.components(n_samples, _frozen_rng(seed)))
+        return -float(np.sum(np.log(label_probs / n_samples)))
+
+    return fd_check("mixture_input_grad", [analytic], [images], loss, tolerance)
 
 
 def run_all_checks(seed: int = 0, perturb: float = 0.0):

@@ -427,8 +427,9 @@ def _trial_checkpoints(cfg: ExperimentConfig, n_pixels: int, checkpoint=None):
 
 
 def run_ood(cfg: ExperimentConfig, checkpoint=None) -> dict:
-    """Test-vs-OOD AUROC for both uncertainty scores, per trial; each
-    (trial, split) pair is one item of the worker pool."""
+    """Test-vs-OOD AUROC for both uncertainty scores, and the mean entropy
+    of each split, per trial; each (trial, split) pair is one item of the
+    worker pool."""
     test_data = load_split(cfg.data_dir, "test")
     try:
         ood_data = load_split(cfg.data_dir, "ood")
@@ -461,12 +462,15 @@ def run_ood(cfg: ExperimentConfig, checkpoint=None) -> dict:
             "seed": seed,
             "auroc_variance": auroc_scores(ood_var, test_var),
             "auroc_entropy": auroc_scores(ood_ent, test_ent),
+            "mean_entropy_test": float(test_ent.mean()),
+            "mean_entropy_ood": float(ood_ent.mean()),
             "n_test": test_data.n,
             "n_ood": ood_data.n,
         })
 
     return _write_result(cfg, "ood", f"ood_{cfg.run_id()}.json",
-                         ("auroc_variance", "auroc_entropy"), trials=trials)
+                         ("auroc_variance", "auroc_entropy", "mean_entropy_test",
+                          "mean_entropy_ood"), trials=trials)
 
 
 def _attack_config(cfg: ExperimentConfig, seed: int,

@@ -7,10 +7,12 @@ stochastic model (weights drawn per call), the deterministic baseline
 (fixed weights), and dropout (optional per-hidden-layer masks).  Biases are
 the last row of each weight matrix.  It is the one S-draw kernel: a weight
 may be a stack (S, n_in+1, n_out) of draws that all see the same batch, so
-in prediction and attacks layer 0 runs as the single GEMM
-x @ [W_1|...|W_S]; ``backward`` produces only the gradients its trace
-``needs``.  Training samples layer 0 locally (``objectives.LocalDraws``) and
-runs layers 1 and up here, on the stack (S, B, n) of its per-draw outputs.
+in attacks layer 0 runs as the single GEMM x @ [W_1|...|W_S]; ``backward``
+produces only the gradients its trace ``needs``.  Training
+(``objectives.LocalDraws``) and the stochastic net's prediction sample
+layer 0 locally, from one mean GEMM for all draws, and run layers 1 and up
+here, on the stack (S, B, n) of its per-draw outputs.  PGD's input
+gradient stays that of shared weight draws at every layer.
 """
 
 from __future__ import annotations
@@ -20,7 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .posterior import MvnLayerPosterior, sample
+from .posterior import (MvnLayerPosterior, draw_preactivations,
+                        preactivation_moments, sample)
 from .tensor import Array, DrawAhead, Rng, imap_in_order
 
 DEFAULT_TOPOLOGY = (784, 128, 128, 10)
@@ -31,7 +34,8 @@ MAX_ENTROPY = float(np.log(N_CLASSES))
 WEIGHT_GRADS, INPUT_GRAD = frozenset({"weights"}), frozenset({"input"})
 
 # Draws per stacked forward pass in prediction and attacks: at B=2000 a block
-# of two holds less memory than one draw did with an augmented-input copy.
+# of two holds less memory than one draw did with an augmented-input copy,
+# and a locally sampled block holds its layer-0 draws in its own normals.
 DRAW_BLOCK = 2
 
 
@@ -257,7 +261,9 @@ class MixtureModel:
     or ensemble members.  Each model kind only lists its components, in
     ``components(n_samples, rng) -> Components``; a block is a (weights,
     hidden_masks) pair of one component or a stack of them, run on the
-    whole batch.  Kinds with a fixed count ignore ``n_samples``.
+    whole batch.  Kinds with a fixed count ignore ``n_samples``.  A kind
+    may predict from other blocks of the same mixture
+    (``prediction_blocks``).
 
     ``predict`` and ``loss_input_grad`` run the blocks through
     ``imap_in_order`` on the CPUs the budget leaves free: each block is
@@ -269,16 +275,21 @@ class MixtureModel:
     def predict(self, x: Array, n_samples: int = 1, rng: Rng | None = None
                 ) -> PredictiveSummary:
         """Predictive summary of the mixture on the batch ``x``."""
-        components = self.components(n_samples, rng)
+        blocks, probs = self.prediction_blocks(x, n_samples, rng)
+        return summarize_prob_stream(
+            (p for block in imap_in_order(probs, blocks) for p in block),
+            blocks.count)
 
+    def prediction_blocks(self, x: Array, n_samples: int, rng: Rng | None):
+        """``predict``'s ``Components``, and the function of a block that
+        gives its components' probabilities on ``x``, a stack (k, B, K):
+        the blocks of ``components``."""
         def probs(block):
             weights, masks = block
             log_probs, _ = forward(weights, x, hidden_masks=masks)
             return np.exp(log_probs.reshape(-1, *log_probs.shape[-2:]))
 
-        return summarize_prob_stream(
-            (p for block in imap_in_order(probs, components) for p in block),
-            components.count)
+        return self.components(n_samples, rng), probs
 
     def loss_input_grad(self, x: Array, labels, n_samples: int = 1,
                         rng: Rng | None = None, ahead: DrawAhead | None = None):
@@ -373,7 +384,49 @@ class StochasticMlp(MixtureModel):
             draws.append(sample(layer, noise.reshape(-1, *layer.mean.shape), out=out))
         return draws
 
+    def local_normals(self, n_samples: int, batch_size: int, rng: Rng) -> Array:
+        """The normals of ``n_samples`` draws on a batch with layer 0 sampled
+        locally, from one call: an (S, B*n + W) array, n the width of layer
+        0 and W the weights above it.  Draw s's row holds its layer-0 noise,
+        example after example, then the weight noise of layers 1 and up."""
+        return rng.standard_normal(
+            n_samples, batch_size * self.layers[0].n_cols
+            + sum(layer.mean.size for layer in self.layers[1:]))
+
+    def local_draws(self, normals: Array, batch_size: int):
+        """The draws of ``local_normals``: layer 0's noise stack (S, B, n),
+        a view of ``normals``, and the weight draws of layers 1 and up
+        (``sample_draws``)."""
+        split = batch_size * self.layers[0].n_cols
+        return (normals[:, :split].reshape(len(normals), batch_size, -1),
+                self.sample_draws(normals[:, split:], first=1))
+
     def components(self, n_samples: int, rng: Rng) -> Components:
+        """Shared weight draws at every layer: the mixture whose input
+        gradient PGD ascends."""
         return Components(n_samples, lambda start, stop: (
             [sw.weights for sw in self.sample_draws(
                 self.draw_normals(stop - start, rng))], None))
+
+    def prediction_blocks(self, x: Array, n_samples: int, rng: Rng | None):
+        """Blocks of ``local_normals``, layer 0 sampled locally: its
+        moments are taken once, and each block draws its pre-activations
+        over its own noise and runs layers 1 and up on their stack.  Each
+        example's draws have the joint law that shared draws give them (W0
+        is independent of the layers above, and given x the units of z0
+        are independent); only the correlation across examples differs."""
+        blocks = Components(n_samples, lambda start, stop: self.local_normals(
+            stop - start, x.shape[0], rng))
+        layer = self.layers[0]
+        moments = preactivation_moments(layer, x)
+
+        def probs(normals):
+            noise, draws = self.local_draws(normals, x.shape[0])
+            h = draw_preactivations(layer, moments, noise, out=noise)
+            if not np.all(np.isfinite(h)):
+                raise FloatingPointError("non-finite activation in layer 0")
+            log_probs, _ = forward([sw.weights for sw in draws],
+                                   np.maximum(h, 0.0, out=h))
+            return np.exp(log_probs)
+
+        return blocks, probs

@@ -92,33 +92,25 @@ class LocalDraws:
     that shared draws of every layer give them; only the correlation across
     the batch's examples differs.  At 784-128-128-10, B=200 and S=5 a step
     draws 217,010 normals, against 591,410 for shared draws of every
-    layer.  Prediction and attacks keep shared draws at every layer: the
-    input gradient of a locally sampled layer is not that of a weight
-    draw."""
+    layer.  Prediction samples the same way (``StochasticMlp.predict``);
+    PGD keeps shared draws at every layer, as the input gradient of a
+    locally sampled layer is not that of a weight draw."""
 
     def __init__(self, net: StochasticMlp, n_samples: int, rng: Rng):
         self.net, self.n_samples, self.rng = net, n_samples, rng
 
     def draw(self, batch_size: int) -> Array:
-        """One (S, B*n + W) call, n the width of layer 0 and W the weights
-        above it: draw s's row holds its layer-0 noise, example after
-        example, then the weight noise of layers 1 and up."""
-        return self.rng.standard_normal(
-            self.n_samples, batch_size * self.net.layers[0].n_cols
-            + sum(layer.mean.size for layer in self.net.layers[1:]))
+        """One (S, B*n + W) call, ``StochasticMlp.local_normals``."""
+        return self.net.local_normals(self.n_samples, batch_size, self.rng)
 
     def loglik(self, images: Array, labels, normals: Array):
         """log p(y_n | x_n, theta_s) of each draw s, made from ``normals``;
         the layers above 0 run as one stacked forward pass on layer 0's
         per-draw outputs, whose trace ``grads`` reuses."""
-        layer = self.net.layers[0]
-        split = images.shape[0] * layer.n_cols
-        pre = sample_preactivations(
-            layer, images,
-            normals[:, :split].reshape(len(normals), -1, layer.n_cols))
+        noise, draws = self.net.local_draws(normals, images.shape[0])
+        pre = sample_preactivations(self.net.layers[0], images, noise)
         if not np.all(np.isfinite(pre.z)):
             raise FloatingPointError("non-finite activation in layer 0")
-        draws = self.net.sample_draws(normals[:, split:], first=1)
         log_probs, trace = forward([sw.weights for sw in draws],
                                    np.maximum(pre.z, 0.0))
         ll = log_probs[:, np.arange(images.shape[0]), labels].T

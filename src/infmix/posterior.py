@@ -156,21 +156,51 @@ class LocalPreactivations:
     sd: Array       # (B,) sqrt(sum_i x~_bi^2 r_i^2)
 
 
+def preactivation_moments(layer: MvnLayerPosterior, x: Array):
+    """What every local draw of the layer on the batch ``x`` (B, n_rows - 1)
+    shares: the pre-activation means x~M (B, n_cols) and scales sd (B,),
+    from one mean GEMM and one GEMV.  The squares of x are taken 256 rows at
+    a time, so no (B, n_rows - 1) temporary is made; on OpenBLAS, blocks
+    of a multiple of 4 rows give each row the bits of one GEMV over the
+    batch."""
+    r2 = layer.row_std ** 2
+    sd = np.empty(x.shape[0])
+    for start in range(0, x.shape[0], 256):
+        rows = x[start:start + 256]
+        np.matmul(rows * rows, r2[:-1], out=sd[start:start + 256])
+    sd += r2[-1]
+    np.sqrt(sd, out=sd)
+    mean = x @ layer.mean[:-1]
+    mean += layer.mean[-1]
+    return mean, sd
+
+
+def draw_preactivations(layer: MvnLayerPosterior, moments, noise: Array,
+                        out: Array | None = None) -> Array:
+    """Draws z = x~M + c sd eps, from the layer's ``preactivation_moments``
+    and a stack of noise (S, B, n_cols), one normal per example, draw and
+    unit; written into ``out`` when given (the noise itself, say)."""
+    mean, sd = moments
+    if noise.ndim != 3 or noise.shape[1:] != mean.shape:
+        raise ValueError(f"noise shape {noise.shape} is not a stack "
+                         f"(S, {mean.shape[0]}, {layer.n_cols})")
+    z = np.empty(noise.shape) if out is None else out
+    scale = sd[:, None] * layer.col_std
+    # One draw at a time: numpy copies a strided stack that it writes over.
+    for e, zs in zip(noise, z):
+        np.multiply(e, scale, out=zs)
+        zs += mean
+    return z
+
+
 def sample_preactivations(layer: MvnLayerPosterior, x: Array,
                           noise: Array) -> LocalPreactivations:
     """Draws the layer's pre-activations on the batch ``x`` (B, n_rows - 1)
-    from a stack of noise (S, B, n_cols), one normal per example, draw and
-    unit: one mean GEMM and one GEMV serve every draw."""
-    if noise.ndim != 3 or noise.shape[1:] != (x.shape[0], layer.n_cols):
-        raise ValueError(f"noise shape {noise.shape} is not a stack "
-                         f"(S, {x.shape[0]}, {layer.n_cols})")
-    r2 = layer.row_std ** 2
-    sd = np.sqrt((x * x) @ r2[:-1] + r2[-1])
-    mean = x @ layer.mean[:-1]
-    mean += layer.mean[-1]
-    z = noise * (sd[:, None] * layer.col_std)
-    z += mean
-    return LocalPreactivations(z=z, noise=noise, inputs=x, sd=sd)
+    from a stack of noise (S, B, n_cols): ``preactivation_moments``, then
+    ``draw_preactivations``."""
+    moments = preactivation_moments(layer, x)
+    return LocalPreactivations(z=draw_preactivations(layer, moments, noise),
+                               noise=noise, inputs=x, sd=moments[1])
 
 
 def preactivation_backward(layer: MvnLayerPosterior, pre: LocalPreactivations,

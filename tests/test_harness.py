@@ -716,8 +716,10 @@ class TestPayloadKeys:
         cfg = cfg.replace(out_dir=str(tmp_path), detect_full_test=False)
         run_ood(cfg, checkpoint=ckpt)
         assert _written_keys(tmp_path, f"ood_{cfg.run_id()}.json") == (
-            _HEADER | {"trials", "mean_auroc_variance", "std_auroc_variance",
-                       "mean_auroc_entropy", "std_auroc_entropy"})
+            _HEADER | {"trials"}
+            | {f"{stat}_{score}" for stat in ("mean", "std")
+               for score in ("auroc_variance", "auroc_entropy",
+                             "mean_entropy_test", "mean_entropy_ood")})
         run_attack(cfg, checkpoint=ckpt)
         assert _written_keys(tmp_path, f"attack_{cfg.run_id()}_s1.json") == (
             _HEADER | {"n_attack_samples", "n_attacked", "trials",
@@ -1019,6 +1021,23 @@ class TestCli:
         err = capsys.readouterr().err
         assert err == ("numerical error: training diverged (non-finite loss) "
                        "at iteration 3\n")
+
+    def test_non_finite_checkpoint_ood_exits_one_without_traceback(
+            self, synthetic_data_dir, tmp_path, capsys):
+        # Prediction draws layer 0's pre-activations from their moments,
+        # and an inf in its mean makes them non-finite.
+        net = StochasticMlp.create(Rng(0))
+        net.layers[0].mean[-1, 0] = np.inf
+        ckpt = str(tmp_path / "inf.ckpt")
+        save_model(net, ckpt)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["--data-dir", synthetic_data_dir, "--out-dir",
+                         str(tmp_path / "out"), "--trials", "1", "ood",
+                         "--checkpoint", ckpt])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "numerical error: non-finite activation in layer 0\n")
 
     def test_cli_overrides_take_effect(self):
         from infmix.cli import build_parser, resolve_config

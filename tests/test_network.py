@@ -15,6 +15,7 @@ from infmix import network
 from infmix.network import (DRAW_BLOCK, INPUT_GRAD, MAX_ENTROPY, WEIGHT_GRADS,
                             StochasticMlp, backward, entropy_of, forward,
                             summarize_prob_stream)
+from infmix.posterior import sample_preactivations
 from infmix.tensor import Rng
 
 
@@ -328,6 +329,54 @@ class TestPredict:
         net = StochasticMlp.create(Rng(0), topology=(6, 4, 4, 3))
         with pytest.raises(ValueError):
             net.predict(np.ones((1, 6)), 0, Rng(0))
+
+    def test_layer_0_drawn_locally_from_one_call_per_block(self):
+        # The bits of a plain loop: per block of DRAW_BLOCK draws, one
+        # (k, B*n + W) normal call, layer 0's pre-activations drawn from its
+        # head and the weights above it from its tail.
+        net = StochasticMlp.create(Rng(0), topology=TINY)
+        x = Rng(1).uniform(0, 1, (5, 6))
+        rng = Rng(7)
+        probs = []
+        for start in range(0, 5, DRAW_BLOCK):
+            k = min(DRAW_BLOCK, 5 - start)
+            normals = rng.standard_normal(
+                k, 5 * 4 + sum(layer.mean.size for layer in net.layers[1:]))
+            pre = sample_preactivations(
+                net.layers[0], x, normals[:, :20].reshape(k, 5, 4))
+            draws = net.sample_draws(normals[:, 20:], first=1)
+            log_probs, _ = forward([sw.weights for sw in draws],
+                                   np.maximum(pre.z, 0.0))
+            probs.extend(np.exp(log_probs))
+        expected = summarize_prob_stream(probs, 5)
+        summary = net.predict(x, 5, Rng(7))
+        for field in ("mean_probs", "class_variance", "max_variance",
+                      "entropy", "predicted_class"):
+            assert np.array_equal(getattr(summary, field),
+                                  getattr(expected, field)), field
+
+    def test_local_prediction_has_the_law_of_shared_draws(self):
+        # Per example, the mean and the variance of each class probability
+        # over 20,000 local draws against as many shared weight draws
+        # (``components``, the mixture PGD ascends), within 4 Monte Carlo
+        # standard errors of their difference.
+        net = StochasticMlp.create(Rng(0), topology=TINY)
+        for layer in net.layers:
+            layer.row_scale_raw += 1.0      # wide enough to spread the draws
+        x = Rng(1).uniform(0, 1, (5, 6))
+        n = 20_000
+        shared = np.concatenate([
+            np.exp(forward(weights, x)[0])
+            for weights, _ in net.components(n, Rng(3))])
+        local = net.predict(x, n, Rng(4))
+        mean = shared.mean(axis=0)
+        centered = (shared - mean) ** 2
+        variance = centered.mean(axis=0)
+        assert variance.min() > 1e-4
+        mean_se = np.sqrt(2.0 * variance / n)
+        variance_se = np.sqrt(2.0 * centered.var(axis=0) / n)
+        assert np.all(np.abs(local.mean_probs - mean) < 4.0 * mean_se)
+        assert np.all(np.abs(local.class_variance - variance) < 4.0 * variance_se)
 
     def test_each_block_is_freed_before_the_next_is_drawn(self, monkeypatch):
         assert predict_peak(monkeypatch, cpus=1) < 3.5

@@ -10,8 +10,9 @@ from infmix.gradcheck import (check_kl_gradient, check_preactivation_gradient,
                               check_sampling_gradient, fd_check)
 from infmix.posterior import (MvnLayerPosterior, PriorSpec, kl_backward,
                               kl_to_prior, per_weight_variance,
-                              preactivation_backward, sample, sample_backward,
-                              sample_preactivations, softplus, softplus_inv)
+                              preactivation_backward, preactivation_moments,
+                              sample, sample_backward, sample_preactivations,
+                              softplus, softplus_inv)
 from infmix.tensor import Rng
 
 
@@ -189,6 +190,19 @@ class TestSamplePreactivations:
         pre = sample_preactivations(layer, x, Rng(8).standard_normal(2, 4, 3))
         np.testing.assert_allclose(pre.z, np.stack([x1 @ layer.mean] * 2),
                                    rtol=0, atol=1e-15)
+
+    @pytest.mark.parametrize("batch", [1, 7, 256, 600])
+    def test_moments_of_a_batch_in_row_blocks(self, batch):
+        # The squares of x go in blocks of rows: each row's sd is that of
+        # the whole batch's formula, in the last, short block too.
+        layer = random_layer(4, n_rows=785, n_cols=3)
+        x = Rng(9).uniform(0.0, 1.0, (batch, 784))
+        x1 = np.hstack([x, np.ones((batch, 1))])
+        mean, sd = preactivation_moments(layer, x)
+        np.testing.assert_allclose(mean, x1 @ layer.mean, rtol=1e-13,
+                                   atol=1e-12)
+        np.testing.assert_allclose(
+            sd, np.sqrt((x1 * x1) @ layer.row_std ** 2), rtol=1e-13)
 
     @pytest.mark.parametrize("shape", [(4, 3), (1, 3, 3), (1, 4, 2)])
     def test_noise_that_does_not_fit_the_batch_is_rejected(self, shape):
